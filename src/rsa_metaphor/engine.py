@@ -22,6 +22,25 @@ typicality row with ``lam`` (a softmax stretch) and reweight it by the
 topic's row.  It approximates the full recursion but is not identical to it;
 no equivalence is asserted.
 
+One kernel, :func:`_log_joint`, computes every interpretation: a batch of
+items at one ``lam`` in a single numpy pass, with the exact derivative in
+``lam`` on request.  ``interpret``, ``interpret_with_gradient``,
+``interpret_fast`` and ``pragmatic_listener`` are batches of one; the
+objective, ``evaluate`` and the feature correlations pass whole item sets.
+
+* With ``utterances="all"`` the speaker normalizers
+  ``logsumexp_u lam * log T[u, j]`` and ``logsumexp_u lam * log(1 - T[u, j])``
+  and their softmax expectations do not depend on the item, so they are
+  computed once per call.  With ``"pair"`` each item's two rows are stacked
+  as (B, 2, n).
+* The goal mixture ``W_i = sum_j R(g_j) S1(v | g_j, e_i)`` takes the match
+  term for goal i and the no-match term for every other goal.  "Every goal
+  but i" is an O(n) exclusive logsumexp joined from prefix and suffix
+  ``np.logaddexp.accumulate``.  Taking a total and subtracting term i would
+  cancel catastrophically whenever term i dominates the total; the prefix
+  and suffix never contain it.  The gradient's matching sum is built the
+  same way from prefix and suffix sums.
+
 Every operation here is a pure function of immutable inputs; concurrent
 calls (one metaphor per worker) are safe.
 """
@@ -174,22 +193,6 @@ def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray | float:
     return np.squeeze(out, axis=axis)
 
 
-def _softmax(scores: np.ndarray, axis: int = 0) -> np.ndarray:
-    m = np.max(scores, axis=axis, keepdims=True)
-    e = np.exp(scores - m)
-    return e / e.sum(axis=axis, keepdims=True)
-
-
-def _require_nondegenerate(rows: np.ndarray, categories) -> None:
-    bad = (rows <= 0.0) | (rows >= 1.0)
-    if np.any(bad):
-        which = np.flatnonzero(bad.any(axis=-1) if rows.ndim > 1 else bad)
-        names = ", ".join(repr(c) for c in np.asarray(categories)[which][:5])
-        raise DegenerateTypicalityError(
-            f"typicality row(s) for {names} contain values of exactly 0 or 1"
-        )
-
-
 def utterance_alternatives(
     config: RsaConfig, table: TypicalityTable, item: MetaphorItem | None = None
 ) -> tuple[str, ...]:
@@ -269,87 +272,162 @@ def relevance(topic: str, table: TypicalityTable) -> Distribution:
     return Distribution.from_probs(table.vocab.features, table.row(topic))
 
 
-def _goal_log_weights(config: RsaConfig, topic: str, table: TypicalityTable) -> np.ndarray:
+def _goal_log_weights(config: RsaConfig, log_topic: np.ndarray) -> np.ndarray:
+    """Log goal prior: the topic's log typicality rows, or uniform (the ablation)."""
     if config.goal_prior == "uniform":
-        return np.full(table.n, -math.log(table.n))
-    with np.errstate(divide="ignore"):
-        return np.log(table.row(topic))
+        return np.full(log_topic.shape, -math.log(log_topic.shape[-1]))
+    return log_topic
 
 
-def _category_support(
-    config: RsaConfig, item: MetaphorItem, table: TypicalityTable
-) -> tuple[tuple[str, ...], np.ndarray]:
-    if config.category_prior == "topic":
-        return (item.topic,), np.zeros(1)
-    return (item.topic, item.vehicle), np.full(2, -math.log(2.0))
+def _reject_rows(bad: np.ndarray, table: TypicalityTable, index, problem: str) -> None:
+    """Raise DegenerateTypicalityError naming the categories whose row has a bad entry.
 
-
-def _speaker_log_probs(
-    lam: float, t_utts: np.ndarray, v_pos: int
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-goal log speaker probabilities of the vehicle utterance.
-
-    Returns (log S1(v | g_j, state matching g_j), log S1(v | g_j, state not
-    matching)), each of shape (n,).  The no-match case is independent of
-    which non-matching state holds.
+    ``bad`` flags the entries of the rows ``table.values[index]``.
     """
-    log_t = np.log(t_utts)
-    log_not = np.log1p(-t_utts)
-    match_scores = lam * log_t
-    nomatch_scores = lam * log_not
-    log_s_match = match_scores[v_pos] - _logsumexp(match_scores, axis=0)
-    log_s_nomatch = nomatch_scores[v_pos] - _logsumexp(nomatch_scores, axis=0)
-    return log_s_match, log_s_nomatch
+    bad_rows = bad.any(axis=-1)
+    if np.any(bad_rows):
+        which = dict.fromkeys(np.asarray(table.categories)[index][bad_rows].tolist())
+        listed = ", ".join(repr(c) for c in list(which)[:5])
+        raise DegenerateTypicalityError(f"typicality row(s) for {listed} {problem}")
 
 
-def _log_goal_mixture(
-    log_goal_w: np.ndarray, log_s_match: np.ndarray, log_s_nomatch: np.ndarray
-) -> np.ndarray:
-    """log sum_j R(g_j) * S1(v | g_j, e_i) for every feature i."""
-    n = log_goal_w.size
-    m = np.broadcast_to((log_goal_w + log_s_nomatch)[:, None], (n, n)).copy()
-    idx = np.arange(n)
-    m[idx, idx] = log_goal_w + log_s_match
-    return _logsumexp(m, axis=0)
+def _exclusive_logsumexp(x: np.ndarray) -> np.ndarray:
+    """``log sum_{j != i} exp(x_j)`` for every i along the last axis, in O(n).
 
-
-def _listener_log_joint(
-    lam: float,
-    t_utts: np.ndarray,
-    v_pos: int,
-    log_goal_w: np.ndarray,
-    prior_rows: np.ndarray,
-    log_cat_prior: np.ndarray,
-) -> np.ndarray:
-    """Normalized log joint over (category support x features).
-
-    This is the resolved-inputs core behind :func:`pragmatic_listener`:
-    ``t_utts`` holds the utterance alternatives' typicality rows (vehicle at
-    ``v_pos``), ``log_goal_w`` the goal prior, ``prior_rows``/``log_cat_prior``
-    the feature and category priors of the listener's category support.
+    Prefix and suffix running logsumexps, joined; no term is ever subtracted
+    from a total, so nothing cancels however much one term dominates.
     """
-    _require_nondegenerate(t_utts, range(len(t_utts)))
-    log_s_match, log_s_nomatch = _speaker_log_probs(lam, t_utts, v_pos)
-    log_w = _log_goal_mixture(log_goal_w, log_s_match, log_s_nomatch)
-    with np.errstate(divide="ignore"):
-        log_joint = log_cat_prior[:, None] + np.log(prior_rows) + log_w[None, :]
-    total = _logsumexp(log_joint)
-    if total == -np.inf:
-        raise ZeroMassError("pragmatic listener has zero total mass")
-    return log_joint - total
+    pad = np.full(x.shape[:-1] + (1,), -np.inf)
+    before = np.logaddexp.accumulate(np.concatenate([pad, x[..., :-1]], axis=-1), axis=-1)
+    after = np.logaddexp.accumulate(np.concatenate([pad, x[..., :0:-1]], axis=-1), axis=-1)
+    return np.logaddexp(before, after[..., ::-1])
 
 
-def _resolve_listener_inputs(item, config, table):
-    table.category_index(item.topic)  # fail early with a clear unknown-noun error
-    table.category_index(item.vehicle)
-    utts = utterance_alternatives(config, table, item)
-    t_utts = table.values[[table.category_index(u) for u in utts]]
-    _require_nondegenerate(t_utts, utts)
-    v_pos = utts.index(item.vehicle)
-    log_goal_w = _goal_log_weights(config, item.topic, table)
-    support, log_cat_prior = _category_support(config, item, table)
-    prior_rows = table.values[[table.category_index(c) for c in support]]
-    return t_utts, v_pos, log_goal_w, support, prior_rows, log_cat_prior
+def _exclusive_weighted_sum(log_x: np.ndarray, log_total: np.ndarray, d: np.ndarray):
+    """``sum_{j != i} exp(log_x_j - log_total_i) d_j`` for every i along the last axis.
+
+    O(n) prefix and suffix sums of ``exp(log_x_j - peak) d_j``, where peak is
+    the row's largest ``log_x``, rescaled to each ``log_total_i``, which must
+    be at least ``log sum_{j != i} exp(log_x_j)``.  At the peak's own position
+    the sums lack their largest term and the rescaling could overflow, so
+    that one entry is summed directly.
+    """
+    top = np.argmax(log_x, axis=-1)[..., None]
+    peak = np.take_along_axis(log_x, top, axis=-1)
+    terms = np.exp(log_x - peak) * d
+    zero = np.zeros_like(peak)
+    before = np.cumsum(np.concatenate([zero, terms[..., :-1]], axis=-1), axis=-1)
+    after = np.cumsum(np.concatenate([zero, terms[..., :0:-1]], axis=-1), axis=-1)[..., ::-1]
+    out = (before + after) * np.exp(np.minimum(peak - log_total, 0.0))
+    others = log_x.copy()
+    np.put_along_axis(others, top, -np.inf, axis=-1)
+    at_top = np.sum(np.exp(others - np.take_along_axis(log_total, top, axis=-1)) * d,
+                    axis=-1, keepdims=True)
+    np.put_along_axis(out, top, at_top, axis=-1)
+    return out
+
+
+def _speaker(lam: float, log_u: np.ndarray, log_v: np.ndarray, gradient: bool):
+    """log S1(vehicle | goal j) for every goal j, and its derivative in lam.
+
+    ``log_u`` holds the utterance alternatives' log utilities along axis -2:
+    one (K, n) block shared by the batch, or (B, 2, n) for the pair set.
+    ``log_v`` (B, n) holds the vehicle's.
+    """
+    scores = lam * log_u
+    norm = _logsumexp(scores, axis=-2)
+    log_s = lam * log_v - norm
+    if not gradient:
+        return log_s, None
+    # d/dlam log softmax: own utility minus the softmax-expected utility
+    expected = np.sum(np.exp(scores - norm[..., None, :]) * log_u, axis=-2)
+    return log_s, log_v - expected
+
+
+def _log_joint(items, config: RsaConfig, table: TypicalityTable, gradient: bool):
+    """The listener kernel: every item of a batch at one lam, in one numpy pass.
+
+    Returns ``(log_joint, dlog)``.  ``log_joint`` (B, C, n) is each item's
+    normalized log posterior over its category support (C = 1 for the topic
+    prior, 2 for the uniform one) x features.  ``dlog`` (B, n) is the
+    derivative in lam of the one factor lam enters, the goal mixture (the
+    stretch in fast mode); it is None unless ``gradient``.
+    """
+    if not items:
+        raise ValueError("empty batch of metaphor items")
+    topic, vehicle = np.array(
+        [(table.category_index(i.topic), table.category_index(i.vehicle)) for i in items]
+    ).T
+    lam = config.lam
+    values = table.values
+    dlog = None
+
+    if config.mode == "fast":
+        with np.errstate(divide="ignore"):
+            log_alpha = np.log(values[topic])
+        if lam == 0.0 and not gradient:
+            # a uniform stretch leaves the topic row itself; the vehicle is never read
+            return log_alpha[:, None, :], None
+        beta = values[vehicle]
+        _reject_rows(beta <= 0.0, table, vehicle,
+                     "contain zeros; the vehicle stretch is undefined for lam != 0")
+        log_beta = np.log(beta)
+        scores = lam * log_beta
+        stretch = scores - _logsumexp(scores, axis=-1)[:, None]
+        log_joint = (log_alpha + stretch)[:, None, :]
+        if gradient:
+            dlog = log_beta - np.sum(np.exp(stretch) * log_beta, axis=-1, keepdims=True)
+    else:
+        degenerate = "contain values of exactly 0 or 1"
+        if config.utterances == "all":
+            # the speaker normalizers run over the whole table: once per call
+            _reject_rows((values <= 0.0) | (values >= 1.0), table, slice(None), degenerate)
+            log_u, not_u = np.log(values), np.log1p(-values)
+            log_t, log_v, not_v = log_u[topic], log_u[vehicle], not_u[vehicle]
+        else:
+            pair = np.stack([topic, vehicle], axis=1)
+            rows = values[pair]
+            _reject_rows((rows <= 0.0) | (rows >= 1.0), table, pair, degenerate)
+            log_u, not_u = np.log(rows), np.log1p(-rows)
+            log_t, log_v, not_v = log_u[:, 0], log_u[:, 1], not_u[:, 1]
+        # the state carries goal j's feature (match) or another one (no match)
+        log_s_match, d_match = _speaker(lam, log_u, log_v, gradient)
+        log_s_nomatch, d_nomatch = _speaker(lam, not_u, not_v, gradient)
+
+        # W_i = sum_j R(g_j) S1(v | g_j, e_i): goal i matches, every other goal does not
+        log_goal = _goal_log_weights(config, log_t)
+        log_on = log_goal + log_s_match
+        log_off = log_goal + log_s_nomatch
+        log_w = np.logaddexp(log_on, _exclusive_logsumexp(log_off))
+        if gradient:
+            # d log W_i: each component's share of W_i times its own d log S1
+            dlog = (np.exp(log_on - log_w) * d_match
+                    + _exclusive_weighted_sum(log_off, log_w, d_nomatch))
+
+        if config.category_prior == "topic":
+            log_prior = log_t[:, None, :]
+        else:
+            log_prior = -math.log(2.0) + np.stack([log_t, log_v], axis=1)
+        log_joint = log_prior + log_w[:, None, :]
+
+    total = _logsumexp(log_joint, axis=(1, 2))
+    if np.any(total == -np.inf):
+        raise ZeroMassError("interpretation has zero total mass")
+    return log_joint - total[:, None, None], dlog
+
+
+def _interpret_batch(items, config: RsaConfig, table: TypicalityTable, gradient: bool = False):
+    """Interpretations of a batch at one lam: ``(log p, dp/dlam)``, each (B, n).
+
+    The derivative is exact (the chain rule through the speaker softmax, the
+    goal mixture and the final normalization) and None unless ``gradient``.
+    """
+    log_joint, dlog = _log_joint(items, config, table, gradient)
+    logp = _logsumexp(log_joint, axis=1)
+    if not gradient:
+        return logp, None
+    p = np.exp(logp)
+    return logp, p * (dlog - np.sum(p * dlog, axis=-1, keepdims=True))
 
 
 def pragmatic_listener(
@@ -363,30 +441,18 @@ def pragmatic_listener(
         raise ValueError("pragmatic_listener requires mode='full'")
     if space is not None and space.n != table.n:
         raise ValueError("feature space size does not match the table")
-    t_utts, v_pos, log_goal_w, support, prior_rows, log_cat_prior = (
-        _resolve_listener_inputs(item, config, table)
-    )
-    log_joint = _listener_log_joint(
-        config.lam, t_utts, v_pos, log_goal_w, prior_rows, log_cat_prior
-    )
+    log_joint, _ = _log_joint((item,), config, table, gradient=False)
+    support = (item.topic,) if config.category_prior == "topic" else (item.topic, item.vehicle)
     labels = tuple((c, f) for c in support for f in table.vocab.features)
-    return Distribution(labels, log_joint.ravel())
+    return Distribution(labels, log_joint[0].ravel())
 
 
 def interpret(
     item: MetaphorItem, config: RsaConfig, table: TypicalityTable
 ) -> Distribution:
     """Marginal posterior over features: the model's metaphor interpretation."""
-    if config.mode == "fast":
-        return interpret_fast(item, config.lam, table)
-    t_utts, v_pos, log_goal_w, _, prior_rows, log_cat_prior = (
-        _resolve_listener_inputs(item, config, table)
-    )
-    log_joint = _listener_log_joint(
-        config.lam, t_utts, v_pos, log_goal_w, prior_rows, log_cat_prior
-    )
-    log_marginal = _logsumexp(log_joint, axis=0)
-    return Distribution(table.vocab.features, log_marginal)
+    logp, _ = _interpret_batch((item,), config, table)
+    return Distribution(table.vocab.features, logp[0])
 
 
 def interpret_fast(
@@ -398,26 +464,7 @@ def interpret_fast(
     ``a_i * softmax(lam * log b)_i``.  At lam = 0 it returns the topic row
     exactly.
     """
-    if not math.isfinite(lam):
-        raise ValueError(f"lam must be finite, got {lam!r}")
-    alpha = table.row(item.topic)
-    beta = table.row(item.vehicle)
-    if lam == 0.0:
-        # uniform stretch: the output is the topic row itself
-        return Distribution.from_probs(table.vocab.features, alpha)
-    if np.any(beta <= 0.0):
-        raise DegenerateTypicalityError(
-            f"vehicle {item.vehicle!r} has zero typicalities; "
-            f"stretching by lam != 0 is undefined"
-        )
-    stretch_scores = lam * np.log(beta)
-    log_stretched = stretch_scores - _logsumexp(stretch_scores)
-    with np.errstate(divide="ignore"):
-        log_out = np.log(alpha) + log_stretched
-    total = _logsumexp(log_out)
-    if total == -np.inf:
-        raise ZeroMassError("fast-path output has zero total mass")
-    return Distribution(table.vocab.features, log_out - total)
+    return interpret(item, RsaConfig(lam=lam, mode="fast"), table)
 
 
 def interpret_with_gradient(
@@ -425,59 +472,7 @@ def interpret_with_gradient(
 ) -> tuple[np.ndarray, np.ndarray]:
     """Interpretation probabilities and their derivative with respect to lam.
 
-    Returns ``(p, dp)`` with both arrays over the feature vocabulary.  The
-    derivative is exact: the chain rule through the speaker softmax, the
-    goal mixture, and the final normalization.
+    Returns ``(p, dp)`` with both arrays over the feature vocabulary.
     """
-    if config.mode == "fast":
-        return _fast_with_gradient(item, config.lam, table)
-    return _full_with_gradient(item, config, table)
-
-
-def _full_with_gradient(item, config, table):
-    lam = config.lam
-    t_utts, v_pos, log_goal_w, _, prior_rows, log_cat_prior = (
-        _resolve_listener_inputs(item, config, table)
-    )
-    log_t = np.log(t_utts)
-    log_not = np.log1p(-t_utts)
-
-    log_s_match, log_s_nomatch = _speaker_log_probs(lam, t_utts, v_pos)
-    # d log softmax / d lam: own utility minus the softmax-expected utility
-    d_match = log_t[v_pos] - np.sum(_softmax(lam * log_t, axis=0) * log_t, axis=0)
-    d_nomatch = log_not[v_pos] - np.sum(_softmax(lam * log_not, axis=0) * log_not, axis=0)
-
-    log_w = _log_goal_mixture(log_goal_w, log_s_match, log_s_nomatch)
-    # d log W_i: mixture-weighted average of the component log-derivatives,
-    # diagonal term (goal j = feature i) uses the match branch
-    with np.errstate(over="ignore"):
-        off = np.exp((log_goal_w + log_s_nomatch)[None, :] - log_w[:, None])
-    np.fill_diagonal(off, 0.0)
-    w_match = np.exp(log_goal_w + log_s_match - log_w)
-    dlog_w = w_match * d_match + off @ d_nomatch
-
-    with np.errstate(divide="ignore"):
-        log_rho = _logsumexp(log_cat_prior[:, None] + np.log(prior_rows), axis=0)
-    log_q = log_rho + log_w
-    log_p = log_q - _logsumexp(log_q)
-    p = np.exp(log_p)
-    dp = p * (dlog_w - p @ dlog_w)
-    return p, dp
-
-
-def _fast_with_gradient(item, lam, table):
-    alpha = table.row(item.topic)
-    beta = table.row(item.vehicle)
-    if np.any(beta <= 0.0):
-        raise DegenerateTypicalityError(
-            f"vehicle {item.vehicle!r} has zero typicalities; "
-            f"the stretch derivative is undefined"
-        )
-    log_beta = np.log(beta)
-    stretched = _softmax(lam * log_beta)
-    dlog_stretched = log_beta - stretched @ log_beta
-    with np.errstate(divide="ignore"):
-        log_out = np.log(alpha) + lam * log_beta - _logsumexp(lam * log_beta)
-    p = np.exp(log_out - _logsumexp(log_out))
-    dp = p * (dlog_stretched - p @ dlog_stretched)
-    return p, dp
+    logp, dp = _interpret_batch((item,), config, table, gradient=True)
+    return np.exp(logp[0]), dp[0]

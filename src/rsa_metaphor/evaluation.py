@@ -9,7 +9,8 @@ from typing import Mapping, Sequence
 import numpy as np
 
 from . import learn
-from .engine import RsaConfig, interpret
+# interpret is not called here; bench/spans.py wraps evaluation.interpret
+from .engine import RsaConfig, _interpret_batch, interpret  # noqa: F401
 from .lexicon import (
     INHERENT,
     NON_INHERENT,
@@ -129,11 +130,11 @@ def evaluate(
     ks = tuple(sorted(set(ks)))
     k_max = max(ks)
     features = table.vocab.features
+    other_mode = "fast" if config.mode == "full" else "full"
+    models = np.exp(_interpret_batch(items, config, table)[0])
+    others = np.exp(_interpret_batch(items, replace(config, mode=other_mode), table)[0])
     entries: list[ItemEval] = []
-    for item in items:
-        model = interpret(item, config, table).p
-        other_mode = "fast" if config.mode == "full" else "full"
-        other = interpret(item, replace(config, mode=other_mode), table).p
+    for item, model, other in zip(items, models, others):
         target = human.distribution(item.id)
         model_top = tuple(features[i] for i in top_k_indices(model, k_max))
         human_top = tuple(features[i] for i in top_k_indices(target, k_max))
@@ -250,7 +251,7 @@ def feature_correlation_matrix(
             raise ValueError("human responses are required for source='human'")
         rows = np.stack([human.distribution(item.id) for item in items])
     else:
-        rows = np.stack([interpret(item, config, table).p for item in items])
+        rows = np.exp(_interpret_batch(items, config, table)[0])
 
     # a feature is undefined when literally constant across items; detecting
     # this by range (not by centered norm) avoids mean-roundoff false positives

@@ -3,10 +3,10 @@
 The objective is the mean, over training metaphors, of the Pearson
 correlation between the model's interpretation and the human one (or one
 pooled correlation over all metaphor x feature pairs with
-``objective_kind="pooled"``).  It is maximized by Polak-Ribiere conjugate
-gradient ascent with an Armijo backtracking line search.  The optimizer is
-written for d parameters; on this one-parameter problem the periodic
-restart (every d iterations) makes it plain line-searched gradient ascent.
+``objective_kind="pooled"``).  It is maximized by gradient ascent with an
+Armijo backtracking line search.  The line search needs only objective
+values, so its trial points run the listener forward only; the analytic
+gradient is computed at accepted points.
 
 Everything here is deterministic: the only randomness is the split seed.
 """
@@ -18,7 +18,8 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .engine import RsaConfig, interpret_with_gradient
+# interpret_with_gradient is not called here; bench/spans.py wraps learn.interpret_with_gradient
+from .engine import RsaConfig, _interpret_batch, interpret_with_gradient  # noqa: F401
 from .errors import DatasetError, Error, ZeroVarianceError
 from .lexicon import HumanResponseTable, MetaphorItem, TypicalityTable
 
@@ -83,28 +84,17 @@ def make_split(items: tuple[MetaphorItem, ...], seed: int) -> TrainTestSplit:
     return TrainTestSplit(tuple(train), tuple(test), seed)
 
 
-def _model_outputs(lam, items, human, config, table):
-    cfg = replace(config, lam=float(lam))
-    model, dmodel, target = [], [], []
-    for item in items:
-        p, dp = interpret_with_gradient(item, cfg, table)
-        model.append(p)
-        dmodel.append(dp)
-        target.append(human.distribution(item.id))
-    return model, dmodel, target
-
-
-def _pearson_value_grad(m: np.ndarray, h: np.ndarray) -> tuple[float, np.ndarray]:
-    """Pearson r(m, h) and its gradient in m."""
-    a = m - m.mean()
-    b = h - h.mean()
-    saa = float(a @ a)
-    sbb = float(b @ b)
-    if saa == 0.0 or sbb == 0.0:
+def _pearson_rows(m: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Pearson r of each row pair of ``m`` and ``h``, and its gradient in ``m``."""
+    a = m - m.mean(axis=1, keepdims=True)
+    b = h - h.mean(axis=1, keepdims=True)
+    saa = np.sum(a * a, axis=1)
+    sbb = np.sum(b * b, axis=1)
+    if np.any(saa == 0.0) or np.any(sbb == 0.0):
         raise ZeroVarianceError("constant vector in the training objective")
-    denom = math.sqrt(saa * sbb)
-    r = float(a @ b) / denom
-    grad = b / denom - (r / saa) * a
+    denom = np.sqrt(saa * sbb)
+    r = np.sum(a * b, axis=1) / denom
+    grad = b / denom[:, None] - (r / saa)[:, None] * a
     return r, grad
 
 
@@ -117,7 +107,7 @@ def objective(
     kind: str = "mean",
 ) -> float:
     """Correlation between model and human interpretations on the train set."""
-    value, _ = _objective_and_gradient(lam, train, human, config, table, kind)
+    value, _ = _objective_and_gradient(lam, train, human, config, table, kind, gradient=False)
     return value
 
 
@@ -134,29 +124,28 @@ def gradient(
     return g
 
 
-def _objective_and_gradient(lam, train, human, config, table, kind):
+def _objective_and_gradient(lam, train, human, config, table, kind, gradient=True):
+    """The objective at ``lam`` and, if ``gradient``, its derivative (else None).
+
+    One kernel call covers the whole training set.  ``mean`` correlates each
+    item's row with its human row; ``pooled`` correlates the flattened rows.
+    """
     if kind not in _OBJECTIVE_KINDS:
         raise ValueError(f"objective kind must be one of {_OBJECTIVE_KINDS}, got {kind!r}")
     if not train:
         raise ValueError("empty training set")
-    model, dmodel, target = _model_outputs(lam, train, human, config, table)
+    logp, dp = _interpret_batch(train, replace(config, lam=float(lam)), table, gradient)
+    model = np.exp(logp)
+    target = np.stack([human.distribution(item.id) for item in train])
     if kind == "pooled":
-        m = np.concatenate(model)
-        dm = np.concatenate(dmodel)
-        h = np.concatenate(target)
-        r, grad_m = _pearson_value_grad(m, h)
-        value, deriv = r, float(grad_m @ dm)
-    else:
-        rs, derivs = [], []
-        for m, dm, h in zip(model, dmodel, target):
-            r, grad_m = _pearson_value_grad(m, h)
-            rs.append(r)
-            derivs.append(float(grad_m @ dm))
-        value = float(np.mean(rs))
-        deriv = float(np.mean(derivs))
+        model, target = model.reshape(1, -1), target.reshape(1, -1)
+    r, grad_m = _pearson_rows(model, target)
+    value = float(np.mean(r))
     if not math.isfinite(value):
         raise Error(f"objective is not finite at lam={lam!r}")
-    return value, deriv
+    if not gradient:
+        return value, None
+    return value, float(np.mean(np.sum(grad_m * dp.reshape(grad_m.shape), axis=1)))
 
 
 def finite_difference_gradient(
@@ -175,10 +164,10 @@ def finite_difference_gradient(
     return (hi - lo) / (2.0 * h)
 
 
-def _maximize_cg(f, grad, x0: np.ndarray, max_iterations: int, tol: float):
-    """Polak-Ribiere+ conjugate gradient ascent with Armijo backtracking.
+def _gradient_ascent(f, grad, x0: np.ndarray, max_iterations: int, tol: float):
+    """Gradient ascent with an Armijo backtracking line search.
 
-    Restarts to steepest ascent every ``x0.size`` iterations.  Non-finite
+    Each search starts from twice the previously accepted step.  Non-finite
     objective values during the line search reject the step and halve it.
     Returns (x, fx, iterations, grad_norm, stop_reason, trace).
     """
@@ -196,19 +185,15 @@ def _maximize_cg(f, grad, x0: np.ndarray, max_iterations: int, tol: float):
     if gnorm <= tol:
         return x, fx, 0, gnorm, "gradient_tolerance", trace
 
-    d = g.copy()
     step = 1.0
     stop_reason = "max_iterations"
     iterations = 0
     for k in range(1, max_iterations + 1):
-        slope = float(g @ d)
-        if slope <= 0.0:  # direction lost ascent: restart on the gradient
-            d = g.copy()
-            slope = float(g @ g)
+        slope = float(g @ g)
         alpha = step
         accepted = False
         for _ in range(max_halvings):
-            x_new = x + alpha * d
+            x_new = x + alpha * g
             try:
                 f_new = f(x_new)
             except Error:  # undefined trial point: treat like a non-finite value
@@ -222,19 +207,11 @@ def _maximize_cg(f, grad, x0: np.ndarray, max_iterations: int, tol: float):
             break
         iterations = k
         x, fx = x_new, f_new
-        g_new = grad(x)
+        g = grad(x)
         trace.append((k, x.copy(), fx))
-        gnorm = float(np.linalg.norm(g_new))
-        if gnorm <= tol:
-            g = g_new
+        if float(np.linalg.norm(g)) <= tol:
             stop_reason = "gradient_tolerance"
             break
-        if k % x.size == 0:
-            beta = 0.0
-        else:
-            beta = max(0.0, float(g_new @ (g_new - g)) / float(g @ g))
-        d = g_new + beta * d
-        g = g_new
         step = alpha * 2.0  # warm-start the next search from twice the accepted step
 
     gnorm = float(np.linalg.norm(g))
@@ -251,21 +228,23 @@ def learn_lambda(
     tol: float = 1e-6,
     kind: str = "mean",
 ) -> FitResult:
-    """Fit the rationality parameter from ``init`` by conjugate gradient ascent."""
+    """Fit the rationality parameter from ``init`` by line-searched gradient ascent."""
     if not math.isfinite(init):
         raise ValueError(f"init must be finite, got {init!r}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
 
     def f(x: np.ndarray) -> float:
-        value, _ = _objective_and_gradient(x[0], train, human, config, table, kind)
+        value, _ = _objective_and_gradient(
+            x[0], train, human, config, table, kind, gradient=False
+        )
         return value
 
     def g(x: np.ndarray) -> np.ndarray:
         _, deriv = _objective_and_gradient(x[0], train, human, config, table, kind)
         return np.array([deriv])
 
-    x, fx, iterations, gnorm, stop_reason, raw_trace = _maximize_cg(
+    x, fx, iterations, gnorm, stop_reason, raw_trace = _gradient_ascent(
         f, g, np.array([float(init)]), max_iterations, tol
     )
     trace = tuple((k, float(xk[0]), float(fk)) for k, xk, fk in raw_trace)

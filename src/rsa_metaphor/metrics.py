@@ -60,12 +60,14 @@ def jsd(p, q, base: float = 2.0) -> float:
     if a.shape != b.shape:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     m = 0.5 * (a + b)
-    # m > 0 wherever a > 0 or b > 0, so the masked logs are well defined
-    with np.errstate(divide="ignore", invalid="ignore"):
-        kl_a = np.where(a > 0, a * np.log(np.divide(a, m, where=m > 0)), 0.0)
-        kl_b = np.where(b > 0, b * np.log(np.divide(b, m, where=m > 0)), 0.0)
-    value = 0.5 * (kl_a.sum() + kl_b.sum()) / math.log(base)
+    value = 0.5 * (_kl_terms(a, m).sum() + _kl_terms(b, m).sum()) / math.log(base)
     return max(0.0, float(value))
+
+
+def _kl_terms(x: np.ndarray, m: np.ndarray) -> np.ndarray:
+    """Terms x_i log(x_i / m_i), with 0 log 0 := 0; x_i > 0 implies m_i > 0."""
+    ratio = np.divide(x, m, out=np.ones_like(x), where=x > 0)
+    return x * np.log(ratio)
 
 
 def top_k_indices(p, k: int) -> np.ndarray:

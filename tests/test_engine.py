@@ -5,6 +5,8 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracle
 from conftest import as_oracle_table, random_table, table_from_rows
@@ -20,8 +22,17 @@ from rsa_metaphor import (
     relevance,
     speaker_utility,
 )
-from rsa_metaphor.engine import _goal_log_weights, interpret_with_gradient
-from rsa_metaphor.errors import DegenerateTypicalityError
+from rsa_metaphor.engine import _goal_log_weights, _interpret_batch, interpret_with_gradient
+from rsa_metaphor.errors import DegenerateTypicalityError, UnknownCategoryError
+
+# the five configurations every evaluation path is checked in
+CONFIGS = (
+    {},
+    {"utterances": "pair"},
+    {"mode": "fast"},
+    {"category_prior": "uniform"},
+    {"goal_prior": "uniform"},
+)
 
 
 class TestDistribution:
@@ -170,15 +181,14 @@ class TestRelevance:
     def test_uniform_goal_prior_ablation(self, two_by_two):
         table, _ = two_by_two
         cfg = RsaConfig(goal_prior="uniform")
-        weights = np.exp(_goal_log_weights(cfg, "alpha", table))
+        weights = np.exp(_goal_log_weights(cfg, np.log(table.row("alpha"))))
         np.testing.assert_allclose(weights, [0.5, 0.5], atol=1e-15)
 
-    def test_uniform_goal_prior_never_reads_the_topic_row(self, two_by_two):
-        # the ablated goal channel must be blind to the topic: resolving the
-        # weights for a noun that does not even exist cannot raise
-        table, _ = two_by_two
+    def test_uniform_goal_prior_never_reads_the_topic_row(self):
+        # the ablated goal channel must be blind to the topic: a topic row
+        # of NaNs cannot leak into the weights
         cfg = RsaConfig(goal_prior="uniform")
-        weights = np.exp(_goal_log_weights(cfg, "no-such-noun", table))
+        weights = np.exp(_goal_log_weights(cfg, np.full(2, np.nan)))
         np.testing.assert_allclose(weights, [0.5, 0.5], atol=1e-15)
 
 
@@ -371,3 +381,98 @@ class TestGradient:
             np.testing.assert_allclose(dp, fd, atol=1e-7)
             np.testing.assert_allclose(p.sum(), 1.0, atol=1e-12)
             assert dp.sum() == pytest.approx(0.0, abs=1e-12)
+
+
+def fast_reference(topic_row, vehicle_row, lam):
+    """a_i * b_i**lam, normalized, with math.*: the oracle has no fast mode."""
+    logs = [math.log(a) + lam * math.log(b) for a, b in zip(topic_row, vehicle_row)]
+    top = max(logs)
+    weights = [math.exp(v - top) for v in logs]
+    return [w / sum(weights) for w in weights]
+
+
+@st.composite
+def batch_problems(draw):
+    """A 2-5 x 2-5 table with entries in (0, 1), a batch of items, lam and a config."""
+    n_cat = draw(st.integers(2, 5))
+    n_feat = draw(st.integers(2, 5))
+    weights = draw(st.lists(
+        st.lists(st.floats(0.05, 1.0), min_size=n_feat, max_size=n_feat),
+        min_size=n_cat, max_size=n_cat,
+    ))
+    values = np.array(weights)
+    table = table_from_rows(values / values.sum(axis=1, keepdims=True))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n_cat - 1), st.integers(0, n_cat - 1)).filter(
+            lambda pair: pair[0] != pair[1]
+        ),
+        min_size=1, max_size=5,
+    ))
+    items = tuple(MetaphorItem(f"m{k}", f"c{t}", f"c{v}") for k, (t, v) in enumerate(pairs))
+    lam = draw(st.floats(0.0, 60.0))
+    config = replace(RsaConfig(lam=lam), **draw(st.sampled_from(CONFIGS)))
+    return table, items, config
+
+
+class TestBatchedKernel:
+    @settings(max_examples=120, deadline=None)
+    @given(batch_problems())
+    def test_rows_match_oracle_single_calls_and_finite_differences(self, problem):
+        table, items, config = problem
+        lam = config.lam
+        logp, dp = _interpret_batch(items, config, table, gradient=True)
+        forward, _ = _interpret_batch(items, config, table)
+        rows = as_oracle_table(table)
+        for item, row_logp, row_dp in zip(items, forward, dp):
+            if config.mode == "fast":
+                want = fast_reference(rows[item.topic], rows[item.vehicle], lam)
+            else:
+                utts = list(rows) if config.utterances == "all" else [item.topic, item.vehicle]
+                want = oracle.interpret(
+                    item.topic, item.vehicle, lam, rows, utterances=utts,
+                    category_prior=config.category_prior, goal_prior=config.goal_prior,
+                )
+            np.testing.assert_allclose(np.exp(row_logp), want, rtol=0, atol=1e-9)
+            single = interpret(item, config, table).p
+            np.testing.assert_allclose(np.exp(row_logp), single, rtol=0, atol=1e-12)
+            p_one, dp_one = interpret_with_gradient(item, config, table)
+            np.testing.assert_allclose(p_one, single, rtol=0, atol=1e-12)
+            np.testing.assert_allclose(row_dp, dp_one, rtol=0, atol=1e-12)
+        np.testing.assert_allclose(np.exp(logp), np.exp(forward), rtol=0, atol=1e-12)
+
+        h = 1e-6 * max(1.0, lam)
+        hi, _ = _interpret_batch(items, replace(config, lam=lam + h), table)
+        lo, _ = _interpret_batch(items, replace(config, lam=lam - h), table)
+        central = (np.exp(hi) - np.exp(lo)) / (2 * h)
+        np.testing.assert_allclose(dp, central, rtol=0, atol=1e-6)
+
+    @pytest.mark.parametrize("overrides", CONFIGS)
+    def test_unknown_noun_raises_as_in_a_single_call(self, two_by_two, overrides):
+        table, item = two_by_two
+        stray = MetaphorItem("m2", "alpha", "gamma")
+        config = replace(RsaConfig(lam=2.0), **overrides)
+        with pytest.raises(UnknownCategoryError) as single:
+            interpret(stray, config, table)
+        with pytest.raises(UnknownCategoryError) as batched:
+            _interpret_batch((item, stray, item), config, table)
+        assert batched.value.category == single.value.category == "gamma"
+
+    def test_degenerate_pair_row_raises_as_in_a_single_call(self):
+        table = table_from_rows([[0.6, 0.4], [0.3, 0.7], [1.0, 0.0]])
+        config = RsaConfig(lam=2.0, utterances="pair")
+        clean = MetaphorItem("m1", "c0", "c1")
+        degenerate = MetaphorItem("m2", "c0", "c2")
+        with pytest.raises(DegenerateTypicalityError) as single:
+            interpret(degenerate, config, table)
+        with pytest.raises(DegenerateTypicalityError) as batched:
+            _interpret_batch((clean, degenerate, clean), config, table)
+        assert str(batched.value) == str(single.value)
+        assert "'c2'" in str(batched.value) and "'c0'" not in str(batched.value)
+        # the clean items alone are fine
+        _interpret_batch((clean, clean), config, table)
+
+    @pytest.mark.parametrize("overrides", CONFIGS)
+    def test_empty_batch_rejected(self, two_by_two, overrides):
+        table, _ = two_by_two
+        with pytest.raises(ValueError):
+            _interpret_batch((), replace(RsaConfig(), **overrides), table)
