@@ -10,7 +10,6 @@ interpretation data.
 from . import errors
 from .engine import (
     Distribution,
-    OneHotSpace,
     RsaConfig,
     interpret,
     interpret_fast,
@@ -60,7 +59,6 @@ __all__ = [
     "FitResult",
     "HumanResponseTable",
     "MetaphorItem",
-    "OneHotSpace",
     "RawRatingsTable",
     "RsaConfig",
     "TrainTestSplit",

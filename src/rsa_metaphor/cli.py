@@ -13,6 +13,7 @@ import functools
 import hashlib
 import io
 import json
+import math
 import os
 import sys
 from dataclasses import dataclass
@@ -43,7 +44,7 @@ class RunConfig:
     """Resolved settings for one command run; echoed into every artifact."""
 
     data_dir: str
-    output_dir: str | None
+    output_dir: str
     mode: str
     lam: float
     lambda_source: str
@@ -134,12 +135,24 @@ def _resolve_lambda(text: str, output_dir: str | None) -> tuple[float, str]:
         params_path = Path(output_dir) / "params.json"
         if not params_path.exists():
             raise Error(f"--lambda learned: {params_path} not found; run train first")
-        params = json.loads(params_path.read_text(encoding="utf-8"))
-        return float(params["lambda"]), "learned"
-    try:
-        return float(text), "value"
-    except ValueError:
-        raise Error(f"invalid --lambda value {text!r}; expected a number or 'learned'") from None
+        try:
+            lam = json.loads(params_path.read_text(encoding="utf-8"))["lambda"]
+        except (ValueError, KeyError, TypeError):
+            lam = None
+        if type(lam) not in (int, float):  # a JSON number: not null, a string or a boolean
+            raise Error(f"--lambda learned: {params_path} holds no numeric 'lambda'")
+        lam, source = float(lam), "learned"
+    else:
+        try:
+            lam = float(text)
+        except ValueError:
+            raise Error(
+                f"invalid --lambda value {text!r}; expected a number or 'learned'"
+            ) from None
+        source = "value"
+    if not math.isfinite(lam):
+        raise Error(f"--lambda must be finite, got {lam!r}")
+    return lam, source
 
 
 def _edit_distance(a: str, b: str, cap: int = 3) -> int:
@@ -167,9 +180,12 @@ def _require_category(noun: str, table: lexicon.TypicalityTable) -> None:
 class ArtifactWriter:
     """Writes artifacts to the output directory; removes partial output on failure."""
 
-    def __init__(self, output_dir, config: RunConfig, data_hash: str):
-        self.dir = Path(output_dir)
-        self.envelope = {"config": config.to_dict(), "dataset_sha256": data_hash}
+    def __init__(self, config: RunConfig):
+        self.dir = Path(config.output_dir)
+        self.envelope = {
+            "config": config.to_dict(),
+            "dataset_sha256": dataset_sha256(config.data_dir),
+        }
         self._written: list[Path] = []
 
     def __enter__(self):
@@ -247,28 +263,44 @@ def _eval_options(fn):
     return fn
 
 
-def _build_config(
-    data_dir, output_dir, mode, lam_text, utterances, category_prior, goal_prior,
-    raw_ratings, split_seed=0, objective="mean", jsd_base="2", k_text="1,3",
-    grid_text="0.5:100:200",
-) -> RunConfig:
-    lam, lam_source = _resolve_lambda(lam_text, output_dir)
-    return RunConfig(
-        data_dir=str(data_dir),
-        output_dir=None if output_dir is None else str(output_dir),
-        mode=mode,
-        lam=lam,
-        lambda_source=lam_source,
-        split_seed=split_seed,
-        objective=objective,
-        jsd_base=2.0 if jsd_base == "2" else 2.718281828459045,
-        utterances=utterances,
-        category_prior=category_prior,
-        goal_prior=goal_prior,
-        raw_ratings=raw_ratings,
-        ks=_parse_ks(k_text),
-        grid=_parse_grid(grid_text),
-    )
+def _run_command(*own_options):
+    """Give an artifact command the shared flags, resolved once into a RunConfig.
+
+    The command is called as ``fn(config, **own)``, where ``own`` holds the
+    values of ``own_options``, the options that only it takes.
+    """
+
+    def decorate(fn):
+        @functools.wraps(fn)
+        def run(data_dir, raw_ratings, mode, lam_text, utterances, category_prior,
+                goal_prior, split_seed, objective, jsd_base, k_text, grid_text,
+                output_dir, **own):
+            lam, lambda_source = _resolve_lambda(lam_text, output_dir)
+            config = RunConfig(
+                data_dir=data_dir,
+                output_dir=output_dir,
+                mode=mode,
+                lam=lam,
+                lambda_source=lambda_source,
+                split_seed=split_seed,
+                objective=objective,
+                jsd_base=2.0 if jsd_base == "2" else 2.718281828459045,
+                utterances=utterances,
+                category_prior=category_prior,
+                goal_prior=goal_prior,
+                raw_ratings=raw_ratings,
+                ks=_parse_ks(k_text),
+                grid=_parse_grid(grid_text),
+            )
+            return fn(config, **own)
+
+        run = click.option("--output-dir", required=True,
+                           type=click.Path(file_okay=False))(_handle_errors(run))
+        for option in own_options:
+            run = option(run)
+        return _dataset_options(_engine_options(_eval_options(run)))
+
+    return decorate
 
 
 @click.group()
@@ -308,12 +340,11 @@ def cmd_interpret(data_dir, raw_ratings, mode, lam_text, utterances,
     table, _, _ = lexicon.load_dataset(data_dir, raw_ratings=raw_ratings)
     _require_category(topic, table)
     _require_category(vehicle, table)
-    config = _build_config(
-        data_dir, output_dir, mode, lam_text, utterances, category_prior,
-        goal_prior, raw_ratings,
-    )
+    lam, _ = _resolve_lambda(lam_text, output_dir)
+    config = RsaConfig(lam=lam, utterances=utterances, category_prior=category_prior,
+                       goal_prior=goal_prior, mode=mode)
     item = MetaphorItem(id=f"{topic}-{vehicle}", topic=topic, vehicle=vehicle)
-    dist = interpret(item, config.rsa_config(), table)
+    dist = interpret(item, config, table)
     probs = dist.p
     k = max(_parse_ks(k_text))
     if k > table.n:
@@ -328,26 +359,17 @@ def cmd_interpret(data_dir, raw_ratings, mode, lam_text, utterances,
 
 
 @main.command()
-@_dataset_options
-@_engine_options
-@_eval_options
-@click.option("--output-dir", required=True, type=click.Path(file_okay=False))
-@_handle_errors
-def train(data_dir, raw_ratings, mode, lam_text, utterances, category_prior,
-          goal_prior, split_seed, objective, jsd_base, k_text, grid_text, output_dir):
+@_run_command()
+def train(config: RunConfig):
     """Fit the rationality parameter on the train split; write params.json."""
-    config = _build_config(
-        data_dir, output_dir, mode, lam_text, utterances, category_prior, goal_prior,
-        raw_ratings, split_seed, objective, jsd_base, k_text, grid_text,
-    )
-    table, items, human = lexicon.load_dataset(data_dir, raw_ratings=raw_ratings)
-    split = learn.make_split(items, split_seed)
+    table, items, human = lexicon.load_dataset(config.data_dir, raw_ratings=config.raw_ratings)
+    split = learn.make_split(items, config.split_seed)
     by_id = {item.id: item for item in items}
     train_items = tuple(by_id[i] for i in split.train)
     fit = learn.learn_lambda_multistart(
-        train_items, human, config.rsa_config(), table, kind=objective,
+        train_items, human, config.rsa_config(), table, kind=config.objective,
     )
-    with ArtifactWriter(output_dir, config, dataset_sha256(data_dir)) as writer:
+    with ArtifactWriter(config) as writer:
         path = writer.write_json("params.json", {
             "lambda": fit.lambda_hat,
             "objective": fit.objective_value,
@@ -356,7 +378,7 @@ def train(data_dir, raw_ratings, mode, lam_text, utterances, category_prior,
             "stop_reason": fit.stop_reason,
             "gradient_norm": fit.gradient_norm_at_convergence,
             "trace": [[k, lam, value] for k, lam, value in fit.trace],
-            "split_seed": split_seed,
+            "split_seed": config.split_seed,
             "train_ids": list(split.train),
             "test_ids": list(split.test),
         })
@@ -365,29 +387,20 @@ def train(data_dir, raw_ratings, mode, lam_text, utterances, category_prior,
 
 
 @main.command("eval")
-@_dataset_options
-@_engine_options
-@_eval_options
-@click.option("--output-dir", required=True, type=click.Path(file_okay=False))
-@_handle_errors
-def cmd_eval(data_dir, raw_ratings, mode, lam_text, utterances, category_prior,
-             goal_prior, split_seed, objective, jsd_base, k_text, grid_text, output_dir):
+@_run_command()
+def cmd_eval(config: RunConfig):
     """Evaluate the model against human data; write report.json and report.csv."""
-    config = _build_config(
-        data_dir, output_dir, mode, lam_text, utterances, category_prior, goal_prior,
-        raw_ratings, split_seed, objective, jsd_base, k_text, grid_text,
-    )
-    table, items, human = lexicon.load_dataset(data_dir, raw_ratings=raw_ratings)
+    table, items, human = lexicon.load_dataset(config.data_dir, raw_ratings=config.raw_ratings)
     split = None
     try:
-        split = learn.make_split(items, split_seed)
+        split = learn.make_split(items, config.split_seed)
     except Error:
         pass  # datasets without the 24-item stratified layout get no split groups
     report = evaluation.evaluate(
         items, human, config.rsa_config(), table,
         ks=config.ks, jsd_base=config.jsd_base, split=split,
     )
-    with ArtifactWriter(output_dir, config, dataset_sha256(data_dir)) as writer:
+    with ArtifactWriter(config) as writer:
         writer.write_json("report.json", {"report": evaluation.report_to_dict(report)})
         writer.write_csv("report.csv", evaluation.report_csv_rows(report))
     stats = report.groups["all"]
@@ -396,22 +409,13 @@ def cmd_eval(data_dir, raw_ratings, mode, lam_text, utterances, category_prior,
 
 
 @main.command()
-@_dataset_options
-@_engine_options
-@_eval_options
-@click.option("--kind", type=click.Choice(["no-relevance", "grid-lambda"]), required=True)
-@click.option("--output-dir", required=True, type=click.Path(file_okay=False))
-@_handle_errors
-def ablate(data_dir, raw_ratings, mode, lam_text, utterances, category_prior,
-           goal_prior, split_seed, objective, jsd_base, k_text, grid_text, kind,
-           output_dir):
+@_run_command(
+    click.option("--kind", type=click.Choice(["no-relevance", "grid-lambda"]), required=True)
+)
+def ablate(config: RunConfig, kind):
     """Run one ablation (uniform goal prior, or grid-searched lambda)."""
-    config = _build_config(
-        data_dir, output_dir, mode, lam_text, utterances, category_prior, goal_prior,
-        raw_ratings, split_seed, objective, jsd_base, k_text, grid_text,
-    )
-    table, items, human = lexicon.load_dataset(data_dir, raw_ratings=raw_ratings)
-    with ArtifactWriter(output_dir, config, dataset_sha256(data_dir)) as writer:
+    table, items, human = lexicon.load_dataset(config.data_dir, raw_ratings=config.raw_ratings)
+    with ArtifactWriter(config) as writer:
         if kind == "no-relevance":
             report = evaluation.ablate_relevance(
                 items, human, config.rsa_config(), table,
@@ -420,13 +424,13 @@ def ablate(data_dir, raw_ratings, mode, lam_text, utterances, category_prior,
             payload = {"report": evaluation.report_to_dict(report)}
             path = writer.write_json("ablation_no_relevance.json", payload)
         else:
-            split = learn.make_split(items, split_seed)
+            split = learn.make_split(items, config.split_seed)
             by_id = {item.id: item for item in items}
             train_items = tuple(by_id[i] for i in split.train)
             grid = evaluation.lambda_grid(*config.grid)
             best, report = evaluation.ablate_lambda_interpolation(
                 items, human, config.rsa_config(), table,
-                grid=grid, train=train_items, objective_kind=objective,
+                grid=grid, train=train_items, objective_kind=config.objective,
                 ks=config.ks, jsd_base=config.jsd_base,
             )
             payload = {"best_lambda": best, "report": evaluation.report_to_dict(report)}
@@ -436,19 +440,10 @@ def ablate(data_dir, raw_ratings, mode, lam_text, utterances, category_prior,
 
 
 @main.command()
-@_dataset_options
-@_engine_options
-@_eval_options
-@click.option("--output-dir", required=True, type=click.Path(file_okay=False))
-@_handle_errors
-def corr(data_dir, raw_ratings, mode, lam_text, utterances, category_prior,
-         goal_prior, split_seed, objective, jsd_base, k_text, grid_text, output_dir):
+@_run_command()
+def corr(config: RunConfig):
     """Write model- and human-side feature correlation matrices as CSV."""
-    config = _build_config(
-        data_dir, output_dir, mode, lam_text, utterances, category_prior, goal_prior,
-        raw_ratings, split_seed, objective, jsd_base, k_text, grid_text,
-    )
-    table, items, human = lexicon.load_dataset(data_dir, raw_ratings=raw_ratings)
+    table, items, human = lexicon.load_dataset(config.data_dir, raw_ratings=config.raw_ratings)
     features = table.vocab.features
     model_matrix = evaluation.feature_correlation_matrix(
         items, "model", config.rsa_config(), table,
@@ -456,10 +451,10 @@ def corr(data_dir, raw_ratings, mode, lam_text, utterances, category_prior,
     human_matrix = evaluation.feature_correlation_matrix(
         items, "human", config.rsa_config(), table, human=human,
     )
-    with ArtifactWriter(output_dir, config, dataset_sha256(data_dir)) as writer:
+    with ArtifactWriter(config) as writer:
         writer.write_csv("corr_model.csv", evaluation.matrix_csv_rows(model_matrix, features))
         writer.write_csv("corr_human.csv", evaluation.matrix_csv_rows(human_matrix, features))
-    click.echo(f"wrote corr_model.csv and corr_human.csv to {output_dir}")
+    click.echo(f"wrote corr_model.csv and corr_human.csv to {config.output_dir}")
 
 
 if __name__ == "__main__":

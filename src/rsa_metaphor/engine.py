@@ -65,20 +65,6 @@ PROB_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
-class OneHotSpace:
-    """Feature-vector support: the n one-hot basis vectors of the simplex."""
-
-    n: int
-
-    def __post_init__(self):
-        if self.n < 2:
-            raise ValueError("one-hot feature space needs n >= 2")
-
-    def __len__(self) -> int:
-        return self.n
-
-
-@dataclass(frozen=True)
 class RsaConfig:
     """Inference settings.
 
@@ -204,17 +190,13 @@ def utterance_alternatives(
     return (item.topic, item.vehicle)
 
 
-def literal_listener(
-    utterance: str, table: TypicalityTable, space: OneHotSpace | None = None
-) -> Distribution:
+def literal_listener(utterance: str, table: TypicalityTable) -> Distribution:
     """Joint distribution over (category, feature) for a literal reading.
 
     All mass sits on the uttered category; features follow its typicality
     row.  Every other category gets probability 0.
     """
     u = table.category_index(utterance)
-    if space is not None and space.n != table.n:
-        raise ValueError("feature space size does not match the table")
     probs = np.zeros_like(table.values)
     probs[u] = table.values[u]
     labels = tuple(
@@ -223,13 +205,7 @@ def literal_listener(
     return Distribution.from_probs(labels, probs.ravel())
 
 
-def speaker_utility(
-    utterance: str,
-    goal: int,
-    feature: int,
-    table: TypicalityTable,
-    space: OneHotSpace | None = None,
-) -> float:
+def speaker_utility(utterance: str, goal: int, feature: int, table: TypicalityTable) -> float:
     """Log mass the literal listener puts on states sharing the goal's value.
 
     ``goal`` and ``feature`` are one-hot indices: the speaker wants to
@@ -431,16 +407,11 @@ def _interpret_batch(items, config: RsaConfig, table: TypicalityTable, gradient:
 
 
 def pragmatic_listener(
-    item: MetaphorItem,
-    config: RsaConfig,
-    table: TypicalityTable,
-    space: OneHotSpace | None = None,
+    item: MetaphorItem, config: RsaConfig, table: TypicalityTable
 ) -> Distribution:
     """Joint posterior over (category, feature) after hearing the vehicle."""
     if config.mode != "full":
         raise ValueError("pragmatic_listener requires mode='full'")
-    if space is not None and space.n != table.n:
-        raise ValueError("feature space size does not match the table")
     log_joint, _ = _log_joint((item,), config, table, gradient=False)
     support = (item.topic,) if config.category_prior == "topic" else (item.topic, item.vehicle)
     labels = tuple((c, f) for c in support for f in table.vocab.features)

@@ -4,9 +4,9 @@ The objective is the mean, over training metaphors, of the Pearson
 correlation between the model's interpretation and the human one (or one
 pooled correlation over all metaphor x feature pairs with
 ``objective_kind="pooled"``).  It is maximized by gradient ascent with an
-Armijo backtracking line search.  The line search needs only objective
-values, so its trial points run the listener forward only; the analytic
-gradient is computed at accepted points.
+Armijo backtracking line search.  Every trial point runs the listener with
+its analytic gradient in one kernel call, so an accepted point already holds
+the gradient for the next step.
 
 Everything here is deterministic: the only randomness is the split seed.
 """
@@ -164,11 +164,12 @@ def finite_difference_gradient(
     return (hi - lo) / (2.0 * h)
 
 
-def _gradient_ascent(f, grad, x0: np.ndarray, max_iterations: int, tol: float):
+def _gradient_ascent(fg, x0: np.ndarray, max_iterations: int, tol: float):
     """Gradient ascent with an Armijo backtracking line search.
 
-    Each search starts from twice the previously accepted step.  Non-finite
-    objective values during the line search reject the step and halve it.
+    ``fg(x)`` returns the objective and its gradient at ``x``.  Each search
+    starts from twice the previously accepted step.  Non-finite objective
+    values during the line search reject the step and halve it.
     Returns (x, fx, iterations, grad_norm, stop_reason, trace).
     """
     armijo_slope = 1e-4
@@ -176,10 +177,9 @@ def _gradient_ascent(f, grad, x0: np.ndarray, max_iterations: int, tol: float):
     max_halvings = 60
 
     x = np.asarray(x0, dtype=float).copy()
-    fx = f(x)
+    fx, g = fg(x)
     if not np.isfinite(fx):
         raise Error(f"objective is not finite at the initial point {x.tolist()}")
-    g = grad(x)
     trace = [(0, x.copy(), fx)]
     gnorm = float(np.linalg.norm(g))
     if gnorm <= tol:
@@ -195,7 +195,7 @@ def _gradient_ascent(f, grad, x0: np.ndarray, max_iterations: int, tol: float):
         for _ in range(max_halvings):
             x_new = x + alpha * g
             try:
-                f_new = f(x_new)
+                f_new, g_new = fg(x_new)
             except Error:  # undefined trial point: treat like a non-finite value
                 f_new = -np.inf
             if np.isfinite(f_new) and f_new >= fx + armijo_slope * alpha * slope:
@@ -206,8 +206,7 @@ def _gradient_ascent(f, grad, x0: np.ndarray, max_iterations: int, tol: float):
             stop_reason = "line_search_stalled"
             break
         iterations = k
-        x, fx = x_new, f_new
-        g = grad(x)
+        x, fx, g = x_new, f_new, g_new
         trace.append((k, x.copy(), fx))
         if float(np.linalg.norm(g)) <= tol:
             stop_reason = "gradient_tolerance"
@@ -234,18 +233,12 @@ def learn_lambda(
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
 
-    def f(x: np.ndarray) -> float:
-        value, _ = _objective_and_gradient(
-            x[0], train, human, config, table, kind, gradient=False
-        )
-        return value
-
-    def g(x: np.ndarray) -> np.ndarray:
-        _, deriv = _objective_and_gradient(x[0], train, human, config, table, kind)
-        return np.array([deriv])
+    def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
+        value, deriv = _objective_and_gradient(x[0], train, human, config, table, kind)
+        return value, np.array([deriv])
 
     x, fx, iterations, gnorm, stop_reason, raw_trace = _gradient_ascent(
-        f, g, np.array([float(init)]), max_iterations, tol
+        fg, np.array([float(init)]), max_iterations, tol
     )
     trace = tuple((k, float(xk[0]), float(fk)) for k, xk, fk in raw_trace)
     return FitResult(

@@ -215,10 +215,6 @@ def normalize_ratings(raw: RawRatingsTable) -> TypicalityTable:
     makes the operation scale-invariant per category and idempotent on
     already-normalized rows.
     """
-    categories: list[str] = []
-    features: list[str] = []
-    cat_seen: set[str] = set()
-    feat_seen: set[str] = set()
     cells: dict[tuple[str, str], float] = {}
     for category, feature, rating in raw.rows:
         key = (category, feature)
@@ -228,30 +224,31 @@ def normalize_ratings(raw: RawRatingsTable) -> TypicalityTable:
             raise DatasetError(
                 f"rating for ({category!r}, {feature!r}) is {rating!r}, not a positive number"
             )
-        if category not in cat_seen:
-            cat_seen.add(category)
-            categories.append(category)
-        if feature not in feat_seen:
-            feat_seen.add(feature)
-            features.append(feature)
         cells[key] = rating
 
-    vocab = FeatureVocab(tuple(features))
-    missing = [
-        (c, f) for c in categories for f in features if (c, f) not in cells
-    ]
+    table = _dense_table(cells, "ratings")
+    sums = table.values.sum(axis=1)
+    if np.any(sums <= 0):  # unreachable with ratings >= 1, guarded anyway
+        bad = table.categories[int(np.argmin(sums))]
+        raise DatasetError(f"ratings for category {bad!r} sum to zero")
+    return TypicalityTable(table.categories, table.vocab, table.values / sums[:, None])
+
+
+def _dense_table(cells: dict[tuple[str, str], float], where: str) -> TypicalityTable:
+    """The category x feature grid of ``cells``, both axes in first-seen order.
+
+    Every (category, feature) cell must be present; ``where`` prefixes the
+    error that lists missing ones.
+    """
+    categories = tuple(dict.fromkeys(c for c, _ in cells))
+    features = tuple(dict.fromkeys(f for _, f in cells))
+    vocab = FeatureVocab(features)
+    missing = [(c, f) for c in categories for f in features if (c, f) not in cells]
     if missing:
         shown = ", ".join(f"({c!r}, {f!r})" for c, f in missing[:5])
-        raise DatasetError(f"{len(missing)} missing rating cell(s): {shown}")
-
-    matrix = np.array(
-        [[cells[(c, f)] for f in features] for c in categories], dtype=float
-    )
-    sums = matrix.sum(axis=1)
-    if np.any(sums <= 0):  # unreachable with ratings >= 1, guarded anyway
-        bad = categories[int(np.argmin(sums))]
-        raise DatasetError(f"ratings for category {bad!r} sum to zero")
-    return TypicalityTable(tuple(categories), vocab, matrix / sums[:, None])
+        raise DatasetError(f"{where}: {len(missing)} missing cell(s): {shown}")
+    matrix = np.array([[cells[(c, f)] for f in features] for c in categories], dtype=float)
+    return TypicalityTable(categories, vocab, matrix)
 
 
 def _read_rows(path: Path, expected_header: list[str]) -> list[tuple[int, list[str]]]:
@@ -299,10 +296,6 @@ def read_dataset(
     data_dir = Path(data_dir)
     typ_rows = _read_rows(data_dir / "typicality.csv", ["category", "feature", "value"])
 
-    categories: list[str] = []
-    features: list[str] = []
-    cat_seen: set[str] = set()
-    feat_seen: set[str] = set()
     cells: dict[tuple[str, str], float] = {}
     for lineno, (category, feature, value) in typ_rows:
         where = f"typicality.csv line {lineno}"
@@ -312,12 +305,6 @@ def read_dataset(
         if key in cells:
             raise DatasetError(f"{where}: duplicate cell ({category!r}, {feature!r})")
         cells[key] = _parse_float(value, where)
-        if category not in cat_seen:
-            cat_seen.add(category)
-            categories.append(category)
-        if feature not in feat_seen:
-            feat_seen.add(feature)
-            features.append(feature)
 
     if raw_ratings:
         for (category, feature), value in cells.items():
@@ -330,15 +317,7 @@ def read_dataset(
             RawRatingsTable(tuple((c, f, v) for (c, f), v in cells.items()))
         )
     else:
-        vocab = FeatureVocab(tuple(features))
-        missing = [(c, f) for c in categories for f in features if (c, f) not in cells]
-        if missing:
-            shown = ", ".join(f"({c!r}, {f!r})" for c, f in missing[:5])
-            raise DatasetError(f"typicality.csv: {len(missing)} missing cell(s): {shown}")
-        matrix = np.array(
-            [[cells[(c, f)] for f in features] for c in categories], dtype=float
-        )
-        table = TypicalityTable(tuple(categories), vocab, matrix)
+        table = _dense_table(cells, "typicality.csv")
 
     met_rows = _read_rows(
         data_dir / "metaphors.csv", ["id", "topic", "vehicle", "class", "familiarity"]
@@ -376,6 +355,8 @@ def read_dataset(
             raise DatasetError(f"{where}: duplicate ({metaphor_id!r}, {feature!r})")
         seen_pairs.add(pair)
         weight = _parse_float(count, where)
+        if not math.isfinite(weight):
+            raise DatasetError(f"{where}: count {weight!r} is not finite")
         if weight < 0:
             raise DatasetError(f"{where}: negative count {weight!r}")
         counts.setdefault(metaphor_id, np.zeros(table.n))[table.vocab.index(feature)] = weight
@@ -426,6 +407,9 @@ def validate(
         if metaphor_id not in known_ids:
             violations.append(f"human responses: unknown metaphor id {metaphor_id!r}")
         dist = human.responses[metaphor_id]
+        if not np.all(np.isfinite(dist)):
+            violations.append(f"human responses for {metaphor_id!r}: non-finite entries")
+            continue
         if np.any(dist < 0):
             violations.append(f"human responses for {metaphor_id!r}: negative entries")
         if abs(dist.sum() - 1.0) > ROW_SUM_TOL:

@@ -51,6 +51,16 @@ class TestValidate:
         assert result.exit_code == 1
 
 
+    def test_non_finite_count_exits_one(self, runner, dataset_dir):
+        (dataset_dir / "human.csv").write_text(
+            "metaphor_id,feature,count\nm1,diligence,3\nm2,wisdom,5\nm2,numerosity,nan\n",
+            encoding="utf-8",
+        )
+        result = runner.invoke(main, ["validate", "--data-dir", str(dataset_dir)])
+        assert result.exit_code == 1
+        assert "not finite" in result.stderr
+
+
 class TestInterpret:
     def test_fast_lambda_zero_prints_topic_row(self, runner, dataset_dir):
         result = runner.invoke(main, [
@@ -162,6 +172,34 @@ class TestEval:
         assert result.exit_code == 1
         assert "params.json" in result.stderr
 
+    @pytest.mark.parametrize("params, lam", [
+        ("{not json", "learned"),
+        ('{"objective": 0.5}', "learned"),
+        ('{"lambda": "fast"}', "learned"),
+        ('{"lambda": null}', "learned"),
+        ('{"lambda": "7"}', "learned"),
+        ('{"lambda": true}', "learned"),
+        ('{"lambda": Infinity}', "learned"),
+        ("[5.0]", "learned"),
+        (None, "nan"),
+        (None, "inf"),
+        (None, "-inf"),
+    ])
+    def test_bad_lambda_is_domain_error(self, runner, dataset_dir, tmp_path, params, lam):
+        out = tmp_path / "out"
+        out.mkdir()
+        if params is not None:
+            (out / "params.json").write_text(params, encoding="utf-8")
+        for command in (["eval"], ["interpret", "--topic", "workers", "--vehicle", "ants"]):
+            result = runner.invoke(main, [
+                *command, "--data-dir", str(dataset_dir), "--output-dir", str(out),
+                "--lambda", lam,
+            ])
+            assert result.exit_code == 1, result.output
+            assert result.stderr.startswith("error: ")
+            assert "Traceback" not in result.output
+            assert not (out / "report.json").exists()
+
     def test_partial_outputs_removed_on_failure(self, runner, full_scale_dir, tmp_path):
         out = tmp_path / "out"
         out.mkdir()
@@ -244,3 +282,26 @@ class TestCorr:
             assert header[0] == "feature"
             assert len(header) == 60
             assert len(lines) == 61
+
+
+ENGINE_OPTIONS = ["--data-dir", "--raw-ratings", "--goal-prior", "--category-prior",
+                  "--utterances", "--lambda", "--mode"]
+ARTIFACT_OPTIONS = [*ENGINE_OPTIONS, "--grid", "--k", "--jsd-base", "--objective", "--seed"]
+
+
+@pytest.mark.parametrize("command, options", [
+    ("validate", ["--data-dir", "--raw-ratings"]),
+    ("interpret", [*ENGINE_OPTIONS, "--topic", "--vehicle", "--k", "--output-dir"]),
+    ("train", [*ARTIFACT_OPTIONS, "--output-dir"]),
+    ("eval", [*ARTIFACT_OPTIONS, "--output-dir"]),
+    ("ablate", [*ARTIFACT_OPTIONS, "--kind", "--output-dir"]),
+    ("corr", [*ARTIFACT_OPTIONS, "--output-dir"]),
+])
+def test_command_options_are_pinned(command, options):
+    """Each command's options, in the order its --help lists them."""
+    params = main.commands[command].params
+    assert [name for param in params for name in param.opts] == options
+    required = {"--data-dir", "--topic", "--vehicle", "--kind"}
+    if command not in ("validate", "interpret"):
+        required.add("--output-dir")
+    assert {param.opts[0] for param in params if param.required} == required & set(options)

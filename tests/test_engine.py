@@ -216,15 +216,6 @@ class TestPragmaticListener:
         with pytest.raises(ValueError):
             pragmatic_listener(item, RsaConfig(mode="fast"), table)
 
-    def test_feature_space_size_must_match(self, two_by_two):
-        from rsa_metaphor import OneHotSpace
-
-        table, item = two_by_two
-        with pytest.raises(ValueError):
-            pragmatic_listener(item, RsaConfig(), table, space=OneHotSpace(5))
-        with pytest.raises(ValueError):
-            literal_listener("alpha", table, space=OneHotSpace(5))
-
     def test_uniform_table_gives_uniform_marginal(self):
         table = table_from_rows(np.full((3, 4), 0.25))
         item = MetaphorItem("m", "c0", "c1")

@@ -140,6 +140,13 @@ class TestValidate:
         report = validate(table, items, partial)
         assert any("m2" in v and "no distribution" in v for v in report.violations)
 
+    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
+    def test_non_finite_human_entry_is_reported(self, dataset_dir, bad):
+        table, items, human = read_dataset(dataset_dir)
+        dirty = dict(human.responses, m1=np.array([0.5, bad, 0.1]))
+        report = validate(table, items, HumanResponseTable(table.vocab, dirty))
+        assert report.violations == ("human responses for 'm1': non-finite entries",)
+
     def test_load_dataset_raises_on_violations(self, dataset_dir):
         (dataset_dir / "typicality.csv").write_text(
             "category,feature,value\n"
@@ -208,6 +215,16 @@ class TestReadDataset:
             encoding="utf-8",
         )
         with pytest.raises(DatasetError, match="negative"):
+            read_dataset(dataset_dir)
+
+    @pytest.mark.parametrize("spelling", ["nan", "inf", "-inf", "NaN", "Infinity"])
+    def test_non_finite_count_names_the_line(self, dataset_dir, spelling):
+        path = dataset_dir / "human.csv"
+        path.write_text(
+            f"metaphor_id,feature,count\nm1,diligence,3\nm1,wisdom,{spelling}\nm2,wisdom,5\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DatasetError, match="human.csv line 3: count .* is not finite"):
             read_dataset(dataset_dir)
 
     def test_raw_ratings_path_normalizes(self, tmp_path):
