@@ -123,6 +123,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise Error(f"invalid --grid value {text!r}; expected 'start:stop:count'") from None
+    if not (math.isfinite(start) and math.isfinite(stop)):
+        raise Error(f"invalid --grid value {text!r}; start and stop must be finite")
     if start <= 0 or stop < start or count < 1:
         raise Error(f"invalid --grid value {text!r}; need 0 < start <= stop, count >= 1")
     return start, stop, count
@@ -178,7 +180,12 @@ def _require_category(noun: str, table: lexicon.TypicalityTable) -> None:
 
 
 class ArtifactWriter:
-    """Writes artifacts to the output directory; removes partial output on failure."""
+    """Writes artifacts to the output directory; removes partial output on failure.
+
+    Each artifact is written to a temporary file beside it and moved into
+    place with ``os.replace``, so a reader sees either the old file or the
+    whole new one, and a failed write leaves no temporary file behind.
+    """
 
     def __init__(self, config: RunConfig):
         self.dir = Path(config.output_dir)
@@ -198,23 +205,29 @@ class ArtifactWriter:
                 path.unlink(missing_ok=True)
         return False
 
-    def write_json(self, name: str, payload: dict) -> Path:
+    def _write(self, name: str, text: str) -> Path:
         path = self.dir / name
-        body = dict(self.envelope)
-        body.update(payload)
-        path.write_text(json.dumps(body, indent=2, sort_keys=True) + "\n", encoding="utf-8")
+        temporary = self.dir / f".{name}.{os.getpid()}.tmp"
+        try:
+            temporary.write_text(text, encoding="utf-8")
+            os.replace(temporary, path)
+        except BaseException:
+            temporary.unlink(missing_ok=True)
+            raise
         self._written.append(path)
         return path
 
+    def write_json(self, name: str, payload: dict) -> Path:
+        body = dict(self.envelope)
+        body.update(payload)
+        return self._write(name, json.dumps(body, indent=2, sort_keys=True) + "\n")
+
     def write_csv(self, name: str, rows: list[list[str]]) -> Path:
-        path = self.dir / name
         buf = io.StringIO()
         buf.write("# " + json.dumps(self.envelope, sort_keys=True, separators=(",", ":")) + "\n")
         writer = csv.writer(buf, lineterminator="\n")
         writer.writerows(rows)
-        path.write_text(buf.getvalue(), encoding="utf-8")
-        self._written.append(path)
-        return path
+        return self._write(name, buf.getvalue())
 
 
 def _dataset_options(fn):

@@ -20,18 +20,26 @@ max-subtraction, so large ``|lam|`` never overflows or underflows.
 ``interpret_fast`` is the reduced two-step pipeline: sharpen the vehicle's
 typicality row with ``lam`` (a softmax stretch) and reweight it by the
 topic's row.  It approximates the full recursion but is not identical to it;
-no equivalence is asserted.
+no equivalence is asserted.  At lam = 0 every path returns the topic row as
+stored, with or without the gradient.
 
 One kernel, :func:`_log_joint`, computes every interpretation: a batch of
-items at one ``lam`` in a single numpy pass, with the exact derivative in
-``lam`` on request.  ``interpret``, ``interpret_with_gradient``,
-``interpret_fast`` and ``pragmatic_listener`` are batches of one; the
-objective, ``evaluate`` and the feature correlations pass whole item sets.
+items at a vector of ``lam`` values in a single numpy pass, with the exact
+derivative in ``lam`` on request.  Results carry a leading lam axis, and
+each lam's slice has the bits of a call with that lam alone.
+``interpret``, ``interpret_with_gradient``, ``interpret_fast`` and
+``pragmatic_listener`` are batches of one item at one lam; the objective,
+``evaluate`` and the feature correlations pass whole item sets at one lam;
+the grid ablation passes its grid in chunks of about 16 lams on a 48 x 59
+table (``evaluation._GRID_CHUNK_CELLS``), so its temporaries stay near 2 MB
+however long the grid is.
 
+* The table's ``log T``, ``log(1 - T)`` and its 0/1 row scan are cached on
+  the immutable :class:`TypicalityTable`, so a call indexes them.
 * With ``utterances="all"`` the speaker normalizers
   ``logsumexp_u lam * log T[u, j]`` and ``logsumexp_u lam * log(1 - T[u, j])``
   and their softmax expectations do not depend on the item, so they are
-  computed once per call.  With ``"pair"`` each item's two rows are stacked
+  computed once per lam, as an (L, 1, n) block.  With ``"pair"`` each item's two rows are stacked
   as (B, 2, n).
 * The goal mixture ``W_i = sum_j R(g_j) S1(v | g_j, e_i)`` takes the match
   term for goal i and the no-match term for every other goal.  "Every goal
@@ -255,12 +263,11 @@ def _goal_log_weights(config: RsaConfig, log_topic: np.ndarray) -> np.ndarray:
     return log_topic
 
 
-def _reject_rows(bad: np.ndarray, table: TypicalityTable, index, problem: str) -> None:
-    """Raise DegenerateTypicalityError naming the categories whose row has a bad entry.
+def _reject_rows(bad_rows: np.ndarray, table: TypicalityTable, index, problem: str) -> None:
+    """Raise DegenerateTypicalityError naming the flagged categories.
 
-    ``bad`` flags the entries of the rows ``table.values[index]``.
+    ``bad_rows`` flags the rows ``table.values[index]``.
     """
-    bad_rows = bad.any(axis=-1)
     if np.any(bad_rows):
         which = dict.fromkeys(np.asarray(table.categories)[index][bad_rows].tolist())
         listed = ", ".join(repr(c) for c in list(which)[:5])
@@ -303,14 +310,15 @@ def _exclusive_weighted_sum(log_x: np.ndarray, log_total: np.ndarray, d: np.ndar
     return out
 
 
-def _speaker(lam: float, log_u: np.ndarray, log_v: np.ndarray, gradient: bool):
-    """log S1(vehicle | goal j) for every goal j, and its derivative in lam.
+def _speaker(lam: np.ndarray, log_u: np.ndarray, log_v: np.ndarray, gradient: bool):
+    """log S1(vehicle | goal j) for every lam and goal j, and its derivative in lam.
 
-    ``log_u`` holds the utterance alternatives' log utilities along axis -2:
-    one (K, n) block shared by the batch, or (B, 2, n) for the pair set.
-    ``log_v`` (B, n) holds the vehicle's.
+    ``lam`` is (L, 1, 1).  ``log_u`` holds the utterance alternatives' log
+    utilities along axis -2: one (1, K, n) block shared by the batch, or
+    (B, 2, n) for the pair set.  ``log_v`` (B, n) holds the vehicle's.
+    Both results are (L, B, n).
     """
-    scores = lam * log_u
+    scores = lam[..., None] * log_u
     norm = _logsumexp(scores, axis=-2)
     log_s = lam * log_v - norm
     if not gradient:
@@ -320,51 +328,55 @@ def _speaker(lam: float, log_u: np.ndarray, log_v: np.ndarray, gradient: bool):
     return log_s, log_v - expected
 
 
-def _log_joint(items, config: RsaConfig, table: TypicalityTable, gradient: bool):
-    """The listener kernel: every item of a batch at one lam, in one numpy pass.
+def _log_joint(items, config: RsaConfig, table: TypicalityTable, lams, gradient: bool):
+    """The listener kernel: every item of a batch at every lam, in one numpy pass.
 
-    Returns ``(log_joint, dlog)``.  ``log_joint`` (B, C, n) is each item's
-    normalized log posterior over its category support (C = 1 for the topic
-    prior, 2 for the uniform one) x features.  ``dlog`` (B, n) is the
+    ``lams`` is a 1-D array of L rationality values; ``config.lam`` is not
+    read.  Returns ``(log_joint, dlog)``.  ``log_joint`` (L, B, C, n) is each
+    item's normalized log posterior over its category support (C = 1 for the
+    topic prior, 2 for the uniform one) x features.  ``dlog`` (L, B, n) is the
     derivative in lam of the one factor lam enters, the goal mixture (the
-    stretch in fast mode); it is None unless ``gradient``.
+    stretch in fast mode); it is None unless ``gradient``.  Every operation
+    is elementwise or reduces along a trailing axis, so each lam's slice has
+    the bits it would have in a call of its own.
     """
     if not items:
         raise ValueError("empty batch of metaphor items")
+    lams = np.asarray(lams, dtype=float)
+    if not np.isfinite(lams).all():
+        raise ValueError(f"lam must be finite, got {float(lams[~np.isfinite(lams)][0])!r}")
     topic, vehicle = np.array(
         [(table.category_index(i.topic), table.category_index(i.vehicle)) for i in items]
     ).T
-    lam = config.lam
-    values = table.values
+    lam = lams[:, None, None]
+    log_values = table.log_values
     dlog = None
 
     if config.mode == "fast":
-        with np.errstate(divide="ignore"):
-            log_alpha = np.log(values[topic])
-        if lam == 0.0 and not gradient:
-            # a uniform stretch leaves the topic row itself; the vehicle is never read
-            return log_alpha[:, None, :], None
-        beta = values[vehicle]
-        _reject_rows(beta <= 0.0, table, vehicle,
-                     "contain zeros; the vehicle stretch is undefined for lam != 0")
-        log_beta = np.log(beta)
-        scores = lam * log_beta
-        stretch = scores - _logsumexp(scores, axis=-1)[:, None]
-        log_joint = (log_alpha + stretch)[:, None, :]
-        if gradient:
-            dlog = log_beta - np.sum(np.exp(stretch) * log_beta, axis=-1, keepdims=True)
+        log_alpha = log_values[topic]
+        if gradient or np.any(lams != 0.0):
+            _reject_rows((table.values[vehicle] <= 0.0).any(axis=-1), table, vehicle,
+                         "contain zeros; the vehicle stretch is undefined for lam != 0")
+            log_beta = log_values[vehicle]
+            scores = lam * log_beta
+            stretch = scores - _logsumexp(scores, axis=-1)[..., None]
+            log_joint = (log_alpha + stretch)[..., None, :]
+            if gradient:
+                dlog = log_beta - np.sum(np.exp(stretch) * log_beta, axis=-1, keepdims=True)
+        else:
+            # every stretch is uniform: the vehicle is never read
+            log_joint = np.broadcast_to(log_alpha[:, None, :], (lams.size, len(items), 1, table.n))
     else:
         degenerate = "contain values of exactly 0 or 1"
         if config.utterances == "all":
-            # the speaker normalizers run over the whole table: once per call
-            _reject_rows((values <= 0.0) | (values >= 1.0), table, slice(None), degenerate)
-            log_u, not_u = np.log(values), np.log1p(-values)
-            log_t, log_v, not_v = log_u[topic], log_u[vehicle], not_u[vehicle]
+            # the speaker normalizers run over the whole table: one block shared by the batch
+            _reject_rows(table.degenerate_rows, table, slice(None), degenerate)
+            log_u, not_u = log_values[None], table.log1m_values[None]
+            log_t, log_v, not_v = log_values[topic], log_values[vehicle], not_u[0, vehicle]
         else:
             pair = np.stack([topic, vehicle], axis=1)
-            rows = values[pair]
-            _reject_rows((rows <= 0.0) | (rows >= 1.0), table, pair, degenerate)
-            log_u, not_u = np.log(rows), np.log1p(-rows)
+            _reject_rows(table.degenerate_rows[pair], table, pair, degenerate)
+            log_u, not_u = log_values[pair], table.log1m_values[pair]
             log_t, log_v, not_v = log_u[:, 0], log_u[:, 1], not_u[:, 1]
         # the state carries goal j's feature (match) or another one (no match)
         log_s_match, d_match = _speaker(lam, log_u, log_v, gradient)
@@ -384,26 +396,36 @@ def _log_joint(items, config: RsaConfig, table: TypicalityTable, gradient: bool)
             log_prior = log_t[:, None, :]
         else:
             log_prior = -math.log(2.0) + np.stack([log_t, log_v], axis=1)
-        log_joint = log_prior + log_w[:, None, :]
+        log_joint = log_prior + log_w[..., None, :]
 
-    total = _logsumexp(log_joint, axis=(1, 2))
+    total = _logsumexp(log_joint, axis=(-2, -1))
     if np.any(total == -np.inf):
         raise ZeroMassError("interpretation has zero total mass")
-    return log_joint - total[:, None, None], dlog
+    log_joint = log_joint - total[..., None, None]
+    if config.mode == "fast":
+        # a uniform stretch leaves the topic row itself, exactly
+        log_joint[lams == 0.0] = log_alpha[:, None, :]
+    return log_joint, dlog
 
 
-def _interpret_batch(items, config: RsaConfig, table: TypicalityTable, gradient: bool = False):
-    """Interpretations of a batch at one lam: ``(log p, dp/dlam)``, each (B, n).
+def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, gradient: bool):
+    """Interpretations of a batch at every lam: ``(log p, dp/dlam)``, each (L, B, n).
 
     The derivative is exact (the chain rule through the speaker softmax, the
     goal mixture and the final normalization) and None unless ``gradient``.
     """
-    log_joint, dlog = _log_joint(items, config, table, gradient)
-    logp = _logsumexp(log_joint, axis=1)
+    log_joint, dlog = _log_joint(items, config, table, lams, gradient)
+    logp = _logsumexp(log_joint, axis=-2)
     if not gradient:
         return logp, None
     p = np.exp(logp)
     return logp, p * (dlog - np.sum(p * dlog, axis=-1, keepdims=True))
+
+
+def _interpret_batch(items, config: RsaConfig, table: TypicalityTable, gradient: bool = False):
+    """Interpretations of a batch at ``config.lam``: ``(log p, dp/dlam)``, each (B, n)."""
+    logp, dp = _interpret_lams(items, config, table, (config.lam,), gradient)
+    return logp[0], None if dp is None else dp[0]
 
 
 def pragmatic_listener(
@@ -412,10 +434,10 @@ def pragmatic_listener(
     """Joint posterior over (category, feature) after hearing the vehicle."""
     if config.mode != "full":
         raise ValueError("pragmatic_listener requires mode='full'")
-    log_joint, _ = _log_joint((item,), config, table, gradient=False)
+    log_joint, _ = _log_joint((item,), config, table, (config.lam,), gradient=False)
     support = (item.topic,) if config.category_prior == "topic" else (item.topic, item.vehicle)
     labels = tuple((c, f) for c in support for f in table.vocab.features)
-    return Distribution(labels, log_joint[0].ravel())
+    return Distribution(labels, log_joint[0, 0].ravel())
 
 
 def interpret(

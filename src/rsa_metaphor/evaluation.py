@@ -1,4 +1,8 @@
-"""Model-vs-human evaluation: per-metaphor metrics, aggregates, and ablations."""
+"""Model-vs-human evaluation: per-metaphor metrics, aggregates, and ablations.
+
+The grid ablation scores its grid in chunks, one listener-kernel call per
+chunk of grid points (:data:`_GRID_CHUNK_CELLS`), not one call per point.
+"""
 
 from __future__ import annotations
 
@@ -22,6 +26,11 @@ from .metrics import jsd, k_agreement, pearson, top_k_indices
 
 DEFAULT_KS = (1, 3)
 DEFAULT_GRID = (0.5, 100.0, 200)
+
+# Grid points scored per kernel call: 16 on a 48 x 59 table.  The kernel's
+# largest temporaries hold one table-sized block per point, so this keeps a
+# chunk near 2 MB however long the grid is.
+_GRID_CHUNK_CELLS = 16 * 48 * 59
 
 
 @dataclass(frozen=True)
@@ -211,17 +220,21 @@ def ablate_lambda_interpolation(
 ) -> tuple[float, EvalReport]:
     """Pick the rationality parameter by grid search instead of gradient ascent.
 
-    The train objective is evaluated at every grid point; the best point is
-    then evaluated over ``items``.  Ties go to the earlier grid point.
+    The train objective is evaluated at every grid point, a chunk of points
+    per kernel call; the best point is then evaluated over ``items``.  Ties
+    go to the earlier grid point.  If the objective is undefined at some
+    point, the error names the first such point.
     """
     candidates = np.asarray(grid if grid is not None else lambda_grid(*DEFAULT_GRID), float)
     if candidates.size == 0:
         raise ValueError("empty grid")
     selection = tuple(train) if train is not None else tuple(items)
-    scores = [
-        learn.objective(lam, selection, human, config, table, kind=objective_kind)
-        for lam in candidates
-    ]
+    chunk = max(1, _GRID_CHUNK_CELLS // table.values.size)
+    scores = np.concatenate([
+        learn._objective_and_gradient(candidates[i:i + chunk], selection, human, config,
+                                      table, objective_kind, gradient=False)[0]
+        for i in range(0, candidates.size, chunk)
+    ])
     best = float(candidates[int(np.argmax(scores))])
     kwargs.setdefault("tag", "ablation: grid-lambda")
     report = evaluate(items, human, replace(config, lam=best), table, **kwargs)

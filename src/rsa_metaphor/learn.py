@@ -6,7 +6,9 @@ pooled correlation over all metaphor x feature pairs with
 ``objective_kind="pooled"``).  It is maximized by gradient ascent with an
 Armijo backtracking line search.  Every trial point runs the listener with
 its analytic gradient in one kernel call, so an accepted point already holds
-the gradient for the next step.
+the gradient for the next step.  The objective also takes a vector of lams
+(the grid ablation's chunks): one kernel call and one Pearson pass cover
+them all, with the same bits per lam as a call of its own.
 
 Everything here is deterministic: the only randomness is the split seed.
 """
@@ -14,12 +16,12 @@ Everything here is deterministic: the only randomness is the split seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 
 # interpret_with_gradient is not called here; bench/spans.py wraps learn.interpret_with_gradient
-from .engine import RsaConfig, _interpret_batch, interpret_with_gradient  # noqa: F401
+from .engine import RsaConfig, _interpret_lams, interpret_with_gradient  # noqa: F401
 from .errors import DatasetError, Error, ZeroVarianceError
 from .lexicon import HumanResponseTable, MetaphorItem, TypicalityTable
 
@@ -84,18 +86,22 @@ def make_split(items: tuple[MetaphorItem, ...], seed: int) -> TrainTestSplit:
     return TrainTestSplit(tuple(train), tuple(test), seed)
 
 
-def _pearson_rows(m: np.ndarray, h: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Pearson r of each row pair of ``m`` and ``h``, and its gradient in ``m``."""
-    a = m - m.mean(axis=1, keepdims=True)
-    b = h - h.mean(axis=1, keepdims=True)
-    saa = np.sum(a * a, axis=1)
-    sbb = np.sum(b * b, axis=1)
-    if np.any(saa == 0.0) or np.any(sbb == 0.0):
-        raise ZeroVarianceError("constant vector in the training objective")
-    denom = np.sqrt(saa * sbb)
-    r = np.sum(a * b, axis=1) / denom
-    grad = b / denom[:, None] - (r / saa)[:, None] * a
-    return r, grad
+def _pearson_rows(m: np.ndarray, h: np.ndarray):
+    """Pearson r of each row of ``m`` (L, R, k) with the matching row of ``h`` (R, k).
+
+    Returns ``(r, grad, constant)``: r (L, R), its gradient in ``m``, and
+    per lam whether any row pair has a constant vector (its r is undefined).
+    """
+    a = m - m.mean(axis=-1, keepdims=True)
+    b = h - h.mean(axis=-1, keepdims=True)
+    saa = np.sum(a * a, axis=-1)
+    sbb = np.sum(b * b, axis=-1)
+    constant = np.any(saa == 0.0, axis=-1) | np.any(sbb == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # constant rows are reported, not used
+        denom = np.sqrt(saa * sbb)
+        r = np.sum(a * b, axis=-1) / denom
+        grad = b / denom[..., None] - (r / saa)[..., None] * a
+    return r, grad, constant
 
 
 def objective(
@@ -107,8 +113,8 @@ def objective(
     kind: str = "mean",
 ) -> float:
     """Correlation between model and human interpretations on the train set."""
-    value, _ = _objective_and_gradient(lam, train, human, config, table, kind, gradient=False)
-    return value
+    values, _ = _objective_and_gradient((lam,), train, human, config, table, kind, gradient=False)
+    return float(values[0])
 
 
 def gradient(
@@ -120,32 +126,41 @@ def gradient(
     kind: str = "mean",
 ) -> float:
     """Analytic d(objective)/d(lam), chained through softmax and normalizations."""
-    _, g = _objective_and_gradient(lam, train, human, config, table, kind)
-    return g
+    _, grads = _objective_and_gradient((lam,), train, human, config, table, kind)
+    return float(grads[0])
 
 
-def _objective_and_gradient(lam, train, human, config, table, kind, gradient=True):
-    """The objective at ``lam`` and, if ``gradient``, its derivative (else None).
+def _objective_and_gradient(lams, train, human, config, table, kind, gradient=True):
+    """The objective at every lam of the 1-D ``lams`` and, if ``gradient``, its derivative.
 
-    One kernel call covers the whole training set.  ``mean`` correlates each
-    item's row with its human row; ``pooled`` correlates the flattened rows.
+    Returns two (L,) arrays (the second None without ``gradient``).  One
+    kernel call covers every lam and the whole training set, and one Pearson
+    pass covers all their rows.  ``mean`` correlates each item's row with its
+    human row; ``pooled`` correlates the flattened rows.  If the objective is
+    undefined at some lam, the error names the first such lam.
     """
     if kind not in _OBJECTIVE_KINDS:
         raise ValueError(f"objective kind must be one of {_OBJECTIVE_KINDS}, got {kind!r}")
     if not train:
         raise ValueError("empty training set")
-    logp, dp = _interpret_batch(train, replace(config, lam=float(lam)), table, gradient)
+    lams = np.asarray(lams, dtype=float)
+    logp, dp = _interpret_lams(train, config, table, lams, gradient)
     model = np.exp(logp)
     target = np.stack([human.distribution(item.id) for item in train])
     if kind == "pooled":
-        model, target = model.reshape(1, -1), target.reshape(1, -1)
-    r, grad_m = _pearson_rows(model, target)
-    value = float(np.mean(r))
-    if not math.isfinite(value):
+        model, target = model.reshape(lams.size, 1, -1), target.reshape(1, -1)
+    r, grad_m, constant = _pearson_rows(model, target)
+    values = np.mean(r, axis=-1)
+    undefined = constant | ~np.isfinite(values)
+    if np.any(undefined):
+        first = int(np.argmax(undefined))
+        lam = float(lams[first])
+        if constant[first]:
+            raise ZeroVarianceError(f"constant vector in the training objective at lam={lam!r}")
         raise Error(f"objective is not finite at lam={lam!r}")
     if not gradient:
-        return value, None
-    return value, float(np.mean(np.sum(grad_m * dp.reshape(grad_m.shape), axis=1)))
+        return values, None
+    return values, np.mean(np.sum(grad_m * dp.reshape(grad_m.shape), axis=-1), axis=-1)
 
 
 def finite_difference_gradient(
@@ -234,8 +249,8 @@ def learn_lambda(
         raise ValueError(f"tol must be positive, got {tol!r}")
 
     def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
-        value, deriv = _objective_and_gradient(x[0], train, human, config, table, kind)
-        return value, np.array([deriv])
+        values, grads = _objective_and_gradient(x, train, human, config, table, kind)
+        return float(values[0]), grads
 
     x, fx, iterations, gnorm, stop_reason, raw_trace = _gradient_ascent(
         fg, np.array([float(init)]), max_iterations, tol

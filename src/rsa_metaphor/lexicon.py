@@ -48,6 +48,11 @@ def _fmt(value: float) -> str:
     return format(float(value), _FLOAT_FMT)
 
 
+def _read_only(arr: np.ndarray) -> np.ndarray:
+    arr.setflags(write=False)
+    return arr
+
+
 @dataclass(frozen=True)
 class FeatureVocab:
     """Ordered feature identifiers; position in ``features`` is the feature index."""
@@ -112,13 +117,28 @@ class TypicalityTable:
             if name in seen:
                 raise DatasetError(f"duplicate category identifier {name!r}")
             seen.add(name)
-        arr = arr.copy()
-        arr.setflags(write=False)
-        object.__setattr__(self, "values", arr)
+        object.__setattr__(self, "values", _read_only(arr.copy()))
 
     @cached_property
     def _index(self) -> dict[str, int]:
         return {name: i for i, name in enumerate(self.categories)}
+
+    @cached_property
+    def log_values(self) -> np.ndarray:
+        """``log(values)``, read-only; -inf where a value is 0 (NaN below 0)."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _read_only(np.log(self.values))
+
+    @cached_property
+    def log1m_values(self) -> np.ndarray:
+        """``log(1 - values)``, read-only; -inf where a value is 1 (NaN above 1)."""
+        with np.errstate(divide="ignore", invalid="ignore"):
+            return _read_only(np.log1p(-self.values))
+
+    @cached_property
+    def degenerate_rows(self) -> np.ndarray:
+        """Per category: does its row hold a value of exactly 0 or 1 (or beyond)?"""
+        return _read_only(((self.values <= 0.0) | (self.values >= 1.0)).any(axis=1))
 
     @property
     def n(self) -> int:

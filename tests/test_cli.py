@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, artifacts, determinism."""
 
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -8,6 +9,7 @@ from click.testing import CliRunner
 
 from conftest import make_synthetic_dataset
 from rsa_metaphor import load_dataset, save_dataset
+from rsa_metaphor import cli
 from rsa_metaphor.cli import main
 
 
@@ -211,6 +213,42 @@ class TestEval:
         assert result.exit_code == 2
         assert not (out / "report.json").exists()  # earlier artifact rolled back
 
+    def test_failed_replace_keeps_the_old_artifacts_whole(
+        self, runner, full_scale_dir, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "out"
+        args = ["eval", "--data-dir", str(full_scale_dir), "--output-dir", str(out),
+                "--lambda", "5"]
+        assert runner.invoke(main, args).exit_code == 0
+        before = {path.name: path.read_bytes() for path in out.iterdir()}
+
+        def refuse(src, dst):
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(cli.os, "replace", refuse)
+        result = runner.invoke(main, args[:-1] + ["7"])
+        assert result.exit_code == 2
+        assert {path.name: path.read_bytes() for path in out.iterdir()} == before
+
+    def test_failed_write_leaves_no_temporary_file(
+        self, runner, full_scale_dir, tmp_path, monkeypatch
+    ):
+        out = tmp_path / "out"
+        write_text = Path.write_text
+
+        def write_half(path, text, *args, **kwargs):
+            write_text(path, text[: len(text) // 2], *args, **kwargs)
+            raise OSError(28, "No space left on device")
+
+        monkeypatch.setattr(Path, "write_text", write_half)
+        result = runner.invoke(main, [
+            "eval", "--data-dir", str(full_scale_dir), "--output-dir", str(out),
+            "--lambda", "5",
+        ])
+        assert result.exit_code == 2
+        assert result.stderr.startswith("error: ")
+        assert list(out.iterdir()) == []
+
     def test_jsd_base_e(self, runner, full_scale_dir, tmp_path):
         out = tmp_path / "out"
         args = ["eval", "--data-dir", str(full_scale_dir), "--output-dir", str(out),
@@ -265,6 +303,18 @@ class TestAblate:
             "--kind", "grid-lambda", "--grid", "10:1:5",
         ])
         assert result.exit_code == 1
+
+    @pytest.mark.parametrize("grid", ["1:inf:5", "nan:5:5", "0.5:nan:3", "inf:inf:2"])
+    def test_non_finite_grid_bound_is_domain_error(self, runner, full_scale_dir, tmp_path, grid):
+        out = tmp_path / "x"
+        result = runner.invoke(main, [
+            "ablate", "--data-dir", str(full_scale_dir), "--output-dir", str(out),
+            "--kind", "grid-lambda", "--grid", grid,
+        ])
+        assert result.exit_code == 1, result.output
+        assert result.stderr.startswith("error: ") and "finite" in result.stderr
+        assert "Traceback" not in result.output
+        assert not out.exists()
 
 
 class TestCorr:

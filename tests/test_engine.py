@@ -2,6 +2,7 @@
 
 import math
 from dataclasses import replace
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -12,6 +13,7 @@ import oracle
 from conftest import as_oracle_table, random_table, table_from_rows
 from rsa_metaphor import (
     Distribution,
+    HumanResponseTable,
     MetaphorItem,
     RsaConfig,
     interpret,
@@ -22,8 +24,14 @@ from rsa_metaphor import (
     relevance,
     speaker_utility,
 )
-from rsa_metaphor.engine import _goal_log_weights, _interpret_batch, interpret_with_gradient
-from rsa_metaphor.errors import DegenerateTypicalityError, UnknownCategoryError
+from rsa_metaphor import evaluation, learn
+from rsa_metaphor.engine import (
+    _goal_log_weights,
+    _interpret_batch,
+    _interpret_lams,
+    interpret_with_gradient,
+)
+from rsa_metaphor.errors import DegenerateTypicalityError, Error, UnknownCategoryError
 
 # the five configurations every evaluation path is checked in
 CONFIGS = (
@@ -467,3 +475,148 @@ class TestBatchedKernel:
         table, _ = two_by_two
         with pytest.raises(ValueError):
             _interpret_batch((), replace(RsaConfig(), **overrides), table)
+
+
+# grid points that tie (0.0 and -0.0 give the same objective) or repeat
+GRID_POINTS = (0.0, -0.0, 0.5, 1.0, 2.5, 7.0, 30.0)
+CHUNK = 3  # grid points per kernel call in the ablation tests below
+
+
+@st.composite
+def lambda_problems(draw):
+    """A batch problem with a vector of lams (one chunk, +1, or a single lam) and human rows."""
+    table, items, config = draw(batch_problems())
+    size = draw(st.sampled_from((1, CHUNK, CHUNK + 1)))
+    lams = draw(st.lists(st.one_of(st.sampled_from(GRID_POINTS), st.floats(0.0, 60.0)),
+                         min_size=size, max_size=size))
+    rows = draw(st.lists(
+        st.lists(st.floats(0.0, 1.0), min_size=table.n, max_size=table.n).filter(
+            lambda row: sum(row) > 0.1
+        ),
+        min_size=len(items), max_size=len(items),
+    ))
+    human = HumanResponseTable(
+        table.vocab, {item.id: np.array(row) / sum(row) for item, row in zip(items, rows)}
+    )
+    kind = draw(st.sampled_from(("mean", "pooled")))
+    return table, items, config, np.array(lams), human, kind
+
+
+def per_point_pick(grid, items, human, config, table, kind):
+    """The grid ablation as a loop over learn.objective: its pick, or the error it raises."""
+    try:
+        scores = [learn.objective(lam, items, human, config, table, kind) for lam in grid]
+        best = float(grid[int(np.argmax(scores))])
+        evaluation.evaluate(items, human, replace(config, lam=best), table, ks=(1,))
+    except Error as exc:
+        return exc
+    return best
+
+
+def chunked_pick(grid, items, human, config, table, kind):
+    """The grid ablation's pick, CHUNK points per kernel call, or the error it raises."""
+    with mock.patch.object(evaluation, "_GRID_CHUNK_CELLS", CHUNK * table.values.size):
+        try:
+            best, _ = evaluation.ablate_lambda_interpolation(
+                items, human, config, table, grid=grid, train=items, objective_kind=kind,
+                ks=(1,),
+            )
+        except Error as exc:
+            return exc
+    return best
+
+
+def assert_same_pick(got, want):
+    if isinstance(want, Error):
+        assert type(got) is type(want) and str(got) == str(want)
+    else:
+        assert repr(got) == repr(want)  # tells -0.0 from 0.0: ties go to the earlier point
+
+
+class TestLambdaAxis:
+    @settings(max_examples=80, deadline=None)
+    @given(lambda_problems())
+    def test_every_lambda_slice_equals_its_own_call(self, problem):
+        table, items, config, lams, _, _ = problem
+        logp, dp = _interpret_lams(items, config, table, lams, gradient=True)
+        forward, none = _interpret_lams(items, config, table, lams, gradient=False)
+        assert none is None and logp.shape == dp.shape == (lams.size, len(items), table.n)
+        rows = as_oracle_table(table)
+        for lam, lam_logp, lam_dp, lam_forward in zip(lams, logp, dp, forward):
+            single = replace(config, lam=float(lam))
+            one_logp, one_dp = _interpret_batch(items, single, table, gradient=True)
+            np.testing.assert_array_equal(lam_logp, one_logp)
+            np.testing.assert_array_equal(lam_dp, one_dp)
+            np.testing.assert_array_equal(lam_forward, _interpret_batch(items, single, table)[0])
+            for item, row in zip(items, lam_forward):
+                if config.mode == "fast":
+                    want = fast_reference(rows[item.topic], rows[item.vehicle], lam)
+                else:
+                    utts = list(rows) if config.utterances == "all" else [item.topic, item.vehicle]
+                    want = oracle.interpret(
+                        item.topic, item.vehicle, lam, rows, utterances=utts,
+                        category_prior=config.category_prior, goal_prior=config.goal_prior,
+                    )
+                np.testing.assert_allclose(np.exp(row), want, rtol=0, atol=1e-9)
+
+    @settings(max_examples=80, deadline=None)
+    @given(lambda_problems())
+    def test_chunked_grid_picks_as_a_per_point_loop(self, problem):
+        table, items, config, grid, human, kind = problem
+        assert_same_pick(chunked_pick(grid, items, human, config, table, kind),
+                         per_point_pick(grid, items, human, config, table, kind))
+
+    @pytest.mark.parametrize("grid, error, lam", [
+        ([1.0, 2.0, 3.0, 0.0, 5.0], "ZeroVarianceError", "0.0"),  # in the second chunk
+        ([1.0, 0.0, 0.0, 4.0], "ZeroVarianceError", "0.0"),
+        ([0.0, 0.0, 0.0, 2.0], "Error", "2.0"),
+        ([0.0, 1.5, 3.0], "Error", "1.5"),
+    ])
+    def test_undefined_objective_names_the_first_point(self, grid, error, lam):
+        # fast mode: at lam 0 the output is the topic row (uniform, so constant),
+        # elsewhere the vehicle row (a NaN in it makes the objective NaN)
+        table = table_from_rows([[0.25] * 4, [0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1],
+                                 [0.1, 0.6, 0.2, 0.1]])
+        nan_table = table_from_rows([[0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1],
+                                     [0.25, 0.25, math.nan, 0.5], [0.1, 0.6, 0.2, 0.1]])
+        items = (MetaphorItem("m0", "c0", "c1"), MetaphorItem("m1", "c0", "c3"))
+        if error == "Error":
+            table, items = nan_table, (MetaphorItem("m0", "c0", "c2"), MetaphorItem("m1", "c1", "c2"))
+        human = HumanResponseTable(table.vocab, {
+            "m0": np.array([0.1, 0.2, 0.3, 0.4]), "m1": np.array([0.5, 0.1, 0.1, 0.3]),
+        })
+        config = RsaConfig(mode="fast")
+        want = per_point_pick(np.array(grid), items, human, config, table, "mean")
+        assert type(want).__name__ == error and str(want).endswith(f"at lam={lam}")
+        assert_same_pick(chunked_pick(np.array(grid), items, human, config, table, "mean"), want)
+
+    @pytest.mark.parametrize("grid, want", [
+        ([5.0, -0.0, 0.0, 2.0], "-0.0"),  # both in the first chunk
+        ([5.0, 3.0, 0.0, -0.0], "0.0"),  # one chunk each
+    ])
+    def test_ties_go_to_the_earlier_point(self, grid, want):
+        # fast mode at lam = +-0 returns the topic rows, which are the human rows: r = 1
+        table = table_from_rows([[0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1],
+                                 [0.1, 0.6, 0.2, 0.1]])
+        items = (MetaphorItem("m0", "c0", "c1"), MetaphorItem("m1", "c2", "c1"))
+        human = HumanResponseTable(table.vocab, {"m0": table.row("c0"), "m1": table.row("c2")})
+        config = RsaConfig(mode="fast")
+        got = chunked_pick(np.array(grid), items, human, config, table, "mean")
+        assert_same_pick(got, per_point_pick(np.array(grid), items, human, config, table, "mean"))
+        assert repr(got) == want
+
+    def test_fast_mode_at_lambda_zero_is_the_topic_row_on_every_path(self):
+        rng = np.random.default_rng(11)
+        for _ in range(10):
+            table = random_table(rng, 3, int(rng.integers(2, 9)))
+            item = MetaphorItem("m", "c0", "c2")
+            fast = interpret_fast(item, 0.0, table).p
+            p, dp = interpret_with_gradient(item, RsaConfig(lam=0.0, mode="fast"), table)
+            np.testing.assert_array_equal(p, fast)
+            np.testing.assert_array_equal(fast, np.exp(np.log(table.row("c0"))))
+            assert dp.sum() == pytest.approx(0.0, abs=1e-12)
+
+    def test_non_finite_lambda_rejected(self, two_by_two):
+        table, item = two_by_two
+        with pytest.raises(ValueError, match="finite"):
+            _interpret_lams((item,), RsaConfig(), table, [1.0, math.inf], gradient=False)

@@ -107,6 +107,20 @@ class TestTypes:
         with pytest.raises(ValueError):
             table.values[0, 0] = 0.9
 
+    def test_cached_log_values_are_computed_once_and_read_only(self):
+        vocab = FeatureVocab(("a", "b", "c"))
+        values = np.array([[0.2, 0.3, 0.5], [0.0, 1.0, 0.0], [0.25, 0.25, 0.5]])
+        table = TypicalityTable(("x", "y", "z"), vocab, values)
+        with np.errstate(divide="ignore"):
+            np.testing.assert_array_equal(table.log_values, np.log(values))
+            np.testing.assert_array_equal(table.log1m_values, np.log1p(-values))
+        np.testing.assert_array_equal(table.degenerate_rows, [False, True, False])
+        for name in ("log_values", "log1m_values", "degenerate_rows"):
+            cached = getattr(table, name)
+            assert getattr(table, name) is cached
+            with pytest.raises(ValueError):
+                cached[0] = 0.0
+
     def test_metaphor_topic_vehicle_must_differ(self):
         with pytest.raises(DatasetError):
             MetaphorItem("m", "ants", "ants", "inherent")
