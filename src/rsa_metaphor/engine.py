@@ -63,6 +63,7 @@ import numpy as np
 
 from .errors import DegenerateTypicalityError, Error, ZeroMassError
 from .lexicon import MetaphorItem, TypicalityTable
+from .metrics import top_k_indices
 
 _UTTERANCE_SETS = ("all", "pair")
 _CATEGORY_PRIORS = ("topic", "uniform")
@@ -166,8 +167,8 @@ class Distribution:
         return float(np.exp(self.logp[self._index[label]]))
 
     def top_k(self, k: int) -> tuple:
-        order = np.lexsort((np.arange(len(self.labels)), -self.logp))
-        return tuple(self.labels[i] for i in order[:k])
+        """The k most probable labels, descending; ties broken by label order."""
+        return tuple(self.labels[i] for i in top_k_indices(self.logp, k))
 
     def argmax(self):
         return self.labels[int(np.argmax(self.logp))]

@@ -1,5 +1,11 @@
 """Model-vs-human evaluation: per-metaphor metrics, aggregates, and ablations.
 
+``evaluate`` scores the batch as arrays: two listener-kernel calls (the
+model's rows and the other mode's, for ``mode_divergence``), one row-wise
+pass per metric over all items, and group aggregates taken from those arrays
+with boolean masks.  Only the building of the ``ItemEval`` records loops
+over items in Python.
+
 The grid ablation scores its grid in chunks, one listener-kernel call per
 chunk of grid points (:data:`_GRID_CHUNK_CELLS`), not one call per point.
 """
@@ -22,7 +28,9 @@ from .lexicon import (
     MetaphorItem,
     TypicalityTable,
 )
-from .metrics import jsd, k_agreement, pearson, top_k_indices
+from .metrics import jsd_rows, pearson_rows, top_k_overlap, top_k_rows
+# the scalar metrics are not called here; bench/spans.py wraps them by these names
+from .metrics import jsd, k_agreement, pearson, top_k_indices  # noqa: F401
 
 DEFAULT_KS = (1, 3)
 DEFAULT_GRID = (0.5, 100.0, 200)
@@ -87,35 +95,48 @@ class EvalReport:
     tag: str = ""
 
 
-def _sd(values: Sequence[float]) -> float:
+def _sd(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1)) if len(values) > 1 else math.nan
 
 
-def _group_stats(entries: Sequence[ItemEval], ks: tuple[int, ...]) -> GroupStats:
-    n = len(entries)
-    rs = [e.pearson_r for e in entries]
-    js = [e.jsd for e in entries]
-    k_max = max(ks)
+def _group_stats(
+    r: np.ndarray,
+    js: np.ndarray,
+    agreement: np.ndarray,
+    in_top: np.ndarray,
+    ties: np.ndarray,
+    ks: tuple[int, ...],
+) -> GroupStats:
+    """Aggregates over one group, from its items' per-item arrays.
+
+    ``agreement`` is (items, len(ks)), one column per k; ``ties`` is
+    (2, items), the model's boundary ties and then the human's.  The means
+    and sds reduce 1-D arrays, which keeps the bits of a mean over a list.
+    """
+    n = r.size
+    # the rates are exact counts over n: the bits of np.mean, without its overhead
     return GroupStats(
         n_items=n,
-        mean_pearson=float(np.mean(rs)),
-        sd_pearson=_sd(rs),
+        mean_pearson=float(np.mean(r)),
+        sd_pearson=_sd(r),
         mean_jsd=float(np.mean(js)),
         sd_jsd=_sd(js),
-        top1_match_count=sum(1 for e in entries if e.agreement.get(1, 0) >= 1),
-        mean_agreement={k: float(np.mean([e.agreement[k] for e in entries])) for k in ks},
-        argmax_in_human_top_rate=float(np.mean([e.argmax_in_human_top for e in entries])),
-        top_overlap_rate=float(np.mean([e.agreement[k_max] >= 1 for e in entries])),
-        model_boundary_ties=sum(e.model_boundary_tie for e in entries),
-        human_boundary_ties=sum(e.human_boundary_tie for e in entries),
+        top1_match_count=int(np.count_nonzero(agreement[:, 0])) if ks[0] == 1 else 0,
+        mean_agreement={k: total / n for k, total in zip(ks, agreement.sum(axis=0).tolist())},
+        argmax_in_human_top_rate=int(np.count_nonzero(in_top)) / n,
+        top_overlap_rate=int(np.count_nonzero(agreement[:, -1])) / n,
+        model_boundary_ties=int(np.count_nonzero(ties[0])),
+        human_boundary_ties=int(np.count_nonzero(ties[1])),
     )
 
 
-def _boundary_tie(p: np.ndarray, k: int) -> bool:
-    if k >= p.size:
-        return False
-    ordered = np.sort(p)[::-1]
-    return bool(ordered[k - 1] == ordered[k])
+def _boundary_ties(rows: np.ndarray, k: int) -> np.ndarray:
+    """Per row, whether the k-th and (k+1)-th largest entries are equal."""
+    n = rows.shape[-1]
+    if k >= n:
+        return np.zeros(rows.shape[:-1], dtype=bool)
+    ordered = np.sort(rows, axis=-1)
+    return ordered[..., n - k] == ordered[..., n - k - 1]
 
 
 def evaluate(
@@ -130,9 +151,10 @@ def evaluate(
 ) -> EvalReport:
     """Score the model against human interpretations, item by item.
 
-    Groups are always computed for all items and per metaphor class; when a
-    ``split`` is given, train and test groups are added so that aggregates
-    can be read either way.
+    Every per-item metric is computed for the whole batch at once, with the
+    row-wise forms in :mod:`.metrics`.  Groups are always computed for all
+    items and per metaphor class; when a ``split`` is given, train and test
+    groups are added so that aggregates can be read either way.
     """
     if not items:
         raise ValueError("no items to evaluate")
@@ -142,44 +164,60 @@ def evaluate(
     other_mode = "fast" if config.mode == "full" else "full"
     models = np.exp(_interpret_batch(items, config, table)[0])
     others = np.exp(_interpret_batch(items, replace(config, mode=other_mode), table)[0])
-    entries: list[ItemEval] = []
-    for item, model, other in zip(items, models, others):
-        target = human.distribution(item.id)
-        model_top = tuple(features[i] for i in top_k_indices(model, k_max))
-        human_top = tuple(features[i] for i in top_k_indices(target, k_max))
-        entries.append(
-            ItemEval(
-                item_id=item.id,
-                topic=item.topic,
-                vehicle=item.vehicle,
-                inherence=item.inherence,
-                model=model,
-                human=target,
-                pearson_r=pearson(model, target),
-                jsd=jsd(model, target, base=jsd_base),
-                agreement={k: k_agreement(model, target, k) for k in ks},
-                model_top=model_top,
-                human_top=human_top,
-                argmax_in_human_top=model_top[0] in human_top,
-                model_boundary_tie=_boundary_tie(model, k_max),
-                human_boundary_tie=_boundary_tie(target, k_max),
-                mode_divergence=jsd(model, other, base=jsd_base),
-            )
-        )
+    targets = [human.distribution(item.id) for item in items]
+    humans = np.stack(targets)
 
-    groups = {"all": _group_stats(entries, ks)}
-    for klass in (INHERENT, NON_INHERENT):
-        subset = [e for e in entries if e.inherence == klass]
-        if subset:
-            groups[klass] = _group_stats(subset, ks)
+    model_top = top_k_rows(models, k_max)
+    human_top = top_k_rows(humans, k_max)
+    r = pearson_rows(models, humans)
+    js = jsd_rows(models, humans, base=jsd_base)
+    agreement = np.stack([top_k_overlap(model_top[:, :k], human_top[:, :k]) for k in ks],
+                         axis=-1)
+    in_top = np.any(human_top == model_top[:, :1], axis=-1)
+    ties = _boundary_ties(np.stack((models, humans)), k_max)
+    divergence = jsd_rows(models, others, base=jsd_base)
+
+    # the entries hold Python floats, ints and bools, not numpy scalars
+    rs, jss, divergences = r.tolist(), js.tolist(), divergence.tolist()
+    agreements, in_tops = agreement.tolist(), in_top.tolist()
+    model_ties, human_ties = ties.tolist()
+    model_labels = [tuple(features[j] for j in row) for row in model_top.tolist()]
+    human_labels = [tuple(features[j] for j in row) for row in human_top.tolist()]
+    entries = tuple(
+        ItemEval(
+            item_id=item.id,
+            topic=item.topic,
+            vehicle=item.vehicle,
+            inherence=item.inherence,
+            model=models[i],
+            human=targets[i],
+            pearson_r=rs[i],
+            jsd=jss[i],
+            agreement=dict(zip(ks, agreements[i])),
+            model_top=model_labels[i],
+            human_top=human_labels[i],
+            argmax_in_human_top=in_tops[i],
+            model_boundary_tie=model_ties[i],
+            human_boundary_tie=human_ties[i],
+            mode_divergence=divergences[i],
+        )
+        for i, item in enumerate(items)
+    )
+
+    masks = [("all", np.ones(len(items), dtype=bool))]
+    masks += [(klass, np.array([item.inherence == klass for item in items]))
+              for klass in (INHERENT, NON_INHERENT)]
     if split is not None:
-        for name, ids in (("train", split.train), ("test", split.test)):
-            subset = [e for e in entries if e.item_id in set(ids)]
-            if subset:
-                groups[name] = _group_stats(subset, ks)
+        masks += [(name, np.array([item.id in ids for item in items]))
+                  for name, ids in (("train", set(split.train)), ("test", set(split.test)))]
+    groups = {
+        name: _group_stats(r[mask], js[mask], agreement[mask], in_top[mask], ties[:, mask], ks)
+        for name, mask in masks
+        if mask.any()
+    }
 
     return EvalReport(
-        items=tuple(entries),
+        items=entries,
         groups=groups,
         ks=ks,
         jsd_base=jsd_base,

@@ -261,6 +261,30 @@ class TestEval:
                  / base2["report"]["groups"]["all"]["mean_jsd"])
         assert ratio == pytest.approx(np.log(2.0), abs=1e-9)
 
+    def test_subnormal_model_probability_writes_standard_json(self, runner, tmp_path):
+        # at lambda 500 the fast pipeline gives one of m13's features a subnormal
+        # probability where the human row is 0; its JSD used to come out inf
+        data_dir = tmp_path / "data"
+        save_dataset(*make_synthetic_dataset(seed=13), data_dir)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "eval", "--data-dir", str(data_dir), "--output-dir", str(out),
+            "--lambda", "500", "--mode", "fast",
+        ])
+        assert result.exit_code == 0, result.output
+
+        def reject(constant):
+            raise ValueError(f"non-standard JSON constant {constant}")
+
+        text = (out / "report.json").read_text(encoding="utf-8")
+        report = json.loads(text, parse_constant=reject)["report"]
+        m13 = next(entry for entry in report["items"] if entry["id"] == "m13")
+        assert min(m13["model"]) < 2.3e-308  # the subnormal entry is still there
+        assert 0.0 < m13["jsd"] <= 1.0
+        for group in report["groups"].values():
+            assert 0.0 < group["mean_jsd"] <= 1.0
+            assert group["sd_jsd"] is not None
+
     def test_rerun_is_byte_identical(self, runner, full_scale_dir, tmp_path):
         out = tmp_path / "run"
         args = ["eval", "--data-dir", str(full_scale_dir), "--output-dir", str(out),

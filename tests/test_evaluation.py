@@ -2,9 +2,13 @@
 
 import json
 import math
+import statistics
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import random_table, table_from_rows
 from rsa_metaphor import (
@@ -19,7 +23,10 @@ from rsa_metaphor import (
     learn_lambda,
     make_split,
 )
+from rsa_metaphor.errors import ZeroVarianceError
 from rsa_metaphor.evaluation import matrix_csv_rows, report_csv_rows, report_to_dict
+from rsa_metaphor.learn import TrainTestSplit
+from rsa_metaphor.metrics import jsd, pearson
 
 
 def perfect_fixture(seed=0, n_items=2):
@@ -95,6 +102,191 @@ class TestEvaluate:
         expected = jsd_fn(entry.model, interpret_fast(item, 10.0, table).p)
         assert entry.mode_divergence == pytest.approx(expected, abs=1e-12)
         assert all(0.0 <= e.mode_divergence <= 1.0 for e in report.items)
+
+
+CONFIGS = (
+    {},
+    {"utterances": "pair"},
+    {"mode": "fast"},
+    {"category_prior": "uniform"},
+    {"goal_prior": "uniform"},
+)
+
+
+def _reference_pearson(a, b):
+    a = a - a.mean()
+    b = b - b.mean()
+    return min(1.0, max(-1.0, float(a @ b) / math.sqrt(float(a @ a) * float(b @ b))))
+
+
+def _reference_jsd(p, q, base):
+    m = 0.5 * (p + q)
+
+    def kl(x):
+        return sum(float(xi * np.log(xi / mi)) for xi, mi in zip(x, m) if xi > 0)
+
+    return max(0.0, 0.5 * (kl(p) + kl(q)) / math.log(base))
+
+
+def _reference_top(p, k):
+    return sorted(range(p.size), key=lambda i: (-p[i], i))[:k]
+
+
+def _reference_tie(p, k):
+    ordered = sorted(p.tolist(), reverse=True)
+    return k < len(ordered) and ordered[k - 1] == ordered[k]
+
+
+def _reference_group(entries, ks):
+    """GroupStats fields from plain per-item values."""
+    n = len(entries)
+    rs = [e["pearson_r"] for e in entries]
+    js = [e["jsd"] for e in entries]
+    return {
+        "n_items": n,
+        "mean_pearson": statistics.fmean(rs),
+        "sd_pearson": statistics.stdev(rs) if n > 1 else math.nan,
+        "mean_jsd": statistics.fmean(js),
+        "sd_jsd": statistics.stdev(js) if n > 1 else math.nan,
+        "top1_match_count": sum(e["agreement"].get(1, 0) >= 1 for e in entries),
+        "mean_agreement": {k: sum(e["agreement"][k] for e in entries) / n for k in ks},
+        "argmax_in_human_top_rate": sum(e["argmax_in_human_top"] for e in entries) / n,
+        "top_overlap_rate": sum(e["agreement"][max(ks)] >= 1 for e in entries) / n,
+        "model_boundary_ties": sum(e["model_boundary_tie"] for e in entries),
+        "human_boundary_ties": sum(e["human_boundary_tie"] for e in entries),
+    }
+
+
+@st.composite
+def eval_cases(draw):
+    """Small tables and batches of 1-6 items whose rows repeat values."""
+    n_features = draw(st.integers(2, 6))
+    n_items = draw(st.integers(1, 6))
+    n_categories = n_items + 1
+    weights = draw(st.lists(st.lists(st.integers(1, 3), min_size=n_features,
+                                     max_size=n_features),
+                            min_size=n_categories, max_size=n_categories))
+    rows = np.array(weights, dtype=float)
+    table = table_from_rows(rows / rows.sum(axis=1, keepdims=True))
+    items, responses = [], {}
+    for i in range(n_items):
+        vehicle = draw(st.integers(0, n_categories - 1).filter(lambda c, i=i: c != i))
+        inherence = draw(st.sampled_from(("inherent", "non_inherent", None)))
+        items.append(MetaphorItem(f"m{i}", f"c{i}", f"c{vehicle}", inherence))
+        counts = np.array(draw(st.lists(st.integers(0, 3), min_size=n_features,
+                                        max_size=n_features)), dtype=float)
+        counts[draw(st.integers(0, n_features - 1))] += 1.0
+        responses[f"m{i}"] = counts / counts.sum()
+    human = HumanResponseTable(table.vocab, responses)
+    lam = draw(st.sampled_from((0.0, 0.5, 1.0, 3.0, 12.0)))
+    config = RsaConfig(lam=lam, **draw(st.sampled_from(CONFIGS)))
+    ks = draw(st.sampled_from(((1,), (1, min(3, n_features)), (n_features,))))
+    split = None
+    if draw(st.booleans()):
+        train = draw(st.sets(st.sampled_from([item.id for item in items])))
+        split = TrainTestSplit(tuple(sorted(train)),
+                               tuple(item.id for item in items if item.id not in train), 0)
+    base = draw(st.sampled_from((2.0, math.e)))
+    return table, tuple(items), human, config, ks, split, base
+
+
+class TestBatchedEvaluate:
+    """evaluate scores the batch as arrays; a plain per-item loop must agree."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(eval_cases())
+    def test_matches_a_per_item_reference(self, case):
+        table, items, human, config, ks, split, base = case
+        other = replace(config, mode="fast" if config.mode == "full" else "full")
+        rows = [interpret(item, config, table).p for item in items]
+        if any(np.ptp(row) == 0.0 or np.ptp(human.distribution(item.id)) == 0.0
+               for item, row in zip(items, rows)):
+            with pytest.raises(ZeroVarianceError,
+                               match="constant vector has no defined correlation"):
+                evaluate(items, human, config, table, ks=ks, split=split, jsd_base=base)
+            return
+        report = evaluate(items, human, config, table, ks=ks, split=split, jsd_base=base)
+        features = table.vocab.features
+        k_max = max(ks)
+        expected = []
+        for item, entry, row in zip(items, report.items, rows):
+            model, target = entry.model, human.distribution(item.id)
+            np.testing.assert_allclose(model, row, rtol=0, atol=1e-12)
+            assert entry.human is target
+            assert (entry.item_id, entry.topic, entry.vehicle, entry.inherence) == (
+                item.id, item.topic, item.vehicle, item.inherence)
+            model_top = _reference_top(model, k_max)
+            human_top = _reference_top(target, k_max)
+            want = {
+                "pearson_r": _reference_pearson(model, target),
+                "jsd": _reference_jsd(model, target, base),
+                "agreement": {k: len(set(_reference_top(model, k))
+                                     & set(_reference_top(target, k))) for k in ks},
+                "argmax_in_human_top": model_top[0] in human_top,
+                "model_boundary_tie": _reference_tie(model, k_max),
+                "human_boundary_tie": _reference_tie(target, k_max),
+                "mode_divergence": _reference_jsd(
+                    model, interpret(item, other, table).p, base),
+            }
+            for name in ("pearson_r", "jsd", "mode_divergence"):
+                assert getattr(entry, name) == pytest.approx(want[name], rel=0, abs=1e-12)
+            for name in ("agreement", "argmax_in_human_top",
+                         "model_boundary_tie", "human_boundary_tie"):
+                assert getattr(entry, name) == want[name], name
+            assert entry.model_top == tuple(features[i] for i in model_top)
+            assert entry.human_top == tuple(features[i] for i in human_top)
+            expected.append(want)
+
+        members = {"all": [True] * len(items)}
+        for klass in ("inherent", "non_inherent"):
+            members[klass] = [item.inherence == klass for item in items]
+        if split is not None:
+            members["train"] = [item.id in split.train for item in items]
+            members["test"] = [item.id in split.test for item in items]
+        want_groups = {
+            name: _reference_group([e for e, m in zip(expected, mask) if m], ks)
+            for name, mask in members.items()
+            if any(mask)
+        }
+        assert list(report.groups) == list(want_groups)
+        for name, want in want_groups.items():
+            got = asdict(report.groups[name])
+            for field, value in want.items():
+                if isinstance(value, float):
+                    assert got[field] == pytest.approx(value, rel=0, abs=1e-12, nan_ok=True)
+                elif isinstance(value, dict):
+                    assert got[field].keys() == value.keys()
+                    for k in value:
+                        assert got[field][k] == pytest.approx(value[k], rel=0, abs=1e-12)
+                else:
+                    assert got[field] == value, (name, field)
+
+    def test_constant_model_row_raises_like_pearson(self):
+        # a uniform typicality row gives a uniform model row at lam 0 in fast mode
+        table = table_from_rows([[0.25] * 4, [0.1, 0.2, 0.3, 0.4]])
+        items = (MetaphorItem("m0", "c0", "c1"),)
+        human = HumanResponseTable(table.vocab, {"m0": np.array([0.4, 0.3, 0.2, 0.1])})
+        config = RsaConfig(lam=0.0, mode="fast")
+        model = interpret(items[0], config, table).p
+        with pytest.raises(ZeroVarianceError) as scalar:
+            pearson(model, human.distribution("m0"))
+        with pytest.raises(ZeroVarianceError) as batched:
+            evaluate(items, human, config, table)
+        assert str(batched.value) == str(scalar.value)
+
+    @pytest.mark.parametrize("row", [[0.5, 0.3, 0.3, 0.1], [0.6, 0.5, -0.2, 0.1],
+                                     [0.5, np.nan, 0.3, 0.2]])
+    def test_non_distribution_human_row_raises_like_jsd(self, row):
+        table, items, human, config = perfect_fixture(n_items=3)
+        responses = dict(human.responses)
+        responses[items[1].id] = np.array(row + [0.0, 0.0])
+        human = HumanResponseTable(table.vocab, responses)
+        model = interpret(items[1], config, table).p
+        with pytest.raises(ValueError) as scalar:
+            jsd(model, responses[items[1].id])
+        with pytest.raises(ValueError) as batched:
+            evaluate(items, human, config, table)
+        assert str(batched.value) == str(scalar.value)
 
 
 class TestAblateRelevance:
