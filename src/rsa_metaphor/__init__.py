@@ -13,12 +13,8 @@ from .engine import (
     RsaConfig,
     interpret,
     interpret_fast,
-    literal_listener,
     pragmatic_listener,
     pragmatic_speaker,
-    relevance,
-    speaker_utility,
-    utterance_alternatives,
 )
 from .evaluation import (
     EvalReport,
@@ -75,7 +71,6 @@ __all__ = [
     "k_agreement",
     "learn_lambda",
     "learn_lambda_multistart",
-    "literal_listener",
     "load_dataset",
     "make_split",
     "normalize_ratings",
@@ -84,10 +79,7 @@ __all__ = [
     "pragmatic_listener",
     "pragmatic_speaker",
     "read_dataset",
-    "relevance",
     "save_dataset",
-    "speaker_utility",
-    "utterance_alternatives",
     "validate",
     "__version__",
 ]

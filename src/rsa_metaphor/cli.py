@@ -16,7 +16,7 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from pathlib import Path
 
 import click
@@ -59,22 +59,9 @@ class RunConfig:
     grid: tuple[float, float, int]
 
     def to_dict(self) -> dict:
-        return {
-            "data_dir": self.data_dir,
-            "output_dir": self.output_dir,
-            "mode": self.mode,
-            "lambda": self.lam,
-            "lambda_source": self.lambda_source,
-            "split_seed": self.split_seed,
-            "objective": self.objective,
-            "jsd_base": self.jsd_base,
-            "utterances": self.utterances,
-            "category_prior": self.category_prior,
-            "goal_prior": self.goal_prior,
-            "raw_ratings": self.raw_ratings,
-            "k": list(self.ks),
-            "grid": list(self.grid),
-        }
+        out = asdict(self)
+        out["lambda"], out["k"] = out.pop("lam"), out.pop("ks")
+        return out
 
     def rsa_config(self) -> RsaConfig:
         return RsaConfig(

@@ -35,7 +35,9 @@ table (``evaluation._GRID_CHUNK_CELLS``), so its temporaries stay near 2 MB
 however long the grid is.
 
 * The table's ``log T``, ``log(1 - T)`` and its 0/1 row scan are cached on
-  the immutable :class:`TypicalityTable`, so a call indexes them.
+  the immutable :class:`TypicalityTable`, so a call indexes them.  These are
+  the speaker utilities; :func:`pragmatic_speaker`, the one speaker
+  distribution exposed on its own, reads them from the same cache.
 * With ``utterances="all"`` the speaker normalizers
   ``logsumexp_u lam * log T[u, j]`` and ``logsumexp_u lam * log(1 - T[u, j])``
   and their softmax expectations do not depend on the item, so they are
@@ -61,7 +63,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateTypicalityError, Error, ZeroMassError
+from .errors import DegenerateTypicalityError, ZeroMassError
 from .lexicon import MetaphorItem, TypicalityTable
 from .metrics import top_k_indices
 
@@ -69,8 +71,6 @@ _UTTERANCE_SETS = ("all", "pair")
 _CATEGORY_PRIORS = ("topic", "uniform")
 _GOAL_PRIORS = ("relevance", "uniform")
 _MODES = ("full", "fast")
-
-PROB_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -144,16 +144,6 @@ class Distribution:
             raise ZeroMassError("all scores have zero mass")
         return cls(tuple(labels), scores - total)
 
-    @classmethod
-    def from_probs(cls, labels, probs) -> "Distribution":
-        probs = np.asarray(probs, dtype=float)
-        if np.any(probs < 0) or not np.isfinite(probs).all():
-            raise ValueError("probabilities must be finite and non-negative")
-        if abs(probs.sum() - 1.0) > PROB_SUM_TOL:
-            raise ValueError(f"probabilities sum to {probs.sum():.12g}, not 1")
-        with np.errstate(divide="ignore"):
-            return cls(tuple(labels), np.log(probs))
-
     @cached_property
     def _index(self) -> dict:
         return {label: i for i, label in enumerate(self.labels)}
@@ -173,9 +163,6 @@ class Distribution:
     def argmax(self):
         return self.labels[int(np.argmax(self.logp))]
 
-    def __len__(self) -> int:
-        return len(self.labels)
-
 
 def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray | float:
     a = np.asarray(a, dtype=float)
@@ -188,53 +175,6 @@ def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray | float:
     return np.squeeze(out, axis=axis)
 
 
-def utterance_alternatives(
-    config: RsaConfig, table: TypicalityTable, item: MetaphorItem | None = None
-) -> tuple[str, ...]:
-    """The utterance set the speaker chooses from, in deterministic order."""
-    if config.utterances == "all":
-        return table.categories
-    if item is None:
-        raise ValueError("the pair utterance set needs a metaphor item")
-    return (item.topic, item.vehicle)
-
-
-def literal_listener(utterance: str, table: TypicalityTable) -> Distribution:
-    """Joint distribution over (category, feature) for a literal reading.
-
-    All mass sits on the uttered category; features follow its typicality
-    row.  Every other category gets probability 0.
-    """
-    u = table.category_index(utterance)
-    probs = np.zeros_like(table.values)
-    probs[u] = table.values[u]
-    labels = tuple(
-        (c, f) for c in table.categories for f in table.vocab.features
-    )
-    return Distribution.from_probs(labels, probs.ravel())
-
-
-def speaker_utility(utterance: str, goal: int, feature: int, table: TypicalityTable) -> float:
-    """Log mass the literal listener puts on states sharing the goal's value.
-
-    ``goal`` and ``feature`` are one-hot indices: the speaker wants to
-    communicate feature dimension ``goal`` while the true state is basis
-    vector ``e_feature``.  Over the one-hot support the projected mass
-    closes to T[u][goal] when the state carries the goal feature and
-    1 - T[u][goal] otherwise.
-    """
-    n = table.n
-    if not (0 <= goal < n and 0 <= feature < n):
-        raise ValueError(f"goal and feature must be in [0, {n})")
-    t = float(table.row(utterance)[goal])
-    mass = t if feature == goal else 1.0 - t
-    if mass <= 0.0:
-        raise DegenerateTypicalityError(
-            f"utility log-argument is 0 for utterance {utterance!r}, goal {goal}"
-        )
-    return math.log(mass)
-
-
 def pragmatic_speaker(
     goal: int,
     feature: int,
@@ -242,19 +182,30 @@ def pragmatic_speaker(
     table: TypicalityTable,
     item: MetaphorItem | None = None,
 ) -> Distribution:
-    """Softmax speaker: P(u | goal, state) over the utterance alternatives."""
-    utts = utterance_alternatives(config, table, item)
-    if not utts:
-        raise Error("empty utterance set")
-    scores = [
-        config.lam * speaker_utility(u, goal, feature, table) for u in utts
-    ]
-    return Distribution.from_log_scores(utts, scores)
+    """Softmax speaker: P(u | goal, state) over the utterance alternatives.
 
-
-def relevance(topic: str, table: TypicalityTable) -> Distribution:
-    """Goal prior given the topic: the topic's normalized typicality row."""
-    return Distribution.from_probs(table.vocab.features, table.row(topic))
+    ``goal`` and ``feature`` are one-hot indices: the speaker wants to
+    communicate feature dimension ``goal`` while the true state is basis
+    vector ``e_feature``.  The utility of utterance u is the log mass the
+    literal listener puts on states sharing the goal's value; over the
+    one-hot support it closes to ``log T[u][goal]`` when the state carries
+    the goal feature and ``log(1 - T[u][goal])`` otherwise, read from the
+    table's cached logs as in :func:`_log_joint`.  The alternatives are
+    every category of the table, or the {topic, vehicle} pair of ``item``.
+    """
+    if not (0 <= goal < table.n and 0 <= feature < table.n):
+        raise ValueError(f"goal and feature must be in [0, {table.n})")
+    if config.utterances == "all":
+        utts = table.categories
+    elif item is None:
+        raise ValueError("the pair utterance set needs a metaphor item")
+    else:
+        utts = (item.topic, item.vehicle)
+    rows = np.array([table.category_index(u) for u in utts])
+    logs = table.log_values if feature == goal else table.log1m_values
+    utility = logs[rows, goal]
+    _reject_rows(~np.isfinite(utility), table, rows, f"give goal {goal} a utility of log 0")
+    return Distribution.from_log_scores(utts, config.lam * utility)
 
 
 def _goal_log_weights(config: RsaConfig, log_topic: np.ndarray) -> np.ndarray:

@@ -90,13 +90,13 @@ def _pearson_rows(m: np.ndarray, h: np.ndarray):
     """Pearson r of each row of ``m`` (L, R, k) with the matching row of ``h`` (R, k).
 
     Returns ``(r, grad, constant)``: r (L, R), its gradient in ``m``, and
-    per lam whether any row pair has a constant vector (its r is undefined).
+    per lam whether any row pair has a constant vector (range 0; its r is undefined).
     """
+    constant = np.any(np.ptp(m, axis=-1) == 0.0, axis=-1) | np.any(np.ptp(h, axis=-1) == 0.0)
     a = m - m.mean(axis=-1, keepdims=True)
     b = h - h.mean(axis=-1, keepdims=True)
     saa = np.sum(a * a, axis=-1)
     sbb = np.sum(b * b, axis=-1)
-    constant = np.any(saa == 0.0, axis=-1) | np.any(sbb == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):  # constant rows are reported, not used
         denom = np.sqrt(saa * sbb)
         r = np.sum(a * b, axis=-1) / denom
@@ -179,32 +179,31 @@ def finite_difference_gradient(
     return (hi - lo) / (2.0 * h)
 
 
-def _gradient_ascent(fg, x0: np.ndarray, max_iterations: int, tol: float):
-    """Gradient ascent with an Armijo backtracking line search.
+def _gradient_ascent(fg, x0: float, max_iterations: int, tol: float):
+    """Gradient ascent in one variable with an Armijo backtracking line search.
 
-    ``fg(x)`` returns the objective and its gradient at ``x``.  Each search
+    ``fg(x)`` returns the objective and its derivative at ``x``.  Each search
     starts from twice the previously accepted step.  Non-finite objective
     values during the line search reject the step and halve it.
-    Returns (x, fx, iterations, grad_norm, stop_reason, trace).
+    Returns (x, fx, iterations, |gradient|, stop_reason, trace).
     """
     armijo_slope = 1e-4
     shrink = 0.5
     max_halvings = 60
 
-    x = np.asarray(x0, dtype=float).copy()
+    x = float(x0)
     fx, g = fg(x)
     if not np.isfinite(fx):
-        raise Error(f"objective is not finite at the initial point {x.tolist()}")
-    trace = [(0, x.copy(), fx)]
-    gnorm = float(np.linalg.norm(g))
-    if gnorm <= tol:
-        return x, fx, 0, gnorm, "gradient_tolerance", trace
+        raise Error(f"objective is not finite at the initial point {x!r}")
+    trace = [(0, x, fx)]
+    if abs(g) <= tol:
+        return x, fx, 0, abs(g), "gradient_tolerance", trace
 
     step = 1.0
     stop_reason = "max_iterations"
     iterations = 0
     for k in range(1, max_iterations + 1):
-        slope = float(g @ g)
+        slope = g * g
         alpha = step
         accepted = False
         for _ in range(max_halvings):
@@ -222,14 +221,13 @@ def _gradient_ascent(fg, x0: np.ndarray, max_iterations: int, tol: float):
             break
         iterations = k
         x, fx, g = x_new, f_new, g_new
-        trace.append((k, x.copy(), fx))
-        if float(np.linalg.norm(g)) <= tol:
+        trace.append((k, x, fx))
+        if abs(g) <= tol:
             stop_reason = "gradient_tolerance"
             break
         step = alpha * 2.0  # warm-start the next search from twice the accepted step
 
-    gnorm = float(np.linalg.norm(g))
-    return x, fx, iterations, gnorm, stop_reason, trace
+    return x, fx, iterations, abs(g), stop_reason, trace
 
 
 def learn_lambda(
@@ -248,22 +246,21 @@ def learn_lambda(
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
 
-    def fg(x: np.ndarray) -> tuple[float, np.ndarray]:
-        values, grads = _objective_and_gradient(x, train, human, config, table, kind)
-        return float(values[0]), grads
+    def fg(x: float) -> tuple[float, float]:
+        values, grads = _objective_and_gradient((x,), train, human, config, table, kind)
+        return float(values[0]), float(grads[0])
 
-    x, fx, iterations, gnorm, stop_reason, raw_trace = _gradient_ascent(
-        fg, np.array([float(init)]), max_iterations, tol
+    x, fx, iterations, gnorm, stop_reason, trace = _gradient_ascent(
+        fg, init, max_iterations, tol
     )
-    trace = tuple((k, float(xk[0]), float(fk)) for k, xk, fk in raw_trace)
     return FitResult(
-        lambda_hat=float(x[0]),
-        objective_value=float(fx),
+        lambda_hat=x,
+        objective_value=fx,
         iterations=iterations,
         gradient_norm_at_convergence=gnorm,
         converged=stop_reason == "gradient_tolerance",
         stop_reason=stop_reason,
-        trace=trace,
+        trace=tuple(trace),
     )
 
 

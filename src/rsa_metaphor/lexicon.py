@@ -25,6 +25,7 @@ shared freely across parallel workers; loading itself is single-threaded.
 from __future__ import annotations
 
 import csv
+import io
 import math
 from dataclasses import dataclass
 from functools import cached_property
@@ -248,9 +249,6 @@ def normalize_ratings(raw: RawRatingsTable) -> TypicalityTable:
 
     table = _dense_table(cells, "ratings")
     sums = table.values.sum(axis=1)
-    if np.any(sums <= 0):  # unreachable with ratings >= 1, guarded anyway
-        bad = table.categories[int(np.argmin(sums))]
-        raise DatasetError(f"ratings for category {bad!r} sum to zero")
     return TypicalityTable(table.categories, table.vocab, table.values / sums[:, None])
 
 
@@ -272,13 +270,21 @@ def _dense_table(cells: dict[tuple[str, str], float], where: str) -> TypicalityT
 
 
 def _read_rows(path: Path, expected_header: list[str]) -> list[tuple[int, list[str]]]:
-    """Read CSV rows as (line number, fields), enforcing the exact header."""
-    with open(path, newline="", encoding="utf-8") as fh:
-        reader = csv.reader(fh)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise DatasetError(f"{path.name}: empty file") from None
+    """Read CSV rows as (line number, fields), enforcing the exact header.
+
+    Bytes that are not UTF-8 and rows the CSV reader rejects raise DatasetError.
+    """
+    data = path.read_bytes()
+    try:
+        text = data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        lineno = data.count(b"\n", 0, exc.start) + 1
+        raise DatasetError(f"{path.name} line {lineno}: not UTF-8 text") from None
+    reader = csv.reader(io.StringIO(text, newline=""))
+    try:
+        header = next(reader, None)
+        if header is None:
+            raise DatasetError(f"{path.name}: empty file")
         if header != expected_header:
             raise DatasetError(
                 f"{path.name} line 1: expected header {','.join(expected_header)!r}, "
@@ -294,7 +300,9 @@ def _read_rows(path: Path, expected_header: list[str]) -> list[tuple[int, list[s
                     f"got {len(fields)}"
                 )
             rows.append((lineno, fields))
-        return rows
+    except csv.Error as exc:
+        raise DatasetError(f"{path.name} line {reader.line_num}: {exc}") from None
+    return rows
 
 
 def _parse_float(text: str, where: str) -> float:

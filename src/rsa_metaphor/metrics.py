@@ -54,7 +54,8 @@ def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
 def pearson_rows(p, q) -> np.ndarray:
     """Sample Pearson correlation of each row of ``p`` with the same row of ``q``.
 
-    Raises :class:`ZeroVarianceError` when any row of either array is constant.
+    Raises :class:`ZeroVarianceError` when any row of either array is constant
+    (its range is 0; centring it can leave rounding residue) or its spread underflows.
     """
     a = _as_rows(p)
     b = _as_rows(q)
@@ -62,11 +63,12 @@ def pearson_rows(p, q) -> np.ndarray:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     if a.shape[-1] < 2:
         raise ValueError("pearson needs at least 2 entries")
+    constant = np.any(np.ptp(a, axis=-1) == 0.0) or np.any(np.ptp(b, axis=-1) == 0.0)
     a = a - a.mean(axis=-1, keepdims=True)
     b = b - b.mean(axis=-1, keepdims=True)
     saa = _row_dot(a, a)
     sbb = _row_dot(b, b)
-    if np.any(saa == 0.0) or np.any(sbb == 0.0):
+    if constant or np.any(saa == 0.0) or np.any(sbb == 0.0):
         raise ZeroVarianceError("constant vector has no defined correlation")
     return np.clip(_row_dot(a, b) / np.sqrt(saa * sbb), -1.0, 1.0)
 

@@ -18,11 +18,8 @@ from rsa_metaphor import (
     RsaConfig,
     interpret,
     interpret_fast,
-    literal_listener,
     pragmatic_listener,
     pragmatic_speaker,
-    relevance,
-    speaker_utility,
 )
 from rsa_metaphor import evaluation, learn
 from rsa_metaphor.engine import (
@@ -44,17 +41,6 @@ CONFIGS = (
 
 
 class TestDistribution:
-    def test_from_probs_roundtrip(self):
-        d = Distribution.from_probs(("a", "b", "c"), [0.5, 0.3, 0.2])
-        np.testing.assert_allclose(d.p, [0.5, 0.3, 0.2])
-        assert d.prob("b") == pytest.approx(0.3)
-
-    def test_from_probs_rejects_bad_input(self):
-        with pytest.raises(ValueError):
-            Distribution.from_probs(("a", "b"), [0.7, 0.7])
-        with pytest.raises(ValueError):
-            Distribution.from_probs(("a", "b"), [-0.1, 1.1])
-
     def test_from_log_scores_normalizes(self):
         d = Distribution.from_log_scores((0, 1), [math.log(0.6), math.log(0.3)])
         np.testing.assert_allclose(d.p, [2 / 3, 1 / 3], atol=1e-15)
@@ -66,7 +52,7 @@ class TestDistribution:
         np.testing.assert_allclose(shifted.p, base.p, atol=1e-12)
 
     def test_top_k_breaks_ties_by_index(self):
-        d = Distribution.from_probs(("a", "b", "c"), [0.25, 0.375, 0.375])
+        d = Distribution(("a", "b", "c"), np.log([0.25, 0.375, 0.375]))
         assert d.top_k(1) == ("b",)
         assert d.top_k(2) == ("b", "c")
         assert d.argmax() == "b"
@@ -78,58 +64,42 @@ class TestDistribution:
             Distribution.from_log_scores(("a", "b"), [-np.inf, -np.inf])
 
 
-class TestLiteralListener:
-    def test_off_category_mass_is_zero(self, two_by_two):
-        table, _ = two_by_two
-        d = literal_listener("alpha", table)
-        assert d.prob(("beta", "f1")) == 0.0
-        assert d.prob(("beta", "f2")) == 0.0
-
-    def test_on_category_mass_is_the_typicality_row(self, two_by_two):
-        table, _ = two_by_two
-        d = literal_listener("alpha", table)
-        assert d.prob(("alpha", "f1")) == pytest.approx(0.6)
-        assert d.prob(("alpha", "f2")) == pytest.approx(0.4)
-
-    def test_total_mass_is_one(self, two_by_two):
-        table, _ = two_by_two
-        assert literal_listener("beta", table).p.sum() == pytest.approx(1.0, abs=1e-12)
-
-    def test_matches_oracle(self, two_by_two):
-        table, _ = two_by_two
-        d = literal_listener("beta", table)
-        ref = oracle.literal_listener("beta", as_oracle_table(table))
-        for (c, i), value in ref.items():
-            assert d.prob((c, table.vocab.features[i])) == pytest.approx(value, abs=1e-12)
-
-
 class TestSpeakerUtility:
+    """The speaker's utilities, read off its log-odds at lam = 1."""
+
+    @staticmethod
+    def utility_gaps(goal, feature, table):
+        logp = pragmatic_speaker(goal, feature, RsaConfig(lam=1.0), table).logp
+        return logp - logp[0]
+
     def test_matching_state(self, two_by_two):
         table, _ = two_by_two
         # goal 0 communicated by state e_0: listener mass is the typicality itself
-        assert speaker_utility("alpha", 0, 0, table) == pytest.approx(math.log(0.6), abs=1e-12)
+        np.testing.assert_allclose(self.utility_gaps(0, 0, table),
+                                   [0.0, math.log(0.25) - math.log(0.6)], atol=1e-12)
 
     def test_non_matching_state(self, two_by_two):
         table, _ = two_by_two
-        assert speaker_utility("alpha", 0, 1, table) == pytest.approx(math.log(0.4), abs=1e-12)
+        np.testing.assert_allclose(self.utility_gaps(0, 1, table),
+                                   [0.0, math.log(0.75) - math.log(0.4)], atol=1e-12)
 
     def test_matches_oracle_everywhere(self):
         rng = np.random.default_rng(0)
         table = random_table(rng, 3, 4)
         ref = as_oracle_table(table)
-        for u in table.categories:
-            for g in range(4):
-                for f in range(4):
-                    assert speaker_utility(u, g, f, table) == pytest.approx(
-                        oracle.speaker_utility(u, g, f, ref), abs=1e-12
-                    )
+        for g in range(4):
+            for f in range(4):
+                want = [oracle.speaker_utility(u, g, f, ref) for u in table.categories]
+                np.testing.assert_allclose(self.utility_gaps(g, f, table),
+                                           np.subtract(want, want[0]), rtol=0, atol=1e-12)
 
     def test_zero_log_argument_raises(self):
         table = table_from_rows([[1.0, 0.0], [0.5, 0.5]])
-        with pytest.raises(DegenerateTypicalityError):
-            speaker_utility("c0", 1, 1, table)  # mass is T=0
-        with pytest.raises(DegenerateTypicalityError):
-            speaker_utility("c0", 0, 1, table)  # mass is 1-T=0
+        cfg = RsaConfig(lam=1.0)
+        with pytest.raises(DegenerateTypicalityError, match="'c0' give goal 1"):
+            pragmatic_speaker(1, 1, cfg, table)  # mass is T=0
+        with pytest.raises(DegenerateTypicalityError, match="'c0' give goal 0"):
+            pragmatic_speaker(0, 1, cfg, table)  # mass is 1-T=0
 
 
 class TestPragmaticSpeaker:
@@ -176,15 +146,26 @@ class TestPragmaticSpeaker:
         assert d.labels == ("alpha", "beta")
         assert d.p.sum() == pytest.approx(1.0, abs=1e-12)
 
+    def test_argument_contract(self, two_by_two):
+        table, _ = two_by_two
+        with pytest.raises(ValueError, match="goal and feature"):
+            pragmatic_speaker(2, 0, RsaConfig(), table)
+        with pytest.raises(ValueError, match="goal and feature"):
+            pragmatic_speaker(0, -1, RsaConfig(), table)
+        with pytest.raises(ValueError, match="needs a metaphor item"):
+            pragmatic_speaker(0, 0, RsaConfig(utterances="pair"), table)
+
 
 class TestRelevance:
     def test_topic_row_is_the_goal_prior(self, two_by_two):
         table, _ = two_by_two
-        np.testing.assert_allclose(relevance("alpha", table).p, [0.6, 0.4], atol=1e-15)
+        weights = np.exp(_goal_log_weights(RsaConfig(), np.log(table.row("alpha"))))
+        np.testing.assert_allclose(weights, [0.6, 0.4], atol=1e-15)
 
     def test_uniform_topic_row_gives_uniform_goals(self):
         table = table_from_rows([[0.5, 0.5], [0.3, 0.7]])
-        np.testing.assert_allclose(relevance("c0", table).p, [0.5, 0.5], atol=1e-15)
+        weights = np.exp(_goal_log_weights(RsaConfig(), np.log(table.row("c0"))))
+        np.testing.assert_allclose(weights, [0.5, 0.5], atol=1e-15)
 
     def test_uniform_goal_prior_ablation(self, two_by_two):
         table, _ = two_by_two

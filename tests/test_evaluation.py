@@ -274,6 +274,19 @@ class TestBatchedEvaluate:
             evaluate(items, human, config, table)
         assert str(batched.value) == str(scalar.value)
 
+    def test_constant_row_whose_mean_rounds_off_raises(self):
+        # a uniform 6-feature row at lam 0 centres to entries of about -2.8e-17, not 0
+        table = table_from_rows(np.full((2, 6), 1 / 6))
+        items = (MetaphorItem("m0", "c0", "c1"),)
+        human = HumanResponseTable(table.vocab, {"m0": np.eye(6)[0]})
+        config = RsaConfig(lam=0.0)
+        model = interpret(items[0], config, table).p
+        assert np.ptp(model) == 0.0 and np.any(model - model.mean() != 0.0)
+        with pytest.raises(ZeroVarianceError, match="constant vector"):
+            pearson(model, human.distribution("m0"))
+        with pytest.raises(ZeroVarianceError, match="constant vector"):
+            evaluate(items, human, config, table)
+
     @pytest.mark.parametrize("row", [[0.5, 0.3, 0.3, 0.1], [0.6, 0.5, -0.2, 0.1],
                                      [0.5, np.nan, 0.3, 0.2]])
     def test_non_distribution_human_row_raises_like_jsd(self, row):

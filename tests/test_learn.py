@@ -1,5 +1,7 @@
 """Split, objective, gradient, and optimizer tests."""
 
+import math
+
 import numpy as np
 import pytest
 
@@ -14,7 +16,7 @@ from rsa_metaphor import (
     make_split,
 )
 from rsa_metaphor import learn
-from rsa_metaphor.errors import DatasetError, ZeroVarianceError
+from rsa_metaphor.errors import DatasetError, Error, ZeroVarianceError
 
 
 def recovery_problem(lam_star, seed=0, n_categories=10, n_features=12, n_items=5):
@@ -92,6 +94,18 @@ class TestObjective:
         human = HumanResponseTable(table.vocab, {"m": np.array([0.5, 0.3, 0.2])})
         with pytest.raises(ZeroVarianceError):
             learn.objective(1.0, items, human, RsaConfig(), table)
+
+    def test_constant_row_whose_mean_rounds_off_is_zero_variance(self):
+        # a uniform 6-feature row centres to entries of about -2.8e-17, not 0
+        table = table_from_rows(np.full((2, 6), 1 / 6))
+        items = (MetaphorItem("m", "c0", "c1"),)
+        human = HumanResponseTable(table.vocab, {"m": np.eye(6)[0]})
+        model = interpret(items[0], RsaConfig(lam=0.0), table).p
+        assert np.ptp(model) == 0.0 and np.any(model - model.mean() != 0.0)
+        for lam in (0.0, 1.0):
+            for kind in ("mean", "pooled"):
+                with pytest.raises(ZeroVarianceError, match=f"at lam={lam!r}"):
+                    learn.objective(lam, items, human, RsaConfig(), table, kind=kind)
 
     def test_empty_train_set_rejected(self):
         table, _, human = recovery_problem(lam_star=3.0)
@@ -200,3 +214,39 @@ class TestLearnLambda:
             learn_lambda(items, human, RsaConfig(), table, init=float("inf"))
         with pytest.raises(ValueError):
             learn_lambda(items, human, RsaConfig(), table, tol=0.0)
+
+
+class TestGradientAscent:
+    """The optimizer's exits and rejections, driven by stub objectives."""
+
+    def test_non_finite_initial_point_raises(self):
+        with pytest.raises(Error, match="not finite at the initial point 2.0"):
+            learn._gradient_ascent(lambda x: (math.nan, 1.0), 2.0, 10, 1e-6)
+
+    def test_undefined_trial_point_halves_the_step(self):
+        # -(x - 1)^2, undefined beyond x = 1.5: the first trial (x = 2) raises
+        calls = []
+
+        def fg(x):
+            calls.append(x)
+            if x > 1.5:
+                raise Error("undefined")
+            return -(x - 1.0) ** 2, -2.0 * (x - 1.0)
+
+        x, fx, iterations, gnorm, reason, trace = learn._gradient_ascent(fg, 0.0, 50, 1e-9)
+        assert calls == [0.0, 2.0, 1.0]
+        assert (x, fx, iterations, gnorm, reason) == (1.0, 0.0, 1, 0.0, "gradient_tolerance")
+        assert trace == [(0, 0.0, -1.0), (1, 1.0, 0.0)]
+
+    def test_no_ascent_along_the_gradient_stalls(self):
+        # the reported slope points uphill, but every step goes down
+        calls = []
+
+        def fg(x):
+            calls.append(x)
+            return -abs(x), 1.0
+
+        x, fx, iterations, gnorm, reason, trace = learn._gradient_ascent(fg, 0.0, 50, 1e-9)
+        assert (x, fx, iterations, gnorm, reason) == (0.0, 0.0, 0, 1.0, "line_search_stalled")
+        assert trace == [(0, 0.0, 0.0)]
+        assert len(calls) == 1 + 60  # the start point, then every halving rejected

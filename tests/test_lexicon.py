@@ -1,7 +1,12 @@
 """Ingestion, normalization, validation, and round-trip tests for the data model."""
 
+import tempfile
+from pathlib import Path
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from conftest import make_synthetic_dataset
 from rsa_metaphor import (
@@ -283,6 +288,61 @@ class TestReadDataset:
         assert len(loaded_table.categories) == 48
         assert loaded_table.n == 59
         assert len(loaded_items) == 24
+
+
+_DATASET_FILES = ("typicality.csv", "metaphors.csv", "human.csv")
+
+# byte edits: short random bytes, plus CSV syntax, non-numbers, bytes that are
+# not UTF-8 and a field over the CSV reader's 131072-character limit
+_PAYLOADS = st.binary(min_size=1, max_size=8) | st.sampled_from(
+    [b",", b"\n", b"\r", b'"', b"\x00", b"nan", b"-1", b"1e309", b"\xff\xfe", b"x" * 131073]
+)
+_EDITS = st.tuples(st.sampled_from(("insert", "replace", "delete")), _PAYLOADS,
+                   st.integers(1, 40))
+
+
+class TestLoaderFuzz:
+    @pytest.fixture(scope="class")
+    def clean_files(self, tmp_path_factory):
+        data = tmp_path_factory.mktemp("clean")
+        table, items, human = make_synthetic_dataset(seed=5, n_categories=6, n_features=5, n_metaphors=3)
+        save_dataset(table, items, human, data)
+        return {name: (data / name).read_bytes() for name in _DATASET_FILES}
+
+    @settings(max_examples=200, deadline=None)
+    @given(name=st.sampled_from(_DATASET_FILES), where=st.floats(0.0, 1.0), edit=_EDITS)
+    def test_any_edit_loads_or_raises_dataset_error(self, clean_files, name, where, edit):
+        kind, payload, span = edit
+        original = clean_files[name]
+        at = int(where * len(original))
+        cut = {"insert": 0, "replace": len(payload), "delete": span}[kind]
+        mutated = original[:at] + (b"" if kind == "delete" else payload) + original[at + cut:]
+        with tempfile.TemporaryDirectory() as tmp:
+            data = Path(tmp)
+            for file, content in clean_files.items():
+                (data / file).write_bytes(mutated if file == name else content)
+            try:
+                table, items, human = load_dataset(data)
+            except DatasetError:
+                return
+            assert validate(table, items, human).ok
+
+    @pytest.mark.parametrize("name", _DATASET_FILES)
+    def test_bytes_that_are_not_utf8_name_file_and_line(self, dataset_dir, name):
+        path = dataset_dir / name
+        lines = path.read_bytes().split(b"\n")
+        lines[1] = lines[1][:3] + b"\xff\xfe" + lines[1][3:]
+        path.write_bytes(b"\n".join(lines))
+        with pytest.raises(DatasetError, match=f"^{name} line 2: not UTF-8 text$"):
+            read_dataset(dataset_dir)
+
+    def test_field_over_the_csv_limit_names_file_and_line(self, dataset_dir):
+        path = dataset_dir / "metaphors.csv"
+        lines = path.read_text(encoding="utf-8").split("\n")
+        lines[2] += "x" * 200_000
+        path.write_text("\n".join(lines), encoding="utf-8")
+        with pytest.raises(DatasetError, match="^metaphors.csv line 3: field larger than"):
+            read_dataset(dataset_dir)
 
 
 class TestRoundTrip:
