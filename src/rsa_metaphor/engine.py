@@ -45,11 +45,12 @@ however long the grid is.
   as (B, 2, n).
 * The goal mixture ``W_i = sum_j R(g_j) S1(v | g_j, e_i)`` takes the match
   term for goal i and the no-match term for every other goal.  "Every goal
-  but i" is an O(n) exclusive logsumexp joined from prefix and suffix
-  ``np.logaddexp.accumulate``.  Taking a total and subtracting term i would
-  cancel catastrophically whenever term i dominates the total; the prefix
-  and suffix never contain it.  The gradient's matching sum is built the
-  same way from prefix and suffix sums.
+  but i" is an O(n) sum of the terms ``exp(x_j - peak)``, joined from
+  prefix and suffix ``np.cumsum``; the gradient weights the same terms by
+  ``d log S1``.  At the peak's own position those sums lack their largest
+  term and could underflow, so that entry is summed directly, shifted by
+  the runner-up.  No term is subtracted from a total: that would cancel
+  catastrophically whenever the term dominates the total.
 
 Every operation here is a pure function of immutable inputs; concurrent
 calls (one metaphor per worker) are safe.
@@ -129,7 +130,7 @@ class Distribution:
         arr = np.asarray(self.logp, dtype=float)
         if arr.shape != (len(self.labels),):
             raise ValueError("logp length does not match labels")
-        if np.any(np.isnan(arr)) or np.any(arr == np.inf):
+        if not np.all(arr <= 0.0):  # NaN fails the comparison too
             raise ValueError("log-probabilities must be in [-inf, 0]")
         arr = arr.copy()
         arr.setflags(write=False)
@@ -226,40 +227,31 @@ def _reject_rows(bad_rows: np.ndarray, table: TypicalityTable, index, problem: s
         raise DegenerateTypicalityError(f"typicality row(s) for {listed} {problem}")
 
 
-def _exclusive_logsumexp(x: np.ndarray) -> np.ndarray:
-    """``log sum_{j != i} exp(x_j)`` for every i along the last axis, in O(n).
+def _exclusive_sums(x: np.ndarray, d: np.ndarray | None = None):
+    """Sums over every j != i along the last axis, in O(n): ``(shift, sums, weighted)``.
 
-    Prefix and suffix running logsumexps, joined; no term is ever subtracted
-    from a total, so nothing cancels however much one term dominates.
+    ``sum_{j != i} exp(x_j) = exp(shift_i) sums_i`` and, given ``d``,
+    ``sum_{j != i} exp(x_j) d_j = exp(shift_i) weighted_i``; every row needs
+    a finite entry.  How the terms are shifted and joined, and why nothing
+    cancels, is set out in the module docstring.
     """
-    pad = np.full(x.shape[:-1] + (1,), -np.inf)
-    before = np.logaddexp.accumulate(np.concatenate([pad, x[..., :-1]], axis=-1), axis=-1)
-    after = np.logaddexp.accumulate(np.concatenate([pad, x[..., :0:-1]], axis=-1), axis=-1)
-    return np.logaddexp(before, after[..., ::-1])
+    top = np.argmax(x, axis=-1)[..., None]
+    at_top = np.arange(x.shape[-1]) == top
+    peak = np.take_along_axis(x, top, axis=-1)
+    others = np.where(at_top, -np.inf, x)
+    second = np.max(others, axis=-1, keepdims=True)
+    shift = np.where(at_top, second, peak)
+    terms = np.exp(x - peak)
+    runner_up = np.exp(others - np.where(np.isfinite(second), second, peak))  # none: all 0
 
+    def exclusive(t, direct):
+        out = np.zeros_like(t)
+        np.cumsum(t[..., :-1], axis=-1, out=out[..., 1:])
+        out[..., :-1] += np.cumsum(t[..., :0:-1], axis=-1)[..., ::-1]
+        return np.where(at_top, direct.sum(axis=-1, keepdims=True), out)
 
-def _exclusive_weighted_sum(log_x: np.ndarray, log_total: np.ndarray, d: np.ndarray):
-    """``sum_{j != i} exp(log_x_j - log_total_i) d_j`` for every i along the last axis.
-
-    O(n) prefix and suffix sums of ``exp(log_x_j - peak) d_j``, where peak is
-    the row's largest ``log_x``, rescaled to each ``log_total_i``, which must
-    be at least ``log sum_{j != i} exp(log_x_j)``.  At the peak's own position
-    the sums lack their largest term and the rescaling could overflow, so
-    that one entry is summed directly.
-    """
-    top = np.argmax(log_x, axis=-1)[..., None]
-    peak = np.take_along_axis(log_x, top, axis=-1)
-    terms = np.exp(log_x - peak) * d
-    zero = np.zeros_like(peak)
-    before = np.cumsum(np.concatenate([zero, terms[..., :-1]], axis=-1), axis=-1)
-    after = np.cumsum(np.concatenate([zero, terms[..., :0:-1]], axis=-1), axis=-1)[..., ::-1]
-    out = (before + after) * np.exp(np.minimum(peak - log_total, 0.0))
-    others = log_x.copy()
-    np.put_along_axis(others, top, -np.inf, axis=-1)
-    at_top = np.sum(np.exp(others - np.take_along_axis(log_total, top, axis=-1)) * d,
-                    axis=-1, keepdims=True)
-    np.put_along_axis(out, top, at_top, axis=-1)
-    return out
+    weighted = None if d is None else exclusive(terms * d, runner_up * d)
+    return shift, exclusive(terms, runner_up), weighted
 
 
 def _speaker(lam: np.ndarray, log_u: np.ndarray, log_v: np.ndarray, gradient: bool):
@@ -338,11 +330,11 @@ def _log_joint(items, config: RsaConfig, table: TypicalityTable, lams, gradient:
         log_goal = _goal_log_weights(config, log_t)
         log_on = log_goal + log_s_match
         log_off = log_goal + log_s_nomatch
-        log_w = np.logaddexp(log_on, _exclusive_logsumexp(log_off))
+        shift, rest, d_rest = _exclusive_sums(log_off, d_nomatch)
+        log_w = np.logaddexp(log_on, shift + np.log(rest))
         if gradient:
-            # d log W_i: each component's share of W_i times its own d log S1
-            dlog = (np.exp(log_on - log_w) * d_match
-                    + _exclusive_weighted_sum(log_off, log_w, d_nomatch))
+            # d log W_i: the match and the no-match shares of W_i times their own d log S1
+            dlog = np.exp(log_on - log_w) * d_match + np.exp(shift - log_w) * d_rest
 
         if config.category_prior == "topic":
             log_prior = log_t[:, None, :]
@@ -367,7 +359,10 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
     goal mixture and the final normalization) and None unless ``gradient``.
     """
     log_joint, dlog = _log_joint(items, config, table, lams, gradient)
-    logp = _logsumexp(log_joint, axis=-2)
+    logp = log_joint[..., 0, :]  # the topic prior's one category is its own marginal
+    if log_joint.shape[-2] == 2:  # renormalized: two categories' shares can sum past log 1
+        logp = _logsumexp(log_joint, axis=-2)
+        logp -= _logsumexp(logp, axis=-1)[..., None]
     if not gradient:
         return logp, None
     p = np.exp(logp)

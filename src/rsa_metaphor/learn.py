@@ -3,9 +3,10 @@
 The objective is the mean, over training metaphors, of the Pearson
 correlation between the model's interpretation and the human one (or one
 pooled correlation over all metaphor x feature pairs with
-``objective_kind="pooled"``).  It is maximized by gradient ascent with an
-Armijo backtracking line search.  Every trial point runs the listener with
-its analytic gradient in one kernel call, so an accepted point already holds
+``objective_kind="pooled"``).  It is maximized on ``lambda >= 0`` by
+projected gradient ascent (a trial point below 0 is projected onto 0) with
+an Armijo backtracking line search.  Every trial point runs the listener
+with its analytic gradient in one kernel call, so an accepted point holds
 the gradient for the next step.  The objective also takes a vector of lams
 (the grid ablation's chunks): one kernel call and one Pearson pass cover
 them all, with the same bits per lam as a call of its own.
@@ -180,39 +181,42 @@ def finite_difference_gradient(
 
 
 def _gradient_ascent(fg, x0: float, max_iterations: int, tol: float):
-    """Gradient ascent in one variable with an Armijo backtracking line search.
+    """Projected gradient ascent on ``x >= 0`` with an Armijo backtracking line search.
 
     ``fg(x)`` returns the objective and its derivative at ``x``.  Each search
-    starts from twice the previously accepted step.  Non-finite objective
-    values during the line search reject the step and halve it.
-    Returns (x, fx, iterations, |gradient|, stop_reason, trace).
+    starts from twice the previously accepted step; a trial point below 0 is
+    projected onto 0, and the Armijo test takes the projected step.
+    Non-finite objective values during the line search reject the step and
+    halve it.  Returns (x, fx, iterations, |projected gradient|, stop_reason, trace).
     """
     armijo_slope = 1e-4
     shrink = 0.5
     max_halvings = 60
+
+    def gradient_norm(x, g):  # of the projected gradient: at 0 only an ascent counts
+        return max(g, 0.0) if x == 0.0 else abs(g)
 
     x = float(x0)
     fx, g = fg(x)
     if not np.isfinite(fx):
         raise Error(f"objective is not finite at the initial point {x!r}")
     trace = [(0, x, fx)]
-    if abs(g) <= tol:
-        return x, fx, 0, abs(g), "gradient_tolerance", trace
+    if gradient_norm(x, g) <= tol:
+        return x, fx, 0, gradient_norm(x, g), "gradient_tolerance", trace
 
     step = 1.0
     stop_reason = "max_iterations"
     iterations = 0
     for k in range(1, max_iterations + 1):
-        slope = g * g
         alpha = step
         accepted = False
         for _ in range(max_halvings):
-            x_new = x + alpha * g
+            x_new = max(x + alpha * g, 0.0)
             try:
                 f_new, g_new = fg(x_new)
             except Error:  # undefined trial point: treat like a non-finite value
                 f_new = -np.inf
-            if np.isfinite(f_new) and f_new >= fx + armijo_slope * alpha * slope:
+            if np.isfinite(f_new) and f_new >= fx + armijo_slope * g * (x_new - x):
                 accepted = True
                 break
             alpha *= shrink
@@ -222,12 +226,12 @@ def _gradient_ascent(fg, x0: float, max_iterations: int, tol: float):
         iterations = k
         x, fx, g = x_new, f_new, g_new
         trace.append((k, x, fx))
-        if abs(g) <= tol:
+        if gradient_norm(x, g) <= tol:
             stop_reason = "gradient_tolerance"
             break
         step = alpha * 2.0  # warm-start the next search from twice the accepted step
 
-    return x, fx, iterations, abs(g), stop_reason, trace
+    return x, fx, iterations, gradient_norm(x, g), stop_reason, trace
 
 
 def learn_lambda(
@@ -240,9 +244,9 @@ def learn_lambda(
     tol: float = 1e-6,
     kind: str = "mean",
 ) -> FitResult:
-    """Fit the rationality parameter from ``init`` by line-searched gradient ascent."""
-    if not math.isfinite(init):
-        raise ValueError(f"init must be finite, got {init!r}")
+    """Fit the rationality parameter from ``init >= 0`` by line-searched gradient ascent."""
+    if not (math.isfinite(init) and init >= 0.0):
+        raise ValueError(f"init must be finite and >= 0, got {init!r}")
     if tol <= 0:
         raise ValueError(f"tol must be positive, got {tol!r}")
 

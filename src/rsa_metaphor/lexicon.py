@@ -290,8 +290,9 @@ def _read_rows(path: Path, expected_header: list[str]) -> list[tuple[int, list[s
                 f"{path.name} line 1: expected header {','.join(expected_header)!r}, "
                 f"got {','.join(header)!r}"
             )
-        rows = []
-        for lineno, fields in enumerate(reader, start=2):
+        rows, end = [], reader.line_num  # physical lines: a quoted field may hold newlines
+        for fields in reader:
+            lineno, end = end + 1, reader.line_num
             if not fields:
                 continue
             if len(fields) != len(expected_header):

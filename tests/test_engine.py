@@ -23,9 +23,11 @@ from rsa_metaphor import (
 )
 from rsa_metaphor import evaluation, learn
 from rsa_metaphor.engine import (
+    _exclusive_sums,
     _goal_log_weights,
     _interpret_batch,
     _interpret_lams,
+    _log_joint,
     interpret_with_gradient,
 )
 from rsa_metaphor.errors import DegenerateTypicalityError, Error, UnknownCategoryError
@@ -62,6 +64,12 @@ class TestDistribution:
 
         with pytest.raises(ZeroMassError):
             Distribution.from_log_scores(("a", "b"), [-np.inf, -np.inf])
+
+    @pytest.mark.parametrize("logp", [[0.5, 0.5], [1e-300, -np.inf], [math.nan, 0.0],
+                                      [math.inf, -np.inf]])
+    def test_entries_outside_minus_inf_to_zero_rejected(self, logp):
+        with pytest.raises(ValueError, match=r"in \[-inf, 0\]"):
+            Distribution(("a", "b"), logp)
 
 
 class TestSpeakerUtility:
@@ -419,12 +427,34 @@ class TestBatchedKernel:
             np.testing.assert_allclose(p_one, single, rtol=0, atol=1e-12)
             np.testing.assert_allclose(row_dp, dp_one, rtol=0, atol=1e-12)
         np.testing.assert_allclose(np.exp(logp), np.exp(forward), rtol=0, atol=1e-12)
+        assert np.all(logp <= 0.0) and np.all(forward <= 0.0)
 
         h = 1e-6 * max(1.0, lam)
         hi, _ = _interpret_batch(items, replace(config, lam=lam + h), table)
         lo, _ = _interpret_batch(items, replace(config, lam=lam - h), table)
         central = (np.exp(hi) - np.exp(lo)) / (2 * h)
         np.testing.assert_allclose(dp, central, rtol=0, atol=1e-6)
+
+    def test_uniform_category_marginal_never_rounds_above_log_one(self):
+        # one feature takes nearly all the mass: the two categories' normalized shares
+        # of it can round to a log sum above 0 unless the marginal is renormalized
+        rows = np.array([[0.61, 0.37], [0.42, 0.9], [0.27, 0.64]])
+        table = table_from_rows(rows / rows.sum(axis=1, keepdims=True))
+        item = MetaphorItem("m", "c0", "c1")
+        config = RsaConfig(category_prior="uniform")
+        logp, _ = _interpret_lams((item,), config, table, np.arange(61.0), gradient=True)
+        assert np.all(logp <= 0.0)
+        interpret(item, replace(config, lam=59.0), table)  # a valid Distribution
+
+    @pytest.mark.parametrize("overrides", [c for c in CONFIGS if "category_prior" not in c])
+    def test_one_category_marginal_is_the_category_row(self, overrides):
+        table = random_table(np.random.default_rng(5), 6, 7)
+        items = (MetaphorItem("m0", "c0", "c1"), MetaphorItem("m1", "c2", "c4"))
+        config = replace(RsaConfig(), **overrides)
+        lams = np.array([0.0, 0.5, 44.43])
+        log_joint, _ = _log_joint(items, config, table, lams, gradient=False)
+        logp, _ = _interpret_lams(items, config, table, lams, gradient=False)
+        np.testing.assert_array_equal(logp, log_joint[..., 0, :])
 
     @pytest.mark.parametrize("overrides", CONFIGS)
     def test_unknown_noun_raises_as_in_a_single_call(self, two_by_two, overrides):
@@ -601,3 +631,43 @@ class TestLambdaAxis:
         table, item = two_by_two
         with pytest.raises(ValueError, match="finite"):
             _interpret_lams((item,), RsaConfig(), table, [1.0, math.inf], gradient=False)
+
+
+@st.composite
+def exclusive_rows(draw):
+    """A row of log terms spread over up to 1,500 nats, with ties and -inf, and weights."""
+    n = draw(st.integers(1, 12))
+    spread = draw(st.sampled_from((1.0, 40.0, 800.0, 1500.0)))
+    entry = st.one_of(st.floats(-spread, 0.0), st.just(0.0), st.just(-math.inf))
+    x = draw(st.lists(entry, min_size=n, max_size=n).filter(
+        lambda row: any(math.isfinite(v) for v in row)
+    ))
+    offset = draw(st.floats(-700.0, 700.0))
+    d = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
+    return np.array(x) + offset, np.array(d)
+
+
+class TestExclusiveSums:
+    @settings(max_examples=300, deadline=None)
+    @given(exclusive_rows())
+    def test_sums_match_fsum(self, row):
+        x, d = row
+        n = x.size
+        shift, sums, weighted = _exclusive_sums(x[None], d[None])
+        _, forward_sums, none = _exclusive_sums(x[None])
+        assert none is None
+        np.testing.assert_array_equal(forward_sums, sums)
+        # recursive summation of n positive terms: at most n - 2 roundings of half an ulp
+        rtol = n * np.finfo(float).eps / 2
+        for i in range(n):
+            others = [j for j in range(n) if j != i and math.isfinite(x[j])]
+            if not others:
+                assert sums[0, i] == 0.0 and weighted[0, i] == 0.0
+                continue
+            peak = max(x[j] for j in others)
+            terms = [math.exp(x[j] - peak) for j in others]
+            assert shift[0, i] == peak
+            assert abs(sums[0, i] - math.fsum(terms)) <= rtol * math.fsum(terms)
+            scale = math.fsum(t * abs(d[j]) for t, j in zip(terms, others))
+            want = math.fsum(t * d[j] for t, j in zip(terms, others))
+            assert abs(weighted[0, i] - want) <= 1e-12 * max(scale, 1.0)

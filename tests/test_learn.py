@@ -5,7 +5,7 @@ import math
 import numpy as np
 import pytest
 
-from conftest import random_table, table_from_rows
+from conftest import make_synthetic_dataset, random_table, table_from_rows
 from rsa_metaphor import (
     HumanResponseTable,
     MetaphorItem,
@@ -214,6 +214,36 @@ class TestLearnLambda:
             learn_lambda(items, human, RsaConfig(), table, init=float("inf"))
         with pytest.raises(ValueError):
             learn_lambda(items, human, RsaConfig(), table, tol=0.0)
+        with pytest.raises(ValueError, match=">= 0"):
+            learn_lambda(items, human, RsaConfig(), table, init=-1.0)
+
+    def test_fit_stays_at_nonnegative_lambda(self):
+        # human rows equal the topic rows, which the model returns exactly at lambda 0;
+        # the unconstrained ascent ended just below 0
+        rows = [[0.5, 0.3, 0.2], [0.2, 0.3, 0.5], [0.3, 0.4, 0.3]]
+        table = table_from_rows(rows)
+        items = (MetaphorItem("m0", "c0", "c1"), MetaphorItem("m1", "c2", "c1"))
+        human = HumanResponseTable(table.vocab, {i.id: table.row(i.topic) for i in items})
+        fit = learn_lambda(items, human, RsaConfig(), table)
+        assert fit.lambda_hat >= 0.0
+        assert fit.converged
+
+    def test_multistart_never_tries_negative_lambda(self, monkeypatch):
+        # on this split an unconstrained start tried lambda = -28.34 once
+        table, items, human = make_synthetic_dataset(seed=12)
+        by_id = {item.id: item for item in items}
+        train = tuple(by_id[i] for i in make_split(items, 7).train)
+        tried = []
+        kernel = learn._interpret_lams
+
+        def spy(batch, config, table, lams, gradient):
+            tried.extend(np.asarray(lams).tolist())
+            return kernel(batch, config, table, lams, gradient)
+
+        monkeypatch.setattr(learn, "_interpret_lams", spy)
+        fit = learn_lambda_multistart(train, human, RsaConfig(), table, kind="mean")
+        assert tried and min(tried) >= 0.0
+        assert fit.lambda_hat == pytest.approx(11.16, abs=0.01)
 
 
 class TestGradientAscent:
@@ -250,3 +280,30 @@ class TestGradientAscent:
         assert (x, fx, iterations, gnorm, reason) == (0.0, 0.0, 0, 1.0, "line_search_stalled")
         assert trace == [(0, 0.0, 0.0)]
         assert len(calls) == 1 + 60  # the start point, then every halving rejected
+
+    def test_trial_points_are_projected_onto_zero(self):
+        # -(x + 1)^2 peaks at x = -1: the first trial from 1 (x = -3) lands on 0, where
+        # the projected gradient is 0
+        calls = []
+
+        def fg(x):
+            calls.append(x)
+            return -(x + 1.0) ** 2, -2.0 * (x + 1.0)
+
+        x, fx, iterations, gnorm, reason, trace = learn._gradient_ascent(fg, 1.0, 50, 1e-9)
+        assert calls == [1.0, 0.0]
+        assert (x, fx, iterations, gnorm, reason) == (0.0, -1.0, 1, 0.0, "gradient_tolerance")
+        assert trace == [(0, 1.0, -4.0), (1, 0.0, -1.0)]
+
+    def test_armijo_test_takes_the_projected_step(self):
+        # from 0.5 the full step would reach -1.5 and promise a gain of 1e-4 * 2 * 2 = 4e-4;
+        # the projected step to 0 promises 1e-4, which a gain of 2e-4 meets
+        calls = []
+
+        def fg(x):
+            calls.append(x)
+            return (2e-4 if x == 0.0 else 0.0), -2.0
+
+        x, _, iterations, gnorm, reason, _ = learn._gradient_ascent(fg, 0.5, 50, 1e-9)
+        assert calls == [0.5, 0.0]
+        assert (x, iterations, gnorm, reason) == (0.0, 1, 0.0, "gradient_tolerance")

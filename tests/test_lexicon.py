@@ -191,6 +191,16 @@ class TestReadDataset:
         with pytest.raises(DatasetError, match="line 4"):
             read_dataset(dataset_dir)
 
+    def test_line_numbers_count_newlines_inside_quoted_fields(self, dataset_dir):
+        path = dataset_dir / "metaphors.csv"
+        path.write_text(
+            'id,topic,vehicle,class,familiarity\n"m\n1",workers,ants,inherent,\n'
+            "m2,workers,owls,inherent,\n\nm3,workers,owls,bogus,\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DatasetError, match="^metaphors.csv line 6: class must be"):
+            read_dataset(dataset_dir)
+
     def test_unknown_reference_in_metaphors(self, dataset_dir):
         path = dataset_dir / "metaphors.csv"
         path.write_text(
