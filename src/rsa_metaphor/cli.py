@@ -139,9 +139,17 @@ def _resolve_lambda(text: str, output_dir: str | None) -> tuple[float, str]:
                 f"invalid --lambda value {text!r}; expected a number or 'learned'"
             ) from None
         source = "value"
-    if not math.isfinite(lam):
-        raise Error(f"--lambda must be finite, got {lam!r}")
-    return lam, source
+    if not (math.isfinite(lam) and lam >= 0):
+        raise Error(f"--lambda must be finite and >= 0, got {lam!r}")
+    return lam + 0.0, source  # -0.0 becomes 0.0
+
+
+def _load_dataset(data_dir, raw_ratings: bool, ks: tuple[int, ...]):
+    """Load the dataset; the largest --k value must fit its feature vocabulary."""
+    table, items, human = lexicon.load_dataset(data_dir, raw_ratings=raw_ratings)
+    if max(ks) > table.n:
+        raise Error(f"--k {max(ks)} exceeds the {table.n}-feature vocabulary")
+    return table, items, human
 
 
 def _edit_distance(a: str, b: str, cap: int = 3) -> int:
@@ -276,6 +284,8 @@ def _run_command(*own_options):
                 goal_prior, split_seed, objective, jsd_base, k_text, grid_text,
                 output_dir, **own):
             lam, lambda_source = _resolve_lambda(lam_text, output_dir)
+            if split_seed < 0:
+                raise Error(f"invalid --seed value {split_seed}; seeds must be >= 0")
             config = RunConfig(
                 data_dir=data_dir,
                 output_dir=output_dir,
@@ -337,7 +347,8 @@ def validate(data_dir, raw_ratings):
 def cmd_interpret(data_dir, raw_ratings, mode, lam_text, utterances,
                   category_prior, goal_prior, topic, vehicle, k_text, output_dir):
     """Print the ranked feature distribution for one topic-vehicle pair."""
-    table, _, _ = lexicon.load_dataset(data_dir, raw_ratings=raw_ratings)
+    ks = _parse_ks(k_text)
+    table, _, _ = _load_dataset(data_dir, raw_ratings, ks)
     _require_category(topic, table)
     _require_category(vehicle, table)
     lam, _ = _resolve_lambda(lam_text, output_dir)
@@ -346,9 +357,7 @@ def cmd_interpret(data_dir, raw_ratings, mode, lam_text, utterances,
     item = MetaphorItem(id=f"{topic}-{vehicle}", topic=topic, vehicle=vehicle)
     dist = interpret(item, config, table)
     probs = dist.p
-    k = max(_parse_ks(k_text))
-    if k > table.n:
-        raise Error(f"--k {k} exceeds the {table.n}-feature vocabulary")
+    k = max(ks)
     order = top_k_indices(probs, table.n)
     click.echo(f"interpretation of '{topic} are {vehicle}' "
                f"(lambda={config.lam:.12g}, mode={config.mode}):")
@@ -362,7 +371,7 @@ def cmd_interpret(data_dir, raw_ratings, mode, lam_text, utterances,
 @_run_command()
 def train(config: RunConfig):
     """Fit the rationality parameter on the train split; write params.json."""
-    table, items, human = lexicon.load_dataset(config.data_dir, raw_ratings=config.raw_ratings)
+    table, items, human = _load_dataset(config.data_dir, config.raw_ratings, config.ks)
     split = learn.make_split(items, config.split_seed)
     by_id = {item.id: item for item in items}
     train_items = tuple(by_id[i] for i in split.train)
@@ -390,7 +399,7 @@ def train(config: RunConfig):
 @_run_command()
 def cmd_eval(config: RunConfig):
     """Evaluate the model against human data; write report.json and report.csv."""
-    table, items, human = lexicon.load_dataset(config.data_dir, raw_ratings=config.raw_ratings)
+    table, items, human = _load_dataset(config.data_dir, config.raw_ratings, config.ks)
     split = None
     try:
         split = learn.make_split(items, config.split_seed)
@@ -414,7 +423,7 @@ def cmd_eval(config: RunConfig):
 )
 def ablate(config: RunConfig, kind):
     """Run one ablation (uniform goal prior, or grid-searched lambda)."""
-    table, items, human = lexicon.load_dataset(config.data_dir, raw_ratings=config.raw_ratings)
+    table, items, human = _load_dataset(config.data_dir, config.raw_ratings, config.ks)
     with ArtifactWriter(config) as writer:
         if kind == "no-relevance":
             report = evaluation.ablate_relevance(
@@ -443,7 +452,9 @@ def ablate(config: RunConfig, kind):
 @_run_command()
 def corr(config: RunConfig):
     """Write model- and human-side feature correlation matrices as CSV."""
-    table, items, human = lexicon.load_dataset(config.data_dir, raw_ratings=config.raw_ratings)
+    table, items, human = _load_dataset(config.data_dir, config.raw_ratings, config.ks)
+    if len(items) < 3:
+        raise Error(f"corr needs at least 3 metaphors, got {len(items)}")
     features = table.vocab.features
     model_matrix = evaluation.feature_correlation_matrix(
         items, "model", config.rsa_config(), table,

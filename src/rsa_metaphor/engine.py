@@ -23,10 +23,10 @@ topic's row.  It approximates the full recursion but is not identical to it;
 no equivalence is asserted.  At lam = 0 every path returns the topic row as
 stored, with or without the gradient.
 
-One kernel, :func:`_log_joint`, computes every interpretation: a batch of
-items at a vector of ``lam`` values in a single numpy pass, with the exact
-derivative in ``lam`` on request.  Results carry a leading lam axis, and
-each lam's slice has the bits of a call with that lam alone.
+One kernel, :func:`_interpret_lams`, computes every interpretation: a batch
+of items at a vector of ``lam`` values in a single numpy pass, with the
+exact derivative in ``lam`` on request.  Results carry a leading lam axis,
+and each lam's slice has the bits of a call with that lam alone.
 ``interpret``, ``interpret_with_gradient``, ``interpret_fast`` and
 ``pragmatic_listener`` are batches of one item at one lam; the objective,
 ``evaluate`` and the feature correlations pass whole item sets at one lam;
@@ -51,6 +51,10 @@ however long the grid is.
   term and could underflow, so that entry is summed directly, shifted by
   the runner-up.  No term is subtracted from a total: that would cancel
   catastrophically whenever the term dominates the total.
+* The category reaches the listener only through its prior row, which never
+  touches the goal mixture: the interpretation is ``(sum_c P(c) T[c, i]) W_i``
+  normalized once over the features, and :func:`pragmatic_listener` splits
+  it over the categories by Bayes' rule.
 
 Every operation here is a pure function of immutable inputs; concurrent
 calls (one metaphor per worker) are safe.
@@ -140,7 +144,7 @@ class Distribution:
     def from_log_scores(cls, labels, scores) -> "Distribution":
         """Normalize unnormalized log-scores (softmax with max-subtraction)."""
         scores = np.asarray(scores, dtype=float)
-        total = _logsumexp(scores)
+        total = _logsumexp(scores, axis=-1)
         if total == -np.inf:
             raise ZeroMassError("all scores have zero mass")
         return cls(tuple(labels), scores - total)
@@ -165,14 +169,11 @@ class Distribution:
         return self.labels[int(np.argmax(self.logp))]
 
 
-def _logsumexp(a: np.ndarray, axis=None) -> np.ndarray | float:
-    a = np.asarray(a, dtype=float)
+def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
     m = np.max(a, axis=axis, keepdims=True)
     shift = np.where(np.isfinite(m), m, 0.0)  # all -inf: exp sums to 0, log gives -inf
     with np.errstate(divide="ignore"):
         out = np.log(np.exp(a - shift).sum(axis=axis, keepdims=True)) + shift
-    if axis is None:
-        return out.item()
     return np.squeeze(out, axis=axis)
 
 
@@ -191,7 +192,7 @@ def pragmatic_speaker(
     literal listener puts on states sharing the goal's value; over the
     one-hot support it closes to ``log T[u][goal]`` when the state carries
     the goal feature and ``log(1 - T[u][goal])`` otherwise, read from the
-    table's cached logs as in :func:`_log_joint`.  The alternatives are
+    table's cached logs as in :func:`_interpret_lams`.  The alternatives are
     every category of the table, or the {topic, vehicle} pair of ``item``.
     """
     if not (0 <= goal < table.n and 0 <= feature < table.n):
@@ -272,17 +273,14 @@ def _speaker(lam: np.ndarray, log_u: np.ndarray, log_v: np.ndarray, gradient: bo
     return log_s, log_v - expected
 
 
-def _log_joint(items, config: RsaConfig, table: TypicalityTable, lams, gradient: bool):
+def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, gradient: bool):
     """The listener kernel: every item of a batch at every lam, in one numpy pass.
 
     ``lams`` is a 1-D array of L rationality values; ``config.lam`` is not
-    read.  Returns ``(log_joint, dlog)``.  ``log_joint`` (L, B, C, n) is each
-    item's normalized log posterior over its category support (C = 1 for the
-    topic prior, 2 for the uniform one) x features.  ``dlog`` (L, B, n) is the
-    derivative in lam of the one factor lam enters, the goal mixture (the
-    stretch in fast mode); it is None unless ``gradient``.  Every operation
-    is elementwise or reduces along a trailing axis, so each lam's slice has
-    the bits it would have in a call of its own.
+    read.  Returns the interpretation ``log p`` and its exact derivative in
+    lam (None unless ``gradient``), each (L, B, n).  Every operation is
+    elementwise or reduces along a trailing axis, so each lam's slice has the
+    bits it would have in a call of its own.
     """
     if not items:
         raise ValueError("empty batch of metaphor items")
@@ -294,7 +292,7 @@ def _log_joint(items, config: RsaConfig, table: TypicalityTable, lams, gradient:
     ).T
     lam = lams[:, None, None]
     log_values = table.log_values
-    dlog = None
+    dlog = None  # d log of the one factor lam enters: the goal mixture, or the stretch
 
     if config.mode == "fast":
         log_alpha = log_values[topic]
@@ -304,12 +302,12 @@ def _log_joint(items, config: RsaConfig, table: TypicalityTable, lams, gradient:
             log_beta = log_values[vehicle]
             scores = lam * log_beta
             stretch = scores - _logsumexp(scores, axis=-1)[..., None]
-            log_joint = (log_alpha + stretch)[..., None, :]
+            logp = log_alpha + stretch
             if gradient:
                 dlog = log_beta - np.sum(np.exp(stretch) * log_beta, axis=-1, keepdims=True)
         else:
             # every stretch is uniform: the vehicle is never read
-            log_joint = np.broadcast_to(log_alpha[:, None, :], (lams.size, len(items), 1, table.n))
+            logp = np.broadcast_to(log_alpha, (lams.size, *log_alpha.shape))
     else:
         degenerate = "contain values of exactly 0 or 1"
         if config.utterances == "all":
@@ -336,33 +334,17 @@ def _log_joint(items, config: RsaConfig, table: TypicalityTable, lams, gradient:
             # d log W_i: the match and the no-match shares of W_i times their own d log S1
             dlog = np.exp(log_on - log_w) * d_match + np.exp(shift - log_w) * d_rest
 
-        if config.category_prior == "topic":
-            log_prior = log_t[:, None, :]
-        else:
-            log_prior = -math.log(2.0) + np.stack([log_t, log_v], axis=1)
-        log_joint = log_prior + log_w[..., None, :]
+        # the category prior's feature marginal sum_c P(c) T[c, i], times W_i
+        uniform = config.category_prior == "uniform"
+        logp = (np.logaddexp(log_t, log_v) - math.log(2.0) if uniform else log_t) + log_w
 
-    total = _logsumexp(log_joint, axis=(-2, -1))
+    total = _logsumexp(logp, axis=-1)
     if np.any(total == -np.inf):
         raise ZeroMassError("interpretation has zero total mass")
-    log_joint = log_joint - total[..., None, None]
+    logp = logp - total[..., None]
     if config.mode == "fast":
         # a uniform stretch leaves the topic row itself, exactly
-        log_joint[lams == 0.0] = log_alpha[:, None, :]
-    return log_joint, dlog
-
-
-def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, gradient: bool):
-    """Interpretations of a batch at every lam: ``(log p, dp/dlam)``, each (L, B, n).
-
-    The derivative is exact (the chain rule through the speaker softmax, the
-    goal mixture and the final normalization) and None unless ``gradient``.
-    """
-    log_joint, dlog = _log_joint(items, config, table, lams, gradient)
-    logp = log_joint[..., 0, :]  # the topic prior's one category is its own marginal
-    if log_joint.shape[-2] == 2:  # renormalized: two categories' shares can sum past log 1
-        logp = _logsumexp(log_joint, axis=-2)
-        logp -= _logsumexp(logp, axis=-1)[..., None]
+        logp[lams == 0.0] = log_alpha
     if not gradient:
         return logp, None
     p = np.exp(logp)
@@ -378,13 +360,19 @@ def _interpret_batch(items, config: RsaConfig, table: TypicalityTable, gradient:
 def pragmatic_listener(
     item: MetaphorItem, config: RsaConfig, table: TypicalityTable
 ) -> Distribution:
-    """Joint posterior over (category, feature) after hearing the vehicle."""
+    """Joint posterior over (category, feature) after hearing the vehicle.
+
+    Bayes' rule splits the interpretation over the category support:
+    ``log p(c, i) = log p(i) + log T[c, i] - logsumexp_c' log T[c', i]``.
+    """
     if config.mode != "full":
         raise ValueError("pragmatic_listener requires mode='full'")
-    log_joint, _ = _log_joint((item,), config, table, (config.lam,), gradient=False)
+    logp, _ = _interpret_batch((item,), config, table)
     support = (item.topic,) if config.category_prior == "topic" else (item.topic, item.vehicle)
+    rows = table.log_values[[table.category_index(c) for c in support]]
+    share = rows - _logsumexp(rows, axis=0)  # <= 0: full mode rejects rows holding a 0
     labels = tuple((c, f) for c in support for f in table.vocab.features)
-    return Distribution(labels, log_joint[0, 0].ravel())
+    return Distribution(labels, (logp[0] + share).ravel())
 
 
 def interpret(

@@ -9,7 +9,7 @@ from click.testing import CliRunner
 
 from conftest import make_synthetic_dataset
 from rsa_metaphor import load_dataset, save_dataset
-from rsa_metaphor import cli
+from rsa_metaphor import cli, evaluation, learn
 from rsa_metaphor.cli import main
 
 
@@ -24,6 +24,10 @@ def full_scale_dir(tmp_path_factory):
     table, items, human = make_synthetic_dataset(seed=0)
     save_dataset(table, items, human, data_dir)
     return data_dir
+
+
+ARTIFACT_COMMANDS = (["train"], ["eval"], ["ablate", "--kind", "no-relevance"],
+                     ["ablate", "--kind", "grid-lambda"], ["corr"])
 
 
 class TestValidate:
@@ -186,6 +190,9 @@ class TestEval:
         (None, "nan"),
         (None, "inf"),
         (None, "-inf"),
+        (None, "-5"),
+        (None, "-5e-324"),
+        ('{"lambda": -5.0}', "learned"),
     ])
     def test_bad_lambda_is_domain_error(self, runner, dataset_dir, tmp_path, params, lam):
         out = tmp_path / "out"
@@ -201,6 +208,18 @@ class TestEval:
             assert result.stderr.startswith("error: ")
             assert "Traceback" not in result.output
             assert not (out / "report.json").exists()
+
+    def test_negative_zero_lambda_is_zero(self, runner, dataset_dir, tmp_path):
+        out = tmp_path / "out"
+        for command in (["eval"], ["interpret", "--topic", "workers", "--vehicle", "ants"]):
+            result = runner.invoke(main, [
+                *command, "--data-dir", str(dataset_dir), "--output-dir", str(out),
+                "--lambda", "-0.0",
+            ])
+            assert result.exit_code == 0, result.output
+        assert "(lambda=0, mode=full)" in result.output
+        payload = json.loads((out / "report.json").read_text(encoding="utf-8"))
+        assert repr(payload["config"]["lambda"]) == "0.0"
 
     def test_partial_outputs_removed_on_failure(self, runner, full_scale_dir, tmp_path):
         out = tmp_path / "out"
@@ -341,6 +360,41 @@ class TestAblate:
         assert not out.exists()
 
 
+class TestSharedFlags:
+    @pytest.mark.parametrize("command", ARTIFACT_COMMANDS)
+    def test_negative_seed_is_domain_error(self, runner, full_scale_dir, tmp_path, command):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            *command, "--data-dir", str(full_scale_dir), "--output-dir", str(out),
+            "--seed", "-1",
+        ])
+        assert result.exit_code == 1, result.output
+        assert result.stderr == "error: invalid --seed value -1; seeds must be >= 0\n"
+        assert not out.exists()
+
+    @pytest.mark.parametrize(
+        "command", [*ARTIFACT_COMMANDS, ["interpret", "--topic", "c0", "--vehicle", "c24"]]
+    )
+    @pytest.mark.parametrize("k", ["1,60", "99"])
+    def test_k_above_the_vocabulary_is_domain_error(
+        self, runner, full_scale_dir, tmp_path, monkeypatch, command, k
+    ):
+        def no_model_work(*args, **kwargs):
+            raise AssertionError("model work before the --k check")
+
+        monkeypatch.setattr(learn, "_interpret_lams", no_model_work)
+        monkeypatch.setattr(evaluation, "_interpret_batch", no_model_work)
+        monkeypatch.setattr(cli, "interpret", no_model_work)
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            *command, "--data-dir", str(full_scale_dir), "--output-dir", str(out), "--k", k,
+        ])
+        assert result.exit_code == 1, result.output
+        top = max(int(part) for part in k.split(","))
+        assert result.stderr == f"error: --k {top} exceeds the 59-feature vocabulary\n"
+        assert not out.exists()
+
+
 class TestCorr:
     def test_matrices_written(self, runner, full_scale_dir, tmp_path):
         out = tmp_path / "out"
@@ -356,6 +410,15 @@ class TestCorr:
             assert header[0] == "feature"
             assert len(header) == 60
             assert len(lines) == 61
+
+    def test_fewer_than_three_metaphors_is_domain_error(self, runner, dataset_dir, tmp_path):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "corr", "--data-dir", str(dataset_dir), "--output-dir", str(out),
+        ])
+        assert result.exit_code == 1, result.output
+        assert result.stderr == "error: corr needs at least 3 metaphors, got 2\n"
+        assert not list(out.glob("corr_*.csv"))
 
 
 ENGINE_OPTIONS = ["--data-dir", "--raw-ratings", "--goal-prior", "--category-prior",

@@ -27,7 +27,6 @@ from rsa_metaphor.engine import (
     _goal_log_weights,
     _interpret_batch,
     _interpret_lams,
-    _log_joint,
     interpret_with_gradient,
 )
 from rsa_metaphor.errors import DegenerateTypicalityError, Error, UnknownCategoryError
@@ -207,6 +206,32 @@ class TestPragmaticListener:
         d = pragmatic_listener(item, cfg, table)
         assert {c for c, _ in d.labels} == {"alpha", "beta"}
         assert d.p.sum() == pytest.approx(1.0, abs=1e-12)
+
+    @pytest.mark.parametrize("utterances", ["all", "pair"])
+    @pytest.mark.parametrize("category_prior", ["topic", "uniform"])
+    @pytest.mark.parametrize("goal_prior", ["relevance", "uniform"])
+    def test_joint_matches_oracle_and_interpret(self, utterances, category_prior, goal_prior):
+        rng = np.random.default_rng(23)
+        config = RsaConfig(utterances=utterances, category_prior=category_prior,
+                           goal_prior=goal_prior)
+        for lam in (0.0, *rng.uniform(0.0, 60.0, size=4), 60.0):
+            table = random_table(rng, 4, 5)
+            item = MetaphorItem("m", "c1", "c3")
+            rows = as_oracle_table(table)
+            utts = list(rows) if utterances == "all" else [item.topic, item.vehicle]
+            want = oracle.pragmatic_listener(
+                item.topic, item.vehicle, lam, rows, utterances=utts,
+                category_prior=category_prior, goal_prior=goal_prior,
+            )
+            d = pragmatic_listener(item, replace(config, lam=lam), table)
+            assert np.all(d.logp <= 0.0)
+            got = {(c, int(f[1:])): p for (c, f), p in zip(d.labels, d.p)}
+            assert got.keys() == want.keys()
+            for key, value in want.items():
+                assert got[key] == pytest.approx(value, rel=0, abs=1e-12)
+            marginal = d.p.reshape(-1, table.n).sum(axis=0)
+            single = interpret(item, replace(config, lam=lam), table).p
+            np.testing.assert_allclose(marginal, single, rtol=0, atol=1e-15)
 
     def test_requires_full_mode(self, two_by_two):
         table, item = two_by_two
@@ -445,16 +470,6 @@ class TestBatchedKernel:
         logp, _ = _interpret_lams((item,), config, table, np.arange(61.0), gradient=True)
         assert np.all(logp <= 0.0)
         interpret(item, replace(config, lam=59.0), table)  # a valid Distribution
-
-    @pytest.mark.parametrize("overrides", [c for c in CONFIGS if "category_prior" not in c])
-    def test_one_category_marginal_is_the_category_row(self, overrides):
-        table = random_table(np.random.default_rng(5), 6, 7)
-        items = (MetaphorItem("m0", "c0", "c1"), MetaphorItem("m1", "c2", "c4"))
-        config = replace(RsaConfig(), **overrides)
-        lams = np.array([0.0, 0.5, 44.43])
-        log_joint, _ = _log_joint(items, config, table, lams, gradient=False)
-        logp, _ = _interpret_lams(items, config, table, lams, gradient=False)
-        np.testing.assert_array_equal(logp, log_joint[..., 0, :])
 
     @pytest.mark.parametrize("overrides", CONFIGS)
     def test_unknown_noun_raises_as_in_a_single_call(self, two_by_two, overrides):
