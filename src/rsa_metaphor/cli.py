@@ -388,6 +388,12 @@ def train(config: RunConfig):
             "gradient_norm": fit.gradient_norm_at_convergence,
             "trace": [[k, lam, value] for k, lam, value in fit.trace],
             "split_seed": config.split_seed,
+            "starts": [
+                {"init": start.trace[0][1], "lambda": start.lambda_hat,
+                 "objective": start.objective_value, "iterations": start.iterations,
+                 "stop_reason": start.stop_reason}
+                for start in fit.starts
+            ],
             "train_ids": list(split.train),
             "test_ids": list(split.test),
         })

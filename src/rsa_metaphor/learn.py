@@ -5,11 +5,13 @@ correlation between the model's interpretation and the human one (or one
 pooled correlation over all metaphor x feature pairs with
 ``objective_kind="pooled"``).  It is maximized on ``lambda >= 0`` by
 projected gradient ascent (a trial point below 0 is projected onto 0) with
-an Armijo backtracking line search.  Every trial point runs the listener
-with its analytic gradient in one kernel call, so an accepted point holds
-the gradient for the next step.  The objective also takes a vector of lams
-(the grid ablation's chunks): one kernel call and one Pearson pass cover
-them all, with the same bits per lam as a call of its own.
+an Armijo backtracking line search.  The objective takes a vector of lams:
+one kernel call and one Pearson pass cover them all, with the same bits per
+lam as a call of its own.  A multistart fit advances its starts in
+lockstep, so each round scores the next trial point of every unfinished
+start, value and analytic gradient, in one kernel call; an accepted point
+holds the gradient for the next step.  The grid ablation scores its grid
+in chunks the same way.
 
 Everything here is deterministic: the only randomness is the split seed.
 """
@@ -17,7 +19,8 @@ Everything here is deterministic: the only randomness is the split seed.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+import numbers
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -50,7 +53,8 @@ class FitResult:
     ``converged`` is True when the gradient-norm tolerance was met;
     ``stop_reason`` is one of ``gradient_tolerance``, ``max_iterations``,
     ``line_search_stalled``.  ``trace`` holds (iteration, lam, objective)
-    for the start point and every accepted iterate.
+    for the start point and every accepted iterate.  ``starts`` holds every
+    start's own fit for a multistart fit, and is empty otherwise.
     """
 
     lambda_hat: float
@@ -60,6 +64,7 @@ class FitResult:
     converged: bool
     stop_reason: str
     trace: tuple[tuple[int, float, float], ...]
+    starts: tuple[FitResult, ...] = ()
 
 
 def make_split(items: tuple[MetaphorItem, ...], seed: int) -> TrainTestSplit:
@@ -180,14 +185,16 @@ def finite_difference_gradient(
     return (hi - lo) / (2.0 * h)
 
 
-def _gradient_ascent(fg, x0: float, max_iterations: int, tol: float):
+def _ascent(x0: float, max_iterations: int, tol: float):
     """Projected gradient ascent on ``x >= 0`` with an Armijo backtracking line search.
 
-    ``fg(x)`` returns the objective and its derivative at ``x``.  Each search
-    starts from twice the previously accepted step; a trial point below 0 is
-    projected onto 0, and the Armijo test takes the projected step.
-    Non-finite objective values during the line search reject the step and
-    halve it.  Returns (x, fx, iterations, |projected gradient|, stop_reason, trace).
+    A generator: it yields each point to score and is sent back the
+    objective and its derivative there, or thrown the :class:`Error` that
+    scoring raised.  Each search starts from twice the previously accepted
+    step; a trial point below 0 is projected onto 0, and the Armijo test
+    takes the projected step.  An undefined or non-finite trial point
+    rejects the step and halves it; at the start point it propagates.
+    Returns (x, fx, iterations, |projected gradient|, stop_reason, trace).
     """
     armijo_slope = 1e-4
     shrink = 0.5
@@ -197,7 +204,7 @@ def _gradient_ascent(fg, x0: float, max_iterations: int, tol: float):
         return max(g, 0.0) if x == 0.0 else abs(g)
 
     x = float(x0)
-    fx, g = fg(x)
+    fx, g = yield x
     if not np.isfinite(fx):
         raise Error(f"objective is not finite at the initial point {x!r}")
     trace = [(0, x, fx)]
@@ -213,7 +220,7 @@ def _gradient_ascent(fg, x0: float, max_iterations: int, tol: float):
         for _ in range(max_halvings):
             x_new = max(x + alpha * g, 0.0)
             try:
-                f_new, g_new = fg(x_new)
+                f_new, g_new = yield x_new
             except Error:  # undefined trial point: treat like a non-finite value
                 f_new = -np.inf
             if np.isfinite(f_new) and f_new >= fx + armijo_slope * g * (x_new - x):
@@ -234,6 +241,75 @@ def _gradient_ascent(fg, x0: float, max_iterations: int, tol: float):
     return x, fx, iterations, gradient_norm(x, g), stop_reason, trace
 
 
+def _lockstep(fg, searches):
+    """Run :func:`_ascent` searches side by side; returns their results in order.
+
+    Each round scores the next point of every unfinished search with one
+    ``fg(xs)`` call, which returns an (objective, derivative) pair per point.
+    If the round's call raises :class:`Error`, its points are scored one at a
+    time, so an undefined point fails only its own search.
+    """
+
+    def alone(x):
+        try:
+            return fg([x])[0]
+        except Error as error:
+            return error
+
+    results = [None] * len(searches)
+    pending = {i: next(search) for i, search in enumerate(searches)}
+    while pending:
+        xs = list(pending.values())
+        try:
+            replies = fg(xs)
+        except Error as error:
+            replies = [error] if len(xs) == 1 else [alone(x) for x in xs]
+        for i, reply in zip(list(pending), replies):
+            resume = searches[i].throw if isinstance(reply, Error) else searches[i].send
+            try:
+                pending[i] = resume(reply)
+            except StopIteration as stop:
+                results[i] = stop.value
+                del pending[i]
+    return results
+
+
+def _gradient_ascent(fg, x0: float, max_iterations: int, tol: float):
+    """One :func:`_ascent` search from ``x0``, with ``fg(x)`` scoring one point."""
+    return _lockstep(lambda xs: [fg(x) for x in xs], [_ascent(x0, max_iterations, tol)])[0]
+
+
+def _fit(train, human, config, table, inits, max_iterations, tol, kind) -> list[FitResult]:
+    """One search per init, run in lockstep; every argument is checked before any scoring."""
+    if not inits:
+        raise ValueError("need at least one initial point")
+    for init in inits:
+        if not (math.isfinite(init) and init >= 0.0):
+            raise ValueError(f"init must be finite and >= 0, got {init!r}")
+    if not (math.isfinite(tol) and tol > 0):
+        raise ValueError(f"tol must be finite and positive, got {tol!r}")
+    if not (isinstance(max_iterations, numbers.Integral) and max_iterations >= 0):
+        raise ValueError(f"max_iterations must be an integer >= 0, got {max_iterations!r}")
+
+    def fg(xs):
+        values, grads = _objective_and_gradient(xs, train, human, config, table, kind)
+        return list(zip(values.tolist(), grads.tolist()))
+
+    searches = [_ascent(init, max_iterations, tol) for init in inits]
+    return [
+        FitResult(
+            lambda_hat=x,
+            objective_value=fx,
+            iterations=iterations,
+            gradient_norm_at_convergence=gnorm,
+            converged=stop_reason == "gradient_tolerance",
+            stop_reason=stop_reason,
+            trace=tuple(trace),
+        )
+        for x, fx, iterations, gnorm, stop_reason, trace in _lockstep(fg, searches)
+    ]
+
+
 def learn_lambda(
     train: tuple[MetaphorItem, ...],
     human: HumanResponseTable,
@@ -245,27 +321,7 @@ def learn_lambda(
     kind: str = "mean",
 ) -> FitResult:
     """Fit the rationality parameter from ``init >= 0`` by line-searched gradient ascent."""
-    if not (math.isfinite(init) and init >= 0.0):
-        raise ValueError(f"init must be finite and >= 0, got {init!r}")
-    if tol <= 0:
-        raise ValueError(f"tol must be positive, got {tol!r}")
-
-    def fg(x: float) -> tuple[float, float]:
-        values, grads = _objective_and_gradient((x,), train, human, config, table, kind)
-        return float(values[0]), float(grads[0])
-
-    x, fx, iterations, gnorm, stop_reason, trace = _gradient_ascent(
-        fg, init, max_iterations, tol
-    )
-    return FitResult(
-        lambda_hat=x,
-        objective_value=fx,
-        iterations=iterations,
-        gradient_norm_at_convergence=gnorm,
-        converged=stop_reason == "gradient_tolerance",
-        stop_reason=stop_reason,
-        trace=tuple(trace),
-    )
+    return _fit(train, human, config, table, (init,), max_iterations, tol, kind)[0]
 
 
 def learn_lambda_multistart(
@@ -278,19 +334,14 @@ def learn_lambda_multistart(
     tol: float = 1e-6,
     kind: str = "mean",
 ) -> FitResult:
-    """Run :func:`learn_lambda` from several starts and keep the best fit.
+    """Fit from several starts in lockstep and keep the best fit.
 
     The objective is not provably concave in the rationality parameter, so a
-    handful of starts guards against shallow local maxima.
+    handful of starts guards against shallow local maxima.  Each start gives
+    the fit :func:`learn_lambda` gives from its init; the best one (the
+    earliest on a tie) is returned with every start's fit, in ``inits``
+    order, as its ``starts``.
     """
-    if not inits:
-        raise ValueError("need at least one initial point")
-    best: FitResult | None = None
-    for init in inits:
-        result = learn_lambda(
-            train, human, config, table,
-            init=init, max_iterations=max_iterations, tol=tol, kind=kind,
-        )
-        if best is None or result.objective_value > best.objective_value:
-            best = result
-    return best
+    fits = _fit(train, human, config, table, inits, max_iterations, tol, kind)
+    best = max(fits, key=lambda fit: fit.objective_value)
+    return replace(best, starts=tuple(fits))

@@ -129,6 +129,19 @@ class TestTrain:
         values = [value for _, _, value in params["trace"]]
         assert all(b >= a for a, b in zip(values, values[1:]))
 
+    def test_params_record_every_start(self, runner, full_scale_dir, tmp_path):
+        out = tmp_path / "run"
+        args = ["train", "--data-dir", str(full_scale_dir), "--output-dir", str(out),
+                "--seed", "7"]
+        assert runner.invoke(main, args).exit_code == 0
+        params = json.loads((out / "params.json").read_text(encoding="utf-8"))
+        starts = params["starts"]
+        assert [start["init"] for start in starts] == list(learn.DEFAULT_MULTISTART_INITS)
+        best = max(starts, key=lambda start: start["objective"])
+        assert (best["lambda"], best["objective"], best["iterations"], best["stop_reason"]) == (
+            params["lambda"], params["objective"], params["iterations"], params["stop_reason"])
+        assert params["trace"][0][1] == best["init"]
+
 
 class TestEval:
     def test_artifacts_and_embedded_config(self, runner, full_scale_dir, tmp_path):

@@ -1,5 +1,6 @@
 """Split, objective, gradient, and optimizer tests."""
 
+import dataclasses
 import math
 
 import numpy as np
@@ -16,7 +17,7 @@ from rsa_metaphor import (
     make_split,
 )
 from rsa_metaphor import learn
-from rsa_metaphor.errors import DatasetError, Error, ZeroVarianceError
+from rsa_metaphor.errors import DatasetError, Error, ZeroMassError, ZeroVarianceError
 
 
 def recovery_problem(lam_star, seed=0, n_categories=10, n_features=12, n_items=5):
@@ -217,6 +218,27 @@ class TestLearnLambda:
         with pytest.raises(ValueError, match=">= 0"):
             learn_lambda(items, human, RsaConfig(), table, init=-1.0)
 
+    @pytest.mark.parametrize("bad", [
+        {"tol": float("nan")},
+        {"tol": float("inf")},
+        {"max_iterations": -3},
+        {"max_iterations": 2.5},
+        {"inits": (0.5, 1.0, 5.0, 20.0, float("nan"))},
+        {"inits": (0.5, 1.0, 5.0, 20.0, -50.0)},
+    ])
+    def test_multistart_checks_every_argument_before_scoring(self, monkeypatch, bad):
+        table, items, human = recovery_problem(lam_star=5.0)
+
+        def kernel(*args):
+            raise AssertionError("the kernel ran before the arguments were checked")
+
+        monkeypatch.setattr(learn, "_interpret_lams", kernel)
+        with pytest.raises(ValueError):
+            learn_lambda_multistart(items, human, RsaConfig(), table, **bad)
+        if "inits" not in bad:
+            with pytest.raises(ValueError):
+                learn_lambda(items, human, RsaConfig(), table, **bad)
+
     def test_fit_stays_at_nonnegative_lambda(self):
         # human rows equal the topic rows, which the model returns exactly at lambda 0;
         # the unconstrained ascent ended just below 0
@@ -244,6 +266,89 @@ class TestLearnLambda:
         fit = learn_lambda_multistart(train, human, RsaConfig(), table, kind="mean")
         assert tried and min(tried) >= 0.0
         assert fit.lambda_hat == pytest.approx(11.16, abs=0.01)
+
+
+@pytest.fixture(scope="module")
+def seed12_split0():
+    table, items, human = make_synthetic_dataset(seed=12)
+    by_id = {item.id: item for item in items}
+    return table, human, tuple(by_id[i] for i in make_split(items, 0).train)
+
+
+def spy_kernel(monkeypatch, fail_at=None):
+    """Record the lams of every kernel call; a call holding ``fail_at`` raises."""
+    calls = []
+    kernel = learn._interpret_lams
+
+    def spy(batch, config, table, lams, gradient):
+        calls.append(np.asarray(lams).tolist())
+        if fail_at in calls[-1]:
+            raise ZeroMassError("injected")
+        return kernel(batch, config, table, lams, gradient)
+
+    monkeypatch.setattr(learn, "_interpret_lams", spy)
+    return calls
+
+
+class TestLockstepMultistart:
+    """The starts advance together, one kernel call per round."""
+
+    @pytest.mark.parametrize("config", [
+        RsaConfig(),
+        RsaConfig(utterances="pair"),
+        RsaConfig(mode="fast"),
+        RsaConfig(category_prior="uniform"),
+        RsaConfig(goal_prior="uniform"),
+    ], ids=["default", "pair", "fast", "uniform-category", "uniform-goal"])
+    @pytest.mark.parametrize("kind", ["mean", "pooled"])
+    def test_bit_identical_to_separate_starts(self, seed12_split0, config, kind):
+        table, human, train = seed12_split0
+        best = learn_lambda_multistart(train, human, config, table, kind=kind)
+        singles = [
+            learn_lambda(train, human, config, table, init=init, kind=kind)
+            for init in learn.DEFAULT_MULTISTART_INITS
+        ]
+        assert best.starts == tuple(singles)  # field for field, traces included
+        first_best = max(singles, key=lambda fit: fit.objective_value)  # earliest on a tie
+        assert dataclasses.replace(best, starts=()) == first_best
+
+    def test_one_kernel_call_per_round(self, monkeypatch, seed12_split0):
+        table, human, train = seed12_split0
+        inits = learn.DEFAULT_MULTISTART_INITS
+        calls = spy_kernel(monkeypatch)
+        alone = []
+        for init in inits:
+            calls.clear()
+            learn_lambda(train, human, RsaConfig(), table, init=init)
+            alone.append(len(calls))
+        calls.clear()
+        learn_lambda_multistart(train, human, RsaConfig(), table, inits=inits)
+        assert len(calls) == max(alone) < sum(alone)
+        assert max(len(lams) for lams in calls) == len(inits)
+
+    def test_undefined_trial_point_fails_only_its_own_start(self, monkeypatch, seed12_split0):
+        table, human, train = seed12_split0
+        inits = learn.DEFAULT_MULTISTART_INITS
+        clean = learn_lambda_multistart(train, human, RsaConfig(), table)
+        calls = spy_kernel(monkeypatch)
+        learn_lambda(train, human, RsaConfig(), table, init=5.0)
+        g0 = learn.gradient(5.0, train, human, RsaConfig(), table)
+        first_trial = calls[1][0]
+        assert first_trial == max(5.0 + g0, 0.0)
+
+        calls = spy_kernel(monkeypatch, fail_at=first_trial)
+        alone = learn_lambda(train, human, RsaConfig(), table, init=5.0)
+        assert [lams[0] for lams in calls[:3]] == [5.0, first_trial, max(5.0 + 0.5 * g0, 0.0)]
+        faulted = learn_lambda_multistart(train, human, RsaConfig(), table)
+        assert alone.trace != clean.starts[2].trace
+        for init, start, reference in zip(inits, faulted.starts, clean.starts):
+            assert start.trace == (alone.trace if init == 5.0 else reference.trace)
+
+    def test_undefined_start_point_propagates(self, monkeypatch, seed12_split0):
+        table, human, train = seed12_split0
+        spy_kernel(monkeypatch, fail_at=20.0)
+        with pytest.raises(ZeroMassError, match="injected"):
+            learn_lambda_multistart(train, human, RsaConfig(), table)
 
 
 class TestGradientAscent:
