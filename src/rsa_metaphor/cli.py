@@ -110,10 +110,8 @@ def _parse_grid(text: str) -> tuple[float, float, int]:
         start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
     except ValueError:
         raise Error(f"invalid --grid value {text!r}; expected 'start:stop:count'") from None
-    if not (math.isfinite(start) and math.isfinite(stop)):
-        raise Error(f"invalid --grid value {text!r}; start and stop must be finite")
-    if start <= 0 or stop < start or count < 1:
-        raise Error(f"invalid --grid value {text!r}; need 0 < start <= stop, count >= 1")
+    if count < 1 or not 0 < start <= stop < math.inf:  # False for a NaN bound
+        raise Error(f"invalid --grid value {text!r}; need finite 0 < start <= stop, count >= 1")
     return start, stop, count
 
 
@@ -262,9 +260,10 @@ def _eval_options(fn):
                      show_default=True, help="Mean per-metaphor Pearson or one pooled correlation."),
         click.option("--jsd-base", type=click.Choice(["2", "e"]), default="2",
                      show_default=True),
-        click.option("--k", "k_text", default="1,3", show_default=True,
-                     help="Comma-separated k values for k-agreement."),
-        click.option("--grid", "grid_text", default="0.5:100:200", show_default=True,
+        click.option("--k", "k_text", default=",".join(map(str, evaluation.DEFAULT_KS)),
+                     show_default=True, help="Comma-separated k values for k-agreement."),
+        click.option("--grid", "grid_text", show_default=True,
+                     default="{:g}:{:g}:{:d}".format(*evaluation.DEFAULT_GRID),
                      help="start:stop:count log-spaced grid for the grid-lambda ablation."),
     ):
         fn = option(fn)

@@ -239,9 +239,9 @@ def ablate_relevance(
     return evaluate(items, human, ablated, table, **kwargs)
 
 
-def lambda_grid(start: float = 0.5, stop: float = 100.0, count: int = 200) -> np.ndarray:
-    """Log-spaced candidate grid for the interpolation ablation."""
-    if count < 1 or start <= 0 or stop < start:
+def lambda_grid(start: float, stop: float, count: int) -> np.ndarray:
+    """Log-spaced candidate grid for the interpolation ablation (see :data:`DEFAULT_GRID`)."""
+    if count < 1 or not 0 < start <= stop < math.inf:  # False for a NaN bound
         raise ValueError(f"bad grid spec ({start}, {stop}, {count})")
     return np.geomspace(start, stop, count)
 
@@ -260,12 +260,16 @@ def ablate_lambda_interpolation(
 
     The train objective is evaluated at every grid point, a chunk of points
     per kernel call; the best point is then evaluated over ``items``.  Ties
-    go to the earlier grid point.  If the objective is undefined at some
-    point, the error names the first such point.
+    go to the earlier grid point.  Every point must be finite and >= 0,
+    which is checked before any scoring.  If the objective is undefined at
+    some point, the error names the first such point.
     """
     candidates = np.asarray(grid if grid is not None else lambda_grid(*DEFAULT_GRID), float)
     if candidates.size == 0:
         raise ValueError("empty grid")
+    bad = ~(np.isfinite(candidates) & (candidates >= 0.0))
+    if np.any(bad):
+        raise ValueError(f"grid points must be finite and >= 0, got {float(candidates[bad][0])!r}")
     selection = tuple(train) if train is not None else tuple(items)
     chunk = max(1, _GRID_CHUNK_CELLS // table.values.size)
     scores = np.concatenate([

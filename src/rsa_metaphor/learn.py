@@ -6,12 +6,12 @@ pooled correlation over all metaphor x feature pairs with
 ``objective_kind="pooled"``).  It is maximized on ``lambda >= 0`` by
 projected gradient ascent (a trial point below 0 is projected onto 0) with
 an Armijo backtracking line search.  The objective takes a vector of lams:
-one kernel call and one Pearson pass cover them all, with the same bits per
-lam as a call of its own.  A multistart fit advances its starts in
-lockstep, so each round scores the next trial point of every unfinished
-start, value and analytic gradient, in one kernel call; an accepted point
-holds the gradient for the next step.  The grid ablation scores its grid
-in chunks the same way.
+one kernel call and one pass of the Pearson r that ``evaluate`` reports
+cover them all, with the same bits per lam as a call of its own.  A
+multistart fit advances its starts in lockstep, so each round scores the
+next trial point of every unfinished start, value and analytic gradient,
+in one kernel call; an accepted point holds the gradient for the next
+step.  The grid ablation scores its grid in chunks the same way.
 
 Everything here is deterministic: the only randomness is the split seed.
 """
@@ -28,6 +28,7 @@ import numpy as np
 from .engine import RsaConfig, _interpret_lams, interpret_with_gradient  # noqa: F401
 from .errors import DatasetError, Error, ZeroVarianceError
 from .lexicon import HumanResponseTable, MetaphorItem, TypicalityTable
+from .metrics import _pearson
 
 _OBJECTIVE_KINDS = ("mean", "pooled")
 
@@ -92,24 +93,6 @@ def make_split(items: tuple[MetaphorItem, ...], seed: int) -> TrainTestSplit:
     return TrainTestSplit(tuple(train), tuple(test), seed)
 
 
-def _pearson_rows(m: np.ndarray, h: np.ndarray):
-    """Pearson r of each row of ``m`` (L, R, k) with the matching row of ``h`` (R, k).
-
-    Returns ``(r, grad, constant)``: r (L, R), its gradient in ``m``, and
-    per lam whether any row pair has a constant vector (range 0; its r is undefined).
-    """
-    constant = np.any(np.ptp(m, axis=-1) == 0.0, axis=-1) | np.any(np.ptp(h, axis=-1) == 0.0)
-    a = m - m.mean(axis=-1, keepdims=True)
-    b = h - h.mean(axis=-1, keepdims=True)
-    saa = np.sum(a * a, axis=-1)
-    sbb = np.sum(b * b, axis=-1)
-    with np.errstate(divide="ignore", invalid="ignore"):  # constant rows are reported, not used
-        denom = np.sqrt(saa * sbb)
-        r = np.sum(a * b, axis=-1) / denom
-        grad = b / denom[..., None] - (r / saa)[..., None] * a
-    return r, grad, constant
-
-
 def objective(
     lam: float,
     train: tuple[MetaphorItem, ...],
@@ -140,10 +123,11 @@ def _objective_and_gradient(lams, train, human, config, table, kind, gradient=Tr
     """The objective at every lam of the 1-D ``lams`` and, if ``gradient``, its derivative.
 
     Returns two (L,) arrays (the second None without ``gradient``).  One
-    kernel call covers every lam and the whole training set, and one Pearson
-    pass covers all their rows.  ``mean`` correlates each item's row with its
-    human row; ``pooled`` correlates the flattened rows.  If the objective is
-    undefined at some lam, the error names the first such lam.
+    kernel call covers every lam and the whole training set, and one pass of
+    :func:`.metrics._pearson`, the r that ``evaluate`` reports, covers all
+    their rows.  ``mean`` correlates each item's row with its human row;
+    ``pooled`` correlates the flattened rows.  If the objective is undefined
+    at some lam, the error names the first such lam.
     """
     if kind not in _OBJECTIVE_KINDS:
         raise ValueError(f"objective kind must be one of {_OBJECTIVE_KINDS}, got {kind!r}")
@@ -155,13 +139,13 @@ def _objective_and_gradient(lams, train, human, config, table, kind, gradient=Tr
     target = np.stack([human.distribution(item.id) for item in train])
     if kind == "pooled":
         model, target = model.reshape(lams.size, 1, -1), target.reshape(1, -1)
-    r, grad_m, constant = _pearson_rows(model, target)
+    r, grad_m, undefined = _pearson(model, target, gradient)
     values = np.mean(r, axis=-1)
-    undefined = constant | ~np.isfinite(values)
-    if np.any(undefined):
-        first = int(np.argmax(undefined))
+    failed = np.any(undefined, axis=-1) | ~np.isfinite(values)
+    if np.any(failed):
+        first = int(np.argmax(failed))
         lam = float(lams[first])
-        if constant[first]:
+        if np.any(undefined[first]):
             raise ZeroVarianceError(f"constant vector in the training objective at lam={lam!r}")
         raise Error(f"objective is not finite at lam={lam!r}")
     if not gradient:

@@ -6,7 +6,8 @@ of two (R, n) arrays along the last axis: :func:`pearson_rows`,
 count that :func:`top_k_overlap` takes from two top-k index arrays).  The
 scalar functions :func:`pearson`, :func:`jsd`, :func:`top_k_indices` and
 :func:`k_agreement` are their one-row case: they pass a 1-D vector, which
-the row-wise forms treat as a single row.
+the row-wise forms treat as a single row.  Pearson r has one computation,
+:func:`_pearson`, which also scores the fit's objective and its gradient.
 """
 
 from __future__ import annotations
@@ -46,16 +47,31 @@ def _check_distribution(arr: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} is not a distribution: sums to {sums[off][0]:.9g}")
 
 
-def _row_dot(a: np.ndarray, b: np.ndarray) -> np.ndarray:
-    # a batched (1, n) @ (n, 1) matmul is one BLAS dot per row: the bits of 1-D a @ b
-    return (a[..., None, :] @ b[..., :, None])[..., 0, 0]
+def _pearson(a: np.ndarray, b: np.ndarray, gradient: bool = False):
+    """Pearson r of each row of ``a`` with the same row of ``b``, which broadcasts.
+
+    C-order rows are reduced by ``np.sum`` as contiguous runs.  Returns ``(r, dr/da,
+    undefined)``: r clipped to [-1, 1] (NaN for a NaN entry), its gradient in
+    ``a`` (None without ``gradient``), and per row whether either row is
+    constant (range 0; centring can leave rounding residue) or its spread underflows.
+    """
+    undefined = (np.ptp(a, axis=-1) == 0.0) | (np.ptp(b, axis=-1) == 0.0)
+    a = a - a.mean(axis=-1, keepdims=True)
+    b = b - b.mean(axis=-1, keepdims=True)
+    saa = np.sum(a * a, axis=-1)
+    sbb = np.sum(b * b, axis=-1)
+    undefined |= (saa == 0.0) | (sbb == 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):  # undefined rows are flagged, not used
+        denom = np.sqrt(saa * sbb)
+        r = np.clip(np.sum(a * b, axis=-1) / denom, -1.0, 1.0)
+        grad = b / denom[..., None] - (r / saa)[..., None] * a if gradient else None
+    return r, grad, undefined
 
 
 def pearson_rows(p, q) -> np.ndarray:
     """Sample Pearson correlation of each row of ``p`` with the same row of ``q``.
 
-    Raises :class:`ZeroVarianceError` when any row of either array is constant
-    (its range is 0; centring it can leave rounding residue) or its spread underflows.
+    Raises :class:`ZeroVarianceError` when :func:`_pearson` flags any row undefined.
     """
     a = _as_rows(p)
     b = _as_rows(q)
@@ -63,14 +79,10 @@ def pearson_rows(p, q) -> np.ndarray:
         raise ValueError(f"length mismatch: {a.shape} vs {b.shape}")
     if a.shape[-1] < 2:
         raise ValueError("pearson needs at least 2 entries")
-    constant = np.any(np.ptp(a, axis=-1) == 0.0) or np.any(np.ptp(b, axis=-1) == 0.0)
-    a = a - a.mean(axis=-1, keepdims=True)
-    b = b - b.mean(axis=-1, keepdims=True)
-    saa = _row_dot(a, a)
-    sbb = _row_dot(b, b)
-    if constant or np.any(saa == 0.0) or np.any(sbb == 0.0):
+    r, _, undefined = _pearson(a, b)
+    if np.any(undefined):
         raise ZeroVarianceError("constant vector has no defined correlation")
-    return np.clip(_row_dot(a, b) / np.sqrt(saa * sbb), -1.0, 1.0)
+    return r
 
 
 def pearson(p, q) -> float:

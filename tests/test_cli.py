@@ -408,6 +408,61 @@ class TestSharedFlags:
         assert not out.exists()
 
 
+class TestFlagErrors:
+    """A bad flag value prints one ``error:`` line and exits 1, without a traceback."""
+
+    INTERPRET = ["interpret", "--topic", "workers", "--vehicle", "ants"]
+
+    @staticmethod
+    def assert_domain_error(result, message):
+        assert result.exit_code == 1, result.output
+        assert isinstance(result.exception, SystemExit)  # not an uncaught exception
+        assert result.stderr == f"error: {message}\n"
+        assert "Traceback" not in result.stderr
+
+    @pytest.mark.parametrize("command", [["eval"], INTERPRET])
+    @pytest.mark.parametrize("flags, message", [
+        (["--k", "x"], "invalid --k value 'x'; expected e.g. '1,3'"),
+        (["--k", "0,2"], "invalid --k value '0,2'; k values must be >= 1"),
+        (["--lambda", "abc"], "invalid --lambda value 'abc'; expected a number or 'learned'"),
+    ])
+    def test_bad_value(self, runner, dataset_dir, tmp_path, command, flags, message):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            *command, "--data-dir", str(dataset_dir), "--output-dir", str(out), *flags,
+        ])
+        self.assert_domain_error(result, message)
+        assert not out.exists()
+
+    @pytest.mark.parametrize("grid", ["1:2", "a:b:c"])
+    def test_malformed_grid(self, runner, dataset_dir, tmp_path, grid):
+        out = tmp_path / "out"
+        result = runner.invoke(main, [
+            "ablate", "--kind", "grid-lambda", "--data-dir", str(dataset_dir),
+            "--output-dir", str(out), "--grid", grid,
+        ])
+        self.assert_domain_error(
+            result, f"invalid --grid value {grid!r}; expected 'start:stop:count'"
+        )
+        assert not out.exists()
+
+    def test_learned_lambda_needs_an_output_dir(self, runner, dataset_dir):
+        result = runner.invoke(main, [
+            *self.INTERPRET, "--data-dir", str(dataset_dir), "--lambda", "learned",
+        ])
+        self.assert_domain_error(
+            result, "--lambda learned needs --output-dir to locate params.json"
+        )
+
+
+def test_shared_defaults_come_from_evaluation():
+    params = {param.name: param for param in main.commands["eval"].params}
+    assert params["k_text"].default == "1,3"
+    assert cli._parse_ks(params["k_text"].default) == evaluation.DEFAULT_KS
+    assert params["grid_text"].default == "0.5:100:200"
+    assert cli._parse_grid(params["grid_text"].default) == evaluation.DEFAULT_GRID
+
+
 class TestCorr:
     def test_matrices_written(self, runner, full_scale_dir, tmp_path):
         out = tmp_path / "out"

@@ -23,8 +23,9 @@ from rsa_metaphor import (
     learn_lambda,
     make_split,
 )
+from rsa_metaphor import evaluation, learn
 from rsa_metaphor.errors import ZeroVarianceError
-from rsa_metaphor.evaluation import matrix_csv_rows, report_csv_rows, report_to_dict
+from rsa_metaphor.evaluation import lambda_grid, matrix_csv_rows, report_csv_rows, report_to_dict
 from rsa_metaphor.learn import TrainTestSplit
 from rsa_metaphor.metrics import jsd, pearson
 
@@ -372,6 +373,34 @@ class TestAblateLambdaInterpolation:
         table, items, human = full_scale
         with pytest.raises(ValueError):
             ablate_lambda_interpolation(items, human, RsaConfig(), table, grid=[])
+
+    @pytest.mark.parametrize("grid, bad", [
+        ([-20.0, -5.0, -1.0], "-20.0"),
+        ([0.5, -1e-300], "-1e-300"),
+        ([1.0, math.nan, 2.0], "nan"),
+        ([2.0, math.inf], "inf"),
+    ])
+    def test_point_below_zero_or_not_finite_rejected_before_scoring(
+        self, full_scale, monkeypatch, grid, bad
+    ):
+        def no_model_work(*args, **kwargs):
+            raise AssertionError("model work before the grid check")
+
+        monkeypatch.setattr(learn, "_interpret_lams", no_model_work)
+        monkeypatch.setattr(evaluation, "_interpret_batch", no_model_work)
+        table, items, human = full_scale
+        with pytest.raises(ValueError, match=f"must be finite and >= 0, got {bad}$"):
+            ablate_lambda_interpolation(items, human, RsaConfig(), table, grid=grid)
+
+
+class TestLambdaGrid:
+    @pytest.mark.parametrize("spec", [
+        (0.5, math.nan, 5), (math.nan, 5.0, 5), (0.5, math.inf, 3), (math.inf, math.inf, 2),
+        (0.0, 1.0, 3), (2.0, 1.0, 3), (0.5, 1.0, 0),
+    ])
+    def test_bad_spec_rejected(self, spec):
+        with pytest.raises(ValueError, match="bad grid spec"):
+            lambda_grid(*spec)
 
 
 class TestFeatureCorrelationMatrix:

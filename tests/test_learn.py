@@ -17,7 +17,9 @@ from rsa_metaphor import (
     make_split,
 )
 from rsa_metaphor import learn
+from rsa_metaphor.engine import _interpret_batch
 from rsa_metaphor.errors import DatasetError, Error, ZeroMassError, ZeroVarianceError
+from rsa_metaphor.metrics import pearson, pearson_rows
 
 
 def recovery_problem(lam_star, seed=0, n_categories=10, n_features=12, n_items=5):
@@ -73,8 +75,6 @@ class TestObjective:
         assert value == pytest.approx(1.0, abs=1e-12)
 
     def test_single_item_equals_its_pearson(self):
-        from rsa_metaphor.metrics import pearson
-
         table, items, human = recovery_problem(lam_star=8.0, seed=1)
         cfg = RsaConfig()
         one = items[:1]
@@ -107,6 +107,14 @@ class TestObjective:
             for kind in ("mean", "pooled"):
                 with pytest.raises(ZeroVarianceError, match=f"at lam={lam!r}"):
                     learn.objective(lam, items, human, RsaConfig(), table, kind=kind)
+
+    def test_row_whose_spread_underflows_is_zero_variance(self):
+        # the human row's range is 5e-324, but its centred squares underflow to 0
+        table, items, _ = recovery_problem(lam_star=3.0)
+        tiny = HumanResponseTable(table.vocab, {items[0].id: np.eye(table.n)[0] * 5e-324})
+        for kind in ("mean", "pooled"):
+            with pytest.raises(ZeroVarianceError, match="at lam=1.0"):
+                learn.objective(1.0, items[:1], tiny, RsaConfig(), table, kind=kind)
 
     def test_empty_train_set_rejected(self):
         table, _, human = recovery_problem(lam_star=3.0)
@@ -290,16 +298,34 @@ def spy_kernel(monkeypatch, fail_at=None):
     return calls
 
 
+five_configs = pytest.mark.parametrize("config", [
+    RsaConfig(),
+    RsaConfig(utterances="pair"),
+    RsaConfig(mode="fast"),
+    RsaConfig(category_prior="uniform"),
+    RsaConfig(goal_prior="uniform"),
+], ids=["default", "pair", "fast", "uniform-category", "uniform-goal"])
+
+
+class TestObjectiveIsTheReportedPearson:
+    """The fit maximizes the correlation that ``metrics``, and so ``evaluate``, reports."""
+
+    @five_configs
+    def test_bit_identical_to_metrics(self, seed12_split0, config):
+        table, human, train = seed12_split0
+        target = np.stack([human.distribution(item.id) for item in train])
+        for lam in (0.0, 0.5, 5.0, 11.2, 44.43):
+            model = np.exp(_interpret_batch(train, dataclasses.replace(config, lam=lam), table)[0])
+            mean = learn.objective(lam, train, human, config, table, kind="mean")
+            pooled = learn.objective(lam, train, human, config, table, kind="pooled")
+            assert repr(mean) == repr(float(np.mean(pearson_rows(model, target))))
+            assert repr(pooled) == repr(pearson(model.ravel(), target.ravel()))
+
+
 class TestLockstepMultistart:
     """The starts advance together, one kernel call per round."""
 
-    @pytest.mark.parametrize("config", [
-        RsaConfig(),
-        RsaConfig(utterances="pair"),
-        RsaConfig(mode="fast"),
-        RsaConfig(category_prior="uniform"),
-        RsaConfig(goal_prior="uniform"),
-    ], ids=["default", "pair", "fast", "uniform-category", "uniform-goal"])
+    @five_configs
     @pytest.mark.parametrize("kind", ["mean", "pooled"])
     def test_bit_identical_to_separate_starts(self, seed12_split0, config, kind):
         table, human, train = seed12_split0

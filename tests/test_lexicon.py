@@ -178,7 +178,76 @@ class TestValidate:
             load_dataset(dataset_dir)
 
 
+class TestValidateViolations:
+    """Each invariant ``validate`` checks, broken on a dataset built in code."""
+
+    @pytest.fixture
+    def clean(self, dataset_dir):
+        return read_dataset(dataset_dir)
+
+    @pytest.mark.parametrize("bad, violation", [
+        (np.nan, "typicality: non-finite values"),
+        (-0.1, "typicality: negative value(s) in category 'workers'"),
+    ])
+    def test_typicality_value(self, clean, bad, violation):
+        table, items, human = clean
+        values = table.values.copy()
+        values[0, 1] = bad
+        report = validate(TypicalityTable(table.categories, table.vocab, values), items, human)
+        assert violation in report.violations
+
+    def test_missing_class_label(self, clean):
+        table, items, human = clean
+        unlabelled = (MetaphorItem("m1", "workers", "ants"), items[1])
+        report = validate(table, unlabelled, human)
+        assert report.violations == ("metaphor 'm1': missing class label",)
+
+    def test_unknown_human_id(self, clean):
+        table, items, human = clean
+        extra = HumanResponseTable(table.vocab, dict(human.responses, m9=human.responses["m1"]))
+        report = validate(table, items, extra)
+        assert report.violations == ("human responses: unknown metaphor id 'm9'",)
+
+    @pytest.mark.parametrize("row, violation", [
+        ([0.6, -0.1, 0.5], "human responses for 'm1': negative entries"),
+        ([0.5, 0.4, 0.2], "human responses for 'm1': sum 1.1, not 1"),
+    ])
+    def test_human_row(self, clean, row, violation):
+        table, items, human = clean
+        dirty = HumanResponseTable(table.vocab, dict(human.responses, m1=np.array(row)))
+        assert validate(table, items, dirty).violations == (violation,)
+
+
 class TestReadDataset:
+    @pytest.mark.parametrize("name", ["typicality.csv", "metaphors.csv", "human.csv"])
+    def test_empty_file(self, dataset_dir, name):
+        (dataset_dir / name).write_text("", encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"^{name}: empty file$"):
+            read_dataset(dataset_dir)
+
+    @pytest.mark.parametrize("name, row, message", [
+        ("typicality.csv", ",diligence,0.5", "empty category or feature identifier"),
+        ("metaphors.csv", ",workers,ants,inherent,", "empty metaphor id"),
+        ("metaphors.csv", "m1,workers,owls,inherent,", "duplicate metaphor id 'm1'"),
+        ("metaphors.csv", "m3,owls,owls,inherent,", "topic and vehicle are both 'owls'"),
+        ("human.csv", "m1,diligence,0.1", "duplicate \\('m1', 'diligence'\\)"),
+    ])
+    def test_bad_row_names_file_and_line(self, dataset_dir, name, row, message):
+        path = dataset_dir / name
+        text = path.read_text(encoding="utf-8")
+        path.write_text(text + row + "\n", encoding="utf-8")
+        line = len(text.splitlines()) + 1
+        with pytest.raises(DatasetError, match=f"^{name} line {line}: {message}$"):
+            read_dataset(dataset_dir)
+
+    def test_counts_summing_to_zero(self, dataset_dir):
+        (dataset_dir / "human.csv").write_text(
+            "metaphor_id,feature,count\nm1,diligence,0\nm1,wisdom,0\nm2,wisdom,5\n",
+            encoding="utf-8",
+        )
+        with pytest.raises(DatasetError, match="^human.csv: responses for 'm1' sum to zero$"):
+            read_dataset(dataset_dir)
+
     def test_missing_file_raises_oserror(self, tmp_path):
         with pytest.raises(FileNotFoundError):
             read_dataset(tmp_path)
