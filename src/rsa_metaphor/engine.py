@@ -31,7 +31,7 @@ and each lam's slice has the bits of a call with that lam alone.
 ``pragmatic_listener`` are batches of one item at one lam; the objective,
 ``evaluate`` and the feature correlations pass whole item sets at one lam;
 the grid ablation passes its grid in chunks of about 16 lams on a 48 x 59
-table (``evaluation._GRID_CHUNK_CELLS``), so its temporaries stay near 2 MB
+table (``evaluation._GRID_CHUNK_CELLS``), so its temporaries stay near 1.6 MB
 however long the grid is.
 
 * The table's ``log T``, ``log(1 - T)`` and its 0/1 row scan are cached on
@@ -41,8 +41,11 @@ however long the grid is.
 * With ``utterances="all"`` the speaker normalizers
   ``logsumexp_u lam * log T[u, j]`` and ``logsumexp_u lam * log(1 - T[u, j])``
   and their softmax expectations do not depend on the item, so they are
-  computed once per lam, as an (L, 1, n) block.  With ``"pair"`` each item's two rows are stacked
-  as (B, 2, n).
+  computed once per lam, as an (L, 1, n) block; with ``"pair"`` each item's
+  two rows are stacked as (B, 2, n).  The shift is ``lam`` times a column
+  max of the lam-free utilities (min for ``lam < 0``): rounding is monotone,
+  so that is exactly the scores' max, found without a pass over the scores,
+  which are exponentiated and summed in one buffer that the gradient reuses.
 * The goal mixture ``W_i = sum_j R(g_j) S1(v | g_j, e_i)`` takes the match
   term for goal i and the no-match term for every other goal.  "Every goal
   but i" is an O(n) sum of the terms ``exp(x_j - peak)``, joined from
@@ -144,7 +147,7 @@ class Distribution:
     def from_log_scores(cls, labels, scores) -> "Distribution":
         """Normalize unnormalized log-scores (softmax with max-subtraction)."""
         scores = np.asarray(scores, dtype=float)
-        total = _logsumexp(scores, axis=-1)
+        total = _logsumexp(scores, axis=-1)[0]
         if total == -np.inf:
             raise ZeroMassError("all scores have zero mass")
         return cls(tuple(labels), scores - total)
@@ -169,12 +172,21 @@ class Distribution:
         return self.labels[int(np.argmax(self.logp))]
 
 
-def _logsumexp(a: np.ndarray, axis: int) -> np.ndarray:
-    m = np.max(a, axis=axis, keepdims=True)
+def _logsumexp(a: np.ndarray, axis: int, lam: np.ndarray | float = 1.0):
+    """``logsumexp(lam * a)`` along ``axis`` (kept), and the block ``exp(lam * a - shift)``.
+
+    ``lam`` has length 1 along ``axis``; the shift is read from ``a`` (see the module docstring).
+    """
+    extreme = a.max(axis=axis, keepdims=True)
+    if np.any(lam < 0):
+        extreme = np.where(lam < 0, a.min(axis=axis, keepdims=True), extreme)
+    m = lam * extreme
     shift = np.where(np.isfinite(m), m, 0.0)  # all -inf: exp sums to 0, log gives -inf
+    block = lam * a
+    block -= shift
+    np.exp(block, out=block)
     with np.errstate(divide="ignore"):
-        out = np.log(np.exp(a - shift).sum(axis=axis, keepdims=True)) + shift
-    return np.squeeze(out, axis=axis)
+        return np.log(block.sum(axis=axis, keepdims=True)) + shift, block
 
 
 def pragmatic_speaker(
@@ -261,16 +273,19 @@ def _speaker(lam: np.ndarray, log_u: np.ndarray, log_v: np.ndarray, gradient: bo
     ``lam`` is (L, 1, 1).  ``log_u`` holds the utterance alternatives' log
     utilities along axis -2: one (1, K, n) block shared by the batch, or
     (B, 2, n) for the pair set.  ``log_v`` (B, n) holds the vehicle's.
-    Both results are (L, B, n).
+    Both results are (L, B, n); the expectation reuses the normalizer's block.
     """
-    scores = lam[..., None] * log_u
-    norm = _logsumexp(scores, axis=-2)
-    log_s = lam * log_v - norm
+    lam_u = lam[..., None]  # over the utterance axis
+    norm, block = _logsumexp(log_u, -2, lam_u)
+    log_s = lam * log_v - norm[..., 0, :]
     if not gradient:
         return log_s, None
     # d/dlam log softmax: own utility minus the softmax-expected utility
-    expected = np.sum(np.exp(scores - norm[..., None, :]) * log_u, axis=-2)
-    return log_s, log_v - expected
+    np.multiply(lam_u, log_u, out=block)
+    block -= norm
+    np.exp(block, out=block)
+    block *= log_u
+    return log_s, log_v - block.sum(axis=-2)
 
 
 def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, gradient: bool):
@@ -300,8 +315,7 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
             _reject_rows((table.values[vehicle] <= 0.0).any(axis=-1), table, vehicle,
                          "contain zeros; the vehicle stretch is undefined for lam != 0")
             log_beta = log_values[vehicle]
-            scores = lam * log_beta
-            stretch = scores - _logsumexp(scores, axis=-1)[..., None]
+            stretch = lam * log_beta - _logsumexp(log_beta, -1, lam)[0]
             logp = log_alpha + stretch
             if gradient:
                 dlog = log_beta - np.sum(np.exp(stretch) * log_beta, axis=-1, keepdims=True)
@@ -338,10 +352,10 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
         uniform = config.category_prior == "uniform"
         logp = (np.logaddexp(log_t, log_v) - math.log(2.0) if uniform else log_t) + log_w
 
-    total = _logsumexp(logp, axis=-1)
+    total = _logsumexp(logp, axis=-1)[0]
     if np.any(total == -np.inf):
         raise ZeroMassError("interpretation has zero total mass")
-    logp = logp - total[..., None]
+    logp = logp - total
     if config.mode == "fast":
         # a uniform stretch leaves the topic row itself, exactly
         logp[lams == 0.0] = log_alpha
@@ -370,7 +384,7 @@ def pragmatic_listener(
     logp, _ = _interpret_batch((item,), config, table)
     support = (item.topic,) if config.category_prior == "topic" else (item.topic, item.vehicle)
     rows = table.log_values[[table.category_index(c) for c in support]]
-    share = rows - _logsumexp(rows, axis=0)  # <= 0: full mode rejects rows holding a 0
+    share = rows - _logsumexp(rows, axis=0)[0]  # <= 0: full mode rejects rows holding a 0
     labels = tuple((c, f) for c in support for f in table.vocab.features)
     return Distribution(labels, (logp[0] + share).ravel())
 

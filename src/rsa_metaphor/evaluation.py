@@ -35,9 +35,9 @@ from .metrics import jsd, k_agreement, pearson, top_k_indices  # noqa: F401
 DEFAULT_KS = (1, 3)
 DEFAULT_GRID = (0.5, 100.0, 200)
 
-# Grid points scored per kernel call: 16 on a 48 x 59 table.  The kernel's
-# largest temporaries hold one table-sized block per point, so this keeps a
-# chunk near 2 MB however long the grid is.
+# Grid points scored per kernel call: 16 on a 48 x 59 table.  A 16-point
+# forward call over 18 items peaks at 1.6 MB of temporaries (2.2 MB with the
+# gradient; tracemalloc), however long the grid is.
 _GRID_CHUNK_CELLS = 16 * 48 * 59
 
 
@@ -308,11 +308,11 @@ def feature_correlation_matrix(
     else:
         rows = np.exp(_interpret_batch(items, config, table)[0])
 
-    # a feature is undefined when literally constant across items; detecting
-    # this by range (not by centered norm) avoids mean-roundoff false positives
-    defined = np.ptp(rows, axis=0) > 0.0
+    # a feature is undefined, as in metrics._pearson, when it is constant across
+    # items (range 0: centring can leave rounding residue) or its spread underflows
     centered = rows - rows.mean(axis=0)
     norms = np.sqrt((centered**2).sum(axis=0))
+    defined = (np.ptp(rows, axis=0) > 0.0) & (norms > 0.0)
     safe = np.where(defined, norms, 1.0)
     corr = (centered.T @ centered) / np.outer(safe, safe)
     corr[~defined, :] = math.nan

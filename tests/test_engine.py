@@ -27,6 +27,8 @@ from rsa_metaphor.engine import (
     _goal_log_weights,
     _interpret_batch,
     _interpret_lams,
+    _logsumexp,
+    _speaker,
     interpret_with_gradient,
 )
 from rsa_metaphor.errors import DegenerateTypicalityError, Error, UnknownCategoryError
@@ -646,6 +648,72 @@ class TestLambdaAxis:
         table, item = two_by_two
         with pytest.raises(ValueError, match="finite"):
             _interpret_lams((item,), RsaConfig(), table, [1.0, math.inf], gradient=False)
+
+
+class TestLambdaAxisFullScale:
+    @pytest.mark.parametrize("overrides", CONFIGS)
+    def test_a_grid_chunk_equals_its_per_lambda_calls(self, full_scale, overrides):
+        # a 48-row speaker block: its column extremes shift every lam of the chunk
+        table, items, _ = full_scale
+        config = replace(RsaConfig(), **overrides)
+        lams = evaluation.lambda_grid(*evaluation.DEFAULT_GRID)[:16]
+        forward, _ = _interpret_lams(items, config, table, lams, gradient=False)
+        logp, dp = _interpret_lams(items, config, table, lams, gradient=True)
+        for lam, lam_forward, lam_logp, lam_dp in zip(lams, forward, logp, dp):
+            single = replace(config, lam=float(lam))
+            np.testing.assert_array_equal(lam_forward, _interpret_batch(items, single, table)[0])
+            one_logp, one_dp = _interpret_batch(items, single, table, gradient=True)
+            np.testing.assert_array_equal(lam_logp, one_logp)
+            np.testing.assert_array_equal(lam_dp, one_dp)
+
+
+def five_pass_norm(lam, x, axis):
+    """logsumexp of lam * x as five passes over the score block: max, subtract, exp, sum, log."""
+    scores = lam * x
+    m = np.max(scores, axis=axis, keepdims=True)
+    return np.log(np.sum(np.exp(scores - m), axis=axis, keepdims=True)) + m
+
+
+@st.composite
+def speaker_blocks(draw):
+    """Log utilities as one (1, K, n) table block or a (B, 2, n) pair block, vehicle rows, lams."""
+    n_cat = draw(st.integers(2, 6))
+    n_feat = draw(st.integers(2, 6))
+    weights = draw(st.lists(
+        st.lists(st.floats(1e-6, 1.0), min_size=n_feat, max_size=n_feat),
+        min_size=n_cat, max_size=n_cat,
+    ))
+    values = np.array(weights)
+    table = table_from_rows(values / values.sum(axis=1, keepdims=True))
+    logs = draw(st.sampled_from((table.log_values, table.log1m_values)))
+    rows = st.lists(st.integers(0, n_cat - 1), min_size=1, max_size=4)
+    vehicles = np.array(draw(rows))
+    if draw(st.booleans()):
+        log_u = logs[None]
+    else:
+        topics = np.array(draw(st.lists(st.integers(0, n_cat - 1),
+                                        min_size=vehicles.size, max_size=vehicles.size)))
+        log_u = logs[np.stack([topics, vehicles], axis=1)]
+    lams = draw(st.lists(st.floats(-100.0, 100.0), min_size=1, max_size=5))
+    return log_u, logs[vehicles], np.array([*lams, 0.0, -0.0])
+
+
+class TestSpeakerNormalizer:
+    @settings(max_examples=200, deadline=None)
+    @given(speaker_blocks())
+    def test_bits_equal_the_five_pass_formula(self, block):
+        log_u, log_v, lams = block
+        lam = lams[:, None, None]
+        want = five_pass_norm(lam[..., None], log_u, -2)
+        norm, _ = _logsumexp(log_u, -2, lam[..., None])
+        np.testing.assert_array_equal(norm, want)
+        log_s, dlog = _speaker(lam, log_u, log_v, gradient=True)
+        np.testing.assert_array_equal(log_s, lam * log_v - want[..., 0, :])
+        expected = np.sum(np.exp(lam[..., None] * log_u - want) * log_u, axis=-2)
+        np.testing.assert_array_equal(dlog, log_v - expected)
+        np.testing.assert_array_equal(_speaker(lam, log_u, log_v, gradient=False)[0], log_s)
+        # fast mode's stretch normalizes lam * log b over the features the same way
+        np.testing.assert_array_equal(_logsumexp(log_v, -1, lam)[0], five_pass_norm(lam, log_v, -1))
 
 
 @st.composite

@@ -444,6 +444,23 @@ class TestFeatureCorrelationMatrix:
         assert matrix[1, 3] == pytest.approx(matrix[3, 1], abs=1e-15)
         assert not math.isnan(matrix[1, 3])
 
+    def test_feature_whose_spread_underflows_is_undefined(self):
+        # feature 0 is not constant, but its centred sum of squares underflows to 0
+        rows = [
+            [0.0, 0.3, 0.7],
+            [5e-324, 0.5, 0.5],
+            [0.0, 0.1, 0.9],
+        ]
+        table = table_from_rows(np.full((6, 3), 1 / 3))
+        items = tuple(MetaphorItem(f"m{i}", f"c{i}", f"c{i + 3}") for i in range(3))
+        human = HumanResponseTable(
+            table.vocab, {f"m{i}": np.array(rows[i]) for i in range(3)}
+        )
+        matrix = feature_correlation_matrix(items, "human", RsaConfig(), table, human=human)
+        assert np.isnan(matrix[0]).all() and np.isnan(matrix[:, 0]).all()
+        assert matrix[1, 1] == matrix[2, 2] == 1.0
+        assert matrix[1, 2] == matrix[2, 1] == pytest.approx(-1.0, abs=1e-12)
+
     def test_needs_three_items(self, full_scale):
         table, items, human = full_scale
         with pytest.raises(ValueError):
