@@ -28,11 +28,11 @@ of items at a vector of ``lam`` values in a single numpy pass, with the
 exact derivative in ``lam`` on request.  Results carry a leading lam axis,
 and each lam's slice has the bits of a call with that lam alone.
 ``interpret``, ``interpret_with_gradient``, ``interpret_fast`` and
-``pragmatic_listener`` are batches of one item at one lam; the objective,
-``evaluate`` and the feature correlations pass whole item sets at one lam;
-the grid ablation passes its grid in chunks of about 16 lams on a 48 x 59
-table (``evaluation._GRID_CHUNK_CELLS``), so its temporaries stay near 1.6 MB
-however long the grid is.
+``pragmatic_listener`` are batches of one item at one lam; ``evaluate``
+and the feature correlations pass whole item sets at one lam; the fit and
+the grid ablation pass theirs with their lams in chunks of about 16 on a
+48 x 59 table (``learn._GRID_CHUNK_CELLS``), so the temporaries stay near
+2 MB however many lams are scored.
 
 * The table's ``log T``, ``log(1 - T)`` and its 0/1 row scan are cached on
   the immutable :class:`TypicalityTable`, so a call indexes them.  These are

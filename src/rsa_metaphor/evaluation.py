@@ -6,8 +6,8 @@ pass per metric over all items, and group aggregates taken from those arrays
 with boolean masks.  Only the building of the ``ItemEval`` records loops
 over items in Python.
 
-The grid ablation scores its grid in chunks, one listener-kernel call per
-chunk of grid points (:data:`_GRID_CHUNK_CELLS`), not one call per point.
+The grid ablation scores its grid as the fit scores its scan: one
+listener-kernel call per chunk of grid points, not one call per point.
 """
 
 from __future__ import annotations
@@ -34,11 +34,6 @@ from .metrics import jsd, k_agreement, pearson, top_k_indices  # noqa: F401
 
 DEFAULT_KS = (1, 3)
 DEFAULT_GRID = (0.5, 100.0, 200)
-
-# Grid points scored per kernel call: 16 on a 48 x 59 table.  A 16-point
-# forward call over 18 items peaks at 1.6 MB of temporaries (2.2 MB with the
-# gradient; tracemalloc), however long the grid is.
-_GRID_CHUNK_CELLS = 16 * 48 * 59
 
 
 @dataclass(frozen=True)
@@ -256,13 +251,12 @@ def ablate_lambda_interpolation(
     objective_kind: str = "mean",
     **kwargs,
 ) -> tuple[float, EvalReport]:
-    """Pick the rationality parameter by grid search instead of gradient ascent.
+    """Pick the rationality parameter by grid search instead of the fit's scan and refinement.
 
-    The train objective is evaluated at every grid point, a chunk of points
-    per kernel call; the best point is then evaluated over ``items``.  Ties
-    go to the earlier grid point.  Every point must be finite and >= 0,
-    which is checked before any scoring.  If the objective is undefined at
-    some point, the error names the first such point.
+    The train objective is scored at every grid point, a chunk of points per
+    kernel call; the best one (the earlier on a tie) is evaluated over
+    ``items``.  Points must be finite and >= 0 (checked before scoring); the
+    error for an undefined objective names the first such point.
     """
     candidates = np.asarray(grid if grid is not None else lambda_grid(*DEFAULT_GRID), float)
     if candidates.size == 0:
@@ -271,12 +265,8 @@ def ablate_lambda_interpolation(
     if np.any(bad):
         raise ValueError(f"grid points must be finite and >= 0, got {float(candidates[bad][0])!r}")
     selection = tuple(train) if train is not None else tuple(items)
-    chunk = max(1, _GRID_CHUNK_CELLS // table.values.size)
-    scores = np.concatenate([
-        learn._objective_and_gradient(candidates[i:i + chunk], selection, human, config,
-                                      table, objective_kind, gradient=False)[0]
-        for i in range(0, candidates.size, chunk)
-    ])
+    scores, _ = learn._objective_and_gradient(candidates, selection, human, config, table,
+                                              objective_kind, gradient=False)
     best = float(candidates[int(np.argmax(scores))])
     kwargs.setdefault("tag", "ablation: grid-lambda")
     report = evaluate(items, human, replace(config, lam=best), table, **kwargs)

@@ -1,17 +1,16 @@
-"""Fitting the speaker rationality parameter by gradient ascent.
+"""Fitting the speaker rationality parameter on the analytic derivative.
 
 The objective is the mean, over training metaphors, of the Pearson
 correlation between the model's interpretation and the human one (or one
-pooled correlation over all metaphor x feature pairs with
-``objective_kind="pooled"``).  It is maximized on ``lambda >= 0`` by
-projected gradient ascent (a trial point below 0 is projected onto 0) with
-an Armijo backtracking line search.  The objective takes a vector of lams:
-one kernel call and one pass of the Pearson r that ``evaluate`` reports
-cover them all, with the same bits per lam as a call of its own.  A
-multistart fit advances its starts in lockstep, so each round scores the
-next trial point of every unfinished start, value and analytic gradient,
-in one kernel call; an accepted point holds the gradient for the next
-step.  The grid ablation scores its grid in chunks the same way.
+pooled correlation over all metaphor x feature pairs with ``kind="pooled"``).
+A fit maximizes it on ``lambda >= 0`` with its derivative g.  One scan
+scores lambda 0, 47 log-spaced points up to 1e5 (:data:`_SCAN`) and the
+inits.  From each init a walk follows the sign of g over the scan points to
+a bracket g(lo) > 0 >= g(hi), to lambda 0 or to the scan top.  Illinois
+regula falsi on g then narrows every distinct bracket, all of them in
+lockstep, until it is narrower than ``tol * hi``.  All scoring, the grid
+ablation's too, goes through :func:`_objective_and_gradient`: one kernel
+call per chunk of lams, with the same bits per lam as a call of its own.
 
 Everything here is deterministic: the only randomness is the split seed.
 """
@@ -37,6 +36,13 @@ TEST_PER_CLASS = 3
 
 DEFAULT_MULTISTART_INITS = (0.5, 1.0, 5.0, 20.0, 50.0)
 
+# The fit's scan: lambda 0 and 47 log-spaced points up to 1e5.
+_SCAN = np.concatenate(([0.0], np.geomspace(1e-2, 1e5, 47)))
+
+# Lambdas scored per kernel call: 16 on a 48 x 59 table.  Over 18 items a 16-lambda
+# call peaks at 1.6 MB of temporaries (2.2 MB with the gradient; tracemalloc).
+_GRID_CHUNK_CELLS = 16 * 48 * 59
+
 
 @dataclass(frozen=True)
 class TrainTestSplit:
@@ -49,12 +55,17 @@ class TrainTestSplit:
 
 @dataclass(frozen=True)
 class FitResult:
-    """Outcome of one optimization run.
+    """Outcome of one fit.
 
-    ``converged`` is True when the gradient-norm tolerance was met;
-    ``stop_reason`` is one of ``gradient_tolerance``, ``max_iterations``,
-    ``line_search_stalled``.  ``trace`` holds (iteration, lam, objective)
-    for the start point and every accepted iterate.  ``starts`` holds every
+    ``lambda_hat`` is the best point the fit visited; ``trace`` holds
+    (round, lam, objective) for the init and each later point that beat the
+    best so far (round 0 is the scan, round k the k-th refinement round).
+    ``iterations`` counts refinement rounds.  ``stop_reason`` is
+    ``lambda_tolerance``, ``gradient_tolerance`` (g is exactly 0, or lambda
+    is 0 with g <= 0), ``scan_top``, ``max_iterations`` or
+    ``undefined_point`` (at a refinement point); ``converged`` is True for
+    the first two.  ``gradient_norm_at_convergence`` is |g| at
+    ``lambda_hat`` (at 0 only an ascent counts).  ``starts`` holds every
     start's own fit for a multistart fit, and is empty otherwise.
     """
 
@@ -123,7 +134,8 @@ def _objective_and_gradient(lams, train, human, config, table, kind, gradient=Tr
     """The objective at every lam of the 1-D ``lams`` and, if ``gradient``, its derivative.
 
     Returns two (L,) arrays (the second None without ``gradient``).  One
-    kernel call covers every lam and the whole training set, and one pass of
+    kernel call covers a chunk of ``_GRID_CHUNK_CELLS // table.values.size``
+    lams and the whole training set, and one pass of
     :func:`.metrics._pearson`, the r that ``evaluate`` reports, covers all
     their rows.  ``mean`` correlates each item's row with its human row;
     ``pooled`` correlates the flattened rows.  If the objective is undefined
@@ -134,6 +146,12 @@ def _objective_and_gradient(lams, train, human, config, table, kind, gradient=Tr
     if not train:
         raise ValueError("empty training set")
     lams = np.asarray(lams, dtype=float)
+    chunk = max(1, _GRID_CHUNK_CELLS // table.values.size)
+    if lams.size > chunk:  # one kernel call per chunk, so its temporaries stay bounded
+        values, grads = zip(*(
+            _objective_and_gradient(lams[i:i + chunk], train, human, config, table, kind, gradient)
+            for i in range(0, lams.size, chunk)))
+        return np.concatenate(values), (np.concatenate(grads) if gradient else None)
     logp, dp = _interpret_lams(train, config, table, lams, gradient)
     model = np.exp(logp)
     target = np.stack([human.distribution(item.id) for item in train])
@@ -169,102 +187,67 @@ def finite_difference_gradient(
     return (hi - lo) / (2.0 * h)
 
 
-def _ascent(x0: float, max_iterations: int, tol: float):
-    """Projected gradient ascent on ``x >= 0`` with an Armijo backtracking line search.
+def _walk(init, scan):
+    """From ``init``, follow the sign of g over the ascending ``scan`` of (lam, objective, g).
 
-    A generator: it yields each point to score and is sent back the
-    objective and its derivative there, or thrown the :class:`Error` that
-    scoring raised.  Each search starts from twice the previously accepted
-    step; a trial point below 0 is projected onto 0, and the Armijo test
-    takes the projected step.  An undefined or non-finite trial point
-    rejects the step and halves it; at the start point it propagates.
-    Returns (x, fx, iterations, |projected gradient|, stop_reason, trace).
+    Returns the points visited, ``init`` first, and the end: a bracket (lo,
+    hi) with g(lo) > 0 >= g(hi), ``"scan_top"`` or ``"gradient_tolerance"``.
     """
-    armijo_slope = 1e-4
-    shrink = 0.5
-    max_halvings = 60
-
-    def gradient_norm(x, g):  # of the projected gradient: at 0 only an ascent counts
-        return max(g, 0.0) if x == 0.0 else abs(g)
-
-    x = float(x0)
-    fx, g = yield x
-    if not np.isfinite(fx):
-        raise Error(f"objective is not finite at the initial point {x!r}")
-    trace = [(0, x, fx)]
-    if gradient_norm(x, g) <= tol:
-        return x, fx, 0, gradient_norm(x, g), "gradient_tolerance", trace
-
-    step = 1.0
-    stop_reason = "max_iterations"
-    iterations = 0
-    for k in range(1, max_iterations + 1):
-        alpha = step
-        accepted = False
-        for _ in range(max_halvings):
-            x_new = max(x + alpha * g, 0.0)
-            try:
-                f_new, g_new = yield x_new
-            except Error:  # undefined trial point: treat like a non-finite value
-                f_new = -np.inf
-            if np.isfinite(f_new) and f_new >= fx + armijo_slope * g * (x_new - x):
-                accepted = True
-                break
-            alpha *= shrink
-        if not accepted:
-            stop_reason = "line_search_stalled"
-            break
-        iterations = k
-        x, fx, g = x_new, f_new, g_new
-        trace.append((k, x, fx))
-        if gradient_norm(x, g) <= tol:
-            stop_reason = "gradient_tolerance"
-            break
-        step = alpha * 2.0  # warm-start the next search from twice the accepted step
-
-    return x, fx, iterations, gradient_norm(x, g), stop_reason, trace
+    (lam, _, g), path = init, [init]
+    if g > 0.0:
+        for point in (p for p in scan if p[0] > lam):
+            path.append(point)
+            if point[2] <= 0.0:
+                return path, (path[-2], point)
+        return path, "scan_top"
+    if g < 0.0:
+        for point in (p for p in reversed(scan) if p[0] < lam):
+            path.append(point)
+            if point[2] > 0.0:
+                return path, (point, path[-2])
+    return path, "gradient_tolerance"
 
 
-def _lockstep(fg, searches):
-    """Run :func:`_ascent` searches side by side; returns their results in order.
+class _Bracket:
+    """Illinois regula falsi on g over a bracket (lo, hi) with g(lo) > 0 >= g(hi).
 
-    Each round scores the next point of every unfinished search with one
-    ``fg(xs)`` call, which returns an (objective, derivative) pair per point.
-    If the round's call raises :class:`Error`, its points are scored one at a
-    time, so an undefined point fails only its own search.
+    ``points`` holds (round, lam, objective, g) per point scored; ``stop_reason`` is None
+    while the bracket still narrows.
     """
 
-    def alone(x):
-        try:
-            return fg([x])[0]
-        except Error as error:
-            return error
+    def __init__(self, lo, hi, tol):
+        self.ends = [[lo[0], lo[2]], [hi[0], hi[2]]]  # [lam, g] at lo and at hi
+        self.tol, self.last, self.rounds, self.points = tol, None, 0, []
+        self.stop_reason = self._stop(hi[2])
 
-    results = [None] * len(searches)
-    pending = {i: next(search) for i, search in enumerate(searches)}
-    while pending:
-        xs = list(pending.values())
-        try:
-            replies = fg(xs)
-        except Error as error:
-            replies = [error] if len(xs) == 1 else [alone(x) for x in xs]
-        for i, reply in zip(list(pending), replies):
-            resume = searches[i].throw if isinstance(reply, Error) else searches[i].send
-            try:
-                pending[i] = resume(reply)
-            except StopIteration as stop:
-                results[i] = stop.value
-                del pending[i]
-    return results
+    def _stop(self, g):
+        (lo, _), (hi, _) = self.ends
+        return ("gradient_tolerance" if g == 0.0 else
+                "lambda_tolerance" if hi - lo < self.tol * hi else None)
 
+    def next_point(self) -> float:
+        (lo, g_lo), (hi, g_hi) = self.ends
+        lam = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+        # rounding can put the secant point on an end; bisect then
+        return lam if lo < lam < hi else lo + 0.5 * (hi - lo)
 
-def _gradient_ascent(fg, x0: float, max_iterations: int, tol: float):
-    """One :func:`_ascent` search from ``x0``, with ``fg(x)`` scoring one point."""
-    return _lockstep(lambda xs: [fg(x) for x in xs], [_ascent(x0, max_iterations, tol)])[0]
+    def update(self, round_, reply) -> None:
+        """Take the round's (lam, objective, g), or the :class:`Error` scoring raised."""
+        self.rounds = round_
+        if isinstance(reply, Error):
+            self.stop_reason = "undefined_point"
+            return
+        lam, _, g = reply
+        self.points.append((round_, *reply))
+        side = 0 if g > 0.0 else 1  # the point replaces lo where g > 0, else hi
+        if side == self.last:  # Illinois: the same end moved twice running
+            self.ends[1 - side][1] *= 0.5
+        self.ends[side], self.last = [lam, g], side
+        self.stop_reason = self._stop(g)
 
 
 def _fit(train, human, config, table, inits, max_iterations, tol, kind) -> list[FitResult]:
-    """One search per init, run in lockstep; every argument is checked before any scoring."""
+    """One fit per init; every argument is checked before any scoring."""
     if not inits:
         raise ValueError("need at least one initial point")
     for init in inits:
@@ -275,23 +258,48 @@ def _fit(train, human, config, table, inits, max_iterations, tol, kind) -> list[
     if not (isinstance(max_iterations, numbers.Integral) and max_iterations >= 0):
         raise ValueError(f"max_iterations must be an integer >= 0, got {max_iterations!r}")
 
-    def fg(xs):
-        values, grads = _objective_and_gradient(xs, train, human, config, table, kind)
-        return list(zip(values.tolist(), grads.tolist()))
+    def score(lams):
+        """(lam, objective, g) per lam, or the :class:`Error` that scoring it alone raises."""
+        try:
+            values, grads = _objective_and_gradient(lams, train, human, config, table, kind)
+        except Error as error:
+            return [error] if len(lams) == 1 else [score([lam])[0] for lam in lams]
+        return list(zip(lams, values.tolist(), grads.tolist()))
 
-    searches = [_ascent(init, max_iterations, tol) for init in inits]
-    return [
-        FitResult(
-            lambda_hat=x,
-            objective_value=fx,
-            iterations=iterations,
-            gradient_norm_at_convergence=gnorm,
-            converged=stop_reason == "gradient_tolerance",
+    points = score(_SCAN.tolist() + [float(init) for init in inits])
+    for start in points[_SCAN.size:]:
+        if isinstance(start, Error):  # an undefined init fails the fit
+            raise start
+    scan = [point for point in points[:_SCAN.size] if not isinstance(point, Error)]
+    walks = [_walk(start, scan) for start in points[_SCAN.size:]]
+    brackets = {ends: _Bracket(*ends, tol) for _, ends in walks if not isinstance(ends, str)}
+    for round_ in range(1, max_iterations + 1):
+        active = [bracket for bracket in brackets.values() if bracket.stop_reason is None]
+        if not active:
+            break
+        for bracket, reply in zip(active, score([bracket.next_point() for bracket in active])):
+            bracket.update(round_, reply)
+
+    fits = []
+    for path, ends in walks:
+        bracket = brackets.get(ends)  # None where the walk ended without a bracket
+        visited = [(0, *point) for point in path] + (bracket.points if bracket else [])
+        trace = visited[:1]  # the init, then each point that beat the best so far
+        for point in visited[1:]:
+            if point[2] > trace[-1][2]:
+                trace.append(point)
+        _, lam, value, g = trace[-1]
+        stop_reason = (bracket.stop_reason or "max_iterations") if bracket else ends
+        fits.append(FitResult(
+            lambda_hat=lam,
+            objective_value=value,
+            iterations=bracket.rounds if bracket else 0,
+            gradient_norm_at_convergence=max(g, 0.0) if lam == 0.0 else abs(g),
+            converged=stop_reason in ("lambda_tolerance", "gradient_tolerance"),
             stop_reason=stop_reason,
-            trace=tuple(trace),
-        )
-        for x, fx, iterations, gnorm, stop_reason, trace in _lockstep(fg, searches)
-    ]
+            trace=tuple(point[:3] for point in trace),
+        ))
+    return fits
 
 
 def learn_lambda(
@@ -301,10 +309,10 @@ def learn_lambda(
     table: TypicalityTable,
     init: float = 1.0,
     max_iterations: int = 200,
-    tol: float = 1e-6,
+    tol: float = 1e-10,
     kind: str = "mean",
 ) -> FitResult:
-    """Fit the rationality parameter from ``init >= 0`` by line-searched gradient ascent."""
+    """Fit the rationality parameter from ``init >= 0``; ``tol`` is relative, in lambda."""
     return _fit(train, human, config, table, (init,), max_iterations, tol, kind)[0]
 
 
@@ -315,16 +323,15 @@ def learn_lambda_multistart(
     table: TypicalityTable,
     inits: tuple[float, ...] = DEFAULT_MULTISTART_INITS,
     max_iterations: int = 200,
-    tol: float = 1e-6,
+    tol: float = 1e-10,
     kind: str = "mean",
 ) -> FitResult:
-    """Fit from several starts in lockstep and keep the best fit.
+    """Fit from several starts and keep the best fit, the earliest on a tie.
 
-    The objective is not provably concave in the rationality parameter, so a
-    handful of starts guards against shallow local maxima.  Each start gives
-    the fit :func:`learn_lambda` gives from its init; the best one (the
-    earliest on a tie) is returned with every start's fit, in ``inits``
-    order, as its ``starts``.
+    The objective is not concave in lambda, so a handful of starts guards
+    against shallow local maxima.  The starts share the scan and the rounds,
+    never each other's inits: each gives the fit :func:`learn_lambda` gives
+    from its init, and is returned, in ``inits`` order, in ``starts``.
     """
     fits = _fit(train, human, config, table, inits, max_iterations, tol, kind)
     best = max(fits, key=lambda fit: fit.objective_value)

@@ -19,6 +19,7 @@ import numpy as np
 from .errors import ZeroVarianceError
 
 _SUM_TOL = 1e-6
+_TINY = np.finfo(float).tiny
 
 
 def _as_vector(x) -> np.ndarray:
@@ -62,7 +63,8 @@ def _pearson(a: np.ndarray, b: np.ndarray, gradient: bool = False):
     sbb = np.sum(b * b, axis=-1)
     undefined |= (saa == 0.0) | (sbb == 0.0)
     with np.errstate(divide="ignore", invalid="ignore"):  # undefined rows are flagged, not used
-        denom = np.sqrt(saa * sbb)
+        product = saa * sbb  # where it underflows, take the product of the roots
+        denom = np.where(product < _TINY, np.sqrt(saa) * np.sqrt(sbb), np.sqrt(product))
         r = np.clip(np.sum(a * b, axis=-1) / denom, -1.0, 1.0)
         grad = b / denom[..., None] - (r / saa)[..., None] * a if gradient else None
     return r, grad, undefined

@@ -543,7 +543,7 @@ def per_point_pick(grid, items, human, config, table, kind):
 
 def chunked_pick(grid, items, human, config, table, kind):
     """The grid ablation's pick, CHUNK points per kernel call, or the error it raises."""
-    with mock.patch.object(evaluation, "_GRID_CHUNK_CELLS", CHUNK * table.values.size):
+    with mock.patch.object(learn, "_GRID_CHUNK_CELLS", CHUNK * table.values.size):
         try:
             best, _ = evaluation.ablate_lambda_interpolation(
                 items, human, config, table, grid=grid, train=items, objective_kind=kind,

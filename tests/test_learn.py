@@ -1,7 +1,6 @@
 """Split, objective, gradient, and optimizer tests."""
 
 import dataclasses
-import math
 
 import numpy as np
 import pytest
@@ -18,7 +17,7 @@ from rsa_metaphor import (
 )
 from rsa_metaphor import learn
 from rsa_metaphor.engine import _interpret_batch
-from rsa_metaphor.errors import DatasetError, Error, ZeroMassError, ZeroVarianceError
+from rsa_metaphor.errors import DatasetError, ZeroMassError, ZeroVarianceError
 from rsa_metaphor.metrics import pearson, pearson_rows
 
 
@@ -202,11 +201,13 @@ class TestLearnLambda:
 
     def test_convergence_flag_consistency(self):
         table, items, human = recovery_problem(lam_star=20.0, seed=6)
-        fit = learn_lambda(items, human, RsaConfig(), table, init=1.0, max_iterations=3)
-        if fit.converged:
-            assert fit.gradient_norm_at_convergence <= 1e-6
-        else:
-            assert fit.stop_reason in ("max_iterations", "line_search_stalled")
+        for max_iterations, want in ((0, "max_iterations"), (3, "max_iterations"),
+                                     (200, "lambda_tolerance")):
+            fit = learn_lambda(items, human, RsaConfig(), table, init=1.0,
+                               max_iterations=max_iterations)
+            assert fit.stop_reason == want
+            assert fit.iterations <= max_iterations
+            assert fit.converged == (want == "lambda_tolerance")
 
     def test_multistart_picks_best(self):
         table, items, human = recovery_problem(lam_star=44.43, seed=7)
@@ -323,7 +324,7 @@ class TestObjectiveIsTheReportedPearson:
 
 
 class TestLockstepMultistart:
-    """The starts advance together, one kernel call per round."""
+    """One scan serves every start; the brackets narrow together, one scoring call per round."""
 
     @five_configs
     @pytest.mark.parametrize("kind", ["mean", "pooled"])
@@ -339,36 +340,65 @@ class TestLockstepMultistart:
         assert dataclasses.replace(best, starts=()) == first_best
 
     def test_one_kernel_call_per_round(self, monkeypatch, seed12_split0):
+        # with utterances="pair" the starts end in two brackets, near lambda 3.4 and 92
         table, human, train = seed12_split0
+        config = RsaConfig(utterances="pair")
         inits = learn.DEFAULT_MULTISTART_INITS
         calls = spy_kernel(monkeypatch)
         alone = []
         for init in inits:
             calls.clear()
-            learn_lambda(train, human, RsaConfig(), table, init=init)
+            learn_lambda(train, human, config, table, init=init)
             alone.append(len(calls))
         calls.clear()
-        learn_lambda_multistart(train, human, RsaConfig(), table, inits=inits)
+        fit = learn_lambda_multistart(train, human, config, table, inits=inits)
+        rounds = max(start.iterations for start in fit.starts)
+        chunk = learn._GRID_CHUNK_CELLS // table.values.size
+        scan = learn._SCAN.size + len(inits)
+        # the scan in chunks, then one call per round scoring both brackets
+        assert [len(lams) for lams in calls] == (
+            [chunk] * (scan // chunk) + [scan % chunk] + [2] * rounds)
         assert len(calls) == max(alone) < sum(alone)
-        assert max(len(lams) for lams in calls) == len(inits)
 
     def test_undefined_trial_point_fails_only_its_own_start(self, monkeypatch, seed12_split0):
+        # the starts from 20 and 50 share the bracket near lambda 92; its first
+        # refinement point is made undefined
         table, human, train = seed12_split0
+        config = RsaConfig(utterances="pair")
         inits = learn.DEFAULT_MULTISTART_INITS
-        clean = learn_lambda_multistart(train, human, RsaConfig(), table)
+        clean = learn_lambda_multistart(train, human, config, table)
         calls = spy_kernel(monkeypatch)
-        learn_lambda(train, human, RsaConfig(), table, init=5.0)
-        g0 = learn.gradient(5.0, train, human, RsaConfig(), table)
-        first_trial = calls[1][0]
-        assert first_trial == max(5.0 + g0, 0.0)
+        visited = {}
+        for init in inits:
+            calls.clear()
+            learn_lambda(train, human, config, table, init=init)
+            visited[init] = {lam for lams in calls for lam in lams}
+        calls.clear()
+        learn_lambda(train, human, config, table, init=50.0)
+        fail_at = calls[4][0]  # after the scan's 49 points, 16 per call
+        assert [init for init in inits if fail_at in visited[init]] == [20.0, 50.0]
 
-        calls = spy_kernel(monkeypatch, fail_at=first_trial)
-        alone = learn_lambda(train, human, RsaConfig(), table, init=5.0)
-        assert [lams[0] for lams in calls[:3]] == [5.0, first_trial, max(5.0 + 0.5 * g0, 0.0)]
-        faulted = learn_lambda_multistart(train, human, RsaConfig(), table)
-        assert alone.trace != clean.starts[2].trace
+        spy_kernel(monkeypatch, fail_at=fail_at)
+        faulted = learn_lambda_multistart(train, human, config, table)
         for init, start, reference in zip(inits, faulted.starts, clean.starts):
-            assert start.trace == (alone.trace if init == 5.0 else reference.trace)
+            if fail_at in visited[init]:
+                assert start == learn_lambda(train, human, config, table, init=init)
+                assert start.stop_reason == "undefined_point" and not start.converged
+                assert start.iterations == 1 and start.lambda_hat != fail_at
+            else:
+                assert start == reference
+
+    def test_undefined_scan_point_is_skipped(self, monkeypatch, seed12_split0):
+        # the scan point just above the optimum is undefined: the walk passes over it
+        table, human, train = seed12_split0
+        clean = learn_lambda_multistart(train, human, RsaConfig(), table)
+        fail_at = float(learn._SCAN[np.searchsorted(learn._SCAN, clean.lambda_hat)])
+        spy_kernel(monkeypatch, fail_at=fail_at)
+        fit = learn_lambda_multistart(train, human, RsaConfig(), table)
+        assert fit.converged and fit.lambda_hat != fail_at
+        # a wider bracket, so a different last few rounds on a flat maximum
+        assert fit.lambda_hat == pytest.approx(clean.lambda_hat, rel=1e-7)
+        assert fit.objective_value == pytest.approx(clean.objective_value, abs=1e-15)
 
     def test_undefined_start_point_propagates(self, monkeypatch, seed12_split0):
         table, human, train = seed12_split0
@@ -377,64 +407,41 @@ class TestLockstepMultistart:
             learn_lambda_multistart(train, human, RsaConfig(), table)
 
 
-class TestGradientAscent:
-    """The optimizer's exits and rejections, driven by stub objectives."""
+def seed_split0_train(seed):
+    table, items, human = make_synthetic_dataset(seed=seed)
+    by_id = {item.id: item for item in items}
+    return table, human, tuple(by_id[i] for i in make_split(items, 0).train)
 
-    def test_non_finite_initial_point_raises(self):
-        with pytest.raises(Error, match="not finite at the initial point 2.0"):
-            learn._gradient_ascent(lambda x: (math.nan, 1.0), 2.0, 10, 1e-6)
 
-    def test_undefined_trial_point_halves_the_step(self):
-        # -(x - 1)^2, undefined beyond x = 1.5: the first trial (x = 2) raises
-        calls = []
+class TestFitEnds:
+    """Where the scan, walk and refinement end on the full-scale synthetic data."""
 
-        def fg(x):
-            calls.append(x)
-            if x > 1.5:
-                raise Error("undefined")
-            return -(x - 1.0) ** 2, -2.0 * (x - 1.0)
+    def test_every_start_reaches_the_same_maximum(self, seed12_split0):
+        table, human, train = seed12_split0
+        fit = learn_lambda_multistart(train, human, RsaConfig(), table)
+        lams = [start.lambda_hat for start in fit.starts]
+        assert max(lams) - min(lams) <= 1e-9 * fit.lambda_hat
+        assert all(start.stop_reason == "lambda_tolerance" for start in fit.starts)
 
-        x, fx, iterations, gnorm, reason, trace = learn._gradient_ascent(fg, 0.0, 50, 1e-9)
-        assert calls == [0.0, 2.0, 1.0]
-        assert (x, fx, iterations, gnorm, reason) == (1.0, 0.0, 1, 0.0, "gradient_tolerance")
-        assert trace == [(0, 0.0, -1.0), (1, 1.0, 0.0)]
+    def test_still_rising_at_the_scan_top(self):
+        # the objective rises up to lambda 1e5
+        table, human, train = seed_split0_train(15)
+        fit = learn_lambda_multistart(train, human, RsaConfig(utterances="pair"), table,
+                                      kind="pooled")
+        assert fit.stop_reason == "scan_top" and not fit.converged
+        assert fit.lambda_hat == learn._SCAN[-1]
+        assert fit.objective_value >= 0.3801
 
-    def test_no_ascent_along_the_gradient_stalls(self):
-        # the reported slope points uphill, but every step goes down
-        calls = []
-
-        def fg(x):
-            calls.append(x)
-            return -abs(x), 1.0
-
-        x, fx, iterations, gnorm, reason, trace = learn._gradient_ascent(fg, 0.0, 50, 1e-9)
-        assert (x, fx, iterations, gnorm, reason) == (0.0, 0.0, 0, 1.0, "line_search_stalled")
-        assert trace == [(0, 0.0, 0.0)]
-        assert len(calls) == 1 + 60  # the start point, then every halving rejected
-
-    def test_trial_points_are_projected_onto_zero(self):
-        # -(x + 1)^2 peaks at x = -1: the first trial from 1 (x = -3) lands on 0, where
-        # the projected gradient is 0
-        calls = []
-
-        def fg(x):
-            calls.append(x)
-            return -(x + 1.0) ** 2, -2.0 * (x + 1.0)
-
-        x, fx, iterations, gnorm, reason, trace = learn._gradient_ascent(fg, 1.0, 50, 1e-9)
-        assert calls == [1.0, 0.0]
-        assert (x, fx, iterations, gnorm, reason) == (0.0, -1.0, 1, 0.0, "gradient_tolerance")
-        assert trace == [(0, 1.0, -4.0), (1, 0.0, -1.0)]
-
-    def test_armijo_test_takes_the_projected_step(self):
-        # from 0.5 the full step would reach -1.5 and promise a gain of 1e-4 * 2 * 2 = 4e-4;
-        # the projected step to 0 promises 1e-4, which a gain of 2e-4 meets
-        calls = []
-
-        def fg(x):
-            calls.append(x)
-            return (2e-4 if x == 0.0 else 0.0), -2.0
-
-        x, _, iterations, gnorm, reason, _ = learn._gradient_ascent(fg, 0.5, 50, 1e-9)
-        assert calls == [0.5, 0.0]
-        assert (x, iterations, gnorm, reason) == (0.0, 1, 0.0, "gradient_tolerance")
+    def test_maximum_at_lambda_zero(self):
+        # the starts from 20 and 50 walk down into a lower maximum near 15.3 and stay there
+        table, human, train = seed_split0_train(13)
+        fit = learn_lambda_multistart(train, human, RsaConfig(category_prior="uniform"), table)
+        assert (fit.lambda_hat, fit.stop_reason) == (0.0, "gradient_tolerance")
+        assert fit.converged and fit.gradient_norm_at_convergence == 0.0
+        low, high = fit.starts[:3], fit.starts[3:]
+        assert all((start.lambda_hat, start.stop_reason) == (0.0, "gradient_tolerance")
+                   for start in low)
+        assert [start.stop_reason for start in high] == ["lambda_tolerance"] * 2
+        assert high[0].lambda_hat == pytest.approx(high[1].lambda_hat, rel=1e-9)
+        assert 15.0 < high[0].lambda_hat < 16.0
+        assert high[0].objective_value < fit.objective_value

@@ -63,6 +63,15 @@ class TestPearson:
             q = rng.dirichlet(np.ones(6))
             assert -1.0 <= pearson(p, q) <= 1.0
 
+    def test_tiny_spreads_whose_product_underflows(self):
+        # each spread is about 7e-321 but their product underflows to 0; the
+        # same vectors scaled by 1e150 give -0.5
+        p, q = [0.0, 1e-160, 0.0], [0.0, 0.0, 1e-160]
+        assert pearson(p, q) == pytest.approx(-0.5, abs=1e-12)
+        assert pearson(np.multiply(p, 1e150), np.multiply(q, 1e150)) == pytest.approx(-0.5)
+        rows = pearson_rows([p, [0.5, 0.3, 0.2]], [q, [0.2, 0.3, 0.5]])
+        np.testing.assert_allclose(rows, [-0.5, -13 / 14], atol=1e-12)
+
 
 class TestJsd:
     def test_identical_is_zero(self):
