@@ -16,12 +16,12 @@ import json
 import math
 import os
 import sys
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from pathlib import Path
 
 import click
 
-from . import evaluation, learn, lexicon
+from . import engine, evaluation, learn, lexicon
 from .engine import RsaConfig, interpret
 from .errors import Error, UnknownCategoryError
 from .lexicon import MetaphorItem
@@ -64,13 +64,7 @@ class RunConfig:
         return out
 
     def rsa_config(self) -> RsaConfig:
-        return RsaConfig(
-            lam=self.lam,
-            utterances=self.utterances,
-            category_prior=self.category_prior,
-            goal_prior=self.goal_prior,
-            mode=self.mode,
-        )
+        return RsaConfig(**{f.name: getattr(self, f.name) for f in fields(RsaConfig)})
 
 
 def _handle_errors(fn):
@@ -150,26 +144,13 @@ def _load_dataset(data_dir, raw_ratings: bool, ks: tuple[int, ...]):
     return table, items, human
 
 
-def _edit_distance(a: str, b: str, cap: int = 3) -> int:
-    if abs(len(a) - len(b)) >= cap:
-        return cap
-    prev = list(range(len(b) + 1))
-    for i, ca in enumerate(a, start=1):
-        cur = [i]
-        for j, cb in enumerate(b, start=1):
-            cur.append(min(prev[j] + 1, cur[j - 1] + 1, prev[j - 1] + (ca != cb)))
-        prev = cur
-    return min(prev[-1], cap)
-
-
 def _require_category(noun: str, table: lexicon.TypicalityTable) -> None:
     if noun in table:
         return
-    near = sorted(
-        (c for c in table.categories if _edit_distance(noun, c) <= 2),
-        key=lambda c: (_edit_distance(noun, c), c),
-    )
-    raise UnknownCategoryError(noun, suggestions=near[:5])
+    import difflib  # only the error path pays for the import
+
+    near = difflib.get_close_matches(noun, table.categories, n=5)
+    raise UnknownCategoryError(noun, suggestions=near)
 
 
 class ArtifactWriter:
@@ -237,15 +218,15 @@ def _dataset_options(fn):
 
 def _engine_options(fn):
     for option in (
-        click.option("--mode", type=click.Choice(["full", "fast"]), default="full",
+        click.option("--mode", type=click.Choice(engine._MODES), default="full",
                      show_default=True, help="Full recursion or the reduced fast path."),
         click.option("--lambda", "lam_text", default="1.0", show_default=True,
                      help="Speaker rationality: a number, or 'learned' to read params.json."),
-        click.option("--utterances", type=click.Choice(["all", "pair"]), default="all",
+        click.option("--utterances", type=click.Choice(engine._UTTERANCE_SETS), default="all",
                      show_default=True, help="Speaker's utterance alternative set."),
-        click.option("--category-prior", type=click.Choice(["topic", "uniform"]),
+        click.option("--category-prior", type=click.Choice(engine._CATEGORY_PRIORS),
                      default="topic", show_default=True),
-        click.option("--goal-prior", type=click.Choice(["relevance", "uniform"]),
+        click.option("--goal-prior", type=click.Choice(engine._GOAL_PRIORS),
                      default="relevance", show_default=True),
     ):
         fn = option(fn)
@@ -256,7 +237,7 @@ def _eval_options(fn):
     for option in (
         click.option("--seed", "split_seed", type=int, default=0, show_default=True,
                      help="Seed for the stratified train/test split."),
-        click.option("--objective", type=click.Choice(["mean", "pooled"]), default="mean",
+        click.option("--objective", type=click.Choice(learn._OBJECTIVE_KINDS), default="mean",
                      show_default=True, help="Mean per-metaphor Pearson or one pooled correlation."),
         click.option("--jsd-base", type=click.Choice(["2", "e"]), default="2",
                      show_default=True),
@@ -273,35 +254,27 @@ def _eval_options(fn):
 def _run_command(*own_options):
     """Give an artifact command the shared flags, resolved once into a RunConfig.
 
-    The command is called as ``fn(config, **own)``, where ``own`` holds the
-    values of ``own_options``, the options that only it takes.
+    A flag named after a ``RunConfig`` field is passed through as it is; the
+    four that ``run`` names are converted first.  The command is called as
+    ``fn(config, table, items, human, **own)`` with the loaded dataset, where
+    ``own`` holds the values of ``own_options``, the options that only it takes.
     """
 
     def decorate(fn):
         @functools.wraps(fn)
-        def run(data_dir, raw_ratings, mode, lam_text, utterances, category_prior,
-                goal_prior, split_seed, objective, jsd_base, k_text, grid_text,
-                output_dir, **own):
-            lam, lambda_source = _resolve_lambda(lam_text, output_dir)
-            if split_seed < 0:
-                raise Error(f"invalid --seed value {split_seed}; seeds must be >= 0")
+        def run(lam_text, jsd_base, k_text, grid_text, **flags):
+            lam, lambda_source = _resolve_lambda(lam_text, flags["output_dir"])
+            if flags["split_seed"] < 0:
+                raise Error(f"invalid --seed value {flags['split_seed']}; seeds must be >= 0")
+            names = {f.name for f in fields(RunConfig)}
+            own = {name: flags.pop(name) for name in list(flags) if name not in names}
             config = RunConfig(
-                data_dir=data_dir,
-                output_dir=output_dir,
-                mode=mode,
-                lam=lam,
-                lambda_source=lambda_source,
-                split_seed=split_seed,
-                objective=objective,
-                jsd_base=2.0 if jsd_base == "2" else 2.718281828459045,
-                utterances=utterances,
-                category_prior=category_prior,
-                goal_prior=goal_prior,
-                raw_ratings=raw_ratings,
-                ks=_parse_ks(k_text),
-                grid=_parse_grid(grid_text),
+                **flags, lam=lam, lambda_source=lambda_source,
+                jsd_base=2.0 if jsd_base == "2" else math.e,
+                ks=_parse_ks(k_text), grid=_parse_grid(grid_text),
             )
-            return fn(config, **own)
+            dataset = _load_dataset(config.data_dir, config.raw_ratings, config.ks)
+            return fn(config, *dataset, **own)
 
         run = click.option("--output-dir", required=True,
                            type=click.Path(file_okay=False))(_handle_errors(run))
@@ -368,9 +341,8 @@ def cmd_interpret(data_dir, raw_ratings, mode, lam_text, utterances,
 
 @main.command()
 @_run_command()
-def train(config: RunConfig):
+def train(config: RunConfig, table, items, human):
     """Fit the rationality parameter on the train split; write params.json."""
-    table, items, human = _load_dataset(config.data_dir, config.raw_ratings, config.ks)
     split = learn.make_split(items, config.split_seed)
     by_id = {item.id: item for item in items}
     train_items = tuple(by_id[i] for i in split.train)
@@ -402,9 +374,8 @@ def train(config: RunConfig):
 
 @main.command("eval")
 @_run_command()
-def cmd_eval(config: RunConfig):
+def cmd_eval(config: RunConfig, table, items, human):
     """Evaluate the model against human data; write report.json and report.csv."""
-    table, items, human = _load_dataset(config.data_dir, config.raw_ratings, config.ks)
     split = None
     try:
         split = learn.make_split(items, config.split_seed)
@@ -426,9 +397,8 @@ def cmd_eval(config: RunConfig):
 @_run_command(
     click.option("--kind", type=click.Choice(["no-relevance", "grid-lambda"]), required=True)
 )
-def ablate(config: RunConfig, kind):
+def ablate(config: RunConfig, table, items, human, kind):
     """Run one ablation (uniform goal prior, or grid-searched lambda)."""
-    table, items, human = _load_dataset(config.data_dir, config.raw_ratings, config.ks)
     with ArtifactWriter(config) as writer:
         if kind == "no-relevance":
             report = evaluation.ablate_relevance(
@@ -455,9 +425,8 @@ def ablate(config: RunConfig, kind):
 
 @main.command()
 @_run_command()
-def corr(config: RunConfig):
+def corr(config: RunConfig, table, items, human):
     """Write model- and human-side feature correlation matrices as CSV."""
-    table, items, human = _load_dataset(config.data_dir, config.raw_ratings, config.ks)
     if len(items) < 3:
         raise Error(f"corr needs at least 3 metaphors, got {len(items)}")
     features = table.vocab.features

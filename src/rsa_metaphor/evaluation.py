@@ -13,7 +13,7 @@ listener-kernel call per chunk of grid points, not one call per point.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, fields, replace
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -312,54 +312,31 @@ def feature_correlation_matrix(
     return corr
 
 
-def _json_float(x: float) -> float | None:
-    x = float(x)
-    return None if math.isnan(x) else x
+_ITEM_KEYS = {"item_id": "id", "inherence": "class"}  # report.json names for ItemEval fields
+
+
+def _json(value):
+    """``value`` as JSON data: a NaN float becomes None, an array a list, mapping keys strings."""
+    if isinstance(value, float) and math.isnan(value):
+        return None
+    if isinstance(value, np.ndarray):
+        return value.tolist()
+    if isinstance(value, Mapping):
+        return {str(k): _json(v) for k, v in value.items()}
+    return value
 
 
 def report_to_dict(report: EvalReport) -> dict:
-    """JSON-ready payload for an evaluation report."""
+    """JSON-ready payload for an evaluation report: every field of its groups and items."""
     return {
         "tag": report.tag,
         "lambda": report.config.lam,
         "ks": list(report.ks),
         "jsd_base": report.jsd_base,
-        "groups": {
-            name: {
-                "n_items": g.n_items,
-                "mean_pearson": _json_float(g.mean_pearson),
-                "sd_pearson": _json_float(g.sd_pearson),
-                "mean_jsd": _json_float(g.mean_jsd),
-                "sd_jsd": _json_float(g.sd_jsd),
-                "top1_match_count": g.top1_match_count,
-                "mean_agreement": {str(k): _json_float(v) for k, v in g.mean_agreement.items()},
-                "argmax_in_human_top_rate": _json_float(g.argmax_in_human_top_rate),
-                "top_overlap_rate": _json_float(g.top_overlap_rate),
-                "model_boundary_ties": g.model_boundary_ties,
-                "human_boundary_ties": g.human_boundary_ties,
-            }
-            for name, g in report.groups.items()
-        },
-        "items": [
-            {
-                "id": e.item_id,
-                "topic": e.topic,
-                "vehicle": e.vehicle,
-                "class": e.inherence,
-                "pearson_r": _json_float(e.pearson_r),
-                "jsd": _json_float(e.jsd),
-                "agreement": {str(k): v for k, v in e.agreement.items()},
-                "model_top": list(e.model_top),
-                "human_top": list(e.human_top),
-                "argmax_in_human_top": e.argmax_in_human_top,
-                "model_boundary_tie": e.model_boundary_tie,
-                "human_boundary_tie": e.human_boundary_tie,
-                "mode_divergence": _json_float(e.mode_divergence),
-                "model": [float(v) for v in e.model],
-                "human": [float(v) for v in e.human],
-            }
-            for e in report.items
-        ],
+        "groups": {name: {f.name: _json(getattr(g, f.name)) for f in fields(g)}
+                   for name, g in report.groups.items()},
+        "items": [{_ITEM_KEYS.get(f.name, f.name): _json(getattr(e, f.name)) for f in fields(e)}
+                  for e in report.items],
     }
 
 

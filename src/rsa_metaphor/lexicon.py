@@ -14,9 +14,9 @@ A dataset lives in one directory holding three UTF-8 CSV files:
   non-negative reals (raw selection counts or pre-normalized weights) and are
   normalized per metaphor at load.  Features without a row get weight 0.
 
-Floats are written with 12 significant digits, which makes
-``load -> save -> load`` exact: a 12-digit decimal survives the
-decimal/binary round trip unchanged.
+Floats are written as ``repr(float(value))``, the shortest decimal that
+reads back as the same double, so saving a valid dataset and loading it
+back gives the same arrays, bit for bit.
 
 All loaded types are frozen and their arrays read-only, so a dataset can be
 shared freely across parallel workers; loading itself is single-threaded.
@@ -41,13 +41,6 @@ ROW_SUM_TOL = 1e-9
 INHERENT = "inherent"
 NON_INHERENT = "non_inherent"
 _CLASSES = (INHERENT, NON_INHERENT)
-
-_FLOAT_FMT = ".12g"
-
-
-def _fmt(value: float) -> str:
-    return format(float(value), _FLOAT_FMT)
-
 
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
@@ -431,11 +424,18 @@ def validate(
         if item.id not in human:
             violations.append(f"human responses: no distribution for metaphor {item.id!r}")
 
+    if human.vocab != table.vocab:
+        violations.append("human responses: feature vocabulary differs from the typicality table's")
     known_ids = {item.id for item in items}
     for metaphor_id in human.ids:
         if metaphor_id not in known_ids:
             violations.append(f"human responses: unknown metaphor id {metaphor_id!r}")
         dist = human.responses[metaphor_id]
+        if np.shape(dist) != (table.n,):
+            violations.append(
+                f"human responses for {metaphor_id!r}: shape {np.shape(dist)}, not ({table.n},)"
+            )
+            continue
         if not np.all(np.isfinite(dist)):
             violations.append(f"human responses for {metaphor_id!r}: non-finite entries")
             continue
@@ -473,22 +473,21 @@ def save_dataset(
     with open(data_dir / "typicality.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["category", "feature", "value"])
-        for c, category in enumerate(table.categories):
-            for i, feature in enumerate(table.vocab):
-                writer.writerow([category, feature, _fmt(table.values[c, i])])
+        # tolist gives Python floats, whose repr (unlike numpy's) is the bare decimal
+        for category, row in zip(table.categories, table.values.tolist()):
+            writer.writerows([category, feature, repr(v)] for feature, v in zip(table.vocab, row))
 
     with open(data_dir / "metaphors.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["id", "topic", "vehicle", "class", "familiarity"])
         for item in items:
-            fam = "" if item.familiarity is None else _fmt(item.familiarity)
+            fam = "" if item.familiarity is None else repr(float(item.familiarity))
             writer.writerow([item.id, item.topic, item.vehicle, item.inherence, fam])
 
     with open(data_dir / "human.csv", "w", newline="", encoding="utf-8") as fh:
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(["metaphor_id", "feature", "count"])
         for metaphor_id in human.ids:
-            dist = human.responses[metaphor_id]
-            for i, feature in enumerate(table.vocab):
-                if dist[i] > 0:
-                    writer.writerow([metaphor_id, feature, _fmt(dist[i])])
+            row = human.responses[metaphor_id].tolist()
+            writer.writerows([metaphor_id, feature, repr(p)]
+                             for feature, p in zip(table.vocab, row) if p > 0)

@@ -2,11 +2,11 @@
 
 Each metric has one implementation, a row-wise form that compares the rows
 of two (R, n) arrays along the last axis: :func:`pearson_rows`,
-:func:`jsd_rows`, :func:`top_k_rows` and :func:`k_agreement_rows` (the
-count that :func:`top_k_overlap` takes from two top-k index arrays).  The
-scalar functions :func:`pearson`, :func:`jsd`, :func:`top_k_indices` and
-:func:`k_agreement` are their one-row case: they pass a 1-D vector, which
-the row-wise forms treat as a single row.  Pearson r has one computation,
+:func:`jsd_rows`, :func:`top_k_rows` and :func:`top_k_overlap` (the count
+of indices that two top-k index arrays share).  The scalar functions
+:func:`pearson`, :func:`jsd`, :func:`top_k_indices` and :func:`k_agreement`
+are their one-row case: they pass a 1-D vector, which the row-wise forms
+treat as a single row.  Pearson r has one computation,
 :func:`_pearson`, which also scores the fit's objective and its gradient.
 """
 
@@ -148,11 +148,6 @@ def top_k_overlap(top_p: np.ndarray, top_q: np.ndarray) -> np.ndarray:
     return np.count_nonzero(top_p[..., :, None] == top_q[..., None, :], axis=(-2, -1))
 
 
-def k_agreement_rows(p, q, k: int) -> np.ndarray:
-    """Per row pair, how many indices the two rows share among their k largest entries."""
-    return top_k_overlap(top_k_rows(p, k), top_k_rows(q, k))
-
-
 def k_agreement(p, q, k: int) -> int:
     """Number of features the two distributions share among their k most probable."""
-    return int(k_agreement_rows(_as_vector(p), _as_vector(q), k))
+    return int(top_k_overlap(top_k_indices(p, k), top_k_indices(q, k)))

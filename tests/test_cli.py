@@ -1,6 +1,9 @@
 """End-to-end CLI tests: exit codes, artifacts, determinism."""
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -100,6 +103,22 @@ class TestInterpret:
         assert result.exit_code == 1
         assert "unknown category" in result.stderr
         assert "ants" in result.stderr
+
+    def test_noun_one_letter_off_is_named_as_the_hint(self, runner, dataset_dir):
+        result = runner.invoke(main, [
+            "interpret", "--data-dir", str(dataset_dir),
+            "--topic", "workerz", "--vehicle", "ants",
+        ])
+        assert result.exit_code == 1
+        assert result.stderr == "error: unknown category 'workerz'; did you mean: workers\n"
+
+    def test_importing_the_cli_leaves_difflib_unloaded(self):
+        # the hint's difflib is imported on the error path, not by every command
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        code = "import sys, rsa_metaphor.cli; print('difflib' in sys.modules)"
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, check=True)
+        assert done.stdout == "False\n"
 
     def test_same_topic_and_vehicle_is_domain_error(self, runner, dataset_dir):
         result = runner.invoke(main, [

@@ -480,6 +480,32 @@ class TestSerialization:
         assert len(parsed["items"]) == 24
         assert parsed["groups"]["all"]["n_items"] == 24
 
+    def test_report_json_keys_are_pinned(self, full_scale):
+        """Every ItemEval and GroupStats field reaches report.json; a new one must be added here."""
+        table, items, human = full_scale
+        payload = report_to_dict(evaluate(items, human, RsaConfig(lam=10.0), table))
+        assert set(payload) == {"tag", "lambda", "ks", "jsd_base", "groups", "items"}
+        item_keys = {
+            "id", "topic", "vehicle", "class", "model", "human", "pearson_r", "jsd",
+            "agreement", "model_top", "human_top", "argmax_in_human_top",
+            "model_boundary_tie", "human_boundary_tie", "mode_divergence",
+        }
+        group_keys = {
+            "n_items", "mean_pearson", "sd_pearson", "mean_jsd", "sd_jsd", "top1_match_count",
+            "mean_agreement", "argmax_in_human_top_rate", "top_overlap_rate",
+            "model_boundary_ties", "human_boundary_ties",
+        }
+        assert (len(item_keys), len(group_keys)) == (15, 11)
+        assert all(set(item) == item_keys for item in payload["items"])
+        assert all(set(group) == group_keys for group in payload["groups"].values())
+        assert set(payload["items"][0]["agreement"]) == {"1", "3"}
+
+    def test_report_json_writes_an_undefined_sd_as_null(self, full_scale):
+        table, items, human = full_scale
+        payload = report_to_dict(evaluate(items[:1], human, RsaConfig(lam=10.0), table))
+        assert payload["groups"]["all"]["sd_pearson"] is None
+        assert set(payload["groups"]["all"]["mean_agreement"]) == {"1", "3"}
+
     def test_report_csv_shape(self, full_scale):
         table, items, human = full_scale
         report = evaluate(items, human, RsaConfig(lam=10.0), table)

@@ -217,6 +217,22 @@ class TestValidateViolations:
         dirty = HumanResponseTable(table.vocab, dict(human.responses, m1=np.array(row)))
         assert validate(table, items, dirty).violations == (violation,)
 
+    @pytest.mark.parametrize("row", [[0.5, 0.5], [0.25, 0.25, 0.25, 0.25]])
+    def test_human_row_of_the_wrong_length(self, clean, row):
+        table, items, human = clean
+        dirty = HumanResponseTable(table.vocab, dict(human.responses, m1=np.array(row)))
+        assert validate(table, items, dirty).violations == (
+            f"human responses for 'm1': shape ({len(row)},), not (3,)",
+        )
+
+    def test_human_vocabulary_differs(self, clean):
+        table, items, human = clean
+        reordered = FeatureVocab(tuple(reversed(table.vocab.features)))
+        report = validate(table, items, HumanResponseTable(reordered, human.responses))
+        assert report.violations == (
+            "human responses: feature vocabulary differs from the typicality table's",
+        )
+
 
 class TestReadDataset:
     @pytest.mark.parametrize("name", ["typicality.csv", "metaphors.csv", "human.csv"])
@@ -425,6 +441,16 @@ class TestLoaderFuzz:
 
 
 class TestRoundTrip:
+    def test_saved_dataset_loads_back_bit_for_bit(self, tmp_path):
+        table, items, human = make_synthetic_dataset(seed=12)
+        save_dataset(table, items, human, tmp_path)
+        loaded_table, loaded_items, loaded_human = load_dataset(tmp_path)
+        assert np.array_equal(loaded_table.values, table.values)
+        assert loaded_items == items
+        assert loaded_human.ids == human.ids
+        for key in human.ids:
+            assert np.array_equal(loaded_human.responses[key], human.responses[key])
+
     def test_save_load_save_is_bit_exact(self, tmp_path):
         table, items, human = make_synthetic_dataset(seed=3)
         first = tmp_path / "first"

@@ -13,10 +13,10 @@ from rsa_metaphor.metrics import (
     jsd,
     jsd_rows,
     k_agreement,
-    k_agreement_rows,
     pearson,
     pearson_rows,
     top_k_indices,
+    top_k_overlap,
     top_k_rows,
 )
 
@@ -182,7 +182,7 @@ class TestRowWiseForms:
             assert d[i] == jsd(p[i], q[i])
         for k in (1, n // 2 + 1, n):
             top = top_k_rows(q, k)
-            agreement = k_agreement_rows(p, q, k)
+            agreement = top_k_overlap(top_k_rows(p, k), top_k_rows(q, k))
             assert top.shape == (n_rows, k)
             for i in range(n_rows):
                 assert top[i].tolist() == top_k_indices(q[i], k).tolist()
@@ -191,7 +191,7 @@ class TestRowWiseForms:
     def test_top_k_is_a_stable_descending_order(self):
         rows = np.array([[0.2, 0.4, 0.4, 0.0], [0.25, 0.25, 0.25, 0.25]])
         assert top_k_rows(rows, 4).tolist() == [[1, 2, 0, 3], [0, 1, 2, 3]]
-        assert k_agreement_rows(rows, rows[::-1], 2).tolist() == [1, 1]
+        assert top_k_overlap(top_k_rows(rows, 2), top_k_rows(rows[::-1], 2)).tolist() == [1, 1]
 
     def test_constant_row_raises_like_the_scalar_call(self):
         p = np.array([[0.5, 0.3, 0.2], [0.4, 0.4, 0.2]])
