@@ -117,12 +117,12 @@ def _resolve_lambda(text: str, output_dir: str | None) -> tuple[float, str]:
         if not params_path.exists():
             raise Error(f"--lambda learned: {params_path} not found; run train first")
         try:
-            lam = json.loads(params_path.read_text(encoding="utf-8"))["lambda"]
+            lam = json.loads(params_path.read_text(encoding="utf-8"), parse_int=float)["lambda"]
         except (ValueError, KeyError, TypeError):
             lam = None
-        if type(lam) not in (int, float):  # a JSON number: not null, a string or a boolean
+        if type(lam) is not float:  # a number (a huge integer is inf, as 1e999 is), not a bool
             raise Error(f"--lambda learned: {params_path} holds no numeric 'lambda'")
-        lam, source = float(lam), "learned"
+        source = "learned"
     else:
         try:
             lam = float(text)
@@ -316,16 +316,14 @@ def validate(data_dir, raw_ratings):
 @click.option("--output-dir", type=click.Path(file_okay=False), default=None,
               help="Where to find params.json when --lambda learned is used.")
 @_handle_errors
-def cmd_interpret(data_dir, raw_ratings, mode, lam_text, utterances,
-                  category_prior, goal_prior, topic, vehicle, k_text, output_dir):
+def cmd_interpret(data_dir, raw_ratings, lam_text, topic, vehicle, k_text, output_dir, **engine):
     """Print the ranked feature distribution for one topic-vehicle pair."""
     ks = _parse_ks(k_text)
     table, _, _ = _load_dataset(data_dir, raw_ratings, ks)
     _require_category(topic, table)
     _require_category(vehicle, table)
     lam, _ = _resolve_lambda(lam_text, output_dir)
-    config = RsaConfig(lam=lam, utterances=utterances, category_prior=category_prior,
-                       goal_prior=goal_prior, mode=mode)
+    config = RsaConfig(lam=lam, **engine)
     item = MetaphorItem(id=f"{topic}-{vehicle}", topic=topic, vehicle=vehicle)
     dist = interpret(item, config, table)
     probs = dist.p

@@ -323,17 +323,11 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
             # every stretch is uniform: the vehicle is never read
             logp = np.broadcast_to(log_alpha, (lams.size, *log_alpha.shape))
     else:
-        degenerate = "contain values of exactly 0 or 1"
-        if config.utterances == "all":
-            # the speaker normalizers run over the whole table: one block shared by the batch
-            _reject_rows(table.degenerate_rows, table, slice(None), degenerate)
-            log_u, not_u = log_values[None], table.log1m_values[None]
-            log_t, log_v, not_v = log_values[topic], log_values[vehicle], not_u[0, vehicle]
-        else:
-            pair = np.stack([topic, vehicle], axis=1)
-            _reject_rows(table.degenerate_rows[pair], table, pair, degenerate)
-            log_u, not_u = log_values[pair], table.log1m_values[pair]
-            log_t, log_v, not_v = log_u[:, 0], log_u[:, 1], not_u[:, 1]
+        # the alternatives: the whole table as one (1, K) block shared by the batch, or (B, 2)
+        rows = np.s_[None, :] if config.utterances == "all" else np.stack([topic, vehicle], 1)
+        _reject_rows(table.degenerate_rows[rows], table, rows, "contain values of exactly 0 or 1")
+        log_u, not_u = log_values[rows], table.log1m_values[rows]
+        log_t, log_v, not_v = log_values[topic], log_values[vehicle], table.log1m_values[vehicle]
         # the state carries goal j's feature (match) or another one (no match)
         log_s_match, d_match = _speaker(lam, log_u, log_v, gradient)
         log_s_nomatch, d_nomatch = _speaker(lam, not_u, not_v, gradient)

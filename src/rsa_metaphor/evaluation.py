@@ -72,7 +72,7 @@ class GroupStats:
     sd_pearson: float
     mean_jsd: float
     sd_jsd: float
-    top1_match_count: int
+    top1_match_count: int  # items whose model and human argmax agree, whatever ks holds
     mean_agreement: Mapping[int, float]
     argmax_in_human_top_rate: float
     top_overlap_rate: float
@@ -98,15 +98,16 @@ def _group_stats(
     r: np.ndarray,
     js: np.ndarray,
     agreement: np.ndarray,
+    top1: np.ndarray,
     in_top: np.ndarray,
     ties: np.ndarray,
     ks: tuple[int, ...],
 ) -> GroupStats:
     """Aggregates over one group, from its items' per-item arrays.
 
-    ``agreement`` is (items, len(ks)), one column per k; ``ties`` is
-    (2, items), the model's boundary ties and then the human's.  The means
-    and sds reduce 1-D arrays, which keeps the bits of a mean over a list.
+    ``agreement`` is (items, len(ks)), one column per k; ``top1`` flags equal
+    argmaxes; ``ties`` is (2, items), the model's boundary ties and then the
+    human's.  The means and sds reduce 1-D arrays, as a mean over a list does.
     """
     n = r.size
     # the rates are exact counts over n: the bits of np.mean, without its overhead
@@ -116,22 +117,13 @@ def _group_stats(
         sd_pearson=_sd(r),
         mean_jsd=float(np.mean(js)),
         sd_jsd=_sd(js),
-        top1_match_count=int(np.count_nonzero(agreement[:, 0])) if ks[0] == 1 else 0,
+        top1_match_count=int(np.count_nonzero(top1)),
         mean_agreement={k: total / n for k, total in zip(ks, agreement.sum(axis=0).tolist())},
         argmax_in_human_top_rate=int(np.count_nonzero(in_top)) / n,
         top_overlap_rate=int(np.count_nonzero(agreement[:, -1])) / n,
         model_boundary_ties=int(np.count_nonzero(ties[0])),
         human_boundary_ties=int(np.count_nonzero(ties[1])),
     )
-
-
-def _boundary_ties(rows: np.ndarray, k: int) -> np.ndarray:
-    """Per row, whether the k-th and (k+1)-th largest entries are equal."""
-    n = rows.shape[-1]
-    if k >= n:
-        return np.zeros(rows.shape[:-1], dtype=bool)
-    ordered = np.sort(rows, axis=-1)
-    return ordered[..., n - k] == ordered[..., n - k - 1]
 
 
 def evaluate(
@@ -162,14 +154,21 @@ def evaluate(
     targets = [human.distribution(item.id) for item in items]
     humans = np.stack(targets)
 
-    model_top = top_k_rows(models, k_max)
-    human_top = top_k_rows(humans, k_max)
+    if not 1 <= k_max <= table.n:
+        raise ValueError(f"k must be in [1, {table.n}], got {k_max}")
+    # one ranking per row, one rank past k_max: a boundary tie is between the values
+    # ranked k_max and k_max + 1, and there is none when k_max is the whole vocabulary
+    both = np.stack((models, humans))
+    ranked = top_k_rows(both, min(k_max + 1, table.n))
+    model_top, human_top = ranked[..., :k_max]
+    edge = np.take_along_axis(both, ranked[..., k_max - 1:], axis=-1)
+    ties = (edge[..., 0] == edge[..., -1]) & (k_max < table.n)
     r = pearson_rows(models, humans)
     js = jsd_rows(models, humans, base=jsd_base)
     agreement = np.stack([top_k_overlap(model_top[:, :k], human_top[:, :k]) for k in ks],
                          axis=-1)
+    top1 = model_top[:, 0] == human_top[:, 0]
     in_top = np.any(human_top == model_top[:, :1], axis=-1)
-    ties = _boundary_ties(np.stack((models, humans)), k_max)
     divergence = jsd_rows(models, others, base=jsd_base)
 
     # the entries hold Python floats, ints and bools, not numpy scalars
@@ -206,7 +205,8 @@ def evaluate(
         masks += [(name, np.array([item.id in ids for item in items]))
                   for name, ids in (("train", set(split.train)), ("test", set(split.test)))]
     groups = {
-        name: _group_stats(r[mask], js[mask], agreement[mask], in_top[mask], ties[:, mask], ks)
+        name: _group_stats(r[mask], js[mask], agreement[mask], top1[mask], in_top[mask],
+                           ties[:, mask], ks)
         for name, mask in masks
         if mask.any()
     }

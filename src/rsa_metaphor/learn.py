@@ -8,7 +8,7 @@ scores lambda 0, 47 log-spaced points up to 1e5 (:data:`_SCAN`) and the
 inits.  From each init a walk follows the sign of g over the scan points to
 a bracket g(lo) > 0 >= g(hi), to lambda 0 or to the scan top.  Illinois
 regula falsi on g then narrows every distinct bracket, all of them in
-lockstep, until it is narrower than ``tol * hi``.  All scoring, the grid
+lockstep, until it is narrower than ``_TOL * hi``.  All scoring, the grid
 ablation's too, goes through :func:`_objective_and_gradient`: one kernel
 call per chunk of lams, with the same bits per lam as a call of its own.
 
@@ -18,7 +18,6 @@ Everything here is deterministic: the only randomness is the split seed.
 from __future__ import annotations
 
 import math
-import numbers
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -38,6 +37,11 @@ DEFAULT_MULTISTART_INITS = (0.5, 1.0, 5.0, 20.0, 50.0)
 
 # The fit's scan: lambda 0 and 47 log-spaced points up to 1e5.
 _SCAN = np.concatenate(([0.0], np.geomspace(1e-2, 1e5, 47)))
+
+# A bracket is narrowed until it is narrower than _TOL * hi.  _MAX_ROUNDS only guards the
+# loop: no fit of 120 (seeds 12-15 x splits 0-2 x five configs x two kinds) took over 19 calls.
+_TOL = 1e-10
+_MAX_ROUNDS = 200
 
 # Lambdas scored per kernel call: 16 on a 48 x 59 table.  Over 18 items a 16-lambda
 # call peaks at 1.6 MB of temporaries (2.2 MB with the gradient; tracemalloc).
@@ -62,9 +66,9 @@ class FitResult:
     best so far (round 0 is the scan, round k the k-th refinement round).
     ``iterations`` counts refinement rounds.  ``stop_reason`` is
     ``lambda_tolerance``, ``gradient_tolerance`` (g is exactly 0, or lambda
-    is 0 with g <= 0), ``scan_top``, ``max_iterations`` or
-    ``undefined_point`` (at a refinement point); ``converged`` is True for
-    the first two.  ``gradient_norm_at_convergence`` is |g| at
+    is 0 with g <= 0), ``scan_top``, ``max_iterations`` (``_MAX_ROUNDS``
+    ran out) or ``undefined_point`` (at a refinement point); ``converged``
+    is True for the first two.  ``gradient_norm_at_convergence`` is |g| at
     ``lambda_hat`` (at 0 only an ascent counts).  ``starts`` holds every
     start's own fit for a multistart fit, and is empty otherwise.
     """
@@ -215,15 +219,15 @@ class _Bracket:
     while the bracket still narrows.
     """
 
-    def __init__(self, lo, hi, tol):
+    def __init__(self, lo, hi):
         self.ends = [[lo[0], lo[2]], [hi[0], hi[2]]]  # [lam, g] at lo and at hi
-        self.tol, self.last, self.rounds, self.points = tol, None, 0, []
+        self.last, self.rounds, self.points = None, 0, []
         self.stop_reason = self._stop(hi[2])
 
     def _stop(self, g):
         (lo, _), (hi, _) = self.ends
         return ("gradient_tolerance" if g == 0.0 else
-                "lambda_tolerance" if hi - lo < self.tol * hi else None)
+                "lambda_tolerance" if hi - lo < _TOL * hi else None)
 
     def next_point(self) -> float:
         (lo, g_lo), (hi, g_hi) = self.ends
@@ -246,17 +250,13 @@ class _Bracket:
         self.stop_reason = self._stop(g)
 
 
-def _fit(train, human, config, table, inits, max_iterations, tol, kind) -> list[FitResult]:
+def _fit(train, human, config, table, inits, kind) -> list[FitResult]:
     """One fit per init; every argument is checked before any scoring."""
     if not inits:
         raise ValueError("need at least one initial point")
     for init in inits:
         if not (math.isfinite(init) and init >= 0.0):
             raise ValueError(f"init must be finite and >= 0, got {init!r}")
-    if not (math.isfinite(tol) and tol > 0):
-        raise ValueError(f"tol must be finite and positive, got {tol!r}")
-    if not (isinstance(max_iterations, numbers.Integral) and max_iterations >= 0):
-        raise ValueError(f"max_iterations must be an integer >= 0, got {max_iterations!r}")
 
     def score(lams):
         """(lam, objective, g) per lam, or the :class:`Error` that scoring it alone raises."""
@@ -272,8 +272,8 @@ def _fit(train, human, config, table, inits, max_iterations, tol, kind) -> list[
             raise start
     scan = [point for point in points[:_SCAN.size] if not isinstance(point, Error)]
     walks = [_walk(start, scan) for start in points[_SCAN.size:]]
-    brackets = {ends: _Bracket(*ends, tol) for _, ends in walks if not isinstance(ends, str)}
-    for round_ in range(1, max_iterations + 1):
+    brackets = {ends: _Bracket(*ends) for _, ends in walks if not isinstance(ends, str)}
+    for round_ in range(1, _MAX_ROUNDS + 1):
         active = [bracket for bracket in brackets.values() if bracket.stop_reason is None]
         if not active:
             break
@@ -308,12 +308,10 @@ def learn_lambda(
     config: RsaConfig,
     table: TypicalityTable,
     init: float = 1.0,
-    max_iterations: int = 200,
-    tol: float = 1e-10,
     kind: str = "mean",
 ) -> FitResult:
-    """Fit the rationality parameter from ``init >= 0``; ``tol`` is relative, in lambda."""
-    return _fit(train, human, config, table, (init,), max_iterations, tol, kind)[0]
+    """Fit the rationality parameter from ``init >= 0``, to a relative lambda tolerance ``_TOL``."""
+    return _fit(train, human, config, table, (init,), kind)[0]
 
 
 def learn_lambda_multistart(
@@ -322,8 +320,6 @@ def learn_lambda_multistart(
     config: RsaConfig,
     table: TypicalityTable,
     inits: tuple[float, ...] = DEFAULT_MULTISTART_INITS,
-    max_iterations: int = 200,
-    tol: float = 1e-10,
     kind: str = "mean",
 ) -> FitResult:
     """Fit from several starts and keep the best fit, the earliest on a tie.
@@ -333,6 +329,6 @@ def learn_lambda_multistart(
     never each other's inits: each gives the fit :func:`learn_lambda` gives
     from its init, and is returned, in ``inits`` order, in ``starts``.
     """
-    fits = _fit(train, human, config, table, inits, max_iterations, tol, kind)
+    fits = _fit(train, human, config, table, inits, kind)
     best = max(fits, key=lambda fit: fit.objective_value)
     return replace(best, starts=tuple(fits))

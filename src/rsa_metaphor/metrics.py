@@ -23,8 +23,7 @@ _TINY = np.finfo(float).tiny
 
 
 def _as_vector(x) -> np.ndarray:
-    probs = getattr(x, "p", None)
-    arr = np.asarray(probs if probs is not None else x, dtype=float)
+    arr = np.asarray(x, dtype=float)
     if arr.ndim != 1:
         raise ValueError(f"expected a 1-D vector, got shape {arr.shape}")
     return arr

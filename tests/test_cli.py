@@ -225,6 +225,7 @@ class TestEval:
         (None, "-5"),
         (None, "-5e-324"),
         ('{"lambda": -5.0}', "learned"),
+        pytest.param('{"lambda": %s}' % ("9" * 400), "learned", id="400-digit-learned"),
     ])
     def test_bad_lambda_is_domain_error(self, runner, dataset_dir, tmp_path, params, lam):
         out = tmp_path / "out"

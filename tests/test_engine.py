@@ -498,6 +498,16 @@ class TestBatchedKernel:
         # the clean items alone are fine
         _interpret_batch((clean, clean), config, table)
 
+    def test_all_set_rejects_degenerate_bystander_rows_in_table_order(self):
+        rows = [[0.6, 0.4], [0.3, 0.7], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]
+        table = table_from_rows(rows)
+        item = MetaphorItem("m", "c0", "c1")
+        with pytest.raises(DegenerateTypicalityError,
+                           match=r"row\(s\) for 'c2', 'c4' contain values of exactly 0 or 1"):
+            interpret(item, RsaConfig(lam=2.0), table)
+        # the pair set never reads the bystanders
+        assert np.isfinite(interpret(item, RsaConfig(lam=2.0, utterances="pair"), table).logp).all()
+
     @pytest.mark.parametrize("overrides", CONFIGS)
     def test_empty_batch_rejected(self, two_by_two, overrides):
         table, _ = two_by_two

@@ -91,6 +91,8 @@ class TestEvaluate:
         report = evaluate(items, human, RsaConfig(lam=10.0), table, ks=(2, 5))
         assert set(report.items[0].agreement) == {2, 5}
         assert len(report.items[0].model_top) == 5
+        default = evaluate(items, human, RsaConfig(lam=10.0), table)
+        assert report.groups["all"].top1_match_count == default.groups["all"].top1_match_count
 
     def test_mode_divergence_reported_not_asserted(self, full_scale):
         from rsa_metaphor import interpret_fast
@@ -149,7 +151,7 @@ def _reference_group(entries, ks):
         "sd_pearson": statistics.stdev(rs) if n > 1 else math.nan,
         "mean_jsd": statistics.fmean(js),
         "sd_jsd": statistics.stdev(js) if n > 1 else math.nan,
-        "top1_match_count": sum(e["agreement"].get(1, 0) >= 1 for e in entries),
+        "top1_match_count": sum(e["model_top"][0] == e["human_top"][0] for e in entries),
         "mean_agreement": {k: sum(e["agreement"][k] for e in entries) / n for k in ks},
         "argmax_in_human_top_rate": sum(e["argmax_in_human_top"] for e in entries) / n,
         "top_overlap_rate": sum(e["agreement"][max(ks)] >= 1 for e in entries) / n,
@@ -219,6 +221,8 @@ class TestBatchedEvaluate:
             model_top = _reference_top(model, k_max)
             human_top = _reference_top(target, k_max)
             want = {
+                "model_top": model_top,
+                "human_top": human_top,
                 "pearson_r": _reference_pearson(model, target),
                 "jsd": _reference_jsd(model, target, base),
                 "agreement": {k: len(set(_reference_top(model, k))

@@ -199,14 +199,14 @@ class TestLearnLambda:
         second = learn_lambda(items, human, RsaConfig(), table, init=1.0)
         assert first == second  # includes the full trace, element by element
 
-    def test_convergence_flag_consistency(self):
+    def test_convergence_flag_consistency(self, monkeypatch):
         table, items, human = recovery_problem(lam_star=20.0, seed=6)
-        for max_iterations, want in ((0, "max_iterations"), (3, "max_iterations"),
-                                     (200, "lambda_tolerance")):
-            fit = learn_lambda(items, human, RsaConfig(), table, init=1.0,
-                               max_iterations=max_iterations)
+        for max_rounds, want in ((0, "max_iterations"), (3, "max_iterations"),
+                                 (200, "lambda_tolerance")):
+            monkeypatch.setattr(learn, "_MAX_ROUNDS", max_rounds)
+            fit = learn_lambda(items, human, RsaConfig(), table, init=1.0)
             assert fit.stop_reason == want
-            assert fit.iterations <= max_iterations
+            assert fit.iterations <= max_rounds
             assert fit.converged == (want == "lambda_tolerance")
 
     def test_multistart_picks_best(self):
@@ -222,16 +222,10 @@ class TestLearnLambda:
         table, items, human = recovery_problem(lam_star=5.0)
         with pytest.raises(ValueError):
             learn_lambda(items, human, RsaConfig(), table, init=float("inf"))
-        with pytest.raises(ValueError):
-            learn_lambda(items, human, RsaConfig(), table, tol=0.0)
         with pytest.raises(ValueError, match=">= 0"):
             learn_lambda(items, human, RsaConfig(), table, init=-1.0)
 
     @pytest.mark.parametrize("bad", [
-        {"tol": float("nan")},
-        {"tol": float("inf")},
-        {"max_iterations": -3},
-        {"max_iterations": 2.5},
         {"inits": (0.5, 1.0, 5.0, 20.0, float("nan"))},
         {"inits": (0.5, 1.0, 5.0, 20.0, -50.0)},
     ])
@@ -244,9 +238,8 @@ class TestLearnLambda:
         monkeypatch.setattr(learn, "_interpret_lams", kernel)
         with pytest.raises(ValueError):
             learn_lambda_multistart(items, human, RsaConfig(), table, **bad)
-        if "inits" not in bad:
-            with pytest.raises(ValueError):
-                learn_lambda(items, human, RsaConfig(), table, **bad)
+        with pytest.raises(ValueError):
+            learn_lambda(items, human, RsaConfig(), table, init=bad["inits"][-1])
 
     def test_fit_stays_at_nonnegative_lambda(self):
         # human rows equal the topic rows, which the model returns exactly at lambda 0;
