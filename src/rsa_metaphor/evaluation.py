@@ -106,8 +106,8 @@ def _group_stats(
     """Aggregates over one group, from its items' per-item arrays.
 
     ``agreement`` is (items, len(ks)), one column per k; ``top1`` flags equal
-    argmaxes; ``ties`` is (2, items), the model's boundary ties and then the
-    human's.  The means and sds reduce 1-D arrays, as a mean over a list does.
+    argmaxes; ``ties`` is (2, items), the model's boundary ties, then the human's.
+    The means and sds reduce 1-D arrays, which keeps the bits of a mean over a list.
     """
     n = r.size
     # the rates are exact counts over n: the bits of np.mean, without its overhead
