@@ -226,20 +226,28 @@ class TestLearnLambda:
             learn_lambda(items, human, RsaConfig(), table, init=-1.0)
 
     @pytest.mark.parametrize("bad", [
+        {"kind": "median"},
+        {"train": ()},
+        {"inits": (0.5, 1.0, 5.0, 20.0, float("inf"))},
+        {"inits": ()},
         {"inits": (0.5, 1.0, 5.0, 20.0, float("nan"))},
         {"inits": (0.5, 1.0, 5.0, 20.0, -50.0)},
     ])
     def test_multistart_checks_every_argument_before_scoring(self, monkeypatch, bad):
         table, items, human = recovery_problem(lam_star=5.0)
+        args = {"train": items, "human": human, "config": RsaConfig(), "table": table}
 
         def kernel(*args):
             raise AssertionError("the kernel ran before the arguments were checked")
 
         monkeypatch.setattr(learn, "_interpret_lams", kernel)
         with pytest.raises(ValueError):
-            learn_lambda_multistart(items, human, RsaConfig(), table, **bad)
-        with pytest.raises(ValueError):
-            learn_lambda(items, human, RsaConfig(), table, init=bad["inits"][-1])
+            learn_lambda_multistart(**{**args, **bad})
+        single = dict(bad)
+        inits = single.pop("inits", (1.0,))
+        if inits:  # learn_lambda takes one init; an empty tuple has no counterpart there
+            with pytest.raises(ValueError):
+                learn_lambda(**{**args, **single}, init=inits[-1])
 
     def test_fit_stays_at_nonnegative_lambda(self):
         # human rows equal the topic rows, which the model returns exactly at lambda 0;
