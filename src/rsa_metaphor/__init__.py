@@ -35,7 +35,6 @@ from .lexicon import (
     FeatureVocab,
     HumanResponseTable,
     MetaphorItem,
-    RawRatingsTable,
     TypicalityTable,
     ValidationReport,
     load_dataset,
@@ -55,7 +54,6 @@ __all__ = [
     "FitResult",
     "HumanResponseTable",
     "MetaphorItem",
-    "RawRatingsTable",
     "RsaConfig",
     "TrainTestSplit",
     "TypicalityTable",

@@ -27,12 +27,10 @@ from .errors import Error, UnknownCategoryError
 from .lexicon import MetaphorItem
 from .metrics import top_k_indices
 
-_DATASET_FILES = ("typicality.csv", "metaphors.csv", "human.csv")
-
 
 def dataset_sha256(data_dir) -> str:
     digest = hashlib.sha256()
-    for name in _DATASET_FILES:
+    for name in lexicon.DATASET_FILES:
         digest.update(name.encode())
         digest.update(b"\0")
         digest.update((Path(data_dir) / name).read_bytes())

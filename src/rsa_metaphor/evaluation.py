@@ -133,7 +133,6 @@ def evaluate(
     table: TypicalityTable,
     ks: tuple[int, ...] = DEFAULT_KS,
     jsd_base: float = 2.0,
-    tag: str = "",
     split: learn.TrainTestSplit | None = None,
 ) -> EvalReport:
     """Score the model against human interpretations, item by item.
@@ -146,7 +145,10 @@ def evaluate(
     if not items:
         raise ValueError("no items to evaluate")
     ks = tuple(sorted(set(ks)))
-    k_max = max(ks)
+    bad = [k for k in ks if not 1 <= k <= table.n]
+    if bad or not ks:
+        raise ValueError(f"k must be in [1, {table.n}], got {bad[0] if bad else 'none'}")
+    k_max = ks[-1]
     features = table.vocab.features
     other_mode = "fast" if config.mode == "full" else "full"
     models = np.exp(_interpret_batch(items, config, table)[0])
@@ -154,8 +156,6 @@ def evaluate(
     targets = [human.distribution(item.id) for item in items]
     humans = np.stack(targets)
 
-    if not 1 <= k_max <= table.n:
-        raise ValueError(f"k must be in [1, {table.n}], got {k_max}")
     # one ranking per row, one rank past k_max: a boundary tie is between the values
     # ranked k_max and k_max + 1, and there is none when k_max is the whole vocabulary
     both = np.stack((models, humans))
@@ -217,7 +217,6 @@ def evaluate(
         ks=ks,
         jsd_base=jsd_base,
         config=config,
-        tag=tag,
     )
 
 
@@ -230,8 +229,7 @@ def ablate_relevance(
 ) -> EvalReport:
     """Re-evaluate with the goal prior flattened to uniform."""
     ablated = replace(config, goal_prior="uniform")
-    kwargs.setdefault("tag", "ablation: no-relevance")
-    return evaluate(items, human, ablated, table, **kwargs)
+    return replace(evaluate(items, human, ablated, table, **kwargs), tag="ablation: no-relevance")
 
 
 def lambda_grid(start: float, stop: float, count: int) -> np.ndarray:
@@ -268,9 +266,8 @@ def ablate_lambda_interpolation(
     scores, _ = learn._objective_and_gradient(candidates, selection, human, config, table,
                                               objective_kind, gradient=False)
     best = float(candidates[int(np.argmax(scores))])
-    kwargs.setdefault("tag", "ablation: grid-lambda")
     report = evaluate(items, human, replace(config, lam=best), table, **kwargs)
-    return best, report
+    return best, replace(report, tag="ablation: grid-lambda")
 
 
 def feature_correlation_matrix(

@@ -1,18 +1,19 @@
 """Data model and CSV ingestion for typicality tables, metaphors, and human responses.
 
-A dataset lives in one directory holding three UTF-8 CSV files:
+A dataset lives in one directory holding three UTF-8 CSV files, named with
+their exact headers in :data:`DATASET_FILES`:
 
-* ``typicality.csv`` — header ``category,feature,value``; one row per
-  (category, feature) cell.  ``value`` is a normalized typicality in [0, 1],
-  or a mean Likert rating in [1, 7] when loading with ``raw_ratings=True``.
+* ``typicality.csv`` — one row per (category, feature) cell.  ``value`` is a
+  normalized typicality in [0, 1], or a mean Likert rating in [1, 7] when
+  loading with ``raw_ratings=True``.
   The grid must be dense: every category needs a value for every feature.
   The feature vocabulary is the set of features in this file, in order of
   first appearance; that order is the canonical feature index everywhere.
-* ``metaphors.csv`` — header ``id,topic,vehicle,class,familiarity``;
-  ``class`` is ``inherent`` or ``non_inherent``; ``familiarity`` may be empty.
-* ``human.csv`` — header ``metaphor_id,feature,count``; counts are
-  non-negative reals (raw selection counts or pre-normalized weights) and are
-  normalized per metaphor at load.  Features without a row get weight 0.
+* ``metaphors.csv`` — one row per metaphor; ``class`` is ``inherent`` or
+  ``non_inherent``; ``familiarity`` may be empty.
+* ``human.csv`` — ``count`` is a non-negative real (a raw selection count or
+  a pre-normalized weight), normalized per metaphor at load.  Features
+  without a row get weight 0.
 
 Floats are written as ``repr(float(value))``, the shortest decimal that
 reads back as the same double, so saving a valid dataset and loading it
@@ -42,9 +43,28 @@ INHERENT = "inherent"
 NON_INHERENT = "non_inherent"
 _CLASSES = (INHERENT, NON_INHERENT)
 
+# file name -> exact header, in the order the CLI hashes the files
+DATASET_FILES = {
+    "typicality.csv": ("category", "feature", "value"),
+    "metaphors.csv": ("id", "topic", "vehicle", "class", "familiarity"),
+    "human.csv": ("metaphor_id", "feature", "count"),
+}
+
+
 def _read_only(arr: np.ndarray) -> np.ndarray:
     arr.setflags(write=False)
     return arr
+
+
+def _check_identifiers(names: tuple[str, ...], kind: str) -> None:
+    """Raise unless every identifier is non-empty and none repeats."""
+    seen = set()
+    for name in names:
+        if not name:
+            raise DatasetError(f"empty {kind} identifier")
+        if name in seen:
+            raise DatasetError(f"duplicate {kind} identifier {name!r}")
+        seen.add(name)
 
 
 @dataclass(frozen=True)
@@ -56,13 +76,7 @@ class FeatureVocab:
     def __post_init__(self):
         if len(self.features) < 2:
             raise DatasetError("feature vocabulary needs at least 2 features")
-        seen = set()
-        for name in self.features:
-            if not name:
-                raise DatasetError("empty feature identifier")
-            if name in seen:
-                raise DatasetError(f"duplicate feature identifier {name!r}")
-            seen.add(name)
+        _check_identifiers(self.features, "feature")
 
     @cached_property
     def _index(self) -> dict[str, int]:
@@ -104,13 +118,7 @@ class TypicalityTable:
                 f"typicality matrix shape {arr.shape} does not match "
                 f"{len(self.categories)} categories x {len(self.vocab)} features"
             )
-        seen = set()
-        for name in self.categories:
-            if not name:
-                raise DatasetError("empty category identifier")
-            if name in seen:
-                raise DatasetError(f"duplicate category identifier {name!r}")
-            seen.add(name)
+        _check_identifiers(self.categories, "category")
         object.__setattr__(self, "values", _read_only(arr.copy()))
 
     @cached_property
@@ -150,13 +158,6 @@ class TypicalityTable:
 
     def row(self, category: str) -> np.ndarray:
         return self.values[self.category_index(category)]
-
-
-@dataclass(frozen=True)
-class RawRatingsTable:
-    """Mean Likert ratings, one row per (category, feature) cell."""
-
-    rows: tuple[tuple[str, str, float], ...]
 
 
 @dataclass(frozen=True)
@@ -219,68 +220,59 @@ class ValidationReport:
         return "ok" if self.ok else "\n".join(self.violations)
 
 
-def normalize_ratings(raw: RawRatingsTable) -> TypicalityTable:
-    """Turn mean ratings into a typicality table by row-sum normalization.
+def normalize_ratings(ratings: TypicalityTable) -> TypicalityTable:
+    """Turn a table of mean ratings into typicalities by row-sum normalization.
 
-    Every (category, feature) cell must be present; missing cells are an
-    error rather than imputed zeros, since a zero typicality would make the
-    speaker utility undefined.  Ratings only need to be positive here; the
-    Likert [1, 7] range is enforced at CSV ingestion.  Row-sum division
-    makes the operation scale-invariant per category and idempotent on
-    already-normalized rows.
+    Every rating must be positive and finite; the error names the first cell
+    that is not.  The reader builds the dense table and checks the Likert
+    [1, 7] range before this runs.  Row-sum division makes the operation
+    scale-invariant per category and idempotent on already-normalized rows.
     """
-    cells: dict[tuple[str, str], float] = {}
-    for category, feature, rating in raw.rows:
-        key = (category, feature)
-        if key in cells:
-            raise DatasetError(f"duplicate rating for ({category!r}, {feature!r})")
-        if not (rating > 0 and math.isfinite(rating)):
-            raise DatasetError(
-                f"rating for ({category!r}, {feature!r}) is {rating!r}, not a positive number"
-            )
-        cells[key] = rating
-
-    table = _dense_table(cells, "ratings")
-    sums = table.values.sum(axis=1)
-    return TypicalityTable(table.categories, table.vocab, table.values / sums[:, None])
+    values = ratings.values
+    bad = np.argwhere(~(np.isfinite(values) & (values > 0)))
+    if bad.size:
+        c, i = bad[0]
+        raise DatasetError(
+            f"rating for ({ratings.categories[c]!r}, {ratings.vocab.features[i]!r}) is "
+            f"{float(values[c, i])!r}, not a positive number"
+        )
+    return TypicalityTable(ratings.categories, ratings.vocab, values / values.sum(axis=1)[:, None])
 
 
-def _dense_table(cells: dict[tuple[str, str], float], where: str) -> TypicalityTable:
-    """The category x feature grid of ``cells``, both axes in first-seen order.
-
-    Every (category, feature) cell must be present; ``where`` prefixes the
-    error that lists missing ones.
-    """
+def _dense_table(cells: dict[tuple[str, str], float]) -> TypicalityTable:
+    """The dense category x feature grid of ``cells``, both axes in first-seen order."""
     categories = tuple(dict.fromkeys(c for c, _ in cells))
     features = tuple(dict.fromkeys(f for _, f in cells))
     vocab = FeatureVocab(features)
     missing = [(c, f) for c in categories for f in features if (c, f) not in cells]
     if missing:
         shown = ", ".join(f"({c!r}, {f!r})" for c, f in missing[:5])
-        raise DatasetError(f"{where}: {len(missing)} missing cell(s): {shown}")
+        raise DatasetError(f"typicality.csv: {len(missing)} missing cell(s): {shown}")
     matrix = np.array([[cells[(c, f)] for f in features] for c in categories], dtype=float)
     return TypicalityTable(categories, vocab, matrix)
 
 
-def _read_rows(path: Path, expected_header: list[str]) -> list[tuple[int, list[str]]]:
-    """Read CSV rows as (line number, fields), enforcing the exact header.
+def _read_rows(data_dir: Path, name: str) -> list[tuple[int, list[str]]]:
+    """Read the rows of dataset file ``name`` as (line number, fields).
 
-    Bytes that are not UTF-8 and rows the CSV reader rejects raise DatasetError.
+    The header must be exactly the file's :data:`DATASET_FILES` entry.  Bytes
+    that are not UTF-8 and rows the CSV reader rejects raise DatasetError.
     """
-    data = path.read_bytes()
+    expected_header = DATASET_FILES[name]
+    data = (data_dir / name).read_bytes()
     try:
         text = data.decode("utf-8")
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
-        raise DatasetError(f"{path.name} line {lineno}: not UTF-8 text") from None
+        raise DatasetError(f"{name} line {lineno}: not UTF-8 text") from None
     reader = csv.reader(io.StringIO(text, newline=""))
     try:
         header = next(reader, None)
         if header is None:
-            raise DatasetError(f"{path.name}: empty file")
-        if header != expected_header:
+            raise DatasetError(f"{name}: empty file")
+        if tuple(header) != expected_header:
             raise DatasetError(
-                f"{path.name} line 1: expected header {','.join(expected_header)!r}, "
+                f"{name} line 1: expected header {','.join(expected_header)!r}, "
                 f"got {','.join(header)!r}"
             )
         rows, end = [], reader.line_num  # physical lines: a quoted field may hold newlines
@@ -290,12 +282,12 @@ def _read_rows(path: Path, expected_header: list[str]) -> list[tuple[int, list[s
                 continue
             if len(fields) != len(expected_header):
                 raise DatasetError(
-                    f"{path.name} line {lineno}: expected {len(expected_header)} fields, "
+                    f"{name} line {lineno}: expected {len(expected_header)} fields, "
                     f"got {len(fields)}"
                 )
             rows.append((lineno, fields))
     except csv.Error as exc:
-        raise DatasetError(f"{path.name} line {reader.line_num}: {exc}") from None
+        raise DatasetError(f"{name} line {reader.line_num}: {exc}") from None
     return rows
 
 
@@ -316,10 +308,8 @@ def read_dataset(
     :func:`validate` so that dirty data can still be reported on.
     """
     data_dir = Path(data_dir)
-    typ_rows = _read_rows(data_dir / "typicality.csv", ["category", "feature", "value"])
-
     cells: dict[tuple[str, str], float] = {}
-    for lineno, (category, feature, value) in typ_rows:
+    for lineno, (category, feature, value) in _read_rows(data_dir, "typicality.csv"):
         where = f"typicality.csv line {lineno}"
         if not category or not feature:
             raise DatasetError(f"{where}: empty category or feature identifier")
@@ -328,22 +318,18 @@ def read_dataset(
             raise DatasetError(f"{where}: duplicate cell ({category!r}, {feature!r})")
         cells[key] = _parse_float(value, where)
 
-    if raw_ratings:
+    if raw_ratings:  # before the grid is built, so a range error is reported first
         for (category, feature), value in cells.items():
             if not 1.0 <= value <= 7.0:
                 raise DatasetError(
                     f"typicality.csv: rating for ({category!r}, {feature!r}) is "
                     f"{value!r}, outside the Likert range [1, 7]"
                 )
-        table = normalize_ratings(
-            RawRatingsTable(tuple((c, f, v) for (c, f), v in cells.items()))
-        )
-    else:
-        table = _dense_table(cells, "typicality.csv")
+    table = _dense_table(cells)
+    if raw_ratings:
+        table = normalize_ratings(table)
 
-    met_rows = _read_rows(
-        data_dir / "metaphors.csv", ["id", "topic", "vehicle", "class", "familiarity"]
-    )
+    met_rows = _read_rows(data_dir, "metaphors.csv")
     items: list[MetaphorItem] = []
     item_ids: set[str] = set()
     for lineno, (item_id, topic, vehicle, klass, familiarity) in met_rows:
@@ -363,10 +349,9 @@ def read_dataset(
         fam = None if familiarity == "" else _parse_float(familiarity, where)
         items.append(MetaphorItem(item_id, topic, vehicle, klass, fam))
 
-    hum_rows = _read_rows(data_dir / "human.csv", ["metaphor_id", "feature", "count"])
     counts: dict[str, np.ndarray] = {}
     seen_pairs: set[tuple[str, str]] = set()
-    for lineno, (metaphor_id, feature, count) in hum_rows:
+    for lineno, (metaphor_id, feature, count) in _read_rows(data_dir, "human.csv"):
         where = f"human.csv line {lineno}"
         if metaphor_id not in item_ids:
             raise DatasetError(f"{where}: unknown metaphor id {metaphor_id!r}")
@@ -460,6 +445,14 @@ def load_dataset(
     return table, items, human
 
 
+def _write_rows(data_dir: Path, name: str, rows) -> None:
+    """Write dataset file ``name``: its :data:`DATASET_FILES` header, then ``rows``."""
+    with open(data_dir / name, "w", newline="", encoding="utf-8") as fh:
+        writer = csv.writer(fh, lineterminator="\n")
+        writer.writerow(DATASET_FILES[name])
+        writer.writerows(rows)
+
+
 def save_dataset(
     table: TypicalityTable,
     items: tuple[MetaphorItem, ...],
@@ -469,25 +462,20 @@ def save_dataset(
     """Write the dataset back out in the documented CSV formats."""
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
-
-    with open(data_dir / "typicality.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["category", "feature", "value"])
-        # tolist gives Python floats, whose repr (unlike numpy's) is the bare decimal
-        for category, row in zip(table.categories, table.values.tolist()):
-            writer.writerows([category, feature, repr(v)] for feature, v in zip(table.vocab, row))
-
-    with open(data_dir / "metaphors.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["id", "topic", "vehicle", "class", "familiarity"])
-        for item in items:
-            fam = "" if item.familiarity is None else repr(float(item.familiarity))
-            writer.writerow([item.id, item.topic, item.vehicle, item.inherence, fam])
-
-    with open(data_dir / "human.csv", "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(["metaphor_id", "feature", "count"])
-        for metaphor_id in human.ids:
-            row = human.responses[metaphor_id].tolist()
-            writer.writerows([metaphor_id, feature, repr(p)]
-                             for feature, p in zip(table.vocab, row) if p > 0)
+    # tolist gives Python floats, whose repr (unlike numpy's) is the bare decimal
+    _write_rows(data_dir, "typicality.csv", (
+        [category, feature, repr(v)]
+        for category, row in zip(table.categories, table.values.tolist())
+        for feature, v in zip(table.vocab, row)
+    ))
+    _write_rows(data_dir, "metaphors.csv", (
+        [item.id, item.topic, item.vehicle, item.inherence,
+         "" if item.familiarity is None else repr(float(item.familiarity))]
+        for item in items
+    ))
+    _write_rows(data_dir, "human.csv", (
+        [metaphor_id, feature, repr(p)]
+        for metaphor_id in human.ids
+        for feature, p in zip(table.vocab, human.responses[metaphor_id].tolist())
+        if p > 0
+    ))

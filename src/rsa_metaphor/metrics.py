@@ -99,8 +99,11 @@ def jsd_rows(p, q, base: float = 2.0) -> np.ndarray:
 
     JSD(p, q) = KL(p||m)/2 + KL(q||m)/2 with m = (p+q)/2 and 0*log 0 := 0.
     With base-2 logarithms the value lies in [0, 1].  Every row must be a
-    distribution; the error names the first row's sum that is not 1.
+    distribution; the error names the first row's sum that is not 1.  The
+    log ``base`` must be finite and > 1.
     """
+    if not (math.isfinite(base) and base > 1):
+        raise ValueError(f"log base must be finite and > 1, got {base!r}")
     a = _as_rows(p)
     _check_distribution(a, "p")
     b = _as_rows(q)

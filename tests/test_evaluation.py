@@ -60,6 +60,17 @@ class TestEvaluate:
         assert stats.top1_match_count == len(items)
         assert stats.argmax_in_human_top_rate == 1.0
 
+    @pytest.mark.parametrize("ks, bad", [((-2, 3), "-2"), ((0, 3), "0"), ((3, 60), "60"),
+                                         ((), "none")], ids=["-2,3", "0,3", "3,60", "empty"])
+    def test_every_k_is_checked_before_scoring(self, full_scale, monkeypatch, ks, bad):
+        def no_model_work(*args, **kwargs):
+            raise AssertionError("model work before the k check")
+
+        monkeypatch.setattr(evaluation, "_interpret_batch", no_model_work)
+        table, items, human = full_scale
+        with pytest.raises(ValueError, match=rf"^k must be in \[1, {table.n}\], got {bad}$"):
+            evaluate(items, human, RsaConfig(lam=5.0), table, ks=ks)
+
     def test_aggregates_recompute_from_items(self, full_scale):
         table, items, human = full_scale
         report = evaluate(items, human, RsaConfig(lam=10.0), table)

@@ -13,7 +13,6 @@ from rsa_metaphor import (
     FeatureVocab,
     HumanResponseTable,
     MetaphorItem,
-    RawRatingsTable,
     TypicalityTable,
     load_dataset,
     normalize_ratings,
@@ -22,10 +21,16 @@ from rsa_metaphor import (
     validate,
 )
 from rsa_metaphor.errors import DatasetError
+from rsa_metaphor.lexicon import DATASET_FILES
 
 
 def ratings(*rows):
-    return RawRatingsTable(tuple(rows))
+    """A table of raw ratings from (category, feature, rating) rows, axes in first-seen order."""
+    categories = tuple(dict.fromkeys(c for c, _, _ in rows))
+    features = tuple(dict.fromkeys(f for _, f, _ in rows))
+    cells = {(c, f): v for c, f, v in rows}
+    values = [[cells[(c, f)] for f in features] for c in categories]
+    return TypicalityTable(categories, FeatureVocab(features), np.array(values))
 
 
 class TestNormalizeRatings:
@@ -79,17 +84,13 @@ class TestNormalizeRatings:
         scaled = normalize_ratings(ratings(*scaled_rows))
         np.testing.assert_allclose(scaled.values, base.values, atol=1e-12)
 
-    def test_missing_cell_is_an_error(self):
-        with pytest.raises(DatasetError, match="missing"):
-            normalize_ratings(ratings(("c", "a", 3.0), ("c", "b", 3.0), ("d", "a", 3.0)))
-
-    def test_duplicate_cell_is_an_error(self):
-        with pytest.raises(DatasetError, match="duplicate"):
-            normalize_ratings(ratings(("c", "a", 3.0), ("c", "a", 4.0), ("c", "b", 1.0)))
-
     def test_nonpositive_rating_is_an_error(self):
-        with pytest.raises(DatasetError, match="positive"):
-            normalize_ratings(ratings(("c", "a", 0.0), ("c", "b", 1.0)))
+        # the message shows a float, not a numpy scalar's repr such as np.float64(0.0)
+        for rating, shown in ((0.0, "0.0"), (-1.0, "-1.0"), (np.nan, "nan"), (np.inf, "inf")):
+            table = ratings(("c", "a", 2.0), ("c", "b", 1.0), ("d", "a", 3.0), ("d", "b", rating))
+            message = rf"^rating for \('d', 'b'\) is {shown}, not a positive number$"
+            with pytest.raises(DatasetError, match=message):
+                normalize_ratings(table)
 
 
 class TestTypes:
@@ -228,6 +229,21 @@ class TestValidateViolations:
         )
 
 
+def raw_dir(tmp_path, typicality):
+    """A dataset directory whose typicality.csv body is ``typicality`` (Likert ratings)."""
+    data = tmp_path / "raw"
+    data.mkdir()
+    (data / "typicality.csv").write_text("category,feature,value\n" + typicality,
+                                         encoding="utf-8")
+    (data / "metaphors.csv").write_text(
+        "id,topic,vehicle,class,familiarity\nm1,workers,ants,non_inherent,\n", encoding="utf-8"
+    )
+    (data / "human.csv").write_text(
+        "metaphor_id,feature,count\nm1,diligence,7\nm1,numerosity,1\n", encoding="utf-8"
+    )
+    return data
+
+
 class TestReadDataset:
     @pytest.mark.parametrize("name", ["typicality.csv", "metaphors.csv", "human.csv"])
     def test_empty_file(self, dataset_dir, name):
@@ -336,38 +352,29 @@ class TestReadDataset:
             read_dataset(dataset_dir)
 
     def test_raw_ratings_path_normalizes(self, tmp_path):
-        data = tmp_path / "raw"
-        data.mkdir()
-        (data / "typicality.csv").write_text(
-            "category,feature,value\n"
-            "workers,diligence,6\nworkers,numerosity,2\n"
-            "ants,diligence,4\nants,numerosity,4\n",
-            encoding="utf-8",
-        )
-        (data / "metaphors.csv").write_text(
-            "id,topic,vehicle,class,familiarity\nm1,workers,ants,non_inherent,\n",
-            encoding="utf-8",
-        )
-        (data / "human.csv").write_text(
-            "metaphor_id,feature,count\nm1,diligence,7\nm1,numerosity,1\n",
-            encoding="utf-8",
-        )
+        data = raw_dir(tmp_path, "workers,diligence,6\nworkers,numerosity,2\n"
+                                 "ants,diligence,4\nants,numerosity,4\n")
         table, items, human = load_dataset(data, raw_ratings=True)
         np.testing.assert_allclose(table.row("workers"), [0.75, 0.25])
         np.testing.assert_allclose(table.row("ants"), [0.5, 0.5])
 
     def test_raw_ratings_out_of_likert_range(self, tmp_path):
-        data = tmp_path / "raw"
-        data.mkdir()
-        (data / "typicality.csv").write_text(
-            "category,feature,value\nworkers,diligence,9\nworkers,numerosity,2\n",
-            encoding="utf-8",
-        )
-        (data / "metaphors.csv").write_text(
-            "id,topic,vehicle,class,familiarity\n", encoding="utf-8"
-        )
-        (data / "human.csv").write_text("metaphor_id,feature,count\n", encoding="utf-8")
+        data = raw_dir(tmp_path, "workers,diligence,9\nworkers,numerosity,2\n")
         with pytest.raises(DatasetError, match=r"\[1, 7\]"):
+            read_dataset(data, raw_ratings=True)
+
+    @pytest.mark.parametrize("raw_ratings", [False, True])
+    def test_missing_typicality_cell_is_an_error(self, tmp_path, raw_ratings):
+        # the values are typicalities and Likert ratings alike; ants lacks numerosity
+        data = raw_dir(tmp_path, "workers,diligence,1\nworkers,numerosity,1\nants,diligence,1\n")
+        message = r"^typicality.csv: 1 missing cell\(s\): \('ants', 'numerosity'\)$"
+        with pytest.raises(DatasetError, match=message):
+            read_dataset(data, raw_ratings=raw_ratings)
+
+    def test_duplicate_rating_reports_row(self, tmp_path):
+        data = raw_dir(tmp_path, "workers,diligence,3\nworkers,diligence,4\nworkers,numerosity,1\n")
+        message = r"^typicality.csv line 3: duplicate cell \('workers', 'diligence'\)$"
+        with pytest.raises(DatasetError, match=message):
             read_dataset(data, raw_ratings=True)
 
     def test_full_scale_shape(self, tmp_path):
@@ -378,8 +385,6 @@ class TestReadDataset:
         assert loaded_table.n == 59
         assert len(loaded_items) == 24
 
-
-_DATASET_FILES = ("typicality.csv", "metaphors.csv", "human.csv")
 
 # byte edits: short random bytes, plus CSV syntax, non-numbers, bytes that are
 # not UTF-8 and a field over the CSV reader's 131072-character limit
@@ -396,10 +401,10 @@ class TestLoaderFuzz:
         data = tmp_path_factory.mktemp("clean")
         table, items, human = make_synthetic_dataset(seed=5, n_categories=6, n_features=5, n_metaphors=3)
         save_dataset(table, items, human, data)
-        return {name: (data / name).read_bytes() for name in _DATASET_FILES}
+        return {name: (data / name).read_bytes() for name in DATASET_FILES}
 
     @settings(max_examples=200, deadline=None)
-    @given(name=st.sampled_from(_DATASET_FILES), where=st.floats(0.0, 1.0), edit=_EDITS)
+    @given(name=st.sampled_from(tuple(DATASET_FILES)), where=st.floats(0.0, 1.0), edit=_EDITS)
     def test_any_edit_loads_or_raises_dataset_error(self, clean_files, name, where, edit):
         kind, payload, span = edit
         original = clean_files[name]
@@ -416,7 +421,7 @@ class TestLoaderFuzz:
                 return
             assert validate(table, items, human).ok
 
-    @pytest.mark.parametrize("name", _DATASET_FILES)
+    @pytest.mark.parametrize("name", tuple(DATASET_FILES))
     def test_bytes_that_are_not_utf8_name_file_and_line(self, dataset_dir, name):
         path = dataset_dir / name
         lines = path.read_bytes().split(b"\n")

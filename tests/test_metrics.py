@@ -92,6 +92,15 @@ class TestJsd:
         with pytest.raises(ValueError):
             jsd([0.5, 0.6], [0.5, 0.5])
 
+    @pytest.mark.parametrize("base", [0.5, 1.0, math.inf, math.nan, 0.0, -2.0])
+    def test_rejects_a_log_base_that_is_not_finite_and_above_one(self, base):
+        # base 0.5 and inf used to clip a negative or zero divergence to 0.0, base 1 gave inf
+        match = f"^log base must be finite and > 1, got {base!r}$"
+        with pytest.raises(ValueError, match=match):
+            jsd([0.9, 0.1], [0.1, 0.9], base=base)
+        with pytest.raises(ValueError, match=match):
+            jsd_rows([[0.9, 0.1]], [[0.1, 0.9]], base=base)
+
     @settings(max_examples=200)
     @given(distributions(), distributions())
     def test_symmetric_and_bounded(self, p, q):
