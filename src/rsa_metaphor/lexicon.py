@@ -245,7 +245,7 @@ def _dense_table(cells: dict[tuple[str, str], float]) -> TypicalityTable:
     features = tuple(dict.fromkeys(f for _, f in cells))
     vocab = FeatureVocab(features)
     missing = [(c, f) for c in categories for f in features if (c, f) not in cells]
-    if missing:
+    if missing:  # not imputed as 0: a zero typicality leaves the speaker's utility undefined
         shown = ", ".join(f"({c!r}, {f!r})" for c, f in missing[:5])
         raise DatasetError(f"typicality.csv: {len(missing)} missing cell(s): {shown}")
     matrix = np.array([[cells[(c, f)] for f in features] for c in categories], dtype=float)
