@@ -202,51 +202,43 @@ class ArtifactWriter:
         return self._write(name, buf.getvalue())
 
 
-def _dataset_options(fn):
-    fn = click.option(
-        "--raw-ratings", is_flag=True,
-        help="Treat typicality.csv values as 1-7 Likert means and normalize them.",
-    )(fn)
-    fn = click.option(
-        "--data-dir", required=True, type=click.Path(file_okay=False),
-        help="Directory holding typicality.csv, metaphors.csv, human.csv.",
-    )(fn)
-    return fn
+def _options(*options):
+    """A decorator that applies ``options`` (click options, or groups of them) in this order."""
+    return lambda fn: functools.reduce(lambda wrapped, option: option(wrapped), options, fn)
 
 
-def _engine_options(fn):
-    for option in (
-        click.option("--mode", type=click.Choice(engine._MODES), default="full",
-                     show_default=True, help="Full recursion or the reduced fast path."),
-        click.option("--lambda", "lam_text", default="1.0", show_default=True,
-                     help="Speaker rationality: a number, or 'learned' to read params.json."),
-        click.option("--utterances", type=click.Choice(engine._UTTERANCE_SETS), default="all",
-                     show_default=True, help="Speaker's utterance alternative set."),
-        click.option("--category-prior", type=click.Choice(engine._CATEGORY_PRIORS),
-                     default="topic", show_default=True),
-        click.option("--goal-prior", type=click.Choice(engine._GOAL_PRIORS),
-                     default="relevance", show_default=True),
-    ):
-        fn = option(fn)
-    return fn
+_dataset_options = _options(
+    click.option("--raw-ratings", is_flag=True,
+                 help="Treat typicality.csv values as 1-7 Likert means and normalize them."),
+    click.option("--data-dir", required=True, type=click.Path(file_okay=False),
+                 help="Directory holding typicality.csv, metaphors.csv, human.csv."),
+)
 
+_engine_options = _options(
+    click.option("--mode", type=click.Choice(engine._MODES), default="full",
+                 show_default=True, help="Full recursion or the reduced fast path."),
+    click.option("--lambda", "lam_text", default="1.0", show_default=True,
+                 help="Speaker rationality: a number, or 'learned' to read params.json."),
+    click.option("--utterances", type=click.Choice(engine._UTTERANCE_SETS), default="all",
+                 show_default=True, help="Speaker's utterance alternative set."),
+    click.option("--category-prior", type=click.Choice(engine._CATEGORY_PRIORS),
+                 default="topic", show_default=True),
+    click.option("--goal-prior", type=click.Choice(engine._GOAL_PRIORS),
+                 default="relevance", show_default=True),
+)
 
-def _eval_options(fn):
-    for option in (
-        click.option("--seed", "split_seed", type=int, default=0, show_default=True,
-                     help="Seed for the stratified train/test split."),
-        click.option("--objective", type=click.Choice(learn._OBJECTIVE_KINDS), default="mean",
-                     show_default=True, help="Mean per-metaphor Pearson or one pooled correlation."),
-        click.option("--jsd-base", type=click.Choice(["2", "e"]), default="2",
-                     show_default=True),
-        click.option("--k", "k_text", default=",".join(map(str, evaluation.DEFAULT_KS)),
-                     show_default=True, help="Comma-separated k values for k-agreement."),
-        click.option("--grid", "grid_text", show_default=True,
-                     default="{:g}:{:g}:{:d}".format(*evaluation.DEFAULT_GRID),
-                     help="start:stop:count log-spaced grid for the grid-lambda ablation."),
-    ):
-        fn = option(fn)
-    return fn
+_eval_options = _options(
+    click.option("--seed", "split_seed", type=int, default=0, show_default=True,
+                 help="Seed for the stratified train/test split."),
+    click.option("--objective", type=click.Choice(learn._OBJECTIVE_KINDS), default="mean",
+                 show_default=True, help="Mean per-metaphor Pearson or one pooled correlation."),
+    click.option("--jsd-base", type=click.Choice(["2", "e"]), default="2", show_default=True),
+    click.option("--k", "k_text", default=",".join(map(str, evaluation.DEFAULT_KS)),
+                 show_default=True, help="Comma-separated k values for k-agreement."),
+    click.option("--grid", "grid_text", show_default=True,
+                 default="{:g}:{:g}:{:d}".format(*evaluation.DEFAULT_GRID),
+                 help="start:stop:count log-spaced grid for the grid-lambda ablation."),
+)
 
 
 def _run_command(*own_options):
@@ -274,11 +266,9 @@ def _run_command(*own_options):
             dataset = _load_dataset(config.data_dir, config.raw_ratings, config.ks)
             return fn(config, *dataset, **own)
 
-        run = click.option("--output-dir", required=True,
-                           type=click.Path(file_okay=False))(_handle_errors(run))
-        for option in own_options:
-            run = option(run)
-        return _dataset_options(_engine_options(_eval_options(run)))
+        output_dir = click.option("--output-dir", required=True, type=click.Path(file_okay=False))
+        return _options(output_dir, *own_options, _eval_options, _engine_options,
+                        _dataset_options)(_handle_errors(run))
 
     return decorate
 

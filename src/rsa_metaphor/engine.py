@@ -109,6 +109,8 @@ class RsaConfig:
     mode: str = "full"
 
     def __post_init__(self):
+        if isinstance(self.lam, (bool, np.bool_)):
+            raise ValueError(f"lam must be a number, not a bool, got {self.lam!r}")
         if not math.isfinite(self.lam):
             raise ValueError(f"lam must be finite, got {self.lam!r}")
         for value, allowed, name in (

@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -28,7 +29,7 @@ from .lexicon import (
     MetaphorItem,
     TypicalityTable,
 )
-from .metrics import jsd_rows, pearson_rows, top_k_overlap, top_k_rows
+from .metrics import _check_base, jsd_rows, pearson_rows, top_k_overlap, top_k_rows
 # the scalar metrics are not called here; bench/spans.py wraps them by these names
 from .metrics import jsd, k_agreement, pearson, top_k_indices  # noqa: F401
 
@@ -126,6 +127,16 @@ def _group_stats(
     )
 
 
+def _checked_ks(ks, n: int, jsd_base: float) -> tuple[int, ...]:
+    """``ks`` sorted and distinct; raise unless each k is in [1, n] and the log base is valid."""
+    ks = tuple(sorted(set(ks)))
+    bad = [k for k in ks if not 1 <= k <= n]
+    if bad or not ks:
+        raise ValueError(f"k must be in [1, {n}], got {bad[0] if bad else 'none'}")
+    _check_base(jsd_base)
+    return ks
+
+
 def evaluate(
     items: Sequence[MetaphorItem],
     human: HumanResponseTable,
@@ -144,16 +155,13 @@ def evaluate(
     """
     if not items:
         raise ValueError("no items to evaluate")
-    ks = tuple(sorted(set(ks)))
-    bad = [k for k in ks if not 1 <= k <= table.n]
-    if bad or not ks:
-        raise ValueError(f"k must be in [1, {table.n}], got {bad[0] if bad else 'none'}")
+    ks = _checked_ks(ks, table.n, jsd_base)
     k_max = ks[-1]
     features = table.vocab.features
     other_mode = "fast" if config.mode == "full" else "full"
+    targets = [human.distribution(item.id) for item in items]
     models = np.exp(_interpret_batch(items, config, table)[0])
     others = np.exp(_interpret_batch(items, replace(config, mode=other_mode), table)[0])
-    targets = [human.distribution(item.id) for item in items]
     humans = np.stack(targets)
 
     # one ranking per row, one rank past k_max: a boundary tie is between the values
@@ -253,9 +261,10 @@ def ablate_lambda_interpolation(
 
     The train objective is scored at every grid point, a chunk of points per
     kernel call; the best one (the earlier on a tie) is evaluated over
-    ``items``.  Points must be finite and >= 0 (checked before scoring); the
-    error for an undefined objective names the first such point.
+    ``items``.  The points (finite, >= 0), ``ks`` and ``jsd_base`` are checked
+    before scoring; the error for an undefined objective names the first such point.
     """
+    _checked_ks(kwargs.get("ks", DEFAULT_KS), table.n, kwargs.get("jsd_base", 2.0))
     candidates = np.asarray(grid if grid is not None else lambda_grid(*DEFAULT_GRID), float)
     if candidates.size == 0:
         raise ValueError("empty grid")
@@ -309,7 +318,8 @@ def feature_correlation_matrix(
     return corr
 
 
-_ITEM_KEYS = {"item_id": "id", "inherence": "class"}  # report.json names for ItemEval fields
+# report.json's and report.csv's names for ItemEval fields; the others keep their own
+_ITEM_KEYS = {"item_id": "id", "inherence": "class"}
 
 
 def _json(value):
@@ -321,6 +331,16 @@ def _json(value):
     if isinstance(value, Mapping):
         return {str(k): _json(v) for k, v in value.items()}
     return value
+
+
+def _cell(value) -> str:
+    """A CSV cell: a float to 12 significant digits, a bool or an int as digits, a label
+    tuple joined by ``|``; NaN and None become empty cells."""
+    if isinstance(value, float):
+        return "" if math.isnan(value) else format(value, ".12g")
+    if isinstance(value, int):  # a bool too
+        return str(int(value))
+    return "|".join(value) if isinstance(value, tuple) else value or ""  # a str, or None
 
 
 def report_to_dict(report: EvalReport) -> dict:
@@ -338,28 +358,16 @@ def report_to_dict(report: EvalReport) -> dict:
 
 
 def report_csv_rows(report: EvalReport) -> list[list[str]]:
-    """Flat per-metaphor rows for report.csv (header row first)."""
-    header = ["id", "topic", "vehicle", "class", "pearson_r", "jsd"]
-    header += [f"agreement_{k}" for k in report.ks]
-    header += [
-        "model_top", "human_top", "argmax_in_human_top",
-        "model_boundary_tie", "human_boundary_tie", "mode_divergence",
-    ]
-    rows = [header]
-    for e in report.items:
-        row = [
-            e.item_id, e.topic, e.vehicle, e.inherence or "",
-            format(e.pearson_r, ".12g"), format(e.jsd, ".12g"),
-        ]
-        row += [str(e.agreement[k]) for k in report.ks]
-        row += [
-            "|".join(e.model_top), "|".join(e.human_top),
-            str(int(e.argmax_in_human_top)),
-            str(int(e.model_boundary_tie)), str(int(e.human_boundary_tie)),
-            format(e.mode_divergence, ".12g"),
-        ]
-        rows.append(row)
-    return rows
+    """Flat per-metaphor rows for report.csv (header row first): the report.json item
+    keys but the two arrays, with ``agreement`` as one ``agreement_<k>`` column per k."""
+    columns = []
+    for f in fields(ItemEval):
+        if f.name == "agreement":
+            columns += [(f"agreement_{k}", lambda e, k=k: e.agreement[k]) for k in report.ks]
+        elif f.name not in ("model", "human"):
+            columns.append((_ITEM_KEYS.get(f.name, f.name), attrgetter(f.name)))
+    return [[name for name, _ in columns]] + [
+        [_cell(get(e)) for _, get in columns] for e in report.items]
 
 
 def matrix_csv_rows(matrix: np.ndarray, features: tuple[str, ...]) -> list[list[str]]:
@@ -367,11 +375,5 @@ def matrix_csv_rows(matrix: np.ndarray, features: tuple[str, ...]) -> list[list[
 
     Undefined (NaN) entries become empty cells.
     """
-    rows = [["feature", *features]]
-    for i, name in enumerate(features):
-        cells = [
-            "" if math.isnan(matrix[i, j]) else format(matrix[i, j], ".12g")
-            for j in range(len(features))
-        ]
-        rows.append([name, *cells])
-    return rows
+    return [["feature", *features]] + [
+        [name, *map(_cell, row)] for name, row in zip(features, matrix.tolist())]

@@ -156,9 +156,9 @@ def _objective_and_gradient(lams, train, human, config, table, kind, gradient=Tr
             _objective_and_gradient(lams[i:i + chunk], train, human, config, table, kind, gradient)
             for i in range(0, lams.size, chunk)))
         return np.concatenate(values), (np.concatenate(grads) if gradient else None)
+    target = np.stack([human.distribution(item.id) for item in train])
     logp, dp = _interpret_lams(train, config, table, lams, gradient)
     model = np.exp(logp)
-    target = np.stack([human.distribution(item.id) for item in train])
     if kind == "pooled":
         model, target = model.reshape(lams.size, 1, -1), target.reshape(1, -1)
     r, grad_m, undefined = _pearson(model, target, gradient)

@@ -236,6 +236,9 @@ def normalize_ratings(ratings: TypicalityTable) -> TypicalityTable:
             f"rating for ({ratings.categories[c]!r}, {ratings.vocab.features[i]!r}) is "
             f"{float(values[c, i])!r}, not a positive number"
         )
+    with np.errstate(over="ignore"):  # a row whose sum overflows is scaled by its max first
+        overflows = np.isinf(values.sum(axis=1, keepdims=True))
+    values = np.where(overflows, values / values.max(axis=1, keepdims=True), values)
     return TypicalityTable(ratings.categories, ratings.vocab, values / values.sum(axis=1)[:, None])
 
 
@@ -252,8 +255,8 @@ def _dense_table(cells: dict[tuple[str, str], float]) -> TypicalityTable:
     return TypicalityTable(categories, vocab, matrix)
 
 
-def _read_rows(data_dir: Path, name: str) -> list[tuple[int, list[str]]]:
-    """Read the rows of dataset file ``name`` as (line number, fields).
+def _read_rows(data_dir: Path, name: str) -> list[tuple[str, list[str]]]:
+    """Read the rows of dataset file ``name`` as (``"<name> line <N>"``, fields).
 
     The header must be exactly the file's :data:`DATASET_FILES` entry.  Bytes
     that are not UTF-8 and rows the CSV reader rejects raise DatasetError.
@@ -277,15 +280,14 @@ def _read_rows(data_dir: Path, name: str) -> list[tuple[int, list[str]]]:
             )
         rows, end = [], reader.line_num  # physical lines: a quoted field may hold newlines
         for fields in reader:
-            lineno, end = end + 1, reader.line_num
+            where, end = f"{name} line {end + 1}", reader.line_num
             if not fields:
                 continue
             if len(fields) != len(expected_header):
                 raise DatasetError(
-                    f"{name} line {lineno}: expected {len(expected_header)} fields, "
-                    f"got {len(fields)}"
+                    f"{where}: expected {len(expected_header)} fields, got {len(fields)}"
                 )
-            rows.append((lineno, fields))
+            rows.append((where, fields))
     except csv.Error as exc:
         raise DatasetError(f"{name} line {reader.line_num}: {exc}") from None
     return rows
@@ -309,8 +311,7 @@ def read_dataset(
     """
     data_dir = Path(data_dir)
     cells: dict[tuple[str, str], float] = {}
-    for lineno, (category, feature, value) in _read_rows(data_dir, "typicality.csv"):
-        where = f"typicality.csv line {lineno}"
+    for where, (category, feature, value) in _read_rows(data_dir, "typicality.csv"):
         if not category or not feature:
             raise DatasetError(f"{where}: empty category or feature identifier")
         key = (category, feature)
@@ -332,8 +333,7 @@ def read_dataset(
     met_rows = _read_rows(data_dir, "metaphors.csv")
     items: list[MetaphorItem] = []
     item_ids: set[str] = set()
-    for lineno, (item_id, topic, vehicle, klass, familiarity) in met_rows:
-        where = f"metaphors.csv line {lineno}"
+    for where, (item_id, topic, vehicle, klass, familiarity) in met_rows:
         if not item_id:
             raise DatasetError(f"{where}: empty metaphor id")
         if item_id in item_ids:
@@ -351,8 +351,7 @@ def read_dataset(
 
     counts: dict[str, np.ndarray] = {}
     seen_pairs: set[tuple[str, str]] = set()
-    for lineno, (metaphor_id, feature, count) in _read_rows(data_dir, "human.csv"):
-        where = f"human.csv line {lineno}"
+    for where, (metaphor_id, feature, count) in _read_rows(data_dir, "human.csv"):
         if metaphor_id not in item_ids:
             raise DatasetError(f"{where}: unknown metaphor id {metaphor_id!r}")
         if feature not in table.vocab:

@@ -94,6 +94,11 @@ def pearson(p, q) -> float:
     return float(pearson_rows(_as_vector(p), _as_vector(q)))
 
 
+def _check_base(base: float) -> None:
+    if not (math.isfinite(base) and base > 1):
+        raise ValueError(f"log base must be finite and > 1, got {base!r}")
+
+
 def jsd_rows(p, q, base: float = 2.0) -> np.ndarray:
     """Jensen-Shannon divergence between each row of ``p`` and the same row of ``q``.
 
@@ -102,8 +107,7 @@ def jsd_rows(p, q, base: float = 2.0) -> np.ndarray:
     distribution; the error names the first row's sum that is not 1.  The
     log ``base`` must be finite and > 1.
     """
-    if not (math.isfinite(base) and base > 1):
-        raise ValueError(f"log base must be finite and > 1, got {base!r}")
+    _check_base(base)
     a = _as_rows(p)
     _check_distribution(a, "p")
     b = _as_rows(q)

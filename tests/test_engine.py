@@ -1,6 +1,7 @@
 """Engine tests: each agent against hand values and the brute-force oracle."""
 
 import math
+import re
 from dataclasses import replace
 from unittest import mock
 
@@ -31,7 +32,12 @@ from rsa_metaphor.engine import (
     _speaker,
     interpret_with_gradient,
 )
-from rsa_metaphor.errors import DegenerateTypicalityError, Error, UnknownCategoryError
+from rsa_metaphor.errors import (
+    DegenerateTypicalityError,
+    Error,
+    UnknownCategoryError,
+    ZeroMassError,
+)
 
 # the five configurations every evaluation path is checked in
 CONFIGS = (
@@ -71,6 +77,29 @@ class TestDistribution:
     def test_entries_outside_minus_inf_to_zero_rejected(self, logp):
         with pytest.raises(ValueError, match=r"in \[-inf, 0\]"):
             Distribution(("a", "b"), logp)
+
+
+    def test_length_must_match_labels(self):
+        with pytest.raises(ValueError, match="^logp length does not match labels$"):
+            Distribution(("a", "b"), [0.0])
+
+
+class TestRsaConfig:
+    @pytest.mark.parametrize("setting, message", [
+        ({"lam": math.inf}, "lam must be finite, got inf"),
+        ({"lam": math.nan}, "lam must be finite, got nan"),
+        ({"lam": True}, "lam must be a number, not a bool, got True"),
+        ({"lam": np.False_}, "lam must be a number, not a bool, got np.False_"),
+        ({"mode": "slow"}, "mode must be one of ('full', 'fast'), got 'slow'"),
+        ({"utterances": "some"}, "utterances must be one of ('all', 'pair'), got 'some'"),
+    ], ids=["inf", "nan", "True", "np.False_", "mode", "utterances"])
+    def test_bad_setting_rejected(self, setting, message):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            RsaConfig(**setting)
+
+    @pytest.mark.parametrize("lam", [3, np.int64(4), np.float32(0.5), np.float64(2.5)])
+    def test_ints_and_numpy_floats_accepted(self, lam):
+        assert RsaConfig(lam=lam).lam == lam
 
 
 class TestSpeakerUtility:
@@ -311,6 +340,12 @@ class TestInterpret:
 
 
 class TestInterpretFast:
+    @pytest.mark.parametrize("lam", [0.0, 2.0])
+    def test_topic_row_of_zeros_has_zero_mass(self, lam):
+        table = table_from_rows([[0.0, 0.0], [0.25, 0.75]])
+        with pytest.raises(ZeroMassError, match="^interpretation has zero total mass$"):
+            interpret_fast(MetaphorItem("m", "c0", "c1"), lam, table)
+
     def test_hand_example(self):
         table = table_from_rows([[0.5, 0.5], [0.8, 0.2]])
         item = MetaphorItem("m", "c0", "c1")

@@ -2,6 +2,7 @@
 
 import json
 import math
+import re
 import statistics
 from dataclasses import asdict, replace
 
@@ -24,7 +25,7 @@ from rsa_metaphor import (
     make_split,
 )
 from rsa_metaphor import evaluation, learn
-from rsa_metaphor.errors import ZeroVarianceError
+from rsa_metaphor.errors import DatasetError, ZeroVarianceError
 from rsa_metaphor.evaluation import lambda_grid, matrix_csv_rows, report_csv_rows, report_to_dict
 from rsa_metaphor.learn import TrainTestSplit
 from rsa_metaphor.metrics import jsd, pearson
@@ -46,7 +47,24 @@ def perfect_fixture(seed=0, n_items=2):
     return table, items, human, cfg
 
 
+def count_kernel_calls(monkeypatch):
+    """Record every call of the two kernel entry points that evaluation and the fit use."""
+    calls = []
+    for module, name in ((learn, "_interpret_lams"), (evaluation, "_interpret_batch")):
+        def spy(*args, kernel=getattr(module, name), name=name, **kwargs):
+            calls.append(name)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(module, name, spy)
+    return calls
+
+
 class TestEvaluate:
+    def test_no_items_rejected(self, full_scale):
+        table, _, human = full_scale
+        with pytest.raises(ValueError, match="^no items to evaluate$"):
+            evaluate((), human, RsaConfig(), table)
+
     def test_perfect_model_metrics(self):
         table, items, human, cfg = perfect_fixture()
         report = evaluate(items, human, cfg, table)
@@ -318,6 +336,42 @@ class TestBatchedEvaluate:
         assert str(batched.value) == str(scalar.value)
 
 
+def without_first_human_row(full_scale):
+    table, items, human = full_scale
+    rest = {k: v for k, v in human.responses.items() if k != items[0].id}
+    return HumanResponseTable(table.vocab, rest)
+
+
+class TestChecksBeforeScoring:
+    """A bad ``ks`` or log base, or a missing human row, fails before any kernel call."""
+
+    @pytest.mark.parametrize("score, setting, message", [
+        (evaluate, {"jsd_base": 1.0}, "log base must be finite and > 1, got 1.0"),
+        (ablate_lambda_interpolation, {"jsd_base": 1.0},
+         "log base must be finite and > 1, got 1.0"),
+        (ablate_lambda_interpolation, {"jsd_base": math.inf},
+         "log base must be finite and > 1, got inf"),
+        (ablate_lambda_interpolation, {"ks": (0,)}, "k must be in [1, 59], got 0"),
+        (ablate_lambda_interpolation, {"ks": (3, 60)}, "k must be in [1, 59], got 60"),
+    ], ids=["evaluate-base", "grid-base", "grid-base-inf", "grid-k0", "grid-k60"])
+    def test_bad_argument(self, full_scale, monkeypatch, score, setting, message):
+        table, items, human = full_scale
+        calls = count_kernel_calls(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            score(items, human, RsaConfig(lam=5.0), table, **setting)
+        assert calls == []
+
+    @pytest.mark.parametrize("score", [evaluate, ablate_lambda_interpolation],
+                             ids=["evaluate", "grid"])
+    def test_missing_human_row(self, full_scale, monkeypatch, score):
+        table, items, _ = full_scale
+        human = without_first_human_row(full_scale)
+        calls = count_kernel_calls(monkeypatch)
+        with pytest.raises(DatasetError, match="^no human responses for metaphor 'm00'$"):
+            score(items, human, RsaConfig(lam=5.0), table)
+        assert calls == []
+
+
 class TestAblateRelevance:
     def test_uniform_topic_row_changes_nothing(self):
         rows = np.vstack([np.full(4, 0.25), [0.4, 0.3, 0.2, 0.1], [0.1, 0.2, 0.3, 0.4]])
@@ -476,6 +530,11 @@ class TestFeatureCorrelationMatrix:
         assert matrix[1, 1] == matrix[2, 2] == 1.0
         assert matrix[1, 2] == matrix[2, 1] == pytest.approx(-1.0, abs=1e-12)
 
+    def test_unknown_source_rejected(self, full_scale):
+        table, items, human = full_scale
+        with pytest.raises(ValueError, match="^source must be 'model' or 'human', got 'both'$"):
+            feature_correlation_matrix(items, "both", RsaConfig(), table, human=human)
+
     def test_needs_three_items(self, full_scale):
         table, items, human = full_scale
         with pytest.raises(ValueError):
@@ -527,6 +586,33 @@ class TestSerialization:
         assert rows[0][:4] == ["id", "topic", "vehicle", "class"]
         assert len(rows) == 25
         assert all(len(row) == len(rows[0]) for row in rows)
+
+    def test_report_csv_header_is_pinned(self, full_scale):
+        """The report.json item keys but the two arrays, with agreement spread per k."""
+        table, items, human = full_scale
+        report = evaluate(items, human, RsaConfig(lam=10.0), table, ks=(5, 1, 3))
+        header = report_csv_rows(report)[0]
+        assert header == [
+            "id", "topic", "vehicle", "class", "pearson_r", "jsd",
+            "agreement_1", "agreement_3", "agreement_5",
+            "model_top", "human_top", "argmax_in_human_top",
+            "model_boundary_tie", "human_boundary_tie", "mode_divergence",
+        ]
+        spread = []
+        for key in report_to_dict(report)["items"][0]:
+            if key == "agreement":
+                spread += [f"agreement_{k}" for k in report.ks]
+            elif key not in ("model", "human"):
+                spread.append(key)
+        assert header == spread
+
+    @pytest.mark.parametrize("value, cell", [
+        (0.1 + 0.2, "0.3"), (1 / 3, "0.333333333333"), (np.float64(-2.5e-20), "-2.5e-20"),
+        (math.nan, ""), (None, ""), (True, "1"), (False, "0"), (3, "3"),
+        (("f1", "f2"), "f1|f2"), ("m00", "m00"),
+    ])
+    def test_cell(self, value, cell):
+        assert evaluation._cell(value) == cell
 
     def test_matrix_csv_empty_cells_for_nan(self):
         matrix = np.array([[1.0, math.nan], [math.nan, 1.0]])

@@ -249,6 +249,16 @@ class TestLearnLambda:
             with pytest.raises(ValueError):
                 learn_lambda(**{**args, **single}, init=inits[-1])
 
+    def test_missing_human_row_fails_before_scoring(self, monkeypatch, seed12_split0):
+        table, human, train = seed12_split0
+        rest = HumanResponseTable(human.vocab, {k: v for k, v in human.responses.items()
+                                                if k != train[0].id})
+        calls = spy_kernel(monkeypatch)
+        message = f"^no human responses for metaphor {train[0].id!r}$"
+        with pytest.raises(DatasetError, match=message):
+            learn_lambda_multistart(train, rest, RsaConfig(), table)
+        assert calls == []
+
     def test_fit_stays_at_nonnegative_lambda(self):
         # human rows equal the topic rows, which the model returns exactly at lambda 0;
         # the unconstrained ascent ended just below 0

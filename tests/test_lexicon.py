@@ -93,6 +93,13 @@ class TestNormalizeRatings:
                 normalize_ratings(table)
 
 
+    def test_row_whose_sum_overflows_is_scaled_first(self):
+        # the row sum 2e308 overflows; dividing by it gave [0, 0] and a RuntimeWarning
+        table = normalize_ratings(ratings(("c", "a", 1e308), ("c", "b", 1e308),
+                                          ("d", "a", 1.0), ("d", "b", 3.0)))
+        np.testing.assert_array_equal(table.values, [[0.5, 0.5], [0.25, 0.75]])
+
+
 class TestTypes:
     def test_vocab_needs_two_features(self):
         with pytest.raises(DatasetError):
@@ -101,6 +108,21 @@ class TestTypes:
     def test_vocab_rejects_duplicates(self):
         with pytest.raises(DatasetError):
             FeatureVocab(("a", "a"))
+
+    @pytest.mark.parametrize("build, kind", [
+        (lambda: FeatureVocab(("a", "")), "feature"),
+        (lambda: TypicalityTable(("c", ""), FeatureVocab(("a", "b")), np.ones((2, 2))),
+         "category"),
+    ], ids=["feature", "category"])
+    def test_empty_identifier_rejected(self, build, kind):
+        with pytest.raises(DatasetError, match=f"^empty {kind} identifier$"):
+            build()
+
+    def test_vocab_index_of_unknown_feature(self):
+        vocab = FeatureVocab(("a", "b"))
+        assert vocab.index("b") == 1
+        with pytest.raises(DatasetError, match="^unknown feature 'z'$"):
+            vocab.index("z")
 
     def test_table_shape_must_match(self):
         vocab = FeatureVocab(("a", "b"))
@@ -203,6 +225,15 @@ class TestValidateViolations:
         report = validate(table, unlabelled, human)
         assert report.violations == ("metaphor 'm1': missing class label",)
 
+    @pytest.mark.parametrize("topic, vehicle, violation", [
+        ("sharks", "ants", "metaphor 'm1': topic 'sharks' not in typicality table"),
+        ("workers", "sharks", "metaphor 'm1': vehicle 'sharks' not in typicality table"),
+    ])
+    def test_noun_not_in_table(self, clean, topic, vehicle, violation):
+        table, items, human = clean
+        stray = (MetaphorItem("m1", topic, vehicle, "non_inherent"), items[1])
+        assert validate(table, stray, human).violations == (violation,)
+
     def test_unknown_human_id(self, clean):
         table, items, human = clean
         extra = HumanResponseTable(table.vocab, dict(human.responses, m9=human.responses["m1"]))
@@ -257,6 +288,7 @@ class TestReadDataset:
         ("metaphors.csv", "m1,workers,owls,inherent,", "duplicate metaphor id 'm1'"),
         ("metaphors.csv", "m3,owls,owls,inherent,", "topic and vehicle are both 'owls'"),
         ("human.csv", "m1,diligence,0.1", "duplicate \\('m1', 'diligence'\\)"),
+        ("human.csv", "m1,courage,0.1", "unknown feature 'courage'"),
     ])
     def test_bad_row_names_file_and_line(self, dataset_dir, name, row, message):
         path = dataset_dir / name
