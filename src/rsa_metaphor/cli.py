@@ -43,26 +43,20 @@ class RunConfig:
 
     data_dir: str
     output_dir: str
-    mode: str
-    lam: float
+    model: RsaConfig
     lambda_source: str
     split_seed: int
     objective: str
     jsd_base: float
-    utterances: str
-    category_prior: str
-    goal_prior: str
     raw_ratings: bool
     ks: tuple[int, ...]
     grid: tuple[float, float, int]
 
     def to_dict(self) -> dict:
         out = asdict(self)
+        out.update(out.pop("model"))  # artifacts keep the model's settings at the top level
         out["lambda"], out["k"] = out.pop("lam"), out.pop("ks")
         return out
-
-    def rsa_config(self) -> RsaConfig:
-        return RsaConfig(**{f.name: getattr(self, f.name) for f in fields(RsaConfig)})
 
 
 def _handle_errors(fn):
@@ -244,10 +238,12 @@ _eval_options = _options(
 def _run_command(*own_options):
     """Give an artifact command the shared flags, resolved once into a RunConfig.
 
-    A flag named after a ``RunConfig`` field is passed through as it is; the
-    four that ``run`` names are converted first.  The command is called as
-    ``fn(config, table, items, human, **own)`` with the loaded dataset, where
-    ``own`` holds the values of ``own_options``, the options that only it takes.
+    The flags named after ``RsaConfig`` fields build ``model`` with the
+    resolved lambda; a flag named after a ``RunConfig`` field is passed
+    through as it is, and the four that ``run`` names are converted first.
+    The command is called as ``fn(config, table, items, human, **own)`` with
+    the loaded dataset, where ``own`` holds the values of ``own_options``,
+    the options that only it takes.
     """
 
     def decorate(fn):
@@ -256,10 +252,12 @@ def _run_command(*own_options):
             lam, lambda_source = _resolve_lambda(lam_text, flags["output_dir"])
             if flags["split_seed"] < 0:
                 raise Error(f"invalid --seed value {flags['split_seed']}; seeds must be >= 0")
+            model = RsaConfig(lam=lam, **{f.name: flags.pop(f.name)
+                                          for f in fields(RsaConfig) if f.name != "lam"})
             names = {f.name for f in fields(RunConfig)}
             own = {name: flags.pop(name) for name in list(flags) if name not in names}
             config = RunConfig(
-                **flags, lam=lam, lambda_source=lambda_source,
+                **flags, model=model, lambda_source=lambda_source,
                 jsd_base=2.0 if jsd_base == "2" else math.e,
                 ks=_parse_ks(k_text), grid=_parse_grid(grid_text),
             )
@@ -332,9 +330,8 @@ def train(config: RunConfig, table, items, human):
     split = learn.make_split(items, config.split_seed)
     by_id = {item.id: item for item in items}
     train_items = tuple(by_id[i] for i in split.train)
-    fit = learn.learn_lambda_multistart(
-        train_items, human, config.rsa_config(), table, kind=config.objective,
-    )
+    fit = learn.learn_lambda_multistart(train_items, human, config.model, table,
+                                        kind=config.objective)
     with ArtifactWriter(config) as writer:
         path = writer.write_json("params.json", {
             "lambda": fit.lambda_hat,
@@ -368,7 +365,7 @@ def cmd_eval(config: RunConfig, table, items, human):
     except Error:
         pass  # datasets without the 24-item stratified layout get no split groups
     report = evaluation.evaluate(
-        items, human, config.rsa_config(), table,
+        items, human, config.model, table,
         ks=config.ks, jsd_base=config.jsd_base, split=split,
     )
     with ArtifactWriter(config) as writer:
@@ -388,7 +385,7 @@ def ablate(config: RunConfig, table, items, human, kind):
     with ArtifactWriter(config) as writer:
         if kind == "no-relevance":
             report = evaluation.ablate_relevance(
-                items, human, config.rsa_config(), table,
+                items, human, config.model, table,
                 ks=config.ks, jsd_base=config.jsd_base,
             )
             payload = {"report": evaluation.report_to_dict(report)}
@@ -399,7 +396,7 @@ def ablate(config: RunConfig, table, items, human, kind):
             train_items = tuple(by_id[i] for i in split.train)
             grid = evaluation.lambda_grid(*config.grid)
             best, report = evaluation.ablate_lambda_interpolation(
-                items, human, config.rsa_config(), table,
+                items, human, config.model, table,
                 grid=grid, train=train_items, objective_kind=config.objective,
                 ks=config.ks, jsd_base=config.jsd_base,
             )
@@ -416,12 +413,9 @@ def corr(config: RunConfig, table, items, human):
     if len(items) < 3:
         raise Error(f"corr needs at least 3 metaphors, got {len(items)}")
     features = table.vocab.features
-    model_matrix = evaluation.feature_correlation_matrix(
-        items, "model", config.rsa_config(), table,
-    )
-    human_matrix = evaluation.feature_correlation_matrix(
-        items, "human", config.rsa_config(), table, human=human,
-    )
+    model_matrix = evaluation.feature_correlation_matrix(items, "model", config.model, table)
+    human_matrix = evaluation.feature_correlation_matrix(items, "human", config.model, table,
+                                                         human=human)
     with ArtifactWriter(config) as writer:
         writer.write_csv("corr_model.csv", evaluation.matrix_csv_rows(model_matrix, features))
         writer.write_csv("corr_human.csv", evaluation.matrix_csv_rows(human_matrix, features))

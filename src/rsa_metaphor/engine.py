@@ -66,6 +66,7 @@ calls (one metaphor per worker) are safe.
 from __future__ import annotations
 
 import math
+import numbers
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -111,6 +112,8 @@ class RsaConfig:
     def __post_init__(self):
         if isinstance(self.lam, (bool, np.bool_)):
             raise ValueError(f"lam must be a number, not a bool, got {self.lam!r}")
+        if not isinstance(self.lam, numbers.Real):
+            raise ValueError(f"lam must be a number, got {self.lam!r}")
         if not math.isfinite(self.lam):
             raise ValueError(f"lam must be finite, got {self.lam!r}")
         for value, allowed, name in (

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from operator import attrgetter
+from operator import attrgetter, itemgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -233,11 +233,12 @@ def ablate_relevance(
     human: HumanResponseTable,
     config: RsaConfig,
     table: TypicalityTable,
-    **kwargs,
+    ks: tuple[int, ...] = DEFAULT_KS,
+    jsd_base: float = 2.0,
 ) -> EvalReport:
     """Re-evaluate with the goal prior flattened to uniform."""
-    ablated = replace(config, goal_prior="uniform")
-    return replace(evaluate(items, human, ablated, table, **kwargs), tag="ablation: no-relevance")
+    report = evaluate(items, human, replace(config, goal_prior="uniform"), table, ks, jsd_base)
+    return replace(report, tag="ablation: no-relevance")
 
 
 def lambda_grid(start: float, stop: float, count: int) -> np.ndarray:
@@ -255,7 +256,8 @@ def ablate_lambda_interpolation(
     grid: Sequence[float] | None = None,
     train: Sequence[MetaphorItem] | None = None,
     objective_kind: str = "mean",
-    **kwargs,
+    ks: tuple[int, ...] = DEFAULT_KS,
+    jsd_base: float = 2.0,
 ) -> tuple[float, EvalReport]:
     """Pick the rationality parameter by grid search instead of the fit's scan and refinement.
 
@@ -264,7 +266,7 @@ def ablate_lambda_interpolation(
     ``items``.  The points (finite, >= 0), ``ks`` and ``jsd_base`` are checked
     before scoring; the error for an undefined objective names the first such point.
     """
-    _checked_ks(kwargs.get("ks", DEFAULT_KS), table.n, kwargs.get("jsd_base", 2.0))
+    _checked_ks(ks, table.n, jsd_base)
     candidates = np.asarray(grid if grid is not None else lambda_grid(*DEFAULT_GRID), float)
     if candidates.size == 0:
         raise ValueError("empty grid")
@@ -272,10 +274,10 @@ def ablate_lambda_interpolation(
     if np.any(bad):
         raise ValueError(f"grid points must be finite and >= 0, got {float(candidates[bad][0])!r}")
     selection = tuple(train) if train is not None else tuple(items)
-    scores, _ = learn._objective_and_gradient(candidates, selection, human, config, table,
-                                              objective_kind, gradient=False)
-    best = float(candidates[int(np.argmax(scores))])
-    report = evaluate(items, human, replace(config, lam=best), table, **kwargs)
+    points = learn._points(candidates, selection, human, config, table, objective_kind,
+                           gradient=False)
+    best, _, _ = max(learn._defined(points), key=itemgetter(1))  # the earlier on a tie
+    report = evaluate(items, human, replace(config, lam=best), table, ks=ks, jsd_base=jsd_base)
     return best, replace(report, tag="ablation: grid-lambda")
 
 

@@ -9,8 +9,10 @@ inits.  From each init a walk follows the sign of g over the scan points to
 a bracket g(lo) > 0 >= g(hi), to lambda 0 or to the scan top.  Illinois
 regula falsi on g then narrows every distinct bracket, all of them in
 lockstep, until it is narrower than ``_TOL * hi``.  All scoring, the grid
-ablation's too, goes through :func:`_objective_and_gradient`: one kernel
-call per chunk of lams, with the same bits per lam as a call of its own.
+ablation's too, goes through :func:`_points`: one kernel call per chunk of
+lams, with the same bits per lam as a call of its own.  A lam is undefined
+where a row is constant or the objective is not finite: the scan passes over
+it, and it ends its bracket.  Any other error fails the fit at once.
 
 Everything here is deterministic: the only randomness is the split seed.
 """
@@ -117,8 +119,7 @@ def objective(
     kind: str = "mean",
 ) -> float:
     """Correlation between model and human interpretations on the train set."""
-    values, _ = _objective_and_gradient((lam,), train, human, config, table, kind, gradient=False)
-    return float(values[0])
+    return _defined(_points((lam,), train, human, config, table, kind, gradient=False))[0][1]
 
 
 def gradient(
@@ -130,49 +131,52 @@ def gradient(
     kind: str = "mean",
 ) -> float:
     """Analytic d(objective)/d(lam), chained through softmax and normalizations."""
-    _, grads = _objective_and_gradient((lam,), train, human, config, table, kind)
-    return float(grads[0])
+    return _defined(_points((lam,), train, human, config, table, kind))[0][2]
 
 
-def _objective_and_gradient(lams, train, human, config, table, kind, gradient=True):
-    """The objective at every lam of the 1-D ``lams`` and, if ``gradient``, its derivative.
+def _points(lams, train, human, config, table, kind, gradient=True):
+    """(lam, objective, g) per lam of the 1-D ``lams``; g is None without ``gradient``.
 
-    Returns two (L,) arrays (the second None without ``gradient``).  One
-    kernel call covers a chunk of ``_GRID_CHUNK_CELLS // table.values.size``
-    lams and the whole training set, and one pass of
-    :func:`.metrics._pearson`, the r that ``evaluate`` reports, covers all
-    their rows.  ``mean`` correlates each item's row with its human row;
-    ``pooled`` correlates the flattened rows.  If the objective is undefined
-    at some lam, the error names the first such lam.
+    Where the objective is undefined at a lam (a constant model or human row,
+    or a non-finite objective), the entry is the :class:`ZeroVarianceError` or
+    :class:`Error` that says so.  Any other error does not depend on lam and
+    raises.  One kernel call and one :func:`.metrics._pearson` pass (the r that
+    ``evaluate`` reports) cover a chunk of ``_GRID_CHUNK_CELLS // table.values.size``
+    lams over the whole train set.  ``mean`` correlates each item's row with its
+    human row; ``pooled`` correlates the flattened rows.
     """
     if kind not in _OBJECTIVE_KINDS:
         raise ValueError(f"objective kind must be one of {_OBJECTIVE_KINDS}, got {kind!r}")
     if not train:
         raise ValueError("empty training set")
     lams = np.asarray(lams, dtype=float)
-    chunk = max(1, _GRID_CHUNK_CELLS // table.values.size)
-    if lams.size > chunk:  # one kernel call per chunk, so its temporaries stay bounded
-        values, grads = zip(*(
-            _objective_and_gradient(lams[i:i + chunk], train, human, config, table, kind, gradient)
-            for i in range(0, lams.size, chunk)))
-        return np.concatenate(values), (np.concatenate(grads) if gradient else None)
     target = np.stack([human.distribution(item.id) for item in train])
-    logp, dp = _interpret_lams(train, config, table, lams, gradient)
-    model = np.exp(logp)
-    if kind == "pooled":
-        model, target = model.reshape(lams.size, 1, -1), target.reshape(1, -1)
-    r, grad_m, undefined = _pearson(model, target, gradient)
-    values = np.mean(r, axis=-1)
-    failed = np.any(undefined, axis=-1) | ~np.isfinite(values)
-    if np.any(failed):
-        first = int(np.argmax(failed))
-        lam = float(lams[first])
-        if np.any(undefined[first]):
-            raise ZeroVarianceError(f"constant vector in the training objective at lam={lam!r}")
-        raise Error(f"objective is not finite at lam={lam!r}")
-    if not gradient:
-        return values, None
-    return values, np.mean(np.sum(grad_m * dp.reshape(grad_m.shape), axis=-1), axis=-1)
+    target = target.reshape(1, -1) if kind == "pooled" else target  # pooled: all cells in one row
+    chunk = max(1, _GRID_CHUNK_CELLS // table.values.size)
+    points = []
+    for part in np.split(lams, range(chunk, lams.size, chunk)):  # bounded temporaries
+        logp, dp = _interpret_lams(train, config, table, part, gradient)
+        r, grad_m, undefined = _pearson(np.exp(logp).reshape(-1, *target.shape), target, gradient)
+        values = np.mean(r, axis=-1).tolist()
+        grads = [None] * part.size
+        if gradient:
+            grad_m[undefined] = 0.0  # an undefined row's gradient may be inf or NaN; unused
+            grads = np.mean(np.sum(grad_m * dp.reshape(grad_m.shape), axis=-1), axis=-1).tolist()
+        for lam, value, g, constant in zip(part.tolist(), values, grads, np.any(undefined, -1)):
+            points.append(
+                ZeroVarianceError(f"constant vector in the training objective at lam={lam!r}")
+                if constant else (lam, value, g) if math.isfinite(value)
+                else Error(f"objective is not finite at lam={lam!r}"))
+        del logp, dp, grad_m  # so this chunk's blocks are freed before the next kernel call
+    return points
+
+
+def _defined(points):
+    """``points`` from :func:`_points`, if every one is defined; else raise the first error."""
+    for point in points:
+        if isinstance(point, Error):
+            raise point
+    return points
 
 
 def finite_difference_gradient(
@@ -186,8 +190,8 @@ def finite_difference_gradient(
 ) -> float:
     """Central-difference cross-check for :func:`gradient`."""
     h = step if step is not None else 1e-4 * max(1.0, abs(lam))
-    hi = objective(lam + h, train, human, config, table, kind)
-    lo = objective(lam - h, train, human, config, table, kind)
+    (_, hi, _), (_, lo, _) = _defined(
+        _points((lam + h, lam - h), train, human, config, table, kind, gradient=False))
     return (hi - lo) / (2.0 * h)
 
 
@@ -236,7 +240,7 @@ class _Bracket:
         return lam if lo < lam < hi else lo + 0.5 * (hi - lo)
 
     def update(self, round_, reply) -> None:
-        """Take the round's (lam, objective, g), or the :class:`Error` scoring raised."""
+        """Take the round's (lam, objective, g), or the :class:`Error` of an undefined point."""
         self.rounds = round_
         if isinstance(reply, Error):
             self.stop_reason = "undefined_point"
@@ -257,27 +261,17 @@ def _fit(train, human, config, table, inits, kind) -> list[FitResult]:
     for init in inits:
         if not (math.isfinite(init) and init >= 0.0):
             raise ValueError(f"init must be finite and >= 0, got {init!r}")
-
-    def score(lams):
-        """(lam, objective, g) per lam, or the :class:`Error` that scoring it alone raises."""
-        try:
-            values, grads = _objective_and_gradient(lams, train, human, config, table, kind)
-        except Error as error:
-            return [error] if len(lams) == 1 else [score([lam])[0] for lam in lams]
-        return list(zip(lams, values.tolist(), grads.tolist()))
-
-    points = score(_SCAN.tolist() + [float(init) for init in inits])
-    for start in points[_SCAN.size:]:
-        if isinstance(start, Error):  # an undefined init fails the fit
-            raise start
+    args = (train, human, config, table, kind)
+    points = _points(np.concatenate((_SCAN, inits)), *args)
+    starts = _defined(points[_SCAN.size:])  # an undefined init fails the fit
     scan = [point for point in points[:_SCAN.size] if not isinstance(point, Error)]
-    walks = [_walk(start, scan) for start in points[_SCAN.size:]]
+    walks = [_walk(start, scan) for start in starts]
     brackets = {ends: _Bracket(*ends) for _, ends in walks if not isinstance(ends, str)}
     for round_ in range(1, _MAX_ROUNDS + 1):
         active = [bracket for bracket in brackets.values() if bracket.stop_reason is None]
         if not active:
             break
-        for bracket, reply in zip(active, score([bracket.next_point() for bracket in active])):
+        for bracket, reply in zip(active, _points([b.next_point() for b in active], *args)):
             bracket.update(round_, reply)
 
     fits = []

@@ -120,6 +120,19 @@ class TestInterpret:
                               capture_output=True, text=True, check=True)
         assert done.stdout == "False\n"
 
+    def test_closed_stdout_exits_one_quietly(self, dataset_dir):
+        # the reader closes its end before the first line is written, so that write
+        # fails with EPIPE; a subprocess, because the handler points fd 1 at devnull
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        command = [sys.executable, "-m", "rsa_metaphor.cli", "interpret",
+                   "--data-dir", str(dataset_dir), "--topic", "workers", "--vehicle", "ants"]
+        with subprocess.Popen(command, env=env, stdout=subprocess.PIPE,
+                              stderr=subprocess.PIPE) as child:
+            child.stdout.close()
+            stderr = child.stderr.read()
+        assert child.returncode == 1
+        assert stderr == b""
+
     def test_same_topic_and_vehicle_is_domain_error(self, runner, dataset_dir):
         result = runner.invoke(main, [
             "interpret", "--data-dir", str(dataset_dir),

@@ -90,9 +90,11 @@ class TestRsaConfig:
         ({"lam": math.nan}, "lam must be finite, got nan"),
         ({"lam": True}, "lam must be a number, not a bool, got True"),
         ({"lam": np.False_}, "lam must be a number, not a bool, got np.False_"),
+        ({"lam": "5"}, "lam must be a number, got '5'"),
+        ({"lam": None}, "lam must be a number, got None"),
         ({"mode": "slow"}, "mode must be one of ('full', 'fast'), got 'slow'"),
         ({"utterances": "some"}, "utterances must be one of ('all', 'pair'), got 'some'"),
-    ], ids=["inf", "nan", "True", "np.False_", "mode", "utterances"])
+    ], ids=["inf", "nan", "True", "np.False_", "str", "None", "mode", "utterances"])
     def test_bad_setting_rejected(self, setting, message):
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             RsaConfig(**setting)

@@ -343,7 +343,7 @@ def without_first_human_row(full_scale):
 
 
 class TestChecksBeforeScoring:
-    """A bad ``ks`` or log base, or a missing human row, fails before any kernel call."""
+    """A bad ``ks``, log base or keyword, or a missing human row, fails before any kernel call."""
 
     @pytest.mark.parametrize("score, setting, message", [
         (evaluate, {"jsd_base": 1.0}, "log base must be finite and > 1, got 1.0"),
@@ -369,6 +369,15 @@ class TestChecksBeforeScoring:
         calls = count_kernel_calls(monkeypatch)
         with pytest.raises(DatasetError, match="^no human responses for metaphor 'm00'$"):
             score(items, human, RsaConfig(lam=5.0), table)
+        assert calls == []
+
+    @pytest.mark.parametrize("ablate", [ablate_relevance, ablate_lambda_interpolation],
+                             ids=["no-relevance", "grid"])
+    def test_unknown_keyword(self, full_scale, monkeypatch, ablate):
+        table, items, human = full_scale
+        calls = count_kernel_calls(monkeypatch)
+        with pytest.raises(TypeError, match="'tag'"):
+            ablate(items, human, RsaConfig(lam=5.0), table, tag="x")
         assert calls == []
 
 

@@ -17,7 +17,12 @@ from rsa_metaphor import (
 )
 from rsa_metaphor import learn
 from rsa_metaphor.engine import _interpret_batch
-from rsa_metaphor.errors import DatasetError, ZeroMassError, ZeroVarianceError
+from rsa_metaphor.errors import (
+    DatasetError,
+    DegenerateTypicalityError,
+    ZeroMassError,
+    ZeroVarianceError,
+)
 from rsa_metaphor.metrics import pearson, pearson_rows
 
 
@@ -114,6 +119,16 @@ class TestObjective:
         for kind in ("mean", "pooled"):
             with pytest.raises(ZeroVarianceError, match="at lam=1.0"):
                 learn.objective(1.0, items[:1], tiny, RsaConfig(), table, kind=kind)
+
+    def test_fit_at_a_row_whose_spread_underflows_raises_no_warning(self):
+        # the human row's centred squares underflow, so its gradient entries are +-inf;
+        # the fit reports the undefined init, and that row's gradient raises no warning
+        table, items, human = recovery_problem(lam_star=3.0)
+        rows = dict(human.responses)
+        rows[items[0].id] = rows[items[0].id] * 1e-170
+        tiny = HumanResponseTable(table.vocab, rows)
+        with pytest.raises(ZeroVarianceError, match="at lam=1.0$"):
+            learn_lambda(items, tiny, RsaConfig(), table)
 
     def test_empty_train_set_rejected(self):
         table, _, human = recovery_problem(lam_star=3.0)
@@ -296,15 +311,16 @@ def seed12_split0():
 
 
 def spy_kernel(monkeypatch, fail_at=None):
-    """Record the lams of every kernel call; a call holding ``fail_at`` raises."""
+    """Record the lams of every kernel call; at ``fail_at`` every model row is made constant."""
     calls = []
     kernel = learn._interpret_lams
 
     def spy(batch, config, table, lams, gradient):
         calls.append(np.asarray(lams).tolist())
-        if fail_at in calls[-1]:
-            raise ZeroMassError("injected")
-        return kernel(batch, config, table, lams, gradient)
+        logp, dp = kernel(batch, config, table, lams, gradient)
+        if fail_at in calls[-1]:  # so the objective is undefined there, and only there
+            logp[calls[-1].index(fail_at)] = -np.log(table.n)
+        return logp, dp
 
     monkeypatch.setattr(learn, "_interpret_lams", spy)
     return calls
@@ -414,8 +430,24 @@ class TestLockstepMultistart:
     def test_undefined_start_point_propagates(self, monkeypatch, seed12_split0):
         table, human, train = seed12_split0
         spy_kernel(monkeypatch, fail_at=20.0)
-        with pytest.raises(ZeroMassError, match="injected"):
+        with pytest.raises(ZeroVarianceError, match="at lam=20.0$"):
             learn_lambda_multistart(train, human, RsaConfig(), table)
+
+    @pytest.mark.parametrize("config, noun, row, error", [
+        (RsaConfig(), "vehicle", [1.0] + [0.5] * 58, DegenerateTypicalityError),
+        (RsaConfig(mode="fast"), "topic", [0.0] * 59, ZeroMassError),
+    ], ids=["degenerate-vehicle-row", "fast-zero-topic-row"])
+    def test_error_free_of_lambda_fails_after_one_kernel_call(
+            self, monkeypatch, seed12_split0, config, noun, row, error):
+        # the error does not depend on lambda, so the first chunk's call raises it
+        table, human, train = seed12_split0
+        values = table.values.copy()
+        values[table.category_index(getattr(train[0], noun))] = row
+        broken = table_from_rows(values, table.categories, table.vocab.features)
+        calls = spy_kernel(monkeypatch)
+        with pytest.raises(error):
+            learn_lambda_multistart(train, human, config, broken)
+        assert len(calls) == 1
 
 
 def seed_split0_train(seed):
