@@ -45,15 +45,15 @@ the grid ablation pass theirs with their lams in chunks of about 16 on a
   two rows are stacked as (B, 2, n).  The shift is ``lam`` times a column
   max of the lam-free utilities (min for ``lam < 0``): rounding is monotone,
   so that is exactly the scores' max, found without a pass over the scores,
-  which are exponentiated and summed in one buffer that the gradient reuses.
+  which are exponentiated once, in one buffer, summed for the normalizer and
+  averaged over the utilities for its lam-derivative (fast mode's too).
 * The goal mixture ``W_i = sum_j R(g_j) S1(v | g_j, e_i)`` takes the match
   term for goal i and the no-match term for every other goal.  "Every goal
-  but i" is an O(n) sum of the terms ``exp(x_j - peak)``, joined from
-  prefix and suffix ``np.cumsum``; the gradient weights the same terms by
-  ``d log S1``.  At the peak's own position those sums lack their largest
-  term and could underflow, so that entry is summed directly, shifted by
-  the runner-up.  No term is subtracted from a total: that would cancel
-  catastrophically whenever the term dominates the total.
+  but i" sums ``t_j = exp(x_j - peak)``: off the peak, the peak's 1 plus
+  ``Q - t_i`` with Q the sum of every term but the peak's; ``t_i <= 1`` keeps
+  Q at most the result, so a direct sum's ``n * eps / 2`` relative error
+  holds.  At the peak the rest could underflow, so that entry is summed
+  directly, shifted by the runner-up.  The gradient weights the same terms.
 * The category reaches the listener only through its prior row, which never
   touches the goal mixture: the interpretation is ``(sum_c P(c) T[c, i]) W_i``
   normalized once over the features, and :func:`pragmatic_listener` splits
@@ -177,10 +177,11 @@ class Distribution:
         return self.labels[int(np.argmax(self.logp))]
 
 
-def _logsumexp(a: np.ndarray, axis: int, lam: np.ndarray | float = 1.0):
-    """``logsumexp(lam * a)`` along ``axis`` (kept), and the block ``exp(lam * a - shift)``.
+def _logsumexp(a: np.ndarray, axis: int, lam: np.ndarray | float = 1.0, gradient: bool = False):
+    """``logsumexp(lam * a)`` along ``axis`` (kept), and its lam-derivative if ``gradient``.
 
     ``lam`` has length 1 along ``axis``; the shift is read from ``a`` (see the module docstring).
+    The derivative is the mean of ``a`` weighted by the summed block ``exp(lam * a - shift)``.
     """
     extreme = a.max(axis=axis, keepdims=True)
     if np.any(lam < 0):
@@ -190,8 +191,14 @@ def _logsumexp(a: np.ndarray, axis: int, lam: np.ndarray | float = 1.0):
     block = lam * a
     block -= shift
     np.exp(block, out=block)
+    total = block.sum(axis=axis, keepdims=True)
     with np.errstate(divide="ignore"):
-        return np.log(block.sum(axis=axis, keepdims=True)) + shift, block
+        norm = np.log(total) + shift
+    if not gradient:
+        return norm, None
+    block /= total
+    block *= a
+    return norm, block.sum(axis=axis, keepdims=True)
 
 
 def pragmatic_speaker(
@@ -259,17 +266,16 @@ def _exclusive_sums(x: np.ndarray, d: np.ndarray | None = None):
     others = np.where(at_top, -np.inf, x)
     second = np.max(others, axis=-1, keepdims=True)
     shift = np.where(at_top, second, peak)
-    terms = np.exp(x - peak)
+    rest = np.exp(others - peak)  # every term but the peak's own 1
     runner_up = np.exp(others - np.where(np.isfinite(second), second, peak))  # none: all 0
 
-    def exclusive(t, direct):
-        out = np.zeros_like(t)
-        np.cumsum(t[..., :-1], axis=-1, out=out[..., 1:])
-        out[..., :-1] += np.cumsum(t[..., :0:-1], axis=-1)[..., ::-1]
-        return np.where(at_top, direct.sum(axis=-1, keepdims=True), out)
+    def exclusive(t, direct, own):
+        return np.where(at_top, direct.sum(axis=-1, keepdims=True),
+                        own + (t.sum(axis=-1, keepdims=True) - t))
 
-    weighted = None if d is None else exclusive(terms * d, runner_up * d)
-    return shift, exclusive(terms, runner_up), weighted
+    weighted = None if d is None else exclusive(
+        rest * d, runner_up * d, np.take_along_axis(d, top, axis=-1))
+    return shift, exclusive(rest, runner_up, 1.0), weighted
 
 
 def _speaker(lam: np.ndarray, log_u: np.ndarray, log_v: np.ndarray, gradient: bool):
@@ -278,19 +284,12 @@ def _speaker(lam: np.ndarray, log_u: np.ndarray, log_v: np.ndarray, gradient: bo
     ``lam`` is (L, 1, 1).  ``log_u`` holds the utterance alternatives' log
     utilities along axis -2: one (1, K, n) block shared by the batch, or
     (B, 2, n) for the pair set.  ``log_v`` (B, n) holds the vehicle's.
-    Both results are (L, B, n); the expectation reuses the normalizer's block.
+    Both results are (L, B, n).  The derivative is the vehicle's utility less
+    the softmax-expected one, the normalizer block's weighted mean of ``log_u``.
     """
-    lam_u = lam[..., None]  # over the utterance axis
-    norm, block = _logsumexp(log_u, -2, lam_u)
+    norm, expected = _logsumexp(log_u, -2, lam[..., None], gradient)
     log_s = lam * log_v - norm[..., 0, :]
-    if not gradient:
-        return log_s, None
-    # d/dlam log softmax: own utility minus the softmax-expected utility
-    np.multiply(lam_u, log_u, out=block)
-    block -= norm
-    np.exp(block, out=block)
-    block *= log_u
-    return log_s, log_v - block.sum(axis=-2)
+    return log_s, None if expected is None else log_v - expected[..., 0, :]
 
 
 def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, gradient: bool):
@@ -320,10 +319,9 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
             _reject_rows((table.values[vehicle] <= 0.0).any(axis=-1), table, vehicle,
                          "contain zeros; the vehicle stretch is undefined for lam != 0")
             log_beta = log_values[vehicle]
-            stretch = lam * log_beta - _logsumexp(log_beta, -1, lam)[0]
-            logp = log_alpha + stretch
-            if gradient:
-                dlog = log_beta - np.sum(np.exp(stretch) * log_beta, axis=-1, keepdims=True)
+            norm, expected = _logsumexp(log_beta, -1, lam, gradient)
+            logp = log_alpha + (lam * log_beta - norm)
+            dlog = None if expected is None else log_beta - expected
         else:
             # every stretch is uniform: the vehicle is never read
             logp = np.broadcast_to(log_alpha, (lams.size, *log_alpha.shape))

@@ -151,11 +151,17 @@ def evaluate(
     Every per-item metric is computed for the whole batch at once, with the
     row-wise forms in :mod:`.metrics`.  Groups are always computed for all
     items and per metaphor class; when a ``split`` is given, train and test
-    groups are added so that aggregates can be read either way.
+    groups are added so that aggregates can be read either way; every id the
+    split names must be among ``items``.
     """
     if not items:
         raise ValueError("no items to evaluate")
     ks = _checked_ks(ks, table.n, jsd_base)
+    if split is not None:
+        ids = {item.id for item in items}
+        for name in (*split.train, *split.test):
+            if name not in ids:
+                raise ValueError(f"split names metaphor {name!r}, which is not among the items")
     k_max = ks[-1]
     features = table.vocab.features
     other_mode = "fast" if config.mode == "full" else "full"

@@ -46,7 +46,7 @@ _TOL = 1e-10
 _MAX_ROUNDS = 200
 
 # Lambdas scored per kernel call: 16 on a 48 x 59 table.  Over 18 items a 16-lambda
-# call peaks at 1.6 MB of temporaries (2.2 MB with the gradient; tracemalloc).
+# call peaks at 1.5 MB of temporaries (2.1 MB with the gradient; tracemalloc).
 _GRID_CHUNK_CELLS = 16 * 48 * 59
 
 

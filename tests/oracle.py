@@ -1,14 +1,17 @@
-"""Independent brute-force reference for the listener chain.
+"""Independent brute-force reference: the listener chain, the training objective, the metrics.
 
 Direct enumeration with plain Python loops, dicts, and math.log/exp.  This
 file deliberately shares no code with the package: it is the oracle the
-engine is checked against, so it must stay a separate derivation.
+engine is checked against, so it must stay a separate derivation.  The
+per-item metric references take the numpy rows that ``evaluate`` reports.
 
 Tables are plain dicts mapping category name -> list of feature
 probabilities.  Feature vectors are the one-hot basis, identified by index.
 """
 
 import math
+
+import numpy as np
 
 
 def _n_features(table):
@@ -88,3 +91,56 @@ def interpret(topic, vehicle, lam, table, utterances=None,
     for (_, i), p in joint.items():
         marginal[i] += p
     return marginal
+
+
+def interpret_fast(topic_row, vehicle_row, lam):
+    """The fast pipeline: the topic row times the vehicle row to the power lam, normalized."""
+    logs = [math.log(a) + lam * math.log(b) for a, b in zip(topic_row, vehicle_row)]
+    top = max(logs)
+    weights = [math.exp(v - top) for v in logs]
+    total = sum(weights)
+    return [w / total for w in weights]
+
+
+def correlation(xs, ys):
+    """Pearson's r of two equal-length lists of numbers."""
+    mean_x, mean_y = sum(xs) / len(xs), sum(ys) / len(ys)
+    dx = [x - mean_x for x in xs]
+    dy = [y - mean_y for y in ys]
+    cross = sum(a * b for a, b in zip(dx, dy))
+    return cross / math.sqrt(sum(a * a for a in dx) * sum(b * b for b in dy))
+
+
+def objective(rows, humans, kind="mean"):
+    """The training objective over model and human rows, item by item.
+
+    ``mean`` averages each item's r; ``pooled`` is one r over every cell, the
+    rows laid end to end in item order.
+    """
+    if kind == "pooled":
+        return correlation([v for row in rows for v in row], [v for row in humans for v in row])
+    return sum(correlation(row, human) for row, human in zip(rows, humans)) / len(rows)
+
+
+def pearson(a, b):
+    a = a - a.mean()
+    b = b - b.mean()
+    return min(1.0, max(-1.0, float(a @ b) / math.sqrt(float(a @ a) * float(b @ b))))
+
+
+def jsd(p, q, base):
+    m = 0.5 * (p + q)
+
+    def kl(x):
+        return sum(float(xi * np.log(xi / mi)) for xi, mi in zip(x, m) if xi > 0)
+
+    return max(0.0, 0.5 * (kl(p) + kl(q)) / math.log(base))
+
+
+def top_k(p, k):
+    return sorted(range(p.size), key=lambda i: (-p[i], i))[:k]
+
+
+def boundary_tie(p, k):
+    ordered = sorted(p.tolist(), reverse=True)
+    return k < len(ordered) and ordered[k - 1] == ordered[k]

@@ -435,12 +435,7 @@ class TestGradient:
             assert dp.sum() == pytest.approx(0.0, abs=1e-12)
 
 
-def fast_reference(topic_row, vehicle_row, lam):
-    """a_i * b_i**lam, normalized, with math.*: the oracle has no fast mode."""
-    logs = [math.log(a) + lam * math.log(b) for a, b in zip(topic_row, vehicle_row)]
-    top = max(logs)
-    weights = [math.exp(v - top) for v in logs]
-    return [w / sum(weights) for w in weights]
+fast_reference = oracle.interpret_fast
 
 
 @st.composite
@@ -756,8 +751,11 @@ class TestSpeakerNormalizer:
         np.testing.assert_array_equal(norm, want)
         log_s, dlog = _speaker(lam, log_u, log_v, gradient=True)
         np.testing.assert_array_equal(log_s, lam * log_v - want[..., 0, :])
-        expected = np.sum(np.exp(lam[..., None] * log_u - want) * log_u, axis=-2)
-        np.testing.assert_array_equal(dlog, log_v - expected)
+        # the derivative: the utilities' mean under the softmax weights, one exp pass
+        scores = lam[..., None] * log_u
+        weights = np.exp(scores - np.max(scores, axis=-2, keepdims=True))
+        weights = weights / np.sum(weights, axis=-2, keepdims=True)
+        np.testing.assert_array_equal(dlog, log_v - np.sum(weights * log_u, axis=-2))
         np.testing.assert_array_equal(_speaker(lam, log_u, log_v, gradient=False)[0], log_s)
         # fast mode's stretch normalizes lam * log b over the features the same way
         np.testing.assert_array_equal(_logsumexp(log_v, -1, lam)[0], five_pass_norm(lam, log_v, -1))
@@ -801,3 +799,28 @@ class TestExclusiveSums:
             scale = math.fsum(t * abs(d[j]) for t, j in zip(terms, others))
             want = math.fsum(t * d[j] for t, j in zip(terms, others))
             assert abs(weighted[0, i] - want) <= 1e-12 * max(scale, 1.0)
+
+
+class TestGoalMixtureAccuracy:
+    @pytest.mark.parametrize("overrides", [{}, {"utterances": "pair"},
+                                           {"category_prior": "uniform"}])
+    @pytest.mark.parametrize("lam", [0.5, 1.0, 5.88, 44.43])
+    def test_terms_spanning_e700_match_the_oracle(self, lam, overrides):
+        # the topic row, the goal prior, spans e^-700 to 1, and with it the goal
+        # mixture's no-match terms R(g_j) S1(v | g_j, e_i).  At the peak goal the
+        # vehicle's match term is small, so the sum over the other goals (e^-20
+        # of the peak's term and below) carries that feature.
+        topic = [math.exp(-700.0), math.exp(-350.0), math.exp(-40.0), math.exp(-20.0)]
+        rows = [topic + [1.0 - sum(topic)],
+                [0.3, 0.3, 0.2, 0.15, 0.05], [0.3, 0.1, 0.2, 0.1, 0.3], [0.2, 0.2, 0.2, 0.3, 0.1]]
+        table = table_from_rows(rows)
+        config = replace(RsaConfig(lam=lam), **overrides)
+        ref = as_oracle_table(table)
+        utts = list(ref) if config.utterances == "all" else ["c0", "c1"]
+        terms = [math.log(r * oracle.pragmatic_speaker("c1", g, (g + 1) % 5, lam, ref, utts))
+                 for g, r in enumerate(rows[0])]
+        assert max(terms) - min(terms) > 650.0
+        want = oracle.interpret("c0", "c1", lam, ref, utterances=utts,
+                                category_prior=config.category_prior)
+        got = interpret(MetaphorItem("m", "c0", "c1"), config, table).p
+        np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+import oracle
 from conftest import random_table, table_from_rows
 from rsa_metaphor import (
     HumanResponseTable,
@@ -145,30 +146,6 @@ CONFIGS = (
 )
 
 
-def _reference_pearson(a, b):
-    a = a - a.mean()
-    b = b - b.mean()
-    return min(1.0, max(-1.0, float(a @ b) / math.sqrt(float(a @ a) * float(b @ b))))
-
-
-def _reference_jsd(p, q, base):
-    m = 0.5 * (p + q)
-
-    def kl(x):
-        return sum(float(xi * np.log(xi / mi)) for xi, mi in zip(x, m) if xi > 0)
-
-    return max(0.0, 0.5 * (kl(p) + kl(q)) / math.log(base))
-
-
-def _reference_top(p, k):
-    return sorted(range(p.size), key=lambda i: (-p[i], i))[:k]
-
-
-def _reference_tie(p, k):
-    ordered = sorted(p.tolist(), reverse=True)
-    return k < len(ordered) and ordered[k - 1] == ordered[k]
-
-
 def _reference_group(entries, ks):
     """GroupStats fields from plain per-item values."""
     n = len(entries)
@@ -247,19 +224,19 @@ class TestBatchedEvaluate:
             assert entry.human is target
             assert (entry.item_id, entry.topic, entry.vehicle, entry.inherence) == (
                 item.id, item.topic, item.vehicle, item.inherence)
-            model_top = _reference_top(model, k_max)
-            human_top = _reference_top(target, k_max)
+            model_top = oracle.top_k(model, k_max)
+            human_top = oracle.top_k(target, k_max)
             want = {
                 "model_top": model_top,
                 "human_top": human_top,
-                "pearson_r": _reference_pearson(model, target),
-                "jsd": _reference_jsd(model, target, base),
-                "agreement": {k: len(set(_reference_top(model, k))
-                                     & set(_reference_top(target, k))) for k in ks},
+                "pearson_r": oracle.pearson(model, target),
+                "jsd": oracle.jsd(model, target, base),
+                "agreement": {k: len(set(oracle.top_k(model, k))
+                                     & set(oracle.top_k(target, k))) for k in ks},
                 "argmax_in_human_top": model_top[0] in human_top,
-                "model_boundary_tie": _reference_tie(model, k_max),
-                "human_boundary_tie": _reference_tie(target, k_max),
-                "mode_divergence": _reference_jsd(
+                "model_boundary_tie": oracle.boundary_tie(model, k_max),
+                "human_boundary_tie": oracle.boundary_tie(target, k_max),
+                "mode_divergence": oracle.jsd(
                     model, interpret(item, other, table).p, base),
             }
             for name in ("pearson_r", "jsd", "mode_divergence"):
@@ -369,6 +346,15 @@ class TestChecksBeforeScoring:
         calls = count_kernel_calls(monkeypatch)
         with pytest.raises(DatasetError, match="^no human responses for metaphor 'm00'$"):
             score(items, human, RsaConfig(lam=5.0), table)
+        assert calls == []
+
+    def test_split_id_not_among_items(self, full_scale, monkeypatch):
+        table, items, human = full_scale
+        calls = count_kernel_calls(monkeypatch)
+        split = TrainTestSplit(("nope",), ("x",), 0)
+        with pytest.raises(ValueError,
+                           match="^split names metaphor 'nope', which is not among the items$"):
+            evaluate(items, human, RsaConfig(lam=5.0), table, split=split)
         assert calls == []
 
     @pytest.mark.parametrize("ablate", [ablate_relevance, ablate_lambda_interpolation],

@@ -4,8 +4,11 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
-from conftest import make_synthetic_dataset, random_table, table_from_rows
+import oracle
+from conftest import as_oracle_table, make_synthetic_dataset, random_table, table_from_rows
 from rsa_metaphor import (
     HumanResponseTable,
     MetaphorItem,
@@ -326,13 +329,82 @@ def spy_kernel(monkeypatch, fail_at=None):
     return calls
 
 
-five_configs = pytest.mark.parametrize("config", [
+FIVE_CONFIGS = (
     RsaConfig(),
     RsaConfig(utterances="pair"),
     RsaConfig(mode="fast"),
     RsaConfig(category_prior="uniform"),
     RsaConfig(goal_prior="uniform"),
-], ids=["default", "pair", "fast", "uniform-category", "uniform-goal"])
+)
+five_configs = pytest.mark.parametrize(
+    "config", FIVE_CONFIGS, ids=["default", "pair", "fast", "uniform-category", "uniform-goal"])
+
+
+def oracle_objective(lam, items, human, config, table, kind):
+    """The training objective from tests/oracle.py alone: its interpretations, its r.
+
+    Skips the example (hypothesis ``assume``) where a model row is nearly
+    constant, so that r is well conditioned.
+    """
+    rows = as_oracle_table(table)
+    model = []
+    for item in items:
+        if config.mode == "fast":
+            model.append(oracle.interpret_fast(rows[item.topic], rows[item.vehicle], lam))
+        else:
+            utts = list(rows) if config.utterances == "all" else [item.topic, item.vehicle]
+            model.append(oracle.interpret(
+                item.topic, item.vehicle, lam, rows, utterances=utts,
+                category_prior=config.category_prior, goal_prior=config.goal_prior))
+    assume(all(max(row) - min(row) > 1e-4 for row in model))
+    humans = [human.distribution(item.id).tolist() for item in items]
+    return oracle.objective(model, humans, kind)
+
+
+@st.composite
+def objective_problems(draw):
+    """A 2-5 x 2-6 table, 1-4 items with human rows, one of the five configs, lam and kind."""
+    n_cat = draw(st.integers(2, 5))
+    n_feat = draw(st.integers(2, 6))
+    rows = np.array(draw(st.lists(
+        st.lists(st.floats(0.05, 1.0), min_size=n_feat, max_size=n_feat),
+        min_size=n_cat, max_size=n_cat,
+    )))
+    table = table_from_rows(rows / rows.sum(axis=1, keepdims=True))
+    pairs = draw(st.lists(
+        st.lists(st.sampled_from(table.categories), min_size=2, max_size=2, unique=True),
+        min_size=1, max_size=4,
+    ))
+    items = tuple(MetaphorItem(f"m{k}", *pair) for k, pair in enumerate(pairs))
+    responses = draw(st.lists(
+        st.lists(st.floats(0.0, 1.0), min_size=n_feat, max_size=n_feat).filter(
+            lambda row: max(row) - min(row) > 0.01),
+        min_size=len(items), max_size=len(items),
+    ))
+    human = HumanResponseTable(
+        table.vocab, {item.id: np.array(row) / sum(row) for item, row in zip(items, responses)})
+    lam = draw(st.floats(0.0, 30.0))
+    config = draw(st.sampled_from(FIVE_CONFIGS))
+    kind = draw(st.sampled_from(("mean", "pooled")))
+    return lam, items, human, config, table, kind
+
+
+class TestAgainstTheOracle:
+    """The objective and its gradient against tests/oracle.py, not against the package."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(objective_problems())
+    def test_objective_matches_the_oracle(self, problem):
+        want = oracle_objective(*problem)
+        assert learn.objective(*problem) == pytest.approx(want, rel=0, abs=1e-9)
+
+    @settings(max_examples=60, deadline=None)
+    @given(objective_problems())
+    def test_gradient_matches_central_differences_of_the_oracle(self, problem):
+        lam, *rest = problem
+        h = 1e-5 * max(1.0, lam)
+        numeric = (oracle_objective(lam + h, *rest) - oracle_objective(lam - h, *rest)) / (2.0 * h)
+        assert abs(learn.gradient(*problem) - numeric) <= 1e-5 * max(abs(numeric), 1e-3)
 
 
 class TestObjectiveIsTheReportedPearson:
@@ -372,19 +444,23 @@ class TestLockstepMultistart:
         config = RsaConfig(utterances="pair")
         inits = learn.DEFAULT_MULTISTART_INITS
         calls = spy_kernel(monkeypatch)
-        alone = []
+        alone, brackets = [], set()
         for init in inits:
             calls.clear()
-            learn_lambda(train, human, config, table, init=init)
+            start = learn_lambda(train, human, config, table, init=init)
             alone.append(len(calls))
+            # a bracket is the lams of its refinement rounds, one per call
+            brackets.add(tuple(lams[0] for lams in calls[len(calls) - start.iterations:]))
         calls.clear()
         fit = learn_lambda_multistart(train, human, config, table, inits=inits)
         rounds = max(start.iterations for start in fit.starts)
         chunk = learn._GRID_CHUNK_CELLS // table.values.size
         scan = learn._SCAN.size + len(inits)
-        # the scan in chunks, then one call per round scoring both brackets
+        # the scan in chunks, then one call per round scoring the brackets still open
+        assert len(brackets) == 2
         assert [len(lams) for lams in calls] == (
-            [chunk] * (scan // chunk) + [scan % chunk] + [2] * rounds)
+            [chunk] * (scan // chunk) + [scan % chunk]
+            + [sum(len(b) >= round_ for b in brackets) for round_ in range(1, rounds + 1)])
         assert len(calls) == max(alone) < sum(alone)
 
     def test_undefined_trial_point_fails_only_its_own_start(self, monkeypatch, seed12_split0):
