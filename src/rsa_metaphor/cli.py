@@ -89,15 +89,16 @@ def _parse_ks(text: str) -> tuple[int, ...]:
 
 
 def _parse_grid(text: str) -> tuple[float, float, int]:
-    parts = text.split(":")
     try:
-        if len(parts) != 3:
-            raise ValueError
-        start, stop, count = float(parts[0]), float(parts[1]), int(parts[2])
+        start, stop, count = text.split(":")  # ValueError unless there are three parts
+        start, stop, count = float(start), float(stop), int(count)
     except ValueError:
         raise Error(f"invalid --grid value {text!r}; expected 'start:stop:count'") from None
-    if count < 1 or not 0 < start <= stop < math.inf:  # False for a NaN bound
-        raise Error(f"invalid --grid value {text!r}; need finite 0 < start <= stop, count >= 1")
+    try:  # lambda_grid's rule, checked on one point however many are asked for
+        evaluation.lambda_grid(start, stop, min(count, 1))
+    except ValueError:
+        raise Error(f"invalid --grid value {text!r}; need finite 0 < start <= stop, "
+                    "count >= 1") from None
     return start, stop, count
 
 

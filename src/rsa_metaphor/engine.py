@@ -14,8 +14,8 @@ speaker meant to convey:
 
 Feature vectors range over the one-hot basis ``e_1..e_n``: the entity "has"
 exactly one salient feature, and ``P(e_i | c)`` is the typicality of feature
-i for category c.  All probability arithmetic runs in log space with
-max-subtraction, so large ``|lam|`` never overflows or underflows.
+i for category c; ``lam`` is finite and >= 0.  All probability arithmetic
+runs in log space with max-subtraction, so a large ``lam`` never overflows.
 
 ``interpret_fast`` is the reduced two-step pipeline: sharpen the vehicle's
 typicality row with ``lam`` (a softmax stretch) and reweight it by the
@@ -43,8 +43,8 @@ the grid ablation pass theirs with their lams in chunks of about 16 on a
   and their softmax expectations do not depend on the item, so they are
   computed once per lam, as an (L, 1, n) block; with ``"pair"`` each item's
   two rows are stacked as (B, 2, n).  The shift is ``lam`` times a column
-  max of the lam-free utilities (min for ``lam < 0``): rounding is monotone,
-  so that is exactly the scores' max, found without a pass over the scores,
+  max of the lam-free utilities: rounding is monotone, so for ``lam >= 0``
+  that is exactly the scores' max, found without a pass over the scores,
   which are exponentiated once, in one buffer, summed for the normalizer and
   averaged over the utilities for its lam-derivative (fast mode's too).
 * The goal mixture ``W_i = sum_j R(g_j) S1(v | g_j, e_i)`` takes the match
@@ -114,8 +114,7 @@ class RsaConfig:
             raise ValueError(f"lam must be a number, not a bool, got {self.lam!r}")
         if not isinstance(self.lam, numbers.Real):
             raise ValueError(f"lam must be a number, got {self.lam!r}")
-        if not math.isfinite(self.lam):
-            raise ValueError(f"lam must be finite, got {self.lam!r}")
+        _check_lams(self.lam)
         for value, allowed, name in (
             (self.utterances, _UTTERANCE_SETS, "utterances"),
             (self.category_prior, _CATEGORY_PRIORS, "category_prior"),
@@ -177,16 +176,22 @@ class Distribution:
         return self.labels[int(np.argmax(self.logp))]
 
 
+def _check_lams(lams) -> np.ndarray:
+    """``lams`` as a float array; raise ValueError unless every value is finite and >= 0."""
+    lams = np.asarray(lams, dtype=float)
+    bad = lams[~((lams >= 0.0) & (lams < math.inf))]  # NaN fails both comparisons
+    if bad.size:
+        raise ValueError(f"lam must be finite and >= 0, got {float(bad[0])!r}")
+    return lams
+
+
 def _logsumexp(a: np.ndarray, axis: int, lam: np.ndarray | float = 1.0, gradient: bool = False):
     """``logsumexp(lam * a)`` along ``axis`` (kept), and its lam-derivative if ``gradient``.
 
-    ``lam`` has length 1 along ``axis``; the shift is read from ``a`` (see the module docstring).
+    ``lam >= 0`` has length 1 along ``axis``; the shift is ``lam * max(a)`` (module docstring).
     The derivative is the mean of ``a`` weighted by the summed block ``exp(lam * a - shift)``.
     """
-    extreme = a.max(axis=axis, keepdims=True)
-    if np.any(lam < 0):
-        extreme = np.where(lam < 0, a.min(axis=axis, keepdims=True), extreme)
-    m = lam * extreme
+    m = lam * a.max(axis=axis, keepdims=True)
     shift = np.where(np.isfinite(m), m, 0.0)  # all -inf: exp sums to 0, log gives -inf
     block = lam * a
     block -= shift
@@ -295,17 +300,15 @@ def _speaker(lam: np.ndarray, log_u: np.ndarray, log_v: np.ndarray, gradient: bo
 def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, gradient: bool):
     """The listener kernel: every item of a batch at every lam, in one numpy pass.
 
-    ``lams`` is a 1-D array of L rationality values; ``config.lam`` is not
-    read.  Returns the interpretation ``log p`` and its exact derivative in
-    lam (None unless ``gradient``), each (L, B, n).  Every operation is
-    elementwise or reduces along a trailing axis, so each lam's slice has the
-    bits it would have in a call of its own.
+    ``lams`` is a 1-D array of L rationality values, each finite and >= 0;
+    ``config.lam`` is not read.  Returns the interpretation ``log p`` and its exact
+    derivative in lam (None unless ``gradient``), each (L, B, n).  Every operation is
+    elementwise or reduces along a trailing axis, so each lam's slice has the bits
+    it would have in a call of its own.
     """
     if not items:
         raise ValueError("empty batch of metaphor items")
-    lams = np.asarray(lams, dtype=float)
-    if not np.isfinite(lams).all():
-        raise ValueError(f"lam must be finite, got {float(lams[~np.isfinite(lams)][0])!r}")
+    lams = _check_lams(lams)
     topic, vehicle = np.array(
         [(table.category_index(i.topic), table.category_index(i.vehicle)) for i in items]
     ).T

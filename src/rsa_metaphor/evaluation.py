@@ -165,10 +165,9 @@ def evaluate(
     k_max = ks[-1]
     features = table.vocab.features
     other_mode = "fast" if config.mode == "full" else "full"
-    targets = [human.distribution(item.id) for item in items]
+    humans = human.rows([item.id for item in items], table.n)
     models = np.exp(_interpret_batch(items, config, table)[0])
     others = np.exp(_interpret_batch(items, replace(config, mode=other_mode), table)[0])
-    humans = np.stack(targets)
 
     # one ranking per row, one rank past k_max: a boundary tie is between the values
     # ranked k_max and k_max + 1, and there is none when k_max is the whole vocabulary
@@ -198,7 +197,7 @@ def evaluate(
             vehicle=item.vehicle,
             inherence=item.inherence,
             model=models[i],
-            human=targets[i],
+            human=human.distribution(item.id),  # the table's own read-only row
             pearson_r=rs[i],
             jsd=jss[i],
             agreement=dict(zip(ks, agreements[i])),
@@ -276,9 +275,6 @@ def ablate_lambda_interpolation(
     candidates = np.asarray(grid if grid is not None else lambda_grid(*DEFAULT_GRID), float)
     if candidates.size == 0:
         raise ValueError("empty grid")
-    bad = ~(np.isfinite(candidates) & (candidates >= 0.0))
-    if np.any(bad):
-        raise ValueError(f"grid points must be finite and >= 0, got {float(candidates[bad][0])!r}")
     selection = tuple(train) if train is not None else tuple(items)
     points = learn._points(candidates, selection, human, config, table, objective_kind,
                            gradient=False)
@@ -308,7 +304,7 @@ def feature_correlation_matrix(
     if source == "human":
         if human is None:
             raise ValueError("human responses are required for source='human'")
-        rows = np.stack([human.distribution(item.id) for item in items])
+        rows = human.rows([item.id for item in items], table.n)
     else:
         rows = np.exp(_interpret_batch(items, config, table)[0])
 

@@ -25,7 +25,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 # interpret_with_gradient is not called here; bench/spans.py wraps learn.interpret_with_gradient
-from .engine import RsaConfig, _interpret_lams, interpret_with_gradient  # noqa: F401
+from .engine import RsaConfig, _check_lams, _interpret_lams, interpret_with_gradient  # noqa: F401
 from .errors import DatasetError, Error, ZeroVarianceError
 from .lexicon import HumanResponseTable, MetaphorItem, TypicalityTable
 from .metrics import _pearson
@@ -149,8 +149,8 @@ def _points(lams, train, human, config, table, kind, gradient=True):
         raise ValueError(f"objective kind must be one of {_OBJECTIVE_KINDS}, got {kind!r}")
     if not train:
         raise ValueError("empty training set")
-    lams = np.asarray(lams, dtype=float)
-    target = np.stack([human.distribution(item.id) for item in train])
+    lams = _check_lams(lams)
+    target = human.rows([item.id for item in train], table.n)
     target = target.reshape(1, -1) if kind == "pooled" else target  # pooled: all cells in one row
     chunk = max(1, _GRID_CHUNK_CELLS // table.values.size)
     points = []
@@ -188,8 +188,8 @@ def finite_difference_gradient(
     kind: str = "mean",
     step: float | None = None,
 ) -> float:
-    """Central-difference cross-check for :func:`gradient`."""
-    h = step if step is not None else 1e-4 * max(1.0, abs(lam))
+    """Central-difference cross-check for :func:`gradient`; its stencil needs ``lam >= step``."""
+    h = step if step is not None else 1e-4 * max(1.0, lam)
     (_, hi, _), (_, lo, _) = _defined(
         _points((lam + h, lam - h), train, human, config, table, kind, gradient=False))
     return (hi - lo) / (2.0 * h)
@@ -258,9 +258,6 @@ def _fit(train, human, config, table, inits, kind) -> list[FitResult]:
     """One fit per init; every argument is checked before any scoring."""
     if not inits:
         raise ValueError("need at least one initial point")
-    for init in inits:
-        if not (math.isfinite(init) and init >= 0.0):
-            raise ValueError(f"init must be finite and >= 0, got {init!r}")
     args = (train, human, config, table, kind)
     points = _points(np.concatenate((_SCAN, inits)), *args)
     starts = _defined(points[_SCAN.size:])  # an undefined init fails the fit

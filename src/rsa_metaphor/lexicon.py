@@ -198,6 +198,19 @@ class HumanResponseTable:
         except KeyError:
             raise DatasetError(f"no human responses for metaphor {metaphor_id!r}") from None
 
+    def rows(self, metaphor_ids, n: int) -> np.ndarray:
+        """The rows of ``metaphor_ids`` as one (len, n) block; DatasetError names the first
+        one missing, else the first that is not a distribution over ``n`` features."""
+        rows = [self.distribution(metaphor_id) for metaphor_id in metaphor_ids]
+        ok = [np.shape(row) == (n,) for row in rows]
+        if all(ok):  # then one vectorized check of the whole block; NaN fails it
+            block = np.array(rows, dtype=float).reshape(len(rows), n)
+            ok = (block >= 0.0).all(axis=1) & (np.abs(block.sum(axis=1) - 1.0) <= ROW_SUM_TOL)
+        if not np.all(ok):
+            raise DatasetError(f"human responses for {metaphor_ids[int(np.argmin(ok))]!r}: "
+                               f"not a distribution over {n} features")
+        return block
+
     def __contains__(self, metaphor_id: str) -> bool:
         return metaphor_id in self.responses
 

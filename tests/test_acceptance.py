@@ -267,7 +267,12 @@ def test_criterion_06_distribution_invariants():
         table = random_table(rng, int(rng.integers(2, 5)), int(rng.integers(2, 6)))
         item = MetaphorItem("m", "c0", "c1")
         lam = float(rng.uniform(-100.0, 100.0))
-        config = replace(random_config(rng, lam), mode=str(rng.choice(["full", "fast"])))
+        config = replace(random_config(rng, abs(lam)), mode=str(rng.choice(["full", "fast"])))
+        if lam < 0.0:  # outside lambda's domain: rejected before any scoring
+            with pytest.raises(ValueError, match=f"^lam must be finite and >= 0, got {lam!r}$"):
+                replace(config, lam=lam)
+            cases += 1
+            continue
         p = interpret(item, config, table).p
         assert np.isfinite(p).all() and np.all(p >= 0)
         assert abs(p.sum() - 1.0) <= 1e-9

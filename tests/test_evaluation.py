@@ -23,13 +23,14 @@ from rsa_metaphor import (
     feature_correlation_matrix,
     interpret,
     learn_lambda,
+    learn_lambda_multistart,
     make_split,
 )
 from rsa_metaphor import evaluation, learn
 from rsa_metaphor.errors import DatasetError, ZeroVarianceError
 from rsa_metaphor.evaluation import lambda_grid, matrix_csv_rows, report_csv_rows, report_to_dict
 from rsa_metaphor.learn import TrainTestSplit
-from rsa_metaphor.metrics import jsd, pearson
+from rsa_metaphor.metrics import pearson
 
 
 def perfect_fixture(seed=0, n_items=2):
@@ -300,17 +301,16 @@ class TestBatchedEvaluate:
 
     @pytest.mark.parametrize("row", [[0.5, 0.3, 0.3, 0.1], [0.6, 0.5, -0.2, 0.1],
                                      [0.5, np.nan, 0.3, 0.2]])
-    def test_non_distribution_human_row_raises_like_jsd(self, row):
+    def test_non_distribution_human_row_rejected_before_scoring(self, monkeypatch, row):
         table, items, human, config = perfect_fixture(n_items=3)
         responses = dict(human.responses)
         responses[items[1].id] = np.array(row + [0.0, 0.0])
         human = HumanResponseTable(table.vocab, responses)
-        model = interpret(items[1], config, table).p
-        with pytest.raises(ValueError) as scalar:
-            jsd(model, responses[items[1].id])
-        with pytest.raises(ValueError) as batched:
+        calls = count_kernel_calls(monkeypatch)
+        with pytest.raises(DatasetError, match="^human responses for 'm1': "
+                                               "not a distribution over 6 features$"):
             evaluate(items, human, config, table)
-        assert str(batched.value) == str(scalar.value)
+        assert calls == []
 
 
 def without_first_human_row(full_scale):
@@ -346,6 +346,28 @@ class TestChecksBeforeScoring:
         calls = count_kernel_calls(monkeypatch)
         with pytest.raises(DatasetError, match="^no human responses for metaphor 'm00'$"):
             score(items, human, RsaConfig(lam=5.0), table)
+        assert calls == []
+
+    @pytest.mark.parametrize("bad_row", [lambda row: -row, lambda row: row[:3]],
+                             ids=["negated", "3-entry"])
+    @pytest.mark.parametrize("score", [
+        lambda items, train, human, table: evaluate(items, human, RsaConfig(lam=5.0), table),
+        lambda items, train, human, table: learn_lambda_multistart(train, human, RsaConfig(),
+                                                                   table),
+        lambda items, train, human, table: feature_correlation_matrix(
+            items, "human", RsaConfig(), table, human=human),
+    ], ids=["evaluate", "multistart", "human-correlations"])
+    def test_bad_human_row(self, full_scale, monkeypatch, score, bad_row):
+        # a negated row once fit to lambda 6.248; a 3-entry row died in numpy's stack
+        table, items, human = full_scale
+        by_id = {item.id: item for item in items}
+        train = tuple(by_id[i] for i in make_split(items, 0).train)
+        responses = dict(human.responses)
+        responses[train[0].id] = bad_row(responses[train[0].id])
+        calls = count_kernel_calls(monkeypatch)
+        message = f"^human responses for {train[0].id!r}: not a distribution over 59 features$"
+        with pytest.raises(DatasetError, match=message):
+            score(items, train, HumanResponseTable(table.vocab, responses), table)
         assert calls == []
 
     def test_split_id_not_among_items(self, full_scale, monkeypatch):

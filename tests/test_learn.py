@@ -1,6 +1,8 @@
 """Split, objective, gradient, and optimizer tests."""
 
 import dataclasses
+import math
+import re
 
 import numpy as np
 import pytest
@@ -13,13 +15,14 @@ from rsa_metaphor import (
     HumanResponseTable,
     MetaphorItem,
     RsaConfig,
+    ablate_lambda_interpolation,
     interpret,
     learn_lambda,
     learn_lambda_multistart,
     make_split,
 )
-from rsa_metaphor import learn
-from rsa_metaphor.engine import _interpret_batch
+from rsa_metaphor import engine, learn
+from rsa_metaphor.engine import _interpret_batch, _interpret_lams
 from rsa_metaphor.errors import (
     DatasetError,
     DegenerateTypicalityError,
@@ -115,23 +118,29 @@ class TestObjective:
                 with pytest.raises(ZeroVarianceError, match=f"at lam={lam!r}"):
                     learn.objective(lam, items, human, RsaConfig(), table, kind=kind)
 
-    def test_row_whose_spread_underflows_is_zero_variance(self):
-        # the human row's range is 5e-324, but its centred squares underflow to 0
+    def test_row_whose_spread_underflows_is_no_distribution(self, monkeypatch):
+        # the human row's range is 5e-324 and its centred squares underflow to 0, but it
+        # sums to 5e-324, not 1: it is rejected before any scoring
         table, items, _ = recovery_problem(lam_star=3.0)
         tiny = HumanResponseTable(table.vocab, {items[0].id: np.eye(table.n)[0] * 5e-324})
+        calls = spy_kernel(monkeypatch)
         for kind in ("mean", "pooled"):
-            with pytest.raises(ZeroVarianceError, match="at lam=1.0"):
+            with pytest.raises(DatasetError,
+                               match="^human responses for 'm0': not a distribution over 12"):
                 learn.objective(1.0, items[:1], tiny, RsaConfig(), table, kind=kind)
+        assert calls == []
 
-    def test_fit_at_a_row_whose_spread_underflows_raises_no_warning(self):
-        # the human row's centred squares underflow, so its gradient entries are +-inf;
-        # the fit reports the undefined init, and that row's gradient raises no warning
+    def test_fit_at_a_row_whose_spread_underflows_fails_before_scoring(self, monkeypatch):
+        # a row scaled by 1e-170 has centred squares that underflow; it sums to 1e-170
         table, items, human = recovery_problem(lam_star=3.0)
         rows = dict(human.responses)
         rows[items[0].id] = rows[items[0].id] * 1e-170
         tiny = HumanResponseTable(table.vocab, rows)
-        with pytest.raises(ZeroVarianceError, match="at lam=1.0$"):
+        calls = spy_kernel(monkeypatch)
+        with pytest.raises(DatasetError,
+                           match="^human responses for 'm0': not a distribution over 12"):
             learn_lambda(items, tiny, RsaConfig(), table)
+        assert calls == []
 
     def test_empty_train_set_rejected(self):
         table, _, human = recovery_problem(lam_star=3.0)
@@ -304,6 +313,49 @@ class TestLearnLambda:
         fit = learn_lambda_multistart(train, human, RsaConfig(), table, kind="mean")
         assert tried and min(tried) >= 0.0
         assert fit.lambda_hat == pytest.approx(11.16, abs=0.01)
+
+
+def spy_both_kernels(monkeypatch):
+    """Record every call of the kernel, through the engine's name or the fit's."""
+    calls = []
+    for module in (engine, learn):
+        def spy(*args, kernel=module._interpret_lams, **kwargs):
+            calls.append(args)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(module, "_interpret_lams", spy)
+    return calls
+
+
+class TestLambdaDomain:
+    """Every entry point takes lambda finite and >= 0, and rejects any other before scoring."""
+
+    @pytest.mark.parametrize("call, bad", [
+        (lambda p: RsaConfig(lam=-1.0), "-1.0"),
+        (lambda p: RsaConfig(lam=math.inf), "inf"),
+        (lambda p: RsaConfig(lam=math.nan), "nan"),
+        (lambda p: learn.objective(-1.0, *p), "-1.0"),
+        (lambda p: learn.gradient(-1e-9, *p), "-1e-09"),
+        (lambda p: learn_lambda(*p, init=-1.0), "-1.0"),
+        (lambda p: learn_lambda_multistart(*p, inits=(1.0, -2.0)), "-2.0"),
+        (lambda p: ablate_lambda_interpolation(p[0], p[1], p[2], p[3], grid=[1.0, -1.0]),
+         "-1.0"),
+        (lambda p: _interpret_lams(p[0], p[2], p[3], [1.0, -1.0], gradient=True), "-1.0"),
+    ], ids=["config-negative", "config-inf", "config-nan", "objective", "gradient",
+            "learn_lambda", "multistart", "grid", "kernel"])
+    def test_rejected_before_scoring(self, monkeypatch, call, bad):
+        table, items, human = recovery_problem(lam_star=3.0)
+        calls = spy_both_kernels(monkeypatch)
+        message = f"^lam must be finite and >= 0, got {re.escape(bad)}$"
+        with pytest.raises(ValueError, match=message):
+            call((items, human, RsaConfig(), table))
+        assert calls == []
+
+    def test_negative_zero_accepted(self):
+        table, items, _ = recovery_problem(lam_star=3.0)
+        config = RsaConfig(lam=-0.0)
+        np.testing.assert_array_equal(interpret(items[0], config, table).p,
+                                      interpret(items[0], RsaConfig(lam=0.0), table).p)
 
 
 @pytest.fixture(scope="module")
