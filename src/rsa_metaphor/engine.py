@@ -178,7 +178,10 @@ class Distribution:
 
 def _check_lams(lams) -> np.ndarray:
     """``lams`` as a float array; raise ValueError unless every value is finite and >= 0."""
-    lams = np.asarray(lams, dtype=float)
+    try:
+        lams = np.asarray(lams, dtype=float)
+    except OverflowError:  # an int that no float holds
+        raise ValueError("lam must be finite and >= 0, got an int beyond the float range") from None
     bad = lams[~((lams >= 0.0) & (lams < math.inf))]  # NaN fails both comparisons
     if bad.size:
         raise ValueError(f"lam must be finite and >= 0, got {float(bad[0])!r}")

@@ -21,7 +21,7 @@ import numpy as np
 
 from . import learn
 # interpret is not called here; bench/spans.py wraps evaluation.interpret
-from .engine import RsaConfig, _interpret_batch, interpret  # noqa: F401
+from .engine import RsaConfig, _check_lams, _interpret_batch, interpret  # noqa: F401
 from .lexicon import (
     INHERENT,
     NON_INHERENT,
@@ -165,7 +165,7 @@ def evaluate(
     k_max = ks[-1]
     features = table.vocab.features
     other_mode = "fast" if config.mode == "full" else "full"
-    humans = human.rows([item.id for item in items], table.n)
+    humans = human.rows([item.id for item in items], table.vocab)
     models = np.exp(_interpret_batch(items, config, table)[0])
     others = np.exp(_interpret_batch(items, replace(config, mode=other_mode), table)[0])
 
@@ -272,7 +272,7 @@ def ablate_lambda_interpolation(
     before scoring; the error for an undefined objective names the first such point.
     """
     _checked_ks(ks, table.n, jsd_base)
-    candidates = np.asarray(grid if grid is not None else lambda_grid(*DEFAULT_GRID), float)
+    candidates = _check_lams(grid if grid is not None else lambda_grid(*DEFAULT_GRID))
     if candidates.size == 0:
         raise ValueError("empty grid")
     selection = tuple(train) if train is not None else tuple(items)
@@ -304,7 +304,7 @@ def feature_correlation_matrix(
     if source == "human":
         if human is None:
             raise ValueError("human responses are required for source='human'")
-        rows = human.rows([item.id for item in items], table.n)
+        rows = human.rows([item.id for item in items], table.vocab)
     else:
         rows = np.exp(_interpret_batch(items, config, table)[0])
 

@@ -12,7 +12,8 @@ lockstep, until it is narrower than ``_TOL * hi``.  All scoring, the grid
 ablation's too, goes through :func:`_points`: one kernel call per chunk of
 lams, with the same bits per lam as a call of its own.  A lam is undefined
 where a row is constant or the objective is not finite: the scan passes over
-it, and it ends its bracket.  Any other error fails the fit at once.
+it, it ends its bracket, and a walk down with nothing defined below ends
+there.  Any other error fails the fit at once.
 
 Everything here is deterministic: the only randomness is the split seed.
 """
@@ -27,7 +28,7 @@ import numpy as np
 # interpret_with_gradient is not called here; bench/spans.py wraps learn.interpret_with_gradient
 from .engine import RsaConfig, _check_lams, _interpret_lams, interpret_with_gradient  # noqa: F401
 from .errors import DatasetError, Error, ZeroVarianceError
-from .lexicon import HumanResponseTable, MetaphorItem, TypicalityTable
+from .lexicon import INHERENT, NON_INHERENT, HumanResponseTable, MetaphorItem, TypicalityTable
 from .metrics import _pearson
 
 _OBJECTIVE_KINDS = ("mean", "pooled")
@@ -69,7 +70,8 @@ class FitResult:
     ``iterations`` counts refinement rounds.  ``stop_reason`` is
     ``lambda_tolerance``, ``gradient_tolerance`` (g is exactly 0, or lambda
     is 0 with g <= 0), ``scan_top``, ``max_iterations`` (``_MAX_ROUNDS``
-    ran out) or ``undefined_point`` (at a refinement point); ``converged``
+    ran out) or ``undefined_point`` (at a refinement point, or below the
+    lowest point a walk down reached above 0); ``converged``
     is True for the first two.  ``gradient_norm_at_convergence`` is |g| at
     ``lambda_hat`` (at 0 only an ascent counts).  ``starts`` holds every
     start's own fit for a multistart fit, and is empty otherwise.
@@ -91,10 +93,9 @@ def make_split(items: tuple[MetaphorItem, ...], seed: int) -> TrainTestSplit:
     by_class: dict[str, list[str]] = {}
     for item in items:
         by_class.setdefault(item.inherence, []).append(item.id)
-    classes = sorted(by_class)
-    if len(items) != 2 * per_class or any(
+    if by_class.keys() != {INHERENT, NON_INHERENT} or any(
         len(ids) != per_class for ids in by_class.values()
-    ) or len(classes) != 2:
+    ):
         counts = {k: len(v) for k, v in by_class.items()}
         raise DatasetError(
             f"split needs {2 * per_class} items, {per_class} per class; got {counts}"
@@ -102,7 +103,7 @@ def make_split(items: tuple[MetaphorItem, ...], seed: int) -> TrainTestSplit:
     rng = np.random.default_rng(seed)
     train: list[str] = []
     test: list[str] = []
-    for klass in classes:
+    for klass in (INHERENT, NON_INHERENT):
         order = rng.permutation(per_class)
         ids = by_class[klass]
         train.extend(ids[i] for i in order[:TRAIN_PER_CLASS])
@@ -150,7 +151,7 @@ def _points(lams, train, human, config, table, kind, gradient=True):
     if not train:
         raise ValueError("empty training set")
     lams = _check_lams(lams)
-    target = human.rows([item.id for item in train], table.n)
+    target = human.rows([item.id for item in train], table.vocab)
     target = target.reshape(1, -1) if kind == "pooled" else target  # pooled: all cells in one row
     chunk = max(1, _GRID_CHUNK_CELLS // table.values.size)
     points = []
@@ -199,7 +200,8 @@ def _walk(init, scan):
     """From ``init``, follow the sign of g over the ascending ``scan`` of (lam, objective, g).
 
     Returns the points visited, ``init`` first, and the end: a bracket (lo,
-    hi) with g(lo) > 0 >= g(hi), ``"scan_top"`` or ``"gradient_tolerance"``.
+    hi) with g(lo) > 0 >= g(hi), ``"scan_top"``, ``"gradient_tolerance"``, or
+    ``"undefined_point"`` where a walk down finds no defined point below.
     """
     (lam, _, g), path = init, [init]
     if g > 0.0:
@@ -213,6 +215,8 @@ def _walk(init, scan):
             path.append(point)
             if point[2] > 0.0:
                 return path, (point, path[-2])
+        if path[-1][0] > 0.0:  # every scan point below is undefined, lambda 0 too
+            return path, "undefined_point"
     return path, "gradient_tolerance"
 
 

@@ -13,7 +13,8 @@ their exact headers in :data:`DATASET_FILES`:
   ``non_inherent``; ``familiarity`` may be empty.
 * ``human.csv`` — ``count`` is a non-negative real (a raw selection count or
   a pre-normalized weight), normalized per metaphor at load.  Features
-  without a row get weight 0.
+  without a row get weight 0.  :class:`HumanResponseTable` rejects a row that
+  is not a distribution when it is built; :func:`validate` reports the rest.
 
 Floats are written as ``repr(float(value))``, the shortest decimal that
 reads back as the same double, so saving a valid dataset and loading it
@@ -38,6 +39,8 @@ import numpy as np
 from .errors import DatasetError, UnknownCategoryError
 
 ROW_SUM_TOL = 1e-9
+
+_VOCAB_DIFFERS = "human responses: feature vocabulary differs from the typicality table's"
 
 INHERENT = "inherent"
 NON_INHERENT = "non_inherent"
@@ -187,10 +190,25 @@ class MetaphorItem:
 
 @dataclass(frozen=True)
 class HumanResponseTable:
-    """Normalized human interpretation distribution per metaphor id."""
+    """Normalized human interpretation distribution per metaphor id.
+
+    The constructor raises DatasetError at the first row that is not a distribution over
+    ``vocab`` (entries >= 0, summing to 1 within :data:`ROW_SUM_TOL`), and keeps read-only copies.
+    """
 
     vocab: FeatureVocab
     responses: Mapping[str, np.ndarray]
+
+    def __post_init__(self):
+        n, rows = len(self.vocab), {}
+        for metaphor_id, row in self.responses.items():
+            rows[metaphor_id] = row = _read_only(np.array(row, dtype=float))
+            with np.errstate(over="ignore"):  # a sum that overflows is inf, not 1
+                total = row.sum()
+            if row.shape != (n,) or not (row >= 0.0).all() or abs(total - 1.0) > ROW_SUM_TOL:
+                raise DatasetError(  # a NaN entry fails >= 0
+                    f"human responses for {metaphor_id!r}: not a distribution over {n} features")
+        object.__setattr__(self, "responses", rows)
 
     def distribution(self, metaphor_id: str) -> np.ndarray:
         try:
@@ -198,18 +216,11 @@ class HumanResponseTable:
         except KeyError:
             raise DatasetError(f"no human responses for metaphor {metaphor_id!r}") from None
 
-    def rows(self, metaphor_ids, n: int) -> np.ndarray:
-        """The rows of ``metaphor_ids`` as one (len, n) block; DatasetError names the first
-        one missing, else the first that is not a distribution over ``n`` features."""
-        rows = [self.distribution(metaphor_id) for metaphor_id in metaphor_ids]
-        ok = [np.shape(row) == (n,) for row in rows]
-        if all(ok):  # then one vectorized check of the whole block; NaN fails it
-            block = np.array(rows, dtype=float).reshape(len(rows), n)
-            ok = (block >= 0.0).all(axis=1) & (np.abs(block.sum(axis=1) - 1.0) <= ROW_SUM_TOL)
-        if not np.all(ok):
-            raise DatasetError(f"human responses for {metaphor_ids[int(np.argmin(ok))]!r}: "
-                               f"not a distribution over {n} features")
-        return block
+    def rows(self, metaphor_ids, vocab: FeatureVocab) -> np.ndarray:
+        """The rows of ``metaphor_ids`` as one block; DatasetError for another vocab or no row."""
+        if vocab != self.vocab:
+            raise DatasetError(_VOCAB_DIFFERS)
+        return np.stack([self.distribution(metaphor_id) for metaphor_id in metaphor_ids])
 
     def __contains__(self, metaphor_id: str) -> bool:
         return metaphor_id in self.responses
@@ -319,8 +330,8 @@ def read_dataset(
     """Parse the three dataset CSVs without semantic validation.
 
     Structural problems (missing files, malformed rows, duplicate keys,
-    unknown references) raise; invariant checks such as row sums are left to
-    :func:`validate` so that dirty data can still be reported on.
+    unknown references) raise; invariant checks such as typicality row sums
+    are left to :func:`validate` so that dirty data can still be reported on.
     """
     data_dir = Path(data_dir)
     cells: dict[tuple[str, str], float] = {}
@@ -382,13 +393,15 @@ def read_dataset(
 
     responses: dict[str, np.ndarray] = {}
     for metaphor_id, vec in counts.items():
-        total = vec.sum()
+        with np.errstate(over="ignore"):  # a row whose sum overflows is scaled by its max first
+            total = vec.sum()
+        if math.isinf(total):
+            vec = vec / vec.max()
+            total = vec.sum()
         if total <= 0:
             raise DatasetError(f"human.csv: responses for {metaphor_id!r} sum to zero")
         # pre-normalized weights pass through untouched so save/load round-trips exactly
-        dist = vec if abs(total - 1.0) <= ROW_SUM_TOL else vec / total
-        dist.setflags(write=False)
-        responses[metaphor_id] = dist
+        responses[metaphor_id] = vec if abs(total - 1.0) <= ROW_SUM_TOL else vec / total
 
     return table, tuple(items), HumanResponseTable(table.vocab, responses)
 
@@ -398,7 +411,8 @@ def validate(
     items: tuple[MetaphorItem, ...],
     human: HumanResponseTable,
 ) -> ValidationReport:
-    """Check every dataset invariant and list all violations (report-only)."""
+    """List every dataset invariant violated (report-only); a human row is checked when
+    built, so here only missing rows, unknown ids and the human vocabulary are."""
     violations: list[str] = []
 
     if not np.all(np.isfinite(table.values)):
@@ -422,26 +436,11 @@ def validate(
             violations.append(f"human responses: no distribution for metaphor {item.id!r}")
 
     if human.vocab != table.vocab:
-        violations.append("human responses: feature vocabulary differs from the typicality table's")
+        violations.append(_VOCAB_DIFFERS)
     known_ids = {item.id for item in items}
     for metaphor_id in human.ids:
         if metaphor_id not in known_ids:
             violations.append(f"human responses: unknown metaphor id {metaphor_id!r}")
-        dist = human.responses[metaphor_id]
-        if np.shape(dist) != (table.n,):
-            violations.append(
-                f"human responses for {metaphor_id!r}: shape {np.shape(dist)}, not ({table.n},)"
-            )
-            continue
-        if not np.all(np.isfinite(dist)):
-            violations.append(f"human responses for {metaphor_id!r}: non-finite entries")
-            continue
-        if np.any(dist < 0):
-            violations.append(f"human responses for {metaphor_id!r}: negative entries")
-        if abs(dist.sum() - 1.0) > ROW_SUM_TOL:
-            violations.append(
-                f"human responses for {metaphor_id!r}: sum {dist.sum():.12g}, not 1"
-            )
 
     return ValidationReport(tuple(violations))
 

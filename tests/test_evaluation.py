@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 import oracle
 from conftest import random_table, table_from_rows
 from rsa_metaphor import (
+    FeatureVocab,
     HumanResponseTable,
     MetaphorItem,
     RsaConfig,
@@ -26,7 +27,7 @@ from rsa_metaphor import (
     learn_lambda_multistart,
     make_split,
 )
-from rsa_metaphor import evaluation, learn
+from rsa_metaphor import engine, evaluation, learn
 from rsa_metaphor.errors import DatasetError, ZeroVarianceError
 from rsa_metaphor.evaluation import lambda_grid, matrix_csv_rows, report_csv_rows, report_to_dict
 from rsa_metaphor.learn import TrainTestSplit
@@ -50,14 +51,14 @@ def perfect_fixture(seed=0, n_items=2):
 
 
 def count_kernel_calls(monkeypatch):
-    """Record every call of the two kernel entry points that evaluation and the fit use."""
+    """Record every kernel call, through the engine's name or the fit's."""
     calls = []
-    for module, name in ((learn, "_interpret_lams"), (evaluation, "_interpret_batch")):
-        def spy(*args, kernel=getattr(module, name), name=name, **kwargs):
+    for module in (engine, learn):
+        def spy(*args, kernel=module._interpret_lams, name=module.__name__, **kwargs):
             calls.append(name)
             return kernel(*args, **kwargs)
 
-        monkeypatch.setattr(module, name, spy)
+        monkeypatch.setattr(module, "_interpret_lams", spy)
     return calls
 
 
@@ -299,19 +300,6 @@ class TestBatchedEvaluate:
         with pytest.raises(ZeroVarianceError, match="constant vector"):
             evaluate(items, human, config, table)
 
-    @pytest.mark.parametrize("row", [[0.5, 0.3, 0.3, 0.1], [0.6, 0.5, -0.2, 0.1],
-                                     [0.5, np.nan, 0.3, 0.2]])
-    def test_non_distribution_human_row_rejected_before_scoring(self, monkeypatch, row):
-        table, items, human, config = perfect_fixture(n_items=3)
-        responses = dict(human.responses)
-        responses[items[1].id] = np.array(row + [0.0, 0.0])
-        human = HumanResponseTable(table.vocab, responses)
-        calls = count_kernel_calls(monkeypatch)
-        with pytest.raises(DatasetError, match="^human responses for 'm1': "
-                                               "not a distribution over 6 features$"):
-            evaluate(items, human, config, table)
-        assert calls == []
-
 
 def without_first_human_row(full_scale):
     table, items, human = full_scale
@@ -320,7 +308,8 @@ def without_first_human_row(full_scale):
 
 
 class TestChecksBeforeScoring:
-    """A bad ``ks``, log base or keyword, or a missing human row, fails before any kernel call."""
+    """A bad ``ks``, log base or keyword, a missing human row or a human vocabulary that is not
+    the table's fails before any kernel call."""
 
     @pytest.mark.parametrize("score, setting, message", [
         (evaluate, {"jsd_base": 1.0}, "log base must be finite and > 1, got 1.0"),
@@ -348,26 +337,25 @@ class TestChecksBeforeScoring:
             score(items, human, RsaConfig(lam=5.0), table)
         assert calls == []
 
-    @pytest.mark.parametrize("bad_row", [lambda row: -row, lambda row: row[:3]],
-                             ids=["negated", "3-entry"])
     @pytest.mark.parametrize("score", [
         lambda items, train, human, table: evaluate(items, human, RsaConfig(lam=5.0), table),
         lambda items, train, human, table: learn_lambda_multistart(train, human, RsaConfig(),
                                                                    table),
+        lambda items, train, human, table: ablate_lambda_interpolation(
+            items, human, RsaConfig(), table, train=train),
         lambda items, train, human, table: feature_correlation_matrix(
             items, "human", RsaConfig(), table, human=human),
-    ], ids=["evaluate", "multistart", "human-correlations"])
-    def test_bad_human_row(self, full_scale, monkeypatch, score, bad_row):
-        # a negated row once fit to lambda 6.248; a 3-entry row died in numpy's stack
+    ], ids=["evaluate", "multistart", "grid", "human-correlations"])
+    def test_human_vocabulary_differs(self, full_scale, monkeypatch, score):
+        # with the vocabulary reversed, evaluate at lambda 5 gave the correct table's mean r
         table, items, human = full_scale
         by_id = {item.id: item for item in items}
         train = tuple(by_id[i] for i in make_split(items, 0).train)
-        responses = dict(human.responses)
-        responses[train[0].id] = bad_row(responses[train[0].id])
+        reversed_vocab = FeatureVocab(tuple(reversed(table.vocab.features)))
         calls = count_kernel_calls(monkeypatch)
-        message = f"^human responses for {train[0].id!r}: not a distribution over 59 features$"
-        with pytest.raises(DatasetError, match=message):
-            score(items, train, HumanResponseTable(table.vocab, responses), table)
+        with pytest.raises(DatasetError, match="^human responses: feature vocabulary differs "
+                                               "from the typicality table's$"):
+            score(items, train, HumanResponseTable(reversed_vocab, human.responses), table)
         assert calls == []
 
     def test_split_id_not_among_items(self, full_scale, monkeypatch):

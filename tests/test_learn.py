@@ -76,6 +76,21 @@ class TestMakeSplit:
         with pytest.raises(DatasetError):
             make_split(items[:20], 0)
 
+    def test_unlabelled_item_rejected(self, full_scale):
+        # the classes were sorted before the counts were checked: str < None, a TypeError
+        _, items, _ = full_scale
+        unlabelled = (dataclasses.replace(items[0], inherence=None), *items[1:])
+        with pytest.raises(DatasetError, match=re.escape(
+                "split needs 24 items, 12 per class; got "
+                "{None: 1, 'non_inherent': 12, 'inherent': 11}")):
+            make_split(unlabelled, 0)
+        # the right counts, but one class is no class
+        half = (*(dataclasses.replace(item, inherence=None) for item in items[::2]),
+                *items[1::2])
+        with pytest.raises(DatasetError, match=re.escape(
+                "got {None: 12, 'non_inherent': 12}")):
+            make_split(half, 0)
+
 
 class TestObjective:
     def test_perfect_model_scores_one(self):
@@ -117,30 +132,6 @@ class TestObjective:
             for kind in ("mean", "pooled"):
                 with pytest.raises(ZeroVarianceError, match=f"at lam={lam!r}"):
                     learn.objective(lam, items, human, RsaConfig(), table, kind=kind)
-
-    def test_row_whose_spread_underflows_is_no_distribution(self, monkeypatch):
-        # the human row's range is 5e-324 and its centred squares underflow to 0, but it
-        # sums to 5e-324, not 1: it is rejected before any scoring
-        table, items, _ = recovery_problem(lam_star=3.0)
-        tiny = HumanResponseTable(table.vocab, {items[0].id: np.eye(table.n)[0] * 5e-324})
-        calls = spy_kernel(monkeypatch)
-        for kind in ("mean", "pooled"):
-            with pytest.raises(DatasetError,
-                               match="^human responses for 'm0': not a distribution over 12"):
-                learn.objective(1.0, items[:1], tiny, RsaConfig(), table, kind=kind)
-        assert calls == []
-
-    def test_fit_at_a_row_whose_spread_underflows_fails_before_scoring(self, monkeypatch):
-        # a row scaled by 1e-170 has centred squares that underflow; it sums to 1e-170
-        table, items, human = recovery_problem(lam_star=3.0)
-        rows = dict(human.responses)
-        rows[items[0].id] = rows[items[0].id] * 1e-170
-        tiny = HumanResponseTable(table.vocab, rows)
-        calls = spy_kernel(monkeypatch)
-        with pytest.raises(DatasetError,
-                           match="^human responses for 'm0': not a distribution over 12"):
-            learn_lambda(items, tiny, RsaConfig(), table)
-        assert calls == []
 
     def test_empty_train_set_rejected(self):
         table, _, human = recovery_problem(lam_star=3.0)
@@ -327,6 +318,10 @@ def spy_both_kernels(monkeypatch):
     return calls
 
 
+# an int that no float holds once raised a bare OverflowError
+BEYOND_FLOATS = "an int beyond the float range"
+
+
 class TestLambdaDomain:
     """Every entry point takes lambda finite and >= 0, and rejects any other before scoring."""
 
@@ -341,8 +336,14 @@ class TestLambdaDomain:
         (lambda p: ablate_lambda_interpolation(p[0], p[1], p[2], p[3], grid=[1.0, -1.0]),
          "-1.0"),
         (lambda p: _interpret_lams(p[0], p[2], p[3], [1.0, -1.0], gradient=True), "-1.0"),
+        (lambda p: RsaConfig(lam=10**400), BEYOND_FLOATS),
+        (lambda p: learn.objective(10**400, *p), BEYOND_FLOATS),
+        (lambda p: learn_lambda_multistart(*p, inits=(1.0, -10**400)), BEYOND_FLOATS),
+        (lambda p: ablate_lambda_interpolation(p[0], p[1], p[2], p[3], grid=[1.0, 10**400]),
+         BEYOND_FLOATS),
     ], ids=["config-negative", "config-inf", "config-nan", "objective", "gradient",
-            "learn_lambda", "multistart", "grid", "kernel"])
+            "learn_lambda", "multistart", "grid", "kernel", "config-int-overflow",
+            "objective-int-overflow", "multistart-int-overflow", "grid-int-overflow"])
     def test_rejected_before_scoring(self, monkeypatch, call, bad):
         table, items, human = recovery_problem(lam_star=3.0)
         calls = spy_both_kernels(monkeypatch)
@@ -457,6 +458,43 @@ class TestAgainstTheOracle:
         h = 1e-5 * max(1.0, lam)
         numeric = (oracle_objective(lam + h, *rest) - oracle_objective(lam - h, *rest)) / (2.0 * h)
         assert abs(learn.gradient(*problem) - numeric) <= 1e-5 * max(abs(numeric), 1e-3)
+
+    @settings(max_examples=25, deadline=None)
+    @given(objective_problems())
+    def test_every_start_ends_where_the_oracle_says_it_may(self, problem):
+        _, *args = problem
+        items, human, config, table, kind = args
+        try:
+            fit = learn_lambda_multistart(items, human, config, table, kind=kind)
+        except ZeroVarianceError:  # a model row is constant at an init
+            assume(False)
+
+        def at(lam):
+            """The oracle objective; skips the example where its plain exp underflows to 0."""
+            try:
+                return oracle_objective(lam, *args)
+            except ValueError:  # "oracle: zero total mass", at a large lam
+                assume(False)
+
+        def higher(lam, value):
+            """Is the oracle objective at ``lam`` above ``value`` by more than 1e-12?"""
+            return at(lam) > value + 1e-12
+
+        top = float(learn._SCAN[-1])
+        for init, start in zip(learn.DEFAULT_MULTISTART_INITS, fit.starts):
+            lam, value = start.lambda_hat, start.objective_value
+            assert at(lam) == pytest.approx(value, rel=0, abs=1e-9)
+            end = top if start.stop_reason == "scan_top" else lam
+            if start.stop_reason == "scan_top":  # still rising: the point below the top is lower
+                assert not higher(top * (1 - 1e-4), at(top))
+            elif lam == 0.0:  # falling: the point above is lower
+                assert not higher(1e-7, value)
+            elif start.stop_reason != "undefined_point":  # a maximum: neither neighbour is higher
+                assert not higher(lam * (1 - 1e-4), value)
+                assert not higher(lam * (1 + 1e-4), value)
+            # the walk from init passed over these scan points
+            walked = learn._SCAN[(learn._SCAN >= min(init, end)) & (learn._SCAN <= max(init, end))]
+            assert not any(higher(point, value) for point in walked.tolist())
 
 
 class TestObjectiveIsTheReportedPearson:
@@ -602,6 +640,18 @@ class TestFitEnds:
         assert fit.stop_reason == "scan_top" and not fit.converged
         assert fit.lambda_hat == learn._SCAN[-1]
         assert fit.objective_value >= 0.3801
+
+    def test_walk_down_onto_undefined_points_is_not_converged(self):
+        # the topic row is uniform, so the model row is constant at lambda 0; the starts
+        # from 0.5 and 1 walk down to 0.01, where g < 0, and were reported converged there
+        table = table_from_rows([[0.35, 0.35, 0.3], [0.4, 0.2, 0.4], [1 / 3, 1 / 3, 1 / 3]])
+        items = (MetaphorItem("m0", "c2", "c0"),)
+        human = HumanResponseTable(table.vocab, {"m0": np.array([0.0, 0.0, 1.0])})
+        fit = learn_lambda_multistart(items, human, RsaConfig(), table)
+        for start in fit.starts[:2]:
+            assert (start.lambda_hat, start.stop_reason) == (0.01, "undefined_point")
+            assert not start.converged and start.gradient_norm_at_convergence > 9e-4
+        assert fit.stop_reason == "lambda_tolerance" and 18.0 < fit.lambda_hat < 18.5
 
     def test_maximum_at_lambda_zero(self):
         # the starts from 20 and 50 walk down into a lower maximum near 15.3 and stay there

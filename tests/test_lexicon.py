@@ -149,6 +149,49 @@ class TestTypes:
             with pytest.raises(ValueError):
                 cached[0] = 0.0
 
+    @pytest.mark.parametrize("n, row", [
+        (3, [0.5, np.nan, 0.1]),
+        (3, [0.5, np.inf, 0.1]),
+        (3, [0.5, -np.inf, 0.1]),
+        (3, [0.6, -0.1, 0.5]),
+        (3, [0.5, 0.4, 0.2]),
+        (3, [0.5, 0.5]),
+        (3, [0.25, 0.25, 0.25, 0.25]),
+        (6, [0.5, 0.3, 0.3, 0.1, 0.0, 0.0]),
+        (6, [0.6, 0.5, -0.2, 0.1, 0.0, 0.0]),
+        (6, [0.5, np.nan, 0.3, 0.2, 0.0, 0.0]),
+        (12, np.eye(12)[0] * 5e-324),  # its centred squares underflow, and it sums to 5e-324
+        (12, np.full(12, 1 / 12) * 1e-170),
+        (3, [1e308, 1e308, 0.0]),  # its sum overflows to inf, with no RuntimeWarning
+    ], ids=["nan", "inf", "-inf", "negative", "sum-1.1", "short", "long", "sum-1.2",
+            "negative-summing-to-1", "nan-among-6", "spread-underflows", "scaled-1e-170",
+            "sum-overflows"])
+    def test_human_row_that_is_not_a_distribution_is_rejected(self, n, row):
+        vocab = FeatureVocab(tuple(f"f{i}" for i in range(n)))
+        responses = {"m0": np.full(n, 1 / n), "m1": np.array(row)}
+        with pytest.raises(DatasetError, match="^human responses for 'm1': "
+                                               f"not a distribution over {n} features$"):
+            HumanResponseTable(vocab, responses)
+
+    def test_human_rows_are_read_only_copies(self):
+        vocab = FeatureVocab(("a", "b", "c"))
+        row = np.array([0.2, 0.3, 0.5])
+        human = HumanResponseTable(vocab, {"m": row, "l": [0.5, 0.5, 0.0]})
+        row[0] = -1.0  # a later write to the caller's array
+        np.testing.assert_array_equal(human.distribution("m"), [0.2, 0.3, 0.5])
+        np.testing.assert_array_equal(human.distribution("l"), [0.5, 0.5, 0.0])
+        with pytest.raises(ValueError):
+            human.distribution("m")[0] = 0.9
+
+    def test_human_rows_are_read_over_their_own_vocabulary(self):
+        vocab = FeatureVocab(("a", "b", "c"))
+        human = HumanResponseTable(vocab, {"m": [0.2, 0.3, 0.5], "l": [0.5, 0.5, 0.0]})
+        np.testing.assert_array_equal(human.rows(["l", "m"], FeatureVocab(("a", "b", "c"))),
+                                      [[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]])
+        with pytest.raises(DatasetError, match="^human responses: feature vocabulary differs "
+                                               "from the typicality table's$"):
+            human.rows(["m"], FeatureVocab(("c", "b", "a")))
+
     def test_metaphor_topic_vehicle_must_differ(self):
         with pytest.raises(DatasetError):
             MetaphorItem("m", "ants", "ants", "inherent")
@@ -181,13 +224,6 @@ class TestValidate:
         )
         report = validate(table, items, partial)
         assert any("m2" in v and "no distribution" in v for v in report.violations)
-
-    @pytest.mark.parametrize("bad", [np.nan, np.inf, -np.inf])
-    def test_non_finite_human_entry_is_reported(self, dataset_dir, bad):
-        table, items, human = read_dataset(dataset_dir)
-        dirty = dict(human.responses, m1=np.array([0.5, bad, 0.1]))
-        report = validate(table, items, HumanResponseTable(table.vocab, dirty))
-        assert report.violations == ("human responses for 'm1': non-finite entries",)
 
     def test_load_dataset_raises_on_violations(self, dataset_dir):
         (dataset_dir / "typicality.csv").write_text(
@@ -239,17 +275,6 @@ class TestValidateViolations:
         extra = HumanResponseTable(table.vocab, dict(human.responses, m9=human.responses["m1"]))
         report = validate(table, items, extra)
         assert report.violations == ("human responses: unknown metaphor id 'm9'",)
-
-    @pytest.mark.parametrize("row, violation", [
-        ([0.6, -0.1, 0.5], "human responses for 'm1': negative entries"),
-        ([0.5, 0.4, 0.2], "human responses for 'm1': sum 1.1, not 1"),
-        ([0.5, 0.5], "human responses for 'm1': shape (2,), not (3,)"),
-        ([0.25, 0.25, 0.25, 0.25], "human responses for 'm1': shape (4,), not (3,)"),
-    ])
-    def test_human_row(self, clean, row, violation):
-        table, items, human = clean
-        dirty = HumanResponseTable(table.vocab, dict(human.responses, m1=np.array(row)))
-        assert validate(table, items, dirty).violations == (violation,)
 
     def test_human_vocabulary_differs(self, clean):
         table, items, human = clean
@@ -363,6 +388,16 @@ class TestReadDataset:
         _, _, human = read_dataset(dataset_dir)
         np.testing.assert_allclose(human.distribution("m1"), [0.75, 0.25, 0.0])
         np.testing.assert_allclose(human.distribution("m2"), [0.0, 0.0, 1.0])
+
+    def test_counts_whose_sum_overflows_are_scaled_first(self, dataset_dir):
+        # the total 2e308 overflows; dividing by it gave an all-zero row and a RuntimeWarning
+        (dataset_dir / "human.csv").write_text(
+            "metaphor_id,feature,count\nm1,diligence,1e308\nm1,numerosity,1e308\n"
+            "m2,wisdom,5\n",
+            encoding="utf-8",
+        )
+        _, _, human = read_dataset(dataset_dir)
+        np.testing.assert_array_equal(human.distribution("m1"), [0.5, 0.5, 0.0])
 
     def test_negative_count_is_an_error(self, dataset_dir):
         path = dataset_dir / "human.csv"
