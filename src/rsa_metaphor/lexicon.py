@@ -192,8 +192,8 @@ class MetaphorItem:
 class HumanResponseTable:
     """Normalized human interpretation distribution per metaphor id.
 
-    The constructor raises DatasetError at the first row that is not a distribution over
-    ``vocab`` (entries >= 0, summing to 1 within :data:`ROW_SUM_TOL`), and keeps read-only copies.
+    Each row must hold ``len(vocab)`` entries >= 0 that sum to 1 within :data:`ROW_SUM_TOL`;
+    the constructor raises DatasetError at the first that does not, and keeps read-only copies.
     """
 
     vocab: FeatureVocab
