@@ -383,6 +383,11 @@ def cmd_eval(config: RunConfig, table, items, human):
 )
 def ablate(config: RunConfig, table, items, human, kind):
     """Run one ablation (uniform goal prior, or grid-searched lambda)."""
+    if kind == "grid-lambda":
+        try:  # _parse_grid checked one point; near the float maximum an interior one can overflow
+            grid = evaluation.lambda_grid(*config.grid)
+        except ValueError as exc:
+            raise Error(f"invalid --grid value; {exc}: a point is not finite") from None
     with ArtifactWriter(config) as writer:
         if kind == "no-relevance":
             report = evaluation.ablate_relevance(
@@ -395,7 +400,6 @@ def ablate(config: RunConfig, table, items, human, kind):
             split = learn.make_split(items, config.split_seed)
             by_id = {item.id: item for item in items}
             train_items = tuple(by_id[i] for i in split.train)
-            grid = evaluation.lambda_grid(*config.grid)
             best, report = evaluation.ablate_lambda_interpolation(
                 items, human, config.model, table,
                 grid=grid, train=train_items, objective_kind=config.objective,

@@ -31,8 +31,12 @@ and each lam's slice has the bits of a call with that lam alone.
 ``pragmatic_listener`` are batches of one item at one lam; ``evaluate``
 and the feature correlations pass whole item sets at one lam; the fit and
 the grid ablation pass theirs with their lams in chunks of about 16 on a
-48 x 59 table (``learn._GRID_CHUNK_CELLS``), so the temporaries stay near
-2 MB however many lams are scored.
+48 x 59 table (``learn._GRID_CHUNK_CELLS``), and every chunk of one such
+call writes its large intermediates into the same workspace blocks
+(:func:`_block`): freed after each chunk, blocks of this size would go back
+to the operating system and be faulted in again by the next.  Over 18 items
+the workspace holds 1.2 MB (2.0 MB with the gradient) however many lams are
+scored.
 
 * The table's ``log T``, ``log(1 - T)`` and its 0/1 row scan are cached on
   the immutable :class:`TypicalityTable`, so a call indexes them.  These are
@@ -188,15 +192,32 @@ def _check_lams(lams) -> np.ndarray:
     return lams
 
 
-def _logsumexp(a: np.ndarray, axis: int, lam: np.ndarray | float = 1.0, gradient: bool = False):
+def _block(workspace: dict | None, key: str, shape: tuple) -> np.ndarray:
+    """An uninitialised float block of ``shape``: fresh, or the workspace's block for ``key``.
+
+    A workspace is a dict that one caller keeps for its chunks of lams.  It holds each
+    key's block from the first, largest chunk, and a shorter chunk writes a leading-axis
+    slice of it, so the memory is faulted in once per caller rather than once per chunk.
+    """
+    if workspace is None:
+        return np.empty(shape)
+    block = workspace.get(key)
+    if block is None or block.shape[1:] != shape[1:] or len(block) < shape[0]:
+        block = workspace[key] = np.empty(shape)
+    return block[:shape[0]]
+
+
+def _logsumexp(a: np.ndarray, axis: int, lam: np.ndarray | float = 1.0, gradient: bool = False,
+               out: np.ndarray | None = None):
     """``logsumexp(lam * a)`` along ``axis`` (kept), and its lam-derivative if ``gradient``.
 
     ``lam >= 0`` has length 1 along ``axis``; the shift is ``lam * max(a)`` (module docstring).
-    The derivative is the mean of ``a`` weighted by the summed block ``exp(lam * a - shift)``.
+    The derivative is the mean of ``a`` weighted by the summed block ``exp(lam * a - shift)``,
+    which is written into ``out`` when given.
     """
     m = lam * a.max(axis=axis, keepdims=True)
     shift = np.where(np.isfinite(m), m, 0.0)  # all -inf: exp sums to 0, log gives -inf
-    block = lam * a
+    block = np.multiply(lam, a, out=out)
     block -= shift
     np.exp(block, out=block)
     total = block.sum(axis=axis, keepdims=True)
@@ -260,47 +281,67 @@ def _reject_rows(bad_rows: np.ndarray, table: TypicalityTable, index, problem: s
         raise DegenerateTypicalityError(f"typicality row(s) for {listed} {problem}")
 
 
-def _exclusive_sums(x: np.ndarray, d: np.ndarray | None = None):
+def _exclusive_sums(x: np.ndarray, d: np.ndarray | None = None, workspace: dict | None = None):
     """Sums over every j != i along the last axis, in O(n): ``(shift, sums, weighted)``.
 
     ``sum_{j != i} exp(x_j) = exp(shift_i) sums_i`` and, given ``d``,
     ``sum_{j != i} exp(x_j) d_j = exp(shift_i) weighted_i``; every row needs
     a finite entry.  How the terms are shifted and joined, and why nothing
-    cancels, is set out in the module docstring.
+    cancels, is set out in the module docstring.  The results are blocks of ``workspace``.
     """
     top = np.argmax(x, axis=-1)[..., None]
     at_top = np.arange(x.shape[-1]) == top
     peak = np.take_along_axis(x, top, axis=-1)
-    others = np.where(at_top, -np.inf, x)
+    others = _block(workspace, "others", x.shape)
+    np.copyto(others, x)
+    np.copyto(others, -np.inf, where=at_top)
     second = np.max(others, axis=-1, keepdims=True)
-    shift = np.where(at_top, second, peak)
-    rest = np.exp(others - peak)  # every term but the peak's own 1
-    runner_up = np.exp(others - np.where(np.isfinite(second), second, peak))  # none: all 0
+    shift = _block(workspace, "shift", x.shape)
+    np.copyto(shift, peak)
+    np.copyto(shift, second, where=at_top)
+    rest = np.subtract(others, peak, out=_block(workspace, "rest", x.shape))
+    np.exp(rest, out=rest)  # every term but the peak's own 1
+    runner_up = np.subtract(others, np.where(np.isfinite(second), second, peak), out=others)
+    np.exp(runner_up, out=runner_up)  # none: all 0
 
     def exclusive(t, direct, own):
-        return np.where(at_top, direct.sum(axis=-1, keepdims=True),
-                        own + (t.sum(axis=-1, keepdims=True) - t))
+        """``t``, in place: the sum of ``direct`` at the peak, else ``own`` + the others' ``t``."""
+        at_peak = direct.sum(axis=-1, keepdims=True)
+        np.subtract(t.sum(axis=-1, keepdims=True), t, out=t)
+        np.add(own, t, out=t)
+        np.copyto(t, at_peak, where=at_top)
+        return t
 
-    weighted = None if d is None else exclusive(
-        rest * d, runner_up * d, np.take_along_axis(d, top, axis=-1))
+    weighted = None if d is None else exclusive(  # before rest becomes the plain sums
+        np.multiply(rest, d, out=_block(workspace, "weighted", x.shape)),
+        np.multiply(runner_up, d, out=_block(workspace, "runner-up weighted", x.shape)),
+        np.take_along_axis(d, top, axis=-1))
     return shift, exclusive(rest, runner_up, 1.0), weighted
 
 
-def _speaker(lam: np.ndarray, log_u: np.ndarray, log_v: np.ndarray, gradient: bool):
+def _speaker(lam: np.ndarray, log_u: np.ndarray, log_v: np.ndarray, gradient: bool,
+             workspace: dict | None = None, key: str = "match"):
     """log S1(vehicle | goal j) for every lam and goal j, and its derivative in lam.
 
     ``lam`` is (L, 1, 1).  ``log_u`` holds the utterance alternatives' log
     utilities along axis -2: one (1, K, n) block shared by the batch, or
     (B, 2, n) for the pair set.  ``log_v`` (B, n) holds the vehicle's.
-    Both results are (L, B, n).  The derivative is the vehicle's utility less
-    the softmax-expected one, the normalizer block's weighted mean of ``log_u``.
+    Both results are (L, B, n), the workspace's blocks ``key`` and ``"d " + key``.
+    The derivative is the vehicle's utility less the softmax-expected one, the
+    normalizer block's weighted mean of ``log_u``.
     """
-    norm, expected = _logsumexp(log_u, -2, lam[..., None], gradient)
-    log_s = lam * log_v - norm[..., 0, :]
-    return log_s, None if expected is None else log_v - expected[..., 0, :]
+    scores = _block(workspace, "scores", (len(lam), *log_u.shape))
+    norm, expected = _logsumexp(log_u, -2, lam[..., None], gradient, scores)
+    shape = (len(lam), *log_v.shape)
+    log_s = np.multiply(lam, log_v, out=_block(workspace, key, shape))
+    log_s -= norm[..., 0, :]
+    if expected is None:
+        return log_s, None
+    return log_s, np.subtract(log_v, expected[..., 0, :], out=_block(workspace, "d " + key, shape))
 
 
-def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, gradient: bool):
+def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, gradient: bool,
+                    workspace: dict | None = None):
     """The listener kernel: every item of a batch at every lam, in one numpy pass.
 
     ``lams`` is a 1-D array of L rationality values, each finite and >= 0;
@@ -308,6 +349,11 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
     derivative in lam (None unless ``gradient``), each (L, B, n).  Every operation is
     elementwise or reduces along a trailing axis, so each lam's slice has the bits
     it would have in a call of its own.
+
+    The large intermediates are written into blocks of ``workspace``, a dict that a
+    caller scoring lams in chunks keeps across its calls (see :func:`_block`); without
+    one every block is fresh.  With a workspace the results are its blocks too, so the
+    caller uses them before its next call.
     """
     if not items:
         raise ValueError("empty batch of metaphor items")
@@ -321,51 +367,70 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
 
     if config.mode == "fast":
         log_alpha = log_values[topic]
+        shape = (lams.size, *log_alpha.shape)
+        logp = _block(workspace, "log p", shape)
         if gradient or np.any(lams != 0.0):
             _reject_rows((table.values[vehicle] <= 0.0).any(axis=-1), table, vehicle,
                          "contain zeros; the vehicle stretch is undefined for lam != 0")
             log_beta = log_values[vehicle]
-            norm, expected = _logsumexp(log_beta, -1, lam, gradient)
-            logp = log_alpha + (lam * log_beta - norm)
-            dlog = None if expected is None else log_beta - expected
+            scores = _block(workspace, "scores", shape)
+            norm, expected = _logsumexp(log_beta, -1, lam, gradient, scores)
+            np.multiply(lam, log_beta, out=logp)
+            logp -= norm
+            np.add(log_alpha, logp, out=logp)
+            dlog = None if expected is None else np.subtract(
+                log_beta, expected, out=_block(workspace, "d log", shape))
         else:
             # every stretch is uniform: the vehicle is never read
-            logp = np.broadcast_to(log_alpha, (lams.size, *log_alpha.shape))
+            np.copyto(logp, log_alpha)
     else:
         # the alternatives: the whole table as one (1, K) block shared by the batch, or (B, 2)
         rows = np.s_[None, :] if config.utterances == "all" else np.stack([topic, vehicle], 1)
-        _reject_rows(table.degenerate_rows[rows], table, rows, "contain values of exactly 0 or 1")
+        _reject_rows(table.degenerate_rows[rows], table, rows,
+                     "contain a value at or below 0, or at or above 1")
         log_u, not_u = log_values[rows], table.log1m_values[rows]
         log_t, log_v, not_v = log_values[topic], log_values[vehicle], table.log1m_values[vehicle]
         # the state carries goal j's feature (match) or another one (no match)
-        log_s_match, d_match = _speaker(lam, log_u, log_v, gradient)
-        log_s_nomatch, d_nomatch = _speaker(lam, not_u, not_v, gradient)
+        log_on, d_match = _speaker(lam, log_u, log_v, gradient, workspace, "match")
+        log_off, d_nomatch = _speaker(lam, not_u, not_v, gradient, workspace, "no match")
 
         # W_i = sum_j R(g_j) S1(v | g_j, e_i): goal i matches, every other goal does not
         log_goal = _goal_log_weights(config, log_t)
-        log_on = log_goal + log_s_match
-        log_off = log_goal + log_s_nomatch
-        shift, rest, d_rest = _exclusive_sums(log_off, d_nomatch)
-        log_w = np.logaddexp(log_on, shift + np.log(rest))
+        np.add(log_goal, log_on, out=log_on)
+        np.add(log_goal, log_off, out=log_off)
+        shift, rest, d_rest = _exclusive_sums(log_off, d_nomatch, workspace)
+        log_w = np.log(rest, out=rest)
+        np.add(shift, log_w, out=log_w)
+        np.logaddexp(log_on, log_w, out=log_w)
         if gradient:
             # d log W_i: the match and the no-match shares of W_i times their own d log S1
-            dlog = np.exp(log_on - log_w) * d_match + np.exp(shift - log_w) * d_rest
+            on = np.subtract(log_on, log_w, out=log_on)
+            np.exp(on, out=on)
+            on *= d_match
+            off = np.subtract(shift, log_w, out=shift)
+            np.exp(off, out=off)
+            off *= d_rest
+            dlog = np.add(on, off, out=on)
 
         # the category prior's feature marginal sum_c P(c) T[c, i], times W_i
         uniform = config.category_prior == "uniform"
-        logp = (np.logaddexp(log_t, log_v) - math.log(2.0) if uniform else log_t) + log_w
+        prior = np.logaddexp(log_t, log_v) - math.log(2.0) if uniform else log_t
+        logp = np.add(prior, log_w, out=log_w)
 
-    total = _logsumexp(logp, axis=-1)[0]
+    total = _logsumexp(logp, -1, out=_block(workspace, "normalizer", logp.shape))[0]
     if np.any(total == -np.inf):
         raise ZeroMassError("interpretation has zero total mass")
-    logp = logp - total
+    logp -= total
     if config.mode == "fast":
         # a uniform stretch leaves the topic row itself, exactly
         logp[lams == 0.0] = log_alpha
     if not gradient:
         return logp, None
-    p = np.exp(logp)
-    return logp, p * (dlog - np.sum(p * dlog, axis=-1, keepdims=True))
+    p = np.exp(logp, out=_block(workspace, "p", logp.shape))
+    mean = np.sum(np.multiply(p, dlog, out=_block(workspace, "p d log", p.shape)),
+                  axis=-1, keepdims=True)
+    dlog -= mean
+    return logp, np.multiply(p, dlog, out=dlog)
 
 
 def _interpret_batch(items, config: RsaConfig, table: TypicalityTable, gradient: bool = False):

@@ -22,11 +22,12 @@ class UnknownCategoryError(Error):
 
 
 class DegenerateTypicalityError(Error):
-    """A typicality of exactly 0 or 1 would send a logarithm to -inf.
+    """A typicality at or below 0, or at or above 1, would send a logarithm to -inf or NaN.
 
     The speaker utility takes log of the listener mass on (or off) a
-    feature; a hard 0/1 typicality makes that mass vanish and the model
-    undefined.  Degenerate tables are rejected rather than clamped.
+    feature; a typicality of 0 or 1 makes that mass vanish, and one outside
+    [0, 1] makes it negative, so the model is undefined.  Degenerate tables
+    are rejected rather than clamped.
     """
 
 

@@ -248,9 +248,12 @@ def ablate_relevance(
 
 def lambda_grid(start: float, stop: float, count: int) -> np.ndarray:
     """Log-spaced candidate grid for the interpolation ablation (see :data:`DEFAULT_GRID`)."""
-    if count < 1 or not 0 < start <= stop < math.inf:  # False for a NaN bound
-        raise ValueError(f"bad grid spec ({start}, {stop}, {count})")
-    return np.geomspace(start, stop, count)
+    if count >= 1 and 0 < start <= stop < math.inf:  # False for a NaN bound
+        with np.errstate(over="ignore"):  # near the float maximum a point can round to inf
+            grid = np.geomspace(start, stop, count)
+        if np.isfinite(grid).all():
+            return grid
+    raise ValueError(f"bad grid spec ({start}, {stop}, {count})")
 
 
 def ablate_lambda_interpolation(

@@ -46,8 +46,10 @@ _SCAN = np.concatenate(([0.0], np.geomspace(1e-2, 1e5, 47)))
 _TOL = 1e-10
 _MAX_ROUNDS = 200
 
-# Lambdas scored per kernel call: 16 on a 48 x 59 table.  Over 18 items a 16-lambda
-# call peaks at 1.5 MB of temporaries (2.1 MB with the gradient; tracemalloc).
+# Lambdas scored per kernel call: 16 on a 48 x 59 table.  Over 18 items the kernel's
+# workspace for a 16-lambda chunk holds 1.2 MB (2.0 MB with the gradient), and a whole
+# _points call peaks near 1.6 MB (2.7 MB; tracemalloc).  The chunks reuse the workspace:
+# blocks freed after each chunk would go back to the system and be faulted in again.
 _GRID_CHUNK_CELLS = 16 * 48 * 59
 
 
@@ -154,10 +156,12 @@ def _points(lams, train, human, config, table, kind, gradient=True):
     target = human.rows([item.id for item in train], table.vocab)
     target = target.reshape(1, -1) if kind == "pooled" else target  # pooled: all cells in one row
     chunk = max(1, _GRID_CHUNK_CELLS // table.values.size)
+    workspace = {}  # the kernel's blocks, reused by every chunk of this call
     points = []
     for part in np.split(lams, range(chunk, lams.size, chunk)):  # bounded temporaries
-        logp, dp = _interpret_lams(train, config, table, part, gradient)
-        r, grad_m, undefined = _pearson(np.exp(logp).reshape(-1, *target.shape), target, gradient)
+        logp, dp = _interpret_lams(train, config, table, part, gradient, workspace=workspace)
+        p = np.exp(logp, out=logp)  # in place: logp and dp are workspace blocks
+        r, grad_m, undefined = _pearson(p.reshape(-1, *target.shape), target, gradient)
         values = np.mean(r, axis=-1).tolist()
         grads = [None] * part.size
         if gradient:
@@ -168,7 +172,6 @@ def _points(lams, train, human, config, table, kind, gradient=True):
                 ZeroVarianceError(f"constant vector in the training objective at lam={lam!r}")
                 if constant else (lam, value, g) if math.isfinite(value)
                 else Error(f"objective is not finite at lam={lam!r}"))
-        del logp, dp, grad_m  # so this chunk's blocks are freed before the next kernel call
     return points
 
 

@@ -393,6 +393,28 @@ class TestAblate:
         ])
         assert result.exit_code == 1
 
+    def test_grid_overflowing_the_float_maximum_is_domain_error(self, full_scale_dir, tmp_path):
+        # finite bounds whose interior points round to inf; a subprocess, so that a numpy
+        # warning would reach stderr as a user sees it
+        env = dict(os.environ, PYTHONPATH=str(Path(cli.__file__).parents[1]))
+        grid = ["--grid", "1.7976931348623157e308:1.7976931348623157e308:5"]
+        out = tmp_path / "x"
+
+        def run(*args):
+            return subprocess.run(
+                [sys.executable, "-m", "rsa_metaphor.cli", *args, "--data-dir",
+                 str(full_scale_dir), "--output-dir", str(out), *grid],
+                env=env, capture_output=True, text=True, timeout=300)
+
+        done = run("ablate", "--kind", "grid-lambda")
+        assert done.returncode == 1
+        assert done.stderr == ("error: invalid --grid value; bad grid spec (1.7976931348623157e+308, "
+                               "1.7976931348623157e+308, 5): a point is not finite\n")
+        assert not out.exists()
+        # a command that does not score the grid takes it as before, now without a warning
+        done = run("eval", "--lambda", "5")
+        assert done.returncode == 0 and done.stderr == ""
+
     @pytest.mark.parametrize("grid", ["1:inf:5", "nan:5:5", "0.5:nan:3", "inf:inf:2"])
     def test_non_finite_grid_bound_is_domain_error(self, runner, full_scale_dir, tmp_path, grid):
         out = tmp_path / "x"

@@ -544,10 +544,20 @@ class TestBatchedKernel:
         table = table_from_rows(rows)
         item = MetaphorItem("m", "c0", "c1")
         with pytest.raises(DegenerateTypicalityError,
-                           match=r"row\(s\) for 'c2', 'c4' contain values of exactly 0 or 1"):
+                           match=r"row\(s\) for 'c2', 'c4' contain a value at or below 0, "
+                                 r"or at or above 1$"):
             interpret(item, RsaConfig(lam=2.0), table)
         # the pair set never reads the bystanders
         assert np.isfinite(interpret(item, RsaConfig(lam=2.0, utterances="pair"), table).logp).all()
+
+    @pytest.mark.parametrize("value", [-0.01, 1.5])
+    def test_values_outside_0_1_are_named_as_found(self, value):
+        rows = [[0.6, 0.4], [0.3, 0.7], [value, 0.5]]
+        table = table_from_rows(rows)
+        with pytest.raises(DegenerateTypicalityError,
+                           match=r"^typicality row\(s\) for 'c2' contain a value at or below 0, "
+                                 r"or at or above 1$"):
+            interpret(MetaphorItem("m", "c0", "c1"), RsaConfig(lam=2.0), table)
 
     @pytest.mark.parametrize("overrides", CONFIGS)
     def test_empty_batch_rejected(self, two_by_two, overrides):

@@ -471,6 +471,8 @@ class TestLambdaGrid:
     @pytest.mark.parametrize("spec", [
         (0.5, math.nan, 5), (math.nan, 5.0, 5), (0.5, math.inf, 3), (math.inf, math.inf, 2),
         (0.0, 1.0, 3), (2.0, 1.0, 3), (0.5, 1.0, 0),
+        # every bound is finite, but the interior points round past the float maximum
+        (1.7976931348623157e308, 1.7976931348623157e308, 5),
     ])
     def test_bad_spec_rejected(self, spec):
         with pytest.raises(ValueError, match="bad grid spec"):

@@ -296,9 +296,9 @@ class TestLearnLambda:
         tried = []
         kernel = learn._interpret_lams
 
-        def spy(batch, config, table, lams, gradient):
+        def spy(batch, config, table, lams, gradient, workspace=None):
             tried.extend(np.asarray(lams).tolist())
-            return kernel(batch, config, table, lams, gradient)
+            return kernel(batch, config, table, lams, gradient, workspace=workspace)
 
         monkeypatch.setattr(learn, "_interpret_lams", spy)
         fit = learn_lambda_multistart(train, human, RsaConfig(), table, kind="mean")
@@ -371,9 +371,9 @@ def spy_kernel(monkeypatch, fail_at=None):
     calls = []
     kernel = learn._interpret_lams
 
-    def spy(batch, config, table, lams, gradient):
+    def spy(batch, config, table, lams, gradient, workspace=None):
         calls.append(np.asarray(lams).tolist())
-        logp, dp = kernel(batch, config, table, lams, gradient)
+        logp, dp = kernel(batch, config, table, lams, gradient, workspace=workspace)
         if fail_at in calls[-1]:  # so the objective is undefined there, and only there
             logp[calls[-1].index(fail_at)] = -np.log(table.n)
         return logp, dp
@@ -510,6 +510,33 @@ class TestObjectiveIsTheReportedPearson:
             pooled = learn.objective(lam, train, human, config, table, kind="pooled")
             assert repr(mean) == repr(float(np.mean(pearson_rows(model, target))))
             assert repr(pooled) == repr(pearson(model.ravel(), target.ravel()))
+
+
+class TestChunkedPoints:
+    """Chunks of one ``_points`` call share the kernel's workspace, and keep each lam's bits."""
+
+    @five_configs
+    @pytest.mark.parametrize("kind", ["mean", "pooled"])
+    def test_gradient_points_match_single_lambda_calls(self, monkeypatch, seed12_split0,
+                                                      config, kind):
+        table, human, train = seed12_split0
+        lams = [0.0, 0.3, 1.0, 2.5, 7.0, 30.0, 100.0]  # chunks of 3, 3 and a shorter 1
+        monkeypatch.setattr(learn, "_GRID_CHUNK_CELLS", 3 * table.values.size)
+        workspaces = []
+        kernel = learn._interpret_lams
+
+        def spy(batch, config, table, lams, gradient, workspace=None):
+            workspaces.append(workspace)
+            return kernel(batch, config, table, lams, gradient, workspace=workspace)
+
+        monkeypatch.setattr(learn, "_interpret_lams", spy)
+        points = learn._points(lams, train, human, config, table, kind, gradient=True)
+        assert len(workspaces) == 3 and workspaces[0] is not None
+        assert all(workspace is workspaces[0] for workspace in workspaces)
+        args = (train, human, config, table, kind)
+        for lam, point in zip(lams, points):
+            alone = (lam, learn.objective(lam, *args), learn.gradient(lam, *args))
+            assert repr(point) == repr(alone)
 
 
 class TestLockstepMultistart:
