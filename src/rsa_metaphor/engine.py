@@ -64,7 +64,8 @@ scored.
   it over the categories by Bayes' rule.
 
 Every operation here is a pure function of immutable inputs; concurrent
-calls (one metaphor per worker) are safe.
+calls (one metaphor per worker) are safe.  A workspace is scratch memory
+owned by the one call that made it (``learn._points``), never shared.
 """
 
 from __future__ import annotations
