@@ -34,9 +34,11 @@ the grid ablation pass theirs with their lams in chunks of about 16 on a
 48 x 59 table (``learn._GRID_CHUNK_CELLS``), and every chunk of one such
 call writes its large intermediates into the same workspace blocks
 (:func:`_block`): freed after each chunk, blocks of this size would go back
-to the operating system and be faulted in again by the next.  Over 18 items
-the workspace holds 1.2 MB (2.0 MB with the gradient) however many lams are
-scored.
+to the operating system and be faulted in again by the next.  Late
+intermediates go into (L, B, n) blocks the kernel has finished with, so a
+call without a workspace makes fewer arrays too.  Over 18 items the
+workspace holds four (L, B, n) blocks and the score block, 0.9 MB (seven,
+1.3 MB, with the gradient), however many lams are scored.
 
 * The table's ``log T``, ``log(1 - T)`` and its 0/1 row scan are cached on
   the immutable :class:`TypicalityTable`, so a call indexes them.  These are
@@ -288,13 +290,13 @@ def _exclusive_sums(x: np.ndarray, d: np.ndarray | None = None, workspace: dict 
     ``sum_{j != i} exp(x_j) = exp(shift_i) sums_i`` and, given ``d``,
     ``sum_{j != i} exp(x_j) d_j = exp(shift_i) weighted_i``; every row needs
     a finite entry.  How the terms are shifted and joined, and why nothing
-    cancels, is set out in the module docstring.  The results are blocks of ``workspace``.
+    cancels, is set out in the module docstring.  The results are blocks of ``workspace``;
+    ``x`` and ``d`` are overwritten.
     """
     top = np.argmax(x, axis=-1)[..., None]
     at_top = np.arange(x.shape[-1]) == top
     peak = np.take_along_axis(x, top, axis=-1)
-    others = _block(workspace, "others", x.shape)
-    np.copyto(others, x)
+    others = x  # x is not read again once its peak is taken
     np.copyto(others, -np.inf, where=at_top)
     second = np.max(others, axis=-1, keepdims=True)
     shift = _block(workspace, "shift", x.shape)
@@ -313,10 +315,11 @@ def _exclusive_sums(x: np.ndarray, d: np.ndarray | None = None, workspace: dict 
         np.copyto(t, at_peak, where=at_top)
         return t
 
-    weighted = None if d is None else exclusive(  # before rest becomes the plain sums
-        np.multiply(rest, d, out=_block(workspace, "weighted", x.shape)),
-        np.multiply(runner_up, d, out=_block(workspace, "runner-up weighted", x.shape)),
-        np.take_along_axis(d, top, axis=-1))
+    weighted = None
+    if d is not None:  # before rest becomes the plain sums
+        own = np.take_along_axis(d, top, axis=-1)  # before d takes the runner-up's terms
+        weighted = exclusive(np.multiply(rest, d, out=_block(workspace, "weighted", x.shape)),
+                             np.multiply(runner_up, d, out=d), own)
     return shift, exclusive(rest, runner_up, 1.0), weighted
 
 
@@ -372,7 +375,8 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
         logp = _block(workspace, "log p", shape)
         if gradient or np.any(lams != 0.0):
             _reject_rows((table.values[vehicle] <= 0.0).any(axis=-1), table, vehicle,
-                         "contain zeros; the vehicle stretch is undefined for lam != 0")
+                         "contain a value at or below 0; "
+                         "the vehicle stretch is undefined for lam != 0")
             log_beta = log_values[vehicle]
             scores = _block(workspace, "scores", shape)
             norm, expected = _logsumexp(log_beta, -1, lam, gradient, scores)
@@ -384,6 +388,7 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
         else:
             # every stretch is uniform: the vehicle is never read
             np.copyto(logp, log_alpha)
+        finished = {}  # the late results take blocks of their own
     else:
         # the alternatives: the whole table as one (1, K) block shared by the batch, or (B, 2)
         rows = np.s_[None, :] if config.utterances == "all" else np.stack([topic, vehicle], 1)
@@ -417,8 +422,14 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
         uniform = config.category_prior == "uniform"
         prior = np.logaddexp(log_t, log_v) - math.log(2.0) if uniform else log_t
         logp = np.add(prior, log_w, out=log_w)
+        # blocks no longer read take the late results: d match is dead after on *= d_match
+        finished = {"normalizer": log_off, "p": d_nomatch, "p d log": d_match}
 
-    total = _logsumexp(logp, -1, out=_block(workspace, "normalizer", logp.shape))[0]
+    def late(key):
+        """The block for a late result: one the kernel has finished with, else the key's own."""
+        return finished[key] if finished else _block(workspace, key, logp.shape)
+
+    total = _logsumexp(logp, -1, out=late("normalizer"))[0]
     if np.any(total == -np.inf):
         raise ZeroMassError("interpretation has zero total mass")
     logp -= total
@@ -427,9 +438,8 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
         logp[lams == 0.0] = log_alpha
     if not gradient:
         return logp, None
-    p = np.exp(logp, out=_block(workspace, "p", logp.shape))
-    mean = np.sum(np.multiply(p, dlog, out=_block(workspace, "p d log", p.shape)),
-                  axis=-1, keepdims=True)
+    p = np.exp(logp, out=late("p"))
+    mean = np.sum(np.multiply(p, dlog, out=late("p d log")), axis=-1, keepdims=True)
     dlog -= mean
     return logp, np.multiply(p, dlog, out=dlog)
 

@@ -41,15 +41,18 @@ DEFAULT_MULTISTART_INITS = (0.5, 1.0, 5.0, 20.0, 50.0)
 # The fit's scan: lambda 0 and 47 log-spaced points up to 1e5.
 _SCAN = np.concatenate(([0.0], np.geomspace(1e-2, 1e5, 47)))
 
-# A bracket is narrowed until it is narrower than _TOL * hi.  _MAX_ROUNDS only guards the
-# loop: no fit of 120 (seeds 12-15 x splits 0-2 x five configs x two kinds) took over 19 calls.
+# A bracket is narrowed until it is narrower than _TOL * hi.  No fit of 120 (seeds 12-15 x
+# splits 0-2 x five configs x two kinds) took over 19 calls, but a bracket on a plateau where
+# g is rounding noise never gets that narrow and spends all _MAX_ROUNDS (ROADMAP item 2).
 _TOL = 1e-10
 _MAX_ROUNDS = 200
 
 # Lambdas scored per kernel call: 16 on a 48 x 59 table.  Over 18 items the kernel's
-# workspace for a 16-lambda chunk holds 1.2 MB (2.0 MB with the gradient), and a whole
-# _points call peaks near 1.6 MB (2.7 MB; tracemalloc).  The chunks reuse the workspace:
-# blocks freed after each chunk would go back to the system and be faulted in again.
+# workspace for a 16-lambda chunk holds 0.9 MB (1.3 MB with the gradient): the score block
+# and four (seven) lambda x item x feature blocks, as late intermediates go into blocks the
+# kernel has finished with.  A whole _points call peaks near 1.3 MB (1.9 MB; tracemalloc).
+# The chunks reuse the workspace: blocks freed after each chunk would go back to the system
+# and be faulted in again.
 _GRID_CHUNK_CELLS = 16 * 48 * 59
 
 
@@ -166,7 +169,8 @@ def _points(lams, train, human, config, table, kind, gradient=True):
         grads = [None] * part.size
         if gradient:
             grad_m[undefined] = 0.0  # an undefined row's gradient may be inf or NaN; unused
-            grads = np.mean(np.sum(grad_m * dp.reshape(grad_m.shape), axis=-1), axis=-1).tolist()
+            grad_m *= dp.reshape(grad_m.shape)  # grad_m is _pearson's own array
+            grads = np.mean(np.sum(grad_m, axis=-1), axis=-1).tolist()
         for lam, value, g, constant in zip(part.tolist(), values, grads, np.any(undefined, -1)):
             points.append(
                 ZeroVarianceError(f"constant vector in the training objective at lam={lam!r}")

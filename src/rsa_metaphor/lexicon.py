@@ -389,7 +389,10 @@ def read_dataset(
             raise DatasetError(f"{where}: count {weight!r} is not finite")
         if weight < 0:
             raise DatasetError(f"{where}: negative count {weight!r}")
-        counts.setdefault(metaphor_id, np.zeros(table.n))[table.vocab.index(feature)] = weight
+        row = counts.get(metaphor_id)
+        if row is None:  # a zero row per metaphor, not per human.csv row
+            row = counts[metaphor_id] = np.zeros(table.n)
+        row[table.vocab.index(feature)] = weight
 
     responses: dict[str, np.ndarray] = {}
     for metaphor_id, vec in counts.items():

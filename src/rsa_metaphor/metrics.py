@@ -65,7 +65,10 @@ def _pearson(a: np.ndarray, b: np.ndarray, gradient: bool = False):
         product = saa * sbb  # where it underflows, take the product of the roots
         denom = np.where(product < _TINY, np.sqrt(saa) * np.sqrt(sbb), np.sqrt(product))
         r = np.clip(np.sum(a * b, axis=-1) / denom, -1.0, 1.0)
-        grad = b / denom[..., None] - (r / saa)[..., None] * a if gradient else None
+        grad = None
+        if gradient:  # a is this call's own centred copy: it takes (r / saa) * a
+            grad = b / denom[..., None]
+            grad -= np.multiply((r / saa)[..., None], a, out=a)
     return r, grad, undefined
 
 

@@ -362,10 +362,13 @@ class TestInterpretFast:
         item = MetaphorItem("m", "c0", "c1")
         np.testing.assert_allclose(interpret_fast(item, 9.0, table).p, 1 / 3, atol=1e-12)
 
-    def test_zero_vehicle_entry_rejected_for_nonzero_lambda(self):
-        table = table_from_rows([[0.5, 0.5, 0.0], [0.2, 0.3, 0.5]], ("t", "v"))
-        item = MetaphorItem("m", "v", "t")  # vehicle row has the zero
-        with pytest.raises(DegenerateTypicalityError):
+    @pytest.mark.parametrize("value", [0.0, -0.01])
+    def test_zero_vehicle_entry_rejected_for_nonzero_lambda(self, value):
+        table = table_from_rows([[0.5, 0.5, value], [0.2, 0.3, 0.5]], ("t", "v"))
+        item = MetaphorItem("m", "v", "t")  # vehicle row has the value
+        message = ("typicality row(s) for 't' contain a value at or below 0; "
+                   "the vehicle stretch is undefined for lam != 0")
+        with pytest.raises(DegenerateTypicalityError, match=f"^{re.escape(message)}$"):
             interpret_fast(item, 2.0, table)
         # lam = 0 never touches the vehicle row
         np.testing.assert_allclose(interpret_fast(item, 0.0, table).p, table.row("v"))
@@ -804,8 +807,8 @@ class TestExclusiveSums:
     def test_sums_match_fsum(self, row):
         x, d = row
         n = x.size
-        shift, sums, weighted = _exclusive_sums(x[None], d[None])
-        _, forward_sums, none = _exclusive_sums(x[None])
+        shift, sums, weighted = _exclusive_sums(x[None].copy(), d[None].copy())
+        _, forward_sums, none = _exclusive_sums(x[None].copy())
         assert none is None
         np.testing.assert_array_equal(forward_sums, sums)
         # recursive summation of n positive terms: at most n - 2 roundings of half an ulp

@@ -538,6 +538,33 @@ class TestChunkedPoints:
             alone = (lam, learn.objective(lam, *args), learn.gradient(lam, *args))
             assert repr(point) == repr(alone)
 
+    @pytest.mark.parametrize("gradient, blocks", [
+        (True, {"match", "d match", "no match", "d no match", "shift", "rest", "weighted"}),
+        (False, {"match", "no match", "shift", "rest"}),
+    ])
+    def test_workspace_holds_the_live_blocks_only(self, monkeypatch, seed12_split0, gradient,
+                                                   blocks):
+        # the late intermediates go into blocks the kernel has finished with
+        table, human, train = seed12_split0
+        chunk = learn._GRID_CHUNK_CELLS // table.values.size
+        workspaces = []
+        kernel = learn._interpret_lams
+
+        def spy(batch, config, table, lams, gradient, workspace=None):
+            workspaces.append(workspace)
+            return kernel(batch, config, table, lams, gradient, workspace=workspace)
+
+        monkeypatch.setattr(learn, "_interpret_lams", spy)
+        learn._points(np.linspace(0.0, 30.0, chunk + 3), train, human, RsaConfig(), table,
+                      "mean", gradient)
+        assert len(workspaces) == 2 and workspaces[1] is workspaces[0]
+        workspace = workspaces[0]
+        assert workspace.keys() == blocks | {"scores"}
+        assert workspace["scores"].shape == (chunk, 1, len(table.categories), table.n)
+        assert all(workspace[key].shape == (chunk, len(train), table.n) for key in blocks)
+        cells = chunk * table.n * (len(table.categories) + len(blocks) * len(train))
+        assert sum(block.nbytes for block in workspace.values()) == 8 * cells
+
 
 class TestLockstepMultistart:
     """One scan serves every start; the brackets narrow together, one scoring call per round."""
