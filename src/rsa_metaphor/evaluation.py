@@ -168,21 +168,25 @@ def evaluate(
     humans = human.rows([item.id for item in items], table.vocab)
     models = np.exp(_interpret_batch(items, config, table)[0])
     others = np.exp(_interpret_batch(items, replace(config, mode=other_mode), table)[0])
+    # one block of the three, so that the pairs the JSDs compare, (others, models) and
+    # (models, humans), are its first and its last two rows
+    block = np.stack((others, models, humans))
+    others, models, humans = block
 
     # one ranking per row, one rank past k_max: a boundary tie is between the values
     # ranked k_max and k_max + 1, and there is none when k_max is the whole vocabulary
-    both = np.stack((models, humans))
+    both = block[1:]
     ranked = top_k_rows(both, min(k_max + 1, table.n))
     model_top, human_top = ranked[..., :k_max]
     edge = np.take_along_axis(both, ranked[..., k_max - 1:], axis=-1)
     ties = (edge[..., 0] == edge[..., -1]) & (k_max < table.n)
     r = pearson_rows(models, humans)
-    js = jsd_rows(models, humans, base=jsd_base)
+    # JSD is symmetric bit for bit: (others, models) gives the models-to-others value
+    divergence, js = jsd_rows(block[:2], both, base=jsd_base)
     agreement = np.stack([top_k_overlap(model_top[:, :k], human_top[:, :k]) for k in ks],
                          axis=-1)
     top1 = model_top[:, 0] == human_top[:, 0]
     in_top = np.any(human_top == model_top[:, :1], axis=-1)
-    divergence = jsd_rows(models, others, base=jsd_base)
 
     # the entries hold Python floats, ints and bools, not numpy scalars
     rs, jss, divergences = r.tolist(), js.tolist(), divergence.tolist()

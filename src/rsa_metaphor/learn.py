@@ -48,9 +48,9 @@ _TOL = 1e-10
 _MAX_ROUNDS = 200
 
 # Lambdas scored per kernel call: 16 on a 48 x 59 table.  Over 18 items the kernel's
-# workspace for a 16-lambda chunk holds 0.9 MB (1.3 MB with the gradient): the score block
-# and four (seven) lambda x item x feature blocks, as late intermediates go into blocks the
-# kernel has finished with.  A whole _points call peaks near 1.3 MB (1.9 MB; tracemalloc).
+# workspace for a 16-lambda chunk holds 0.77 MB (1.18 MB with the gradient): the score block
+# and three (six) lambda x item x feature blocks, as late intermediates go into blocks the
+# kernel has finished with.  A whole _points call peaks near 1.14 MB (1.74 MB; tracemalloc).
 # The chunks reuse the workspace: blocks freed after each chunk would go back to the system
 # and be faulted in again.
 _GRID_CHUNK_CELLS = 16 * 48 * 59

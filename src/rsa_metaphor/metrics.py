@@ -131,9 +131,14 @@ def _kl_terms(x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
     The ratio is formed as 2x / (x+y): the same correctly rounded quotient
     as x / m, but finite when x is subnormal and (x+y)/2 underflows to 0.
+    It is 1 where x is 0, and each step writes into it: two temporaries of
+    x's size at most.
     """
-    ratio = np.divide(2.0 * x, x + y, out=np.ones_like(x), where=x > 0)
-    return x * np.log(ratio)
+    positive = x > 0
+    ratio = np.multiply(x, 2.0, out=np.ones_like(x), where=positive)
+    np.divide(ratio, x + y, out=ratio, where=positive)
+    np.log(ratio, out=ratio)
+    return np.multiply(x, ratio, out=ratio)
 
 
 def top_k_rows(p, k: int) -> np.ndarray:

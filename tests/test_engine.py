@@ -28,6 +28,7 @@ from rsa_metaphor.engine import (
     _goal_log_weights,
     _interpret_batch,
     _interpret_lams,
+    _logaddexp,
     _logsumexp,
     _speaker,
     interpret_with_gradient,
@@ -797,6 +798,31 @@ def exclusive_rows(draw):
     return np.array(x) + offset, np.array(d)
 
 
+class TestLogaddexp:
+    def test_special_values_match_numpy_exactly(self):
+        # equal infinities make min - max NaN; the helper takes it as 0, with no warning
+        values = np.array([math.inf, -math.inf, math.nan, 0.0, -1.0, 5.0])
+        x, y = np.meshgrid(values, values)
+        with np.errstate(all="raise"):
+            got = _logaddexp(x, y.copy(), out=np.empty_like(x))
+        with np.errstate(invalid="ignore"):  # numpy's own flags its NaN arguments
+            want = np.logaddexp(x, y)
+        np.testing.assert_array_equal(got, want)
+
+    def test_within_two_ulp_of_numpy(self):
+        # the vectorized exp and log1p round differently from numpy's scalar loop: over
+        # 3.6M pairs at scales 1e-6 to 1e300 the largest gap was 2.0 ulp of
+        # max(|x|, |y|, ln 2), at scales near 500, and most pairs agree exactly
+        rng = np.random.default_rng(7)
+        for scale in 10.0 ** np.concatenate((np.arange(-6.0, 4.0), np.linspace(4.0, 300.0, 8))):
+            x = rng.uniform(-1.0, 1.0, 20_000) * scale
+            y = x + rng.uniform(-1.0, 1.0, x.size) * scale * rng.choice([1e-12, 1e-2, 1.0, 10.0],
+                                                                         x.size)
+            got = _logaddexp(x, y.copy(), out=np.empty_like(x))
+            ulp = np.spacing(np.maximum(np.maximum(abs(x), abs(y)), math.log(2.0)))
+            assert np.all(abs(got - np.logaddexp(x, y)) <= 2.0 * ulp)
+
+
 class TestExclusiveSums:
     @settings(max_examples=300, deadline=None)
     @given(exclusive_rows())
@@ -807,10 +833,12 @@ class TestExclusiveSums:
     def test_sums_match_fsum(self, row):
         x, d = row
         n = x.size
-        shift, sums, weighted = _exclusive_sums(x[None].copy(), d[None].copy())
-        _, forward_sums, none = _exclusive_sums(x[None].copy())
+        first, second, top, sums, weighted = _exclusive_sums(x[None].copy(), d[None].copy())
+        *_, forward_sums, none = _exclusive_sums(x[None].copy())
         assert none is None
         np.testing.assert_array_equal(forward_sums, sums)
+        assert top.tolist() == [np.argmax(x)]
+        shift = np.where(np.arange(n) == top[0], second, first)
         # recursive summation of n positive terms: at most n - 2 roundings of half an ulp
         rtol = n * np.finfo(float).eps / 2
         for i in range(n):
@@ -825,6 +853,27 @@ class TestExclusiveSums:
             scale = math.fsum(t * abs(d[j]) for t, j in zip(terms, others))
             want = math.fsum(t * d[j] for t, j in zip(terms, others))
             assert abs(weighted[0, i] - want) <= 1e-12 * max(scale, 1.0)
+
+    def test_peaks_are_found_and_written_by_flat_index(self):
+        # rows along both leading axes, a tied peak (the first is the peak), a row whose
+        # other entries are all -inf, and a row whose peak is its last entry
+        inf = math.inf
+        x = np.array([[[0.0, 0.0, -1.0, -inf], [-inf, -inf, 3.0, -inf], [-1.0, 5.0, 5.0, 5.0]],
+                      [[2.0, -inf, 1.0, 0.0], [-3.0, -2.0, -1.0, 0.0], [7.0, 7.0, 7.0, 7.0]]])
+        d = np.arange(24.0).reshape(x.shape) / 7.0 - 1.0
+        peak, second, top, sums, weighted = _exclusive_sums(x.copy(), d.copy())
+        assert top.tolist() == [[0, 6, 9], [12, 19, 20]]
+        assert peak[..., 0].tolist() == [[0.0, 3.0, 5.0], [2.0, 0.0, 7.0]]
+        assert second[..., 0].tolist() == [[0.0, -inf, 5.0], [1.0, -1.0, 7.0]]
+        e = math.exp(-1.0)
+        assert sums[0, 0].tolist() == [1.0 + e, 1.0 + e, 2.0, 2.0 + e]
+        assert sums[0, 1].tolist() == [1.0, 1.0, 0.0, 1.0]
+        # each row as it comes out of a call on that row alone
+        for row in np.ndindex(x.shape[:-1]):
+            alone = _exclusive_sums(x[row][None].copy(), d[row][None].copy())
+            assert alone[2].tolist() == [top[row] % x.shape[-1]]
+            for got, want in zip((peak, second, sums, weighted), alone[:2] + alone[3:]):
+                np.testing.assert_array_equal(got[row], want[0])
 
 
 class TestGoalMixtureAccuracy:

@@ -539,8 +539,9 @@ class TestChunkedPoints:
             assert repr(point) == repr(alone)
 
     @pytest.mark.parametrize("gradient, blocks", [
-        (True, {"match", "d match", "no match", "d no match", "shift", "rest", "weighted"}),
-        (False, {"match", "no match", "shift", "rest"}),
+        (True, {"full": {"match", "d match", "no match", "d no match", "rest", "weighted"},
+                "fast": {"log p", "scores", "d log", "p d log"}}),
+        (False, {"full": {"match", "no match", "rest"}, "fast": {"log p", "scores"}}),
     ])
     def test_workspace_holds_the_live_blocks_only(self, monkeypatch, seed12_split0, gradient,
                                                    blocks):
@@ -555,15 +556,19 @@ class TestChunkedPoints:
             return kernel(batch, config, table, lams, gradient, workspace=workspace)
 
         monkeypatch.setattr(learn, "_interpret_lams", spy)
-        learn._points(np.linspace(0.0, 30.0, chunk + 3), train, human, RsaConfig(), table,
-                      "mean", gradient)
-        assert len(workspaces) == 2 and workspaces[1] is workspaces[0]
-        workspace = workspaces[0]
-        assert workspace.keys() == blocks | {"scores"}
-        assert workspace["scores"].shape == (chunk, 1, len(table.categories), table.n)
-        assert all(workspace[key].shape == (chunk, len(train), table.n) for key in blocks)
-        cells = chunk * table.n * (len(table.categories) + len(blocks) * len(train))
-        assert sum(block.nbytes for block in workspace.values()) == 8 * cells
+        for mode, keys in blocks.items():
+            workspaces.clear()
+            learn._points(np.linspace(0.0, 30.0, chunk + 3), train, human,
+                          RsaConfig(mode=mode), table, "mean", gradient)
+            assert len(workspaces) == 2 and workspaces[1] is workspaces[0]
+            workspace = workspaces[0]
+            if mode == "full":  # and the speaker's score block, (L, 1, K, n)
+                scores = workspace.pop("scores")
+                assert scores.shape == (chunk, 1, len(table.categories), table.n)
+            assert workspace.keys() == keys
+            assert all(workspace[key].shape == (chunk, len(train), table.n) for key in keys)
+            cells = chunk * table.n * len(keys) * len(train)
+            assert sum(block.nbytes for block in workspace.values()) == 8 * cells
 
 
 class TestLockstepMultistart:
