@@ -2,9 +2,10 @@
 
 ``evaluate`` scores the batch as arrays: two listener-kernel calls (the
 model's rows and the other mode's, for ``mode_divergence``), one row-wise
-pass per metric over all items, and group aggregates taken from those arrays
-with boolean masks.  Only the building of the ``ItemEval`` records loops
-over items in Python.
+pass per metric over all items, and one (G, B) boolean membership matrix
+whose rows are the groups: its product with the items' 0/1 flags gives every
+count of every group.  Only the ``ItemEval`` records and each group's means
+and sds, over its own items, are built one by one.
 
 The grid ablation scores its grid as the fit scores its scan: one
 listener-kernel call per chunk of grid points, not one call per point.
@@ -95,38 +96,6 @@ def _sd(values: np.ndarray) -> float:
     return float(np.std(values, ddof=1)) if len(values) > 1 else math.nan
 
 
-def _group_stats(
-    r: np.ndarray,
-    js: np.ndarray,
-    agreement: np.ndarray,
-    top1: np.ndarray,
-    in_top: np.ndarray,
-    ties: np.ndarray,
-    ks: tuple[int, ...],
-) -> GroupStats:
-    """Aggregates over one group, from its items' per-item arrays.
-
-    ``agreement`` is (items, len(ks)), one column per k; ``top1`` flags equal
-    argmaxes; ``ties`` is (2, items), the model's boundary ties, then the human's.
-    The means and sds reduce 1-D arrays, which keeps the bits of a mean over a list.
-    """
-    n = r.size
-    # the rates are exact counts over n: the bits of np.mean, without its overhead
-    return GroupStats(
-        n_items=n,
-        mean_pearson=float(np.mean(r)),
-        sd_pearson=_sd(r),
-        mean_jsd=float(np.mean(js)),
-        sd_jsd=_sd(js),
-        top1_match_count=int(np.count_nonzero(top1)),
-        mean_agreement={k: total / n for k, total in zip(ks, agreement.sum(axis=0).tolist())},
-        argmax_in_human_top_rate=int(np.count_nonzero(in_top)) / n,
-        top_overlap_rate=int(np.count_nonzero(agreement[:, -1])) / n,
-        model_boundary_ties=int(np.count_nonzero(ties[0])),
-        human_boundary_ties=int(np.count_nonzero(ties[1])),
-    )
-
-
 def _checked_ks(ks, n: int, jsd_base: float) -> tuple[int, ...]:
     """``ks`` sorted and distinct; raise unless each k is in [1, n] and the log base is valid."""
     ks = tuple(sorted(set(ks)))
@@ -215,18 +184,32 @@ def evaluate(
         for i, item in enumerate(items)
     )
 
-    masks = [("all", np.ones(len(items), dtype=bool))]
-    masks += [(klass, np.array([item.inherence == klass for item in items]))
-              for klass in (INHERENT, NON_INHERENT)]
-    if split is not None:
-        masks += [(name, np.array([item.id in ids for item in items]))
-                  for name, ids in (("train", set(split.train)), ("test", set(split.test)))]
-    groups = {
-        name: _group_stats(r[mask], js[mask], agreement[mask], top1[mask], in_top[mask],
-                           ties[:, mask], ks)
-        for name, mask in masks
-        if mask.any()
-    }
+    # one membership row per group: all, each class, then train and test with a split
+    names = ["all", INHERENT, NON_INHERENT, *(() if split is None else ("train", "test"))]
+    sets = [] if split is None else [set(split.train), set(split.test)]
+    masks = np.array([[True, item.inherence == INHERENT, item.inherence == NON_INHERENT,
+                       *(item.id in ids for ids in sets)] for item in items]).T
+    # per item: 1 (for the group's size), a top-1 match, the argmax in the human top, a
+    # top overlap, the model's and the human's boundary tie, then the agreement at each k
+    flags = np.column_stack((np.ones(len(items), dtype=int), top1, in_top, agreement[:, -1] > 0,
+                             ties.T, agreement))
+    groups = {}
+    for name, mask, (n, matches, in_human_top, overlaps, model_tied, human_tied, *sums) in zip(
+            names, masks, (masks @ flags).tolist()):
+        if n:  # the means and sds reduce 1-D arrays, with the bits of a mean over a list
+            groups[name] = GroupStats(
+                n_items=n,
+                mean_pearson=float(np.mean(r[mask])),
+                sd_pearson=_sd(r[mask]),
+                mean_jsd=float(np.mean(js[mask])),
+                sd_jsd=_sd(js[mask]),
+                top1_match_count=matches,
+                mean_agreement={k: total / n for k, total in zip(ks, sums)},
+                argmax_in_human_top_rate=in_human_top / n,
+                top_overlap_rate=overlaps / n,
+                model_boundary_ties=model_tied,
+                human_boundary_ties=human_tied,
+            )
 
     return EvalReport(
         items=entries,
