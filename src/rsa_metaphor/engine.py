@@ -82,7 +82,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .errors import DegenerateTypicalityError, ZeroMassError
+from .errors import DegenerateTypicalityError, Error, ZeroMassError
 from .lexicon import MetaphorItem, TypicalityTable
 from .metrics import top_k_indices
 
@@ -196,6 +196,14 @@ def _check_lams(lams) -> np.ndarray:
     if bad.size:
         raise ValueError(f"lam must be finite and >= 0, got {float(bad[0])!r}")
     return lams
+
+
+def _check_scale(lams: np.ndarray, *utilities: np.ndarray) -> None:
+    """Raise unless ``lam * u`` is finite for every lam and every utility u (finite, <= 0)."""
+    lam = float(lams.max(initial=0.0))
+    if lam * min(float(u.min()) for u in utilities) == -math.inf:  # floats: no warning
+        raise Error(f"lam={lam!r} is too large for this table: lam times a log typicality "
+                    "overflows the float range")
 
 
 def _block(workspace: dict | None, key: str, shape: tuple) -> np.ndarray:
@@ -410,6 +418,7 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
                          "contain a value at or below 0; "
                          "the vehicle stretch is undefined for lam != 0")
             log_beta = log_values[vehicle]
+            _check_scale(lams, log_beta)
             norm, expected = _logsumexp(log_beta, -1, lam, gradient, scores)
             np.multiply(lam, log_beta, out=logp)
             logp -= norm
@@ -428,6 +437,7 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
         _reject_rows(table.degenerate_rows[rows], table, rows,
                      "contain a value at or below 0, or at or above 1")
         log_u, not_u = log_values[rows], table.log1m_values[rows]
+        _check_scale(lams, log_u, not_u)
         log_t, log_v, not_v = log_values[topic], log_values[vehicle], table.log1m_values[vehicle]
         # the state carries goal j's feature (match) or another one (no match)
         log_on, d_match = _speaker(lam, log_u, log_v, gradient, workspace, "match")
@@ -438,6 +448,12 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
         np.add(log_goal, log_on, out=log_on)
         np.add(log_goal, log_off, out=log_off)
         peak, second, top, rest, d_rest = _exclusive_sums(log_off, d_nomatch, workspace)
+        # W relative to its largest term: at a large lam every term is near -lam * c, and
+        # the O(1) category prior added to that offset would be lost to rounding
+        shift = np.maximum(peak, log_on.max(axis=-1, keepdims=True))
+        log_on -= shift
+        peak -= shift
+        second -= shift
         # the other goals' log sum: shifted by the peak, or by the runner-up at the peak
         log_rest = np.log(rest, out=rest)
         at_peak = log_rest.reshape(-1)[top] + second[..., 0]

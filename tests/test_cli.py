@@ -1,6 +1,7 @@
 """End-to-end CLI tests: exit codes, artifacts, determinism."""
 
 import json
+import math
 import os
 import subprocess
 import sys
@@ -132,6 +133,26 @@ class TestInterpret:
             stderr = child.stderr.read()
         assert child.returncode == 1
         assert stderr == b""
+
+    def test_large_finite_lambda(self, runner, tmp_path):
+        # on the seed-12 table 'c3 are c27' printed 58 probabilities of 1 at lambda 1e50,
+        # and eval failed with a traceback; lambda 1e308 overflows lambda * log T
+        data = tmp_path / "data"
+        save_dataset(*make_synthetic_dataset(seed=12), data)
+        pair = ["--data-dir", str(data), "--topic", "c3", "--vehicle", "c27"]
+        result = runner.invoke(main, ["interpret", *pair, "--lambda", "1e50"])
+        assert result.exit_code == 0
+        probs = [float(line.split()[1]) for line in result.stdout.splitlines()
+                 if line.startswith("  ")]
+        assert len(probs) == 59 and math.fsum(probs) == pytest.approx(1.0, abs=1e-9)
+        result = runner.invoke(main, ["eval", "--data-dir", str(data), "--output-dir",
+                                      str(tmp_path / "out"), "--lambda", "1e50"])
+        assert result.exit_code == 0, result.output
+        result = runner.invoke(main, ["interpret", *pair, "--lambda", "1e308"])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.stdout == ""
+        assert result.stderr == ("error: lam=1e+308 is too large for this table: lam times a "
+                                 "log typicality overflows the float range\n")
 
     def test_same_topic_and_vehicle_is_domain_error(self, runner, dataset_dir):
         result = runner.invoke(main, [

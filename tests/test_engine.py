@@ -11,7 +11,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracle
-from conftest import as_oracle_table, random_table, table_from_rows
+from conftest import as_oracle_table, make_synthetic_dataset, random_table, table_from_rows
 from rsa_metaphor import (
     Distribution,
     HumanResponseTable,
@@ -422,6 +422,26 @@ class TestNumericalStability:
             assert np.isfinite(d.p).all()
             assert d.p.sum() == pytest.approx(1.0, abs=1e-9)
             assert np.all(d.p >= 0)
+
+    @pytest.mark.parametrize("overrides", CONFIGS)
+    @pytest.mark.parametrize("lam", [1e15, 1e50, 1e300])
+    def test_large_finite_lambda_gives_distributions(self, lam, overrides):
+        # every goal-mixture term sits near -lam * c; on the seed-12 table, before the
+        # mixture was taken relative to its largest term, three rows summed to 58 at 1e50
+        table, items, _ = make_synthetic_dataset(seed=12)
+        config = replace(RsaConfig(), **overrides)
+        for gradient in (False, True):
+            logp, _ = _interpret_lams(items, config, table, (lam,), gradient)
+            np.testing.assert_allclose(np.exp(logp[0]).sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+
+    @pytest.mark.parametrize("mode", ["full", "fast"])
+    def test_lambda_whose_scores_overflow_is_a_domain_error(self, mode):
+        # the seed-12 table's smallest log typicality is -6.38: lam * log T overflows
+        # from about 2.8e307 on, and is refused before any arithmetic warns
+        table, items, _ = make_synthetic_dataset(seed=12)
+        interpret(items[0], RsaConfig(lam=2.8e307, mode=mode), table)
+        with pytest.raises(Error, match=r"^lam=2\.9e\+307 is too large for this table"):
+            interpret(items[0], RsaConfig(lam=2.9e307, mode=mode), table)
 
 
 class TestGradient:
