@@ -164,13 +164,13 @@ def _points(lams, train, human, config, table, kind, gradient=True):
     for part in np.split(lams, range(chunk, lams.size, chunk)):  # bounded temporaries
         logp, dp = _interpret_lams(train, config, table, part, gradient, workspace=workspace)
         p = np.exp(logp, out=logp)  # in place: logp and dp are workspace blocks
-        r, grad_m, undefined = _pearson(p.reshape(-1, *target.shape), target, gradient)
+        rows = (-1, *target.shape)
+        r, dr, undefined = _pearson(p.reshape(rows), target, dp if dp is None else dp.reshape(rows))
         values = np.mean(r, axis=-1).tolist()
         grads = [None] * part.size
         if gradient:
-            grad_m[undefined] = 0.0  # an undefined row's gradient may be inf or NaN; unused
-            grad_m *= dp.reshape(grad_m.shape)  # grad_m is _pearson's own array
-            grads = np.mean(np.sum(grad_m, axis=-1), axis=-1).tolist()
+            dr[undefined] = 0.0  # an undefined row's derivative may be inf or NaN; unused
+            grads = np.mean(dr, axis=-1).tolist()
         for lam, value, g, constant in zip(part.tolist(), values, grads, np.any(undefined, -1)):
             points.append(
                 ZeroVarianceError(f"constant vector in the training objective at lam={lam!r}")

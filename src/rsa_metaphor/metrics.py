@@ -7,7 +7,7 @@ of indices that two top-k index arrays share).  The scalar functions
 :func:`pearson`, :func:`jsd`, :func:`top_k_indices` and :func:`k_agreement`
 are their one-row case: they pass a 1-D vector, which the row-wise forms
 treat as a single row.  Pearson r has one computation,
-:func:`_pearson`, which also scores the fit's objective and its gradient.
+:func:`_pearson`, which also scores the fit's objective and its derivative.
 """
 
 from __future__ import annotations
@@ -47,13 +47,14 @@ def _check_distribution(arr: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} is not a distribution: sums to {sums[off][0]:.9g}")
 
 
-def _pearson(a: np.ndarray, b: np.ndarray, gradient: bool = False):
+def _pearson(a: np.ndarray, b: np.ndarray, dp: np.ndarray | None = None):
     """Pearson r of each row of ``a`` with the same row of ``b``, which broadcasts.
 
-    C-order rows are reduced by ``np.sum`` as contiguous runs.  Returns ``(r, dr/da,
-    undefined)``: r clipped to [-1, 1] (NaN for a NaN entry), its gradient in
-    ``a`` (None without ``gradient``), and per row whether either row is
-    constant (range 0; centring can leave rounding residue) or its spread underflows.
+    C-order rows are reduced by ``np.sum`` as contiguous runs.  Returns ``(r, dr,
+    undefined)``: r clipped to [-1, 1] (NaN for a NaN entry), its derivative along
+    ``dp``, a direction for ``a`` of ``a``'s shape (None without one), and per row
+    whether either row is constant (range 0; centring can leave rounding residue) or
+    its spread underflows.
     """
     undefined = (np.ptp(a, axis=-1) == 0.0) | (np.ptp(b, axis=-1) == 0.0)
     a = a - a.mean(axis=-1, keepdims=True)
@@ -65,11 +66,12 @@ def _pearson(a: np.ndarray, b: np.ndarray, gradient: bool = False):
         product = saa * sbb  # where it underflows, take the product of the roots
         denom = np.where(product < _TINY, np.sqrt(saa) * np.sqrt(sbb), np.sqrt(product))
         r = np.clip(np.sum(a * b, axis=-1) / denom, -1.0, 1.0)
-        grad = None
-        if gradient:  # a is this call's own centred copy: it takes (r / saa) * a
-            grad = b / denom[..., None]
-            grad -= np.multiply((r / saa)[..., None], a, out=a)
-    return r, grad, undefined
+        dr = None
+        if dp is not None:  # ((b / denom) . dp) - (r / saa) (a . dp), in a's own copy
+            along_a = np.sum(np.multiply(a, dp, out=a), axis=-1)
+            along_b = np.multiply(np.divide(b, denom[..., None], out=a), dp, out=a)
+            dr = np.sum(along_b, axis=-1) - r / saa * along_a
+    return r, dr, undefined
 
 
 def pearson_rows(p, q) -> np.ndarray:
