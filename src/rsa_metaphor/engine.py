@@ -14,8 +14,8 @@ speaker meant to convey:
 
 Feature vectors range over the one-hot basis ``e_1..e_n``: the entity "has"
 exactly one salient feature, and ``P(e_i | c)`` is the typicality of feature
-i for category c; ``lam`` is finite and >= 0.  All probability arithmetic
-runs in log space with max-subtraction, so a large ``lam`` never overflows.
+i for category c; ``lam`` is finite and >= 0, and refused where ``lam * log T``
+overflows.  All probability arithmetic runs in log space with max-subtraction.
 
 ``interpret_fast`` is the reduced two-step pipeline: sharpen the vehicle's
 typicality row with ``lam`` (a softmax stretch) and reweight it by the
@@ -36,9 +36,9 @@ call writes its large intermediates into the same workspace blocks
 (:func:`_block`): freed after each chunk, blocks of this size would go back
 to the operating system and be faulted in again by the next.  Late
 intermediates go into (L, B, n) blocks the kernel has finished with, so a
-call without a workspace makes fewer arrays too.  Over 18 items the
-workspace holds three (L, B, n) blocks and the score block, 0.77 MB (six,
-1.18 MB, with the gradient), however many lams are scored.
+call without a workspace makes fewer arrays too.  However many lams are
+scored, the workspace holds only the blocks live at one time (README gives
+their sizes; ``TestChunkedPoints::test_workspace_holds_the_live_blocks_only``).
 
 * The table's ``log T``, ``log(1 - T)`` and its 0/1 row scan are cached on
   the immutable :class:`TypicalityTable`, so a call indexes them.  These are
@@ -62,7 +62,9 @@ workspace holds three (L, B, n) blocks and the score block, 0.77 MB (six,
   directly, shifted by the runner-up; each row's peak entry is read and
   written by its flat index.  The gradient weights the same terms.  The
   match term joins that sum through :func:`_logaddexp`, vectorized ``exp``
-  and ``log1p`` passes in place of numpy's scalar ``logaddexp`` loop.
+  and ``log1p`` passes in place of numpy's scalar ``logaddexp`` loop.  It is
+  taken relative to its largest term: at a large lam every term is near
+  ``-lam * c``, and the category prior added to that offset would be lost.
 * The category reaches the listener only through its prior row, which never
   touches the goal mixture: the interpretation is ``(sum_c P(c) T[c, i]) W_i``
   normalized once over the features, and :func:`pragmatic_listener` splits
@@ -198,14 +200,6 @@ def _check_lams(lams) -> np.ndarray:
     return lams
 
 
-def _check_scale(lams: np.ndarray, *utilities: np.ndarray) -> None:
-    """Raise unless ``lam * u`` is finite for every lam and every utility u (finite, <= 0)."""
-    lam = float(lams.max(initial=0.0))
-    if lam * min(float(u.min()) for u in utilities) == -math.inf:  # floats: no warning
-        raise Error(f"lam={lam!r} is too large for this table: lam times a log typicality "
-                    "overflows the float range")
-
-
 def _block(workspace: dict | None, key: str, shape: tuple) -> np.ndarray:
     """An uninitialised float block of ``shape``: fresh, or the workspace's block for ``key``.
 
@@ -248,9 +242,14 @@ def _logsumexp(a: np.ndarray, axis: int, lam: np.ndarray | None = None, gradient
     ``lam >= 0`` has length 1 along ``axis``, and None leaves ``a`` unscaled; the shift is
     ``lam * max(a)`` (module docstring).  The derivative is the mean of ``a`` weighted by
     the summed block ``exp(lam * a - shift)``, which is written into ``out`` when given.
+    With ``lam``, ``a`` is finite and <= 0, and a lam for which ``lam * a`` overflows raises.
     """
     m = a.max(axis=axis, keepdims=True)
     if lam is not None:
+        top = float(lam.max(initial=0.0))
+        if top * float(a.min()) == -math.inf:  # in floats, before numpy can warn
+            raise Error(f"lam={top!r} is too large for this table: lam times a log typicality "
+                        "overflows the float range")
         m = lam * m
     shift = np.where(np.isfinite(m), m, 0.0)  # all -inf: exp sums to 0, log gives -inf
     if lam is None:
@@ -418,7 +417,6 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
                          "contain a value at or below 0; "
                          "the vehicle stretch is undefined for lam != 0")
             log_beta = log_values[vehicle]
-            _check_scale(lams, log_beta)
             norm, expected = _logsumexp(log_beta, -1, lam, gradient, scores)
             np.multiply(lam, log_beta, out=logp)
             logp -= norm
@@ -437,7 +435,6 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
         _reject_rows(table.degenerate_rows[rows], table, rows,
                      "contain a value at or below 0, or at or above 1")
         log_u, not_u = log_values[rows], table.log1m_values[rows]
-        _check_scale(lams, log_u, not_u)
         log_t, log_v, not_v = log_values[topic], log_values[vehicle], table.log1m_values[vehicle]
         # the state carries goal j's feature (match) or another one (no match)
         log_on, d_match = _speaker(lam, log_u, log_v, gradient, workspace, "match")
@@ -448,8 +445,7 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
         np.add(log_goal, log_on, out=log_on)
         np.add(log_goal, log_off, out=log_off)
         peak, second, top, rest, d_rest = _exclusive_sums(log_off, d_nomatch, workspace)
-        # W relative to its largest term: at a large lam every term is near -lam * c, and
-        # the O(1) category prior added to that offset would be lost to rounding
+        # W relative to its largest term, so that the priors added later are not lost
         shift = np.maximum(peak, log_on.max(axis=-1, keepdims=True))
         log_on -= shift
         peak -= shift
