@@ -19,7 +19,7 @@ from pathlib import Path
 
 sys.path.insert(0, str(Path(__file__).resolve().parents[1]))  # tests/, for test_golden
 
-from test_golden import _NUMBER, GOLDEN, capture  # noqa: E402
+from test_golden import _NUMBER, GOLDEN, capture, differences  # noqa: E402
 
 
 _SCALAR_LIST = re.compile(r"\[\n\s*([^\[\]{}]*?)\n\s*\]")
@@ -30,16 +30,6 @@ def _numbers(value):
     if isinstance(value, str):
         return [float(token) for token in _NUMBER.findall(value)]
     return [float(value)] if isinstance(value, (int, float)) else []
-
-
-def moved(old, new, path=""):
-    """(path, old, new) for every leaf that is not identical, keys and lengths included."""
-    if isinstance(old, dict) and isinstance(new, dict) and old.keys() == new.keys():
-        return [m for key in old for m in moved(old[key], new[key], f"{path}/{key}")]
-    if isinstance(old, list) and isinstance(new, list) and len(old) == len(new):
-        return [m for i, (o, n) in enumerate(zip(old, new)) for m in moved(o, n, f"{path}/{i}")]
-    same = type(old) is type(new) and (old == new or old != old and new != new)  # NaN
-    return [] if same else [(path, old, new)]
 
 
 def main():
@@ -58,7 +48,7 @@ def main():
     if old is None:
         print(f"wrote {GOLDEN}")
         return
-    changes = moved(old, new)
+    changes = differences(old, new, tol=(0.0, 0.0))
     for path, before, after in changes:
         pairs = list(zip(_numbers(before), _numbers(after)))
         rel = max((abs(a - b) / max(abs(a), abs(b)) for a, b in pairs if a != b), default=0.0)

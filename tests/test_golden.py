@@ -84,42 +84,43 @@ def capture(workdir: Path) -> dict:
     return {"commands": commands, "files": files}
 
 
-def _close(a: float, b: float) -> bool:
-    return (math.isnan(a) and math.isnan(b)) or math.isclose(a, b, rel_tol=REL_TOL,
-                                                              abs_tol=ABS_TOL)
+def _close(a: float, b: float, tol: tuple[float, float]) -> bool:
+    return (math.isnan(a) and math.isnan(b)) or math.isclose(a, b, rel_tol=tol[0],
+                                                              abs_tol=tol[1])
 
 
-def _text_diff(expected: str, actual: str) -> bool:
+def _text_diff(expected: str, actual: str, tol=(REL_TOL, ABS_TOL)) -> bool:
     """Whether two texts differ beyond float rounding: their floats are compared within
-    the bounds, and everything else, ints included, exactly."""
+    ``tol`` (relative, absolute), and everything else, ints included, exactly."""
     split_e, split_a = _NUMBER.split(expected), _NUMBER.split(actual)
     nums_e, nums_a = _NUMBER.findall(expected), _NUMBER.findall(actual)
     if split_e != split_a or len(nums_e) != len(nums_a):
         return True
     for e, a in zip(nums_e, nums_a):
         floats = any(c in e + a for c in ".eE")
-        if (not _close(float(e), float(a))) if floats else e != a:
+        if (not _close(float(e), float(a), tol)) if floats else e != a:
             return True
     return False
 
 
-def differences(expected, actual, path="") -> list[tuple[str, object, object]]:
-    """Every place where ``actual`` differs from ``expected`` beyond float rounding."""
+def differences(expected, actual, path="", tol=(REL_TOL, ABS_TOL)):
+    """(path, expected, actual) for every place where ``actual`` differs from ``expected``
+    by more than float rounding within ``tol`` (relative, absolute); (0, 0) lists every move."""
     if isinstance(expected, dict) and isinstance(actual, dict):
         if expected.keys() != actual.keys():
             return [(path + "{keys}", sorted(expected), sorted(actual))]
         return [d for key in expected
-                for d in differences(expected[key], actual[key], f"{path}/{key}")]
+                for d in differences(expected[key], actual[key], f"{path}/{key}", tol)]
     if isinstance(expected, list) and isinstance(actual, list):
         if len(expected) != len(actual):
             return [(path + "[len]", len(expected), len(actual))]
         return [d for i, (e, a) in enumerate(zip(expected, actual))
-                for d in differences(e, a, f"{path}/{i}")]
+                for d in differences(e, a, f"{path}/{i}", tol)]
     if type(expected) is float and type(actual) is float:
-        return [] if _close(expected, actual) else [(path, expected, actual)]
+        return [] if _close(expected, actual, tol) else [(path, expected, actual)]
     if isinstance(expected, str) and isinstance(actual, str):
         # CSV cells and stdout: floats within the bounds, the rest exactly
-        return [(path, expected, actual)] if _text_diff(expected, actual) else []
+        return [(path, expected, actual)] if _text_diff(expected, actual, tol) else []
     if type(expected) is not type(actual) or expected != actual:
         return [(path, expected, actual)]
     return []
