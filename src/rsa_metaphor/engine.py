@@ -298,7 +298,8 @@ def pragmatic_speaker(
     logs = table.log_values if feature == goal else table.log1m_values
     utility = logs[rows, goal]
     _reject_rows(~np.isfinite(utility), table, rows, f"give goal {goal} a utility of log 0")
-    return Distribution.from_log_scores(utts, config.lam * utility)
+    norm, _ = _logsumexp(utility, -1, np.array([config.lam]))  # refuses a lam that overflows
+    return Distribution(utts, config.lam * utility - norm)
 
 
 def _goal_log_weights(config: RsaConfig, log_topic: np.ndarray) -> np.ndarray:

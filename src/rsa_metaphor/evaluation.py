@@ -1,11 +1,12 @@
 """Model-vs-human evaluation: per-metaphor metrics, aggregates, and ablations.
 
-``evaluate`` scores the batch as arrays: two listener-kernel calls (the
-model's rows and the other mode's, for ``mode_divergence``), one row-wise
-pass per metric over all items, and one (G, B) boolean membership matrix
-whose rows are the groups: its product with the items' 0/1 flags gives every
-count of every group.  Only the ``ItemEval`` records and each group's means
-and sds, over its own items, are built one by one.
+``evaluate`` scores the batch in whole-batch array passes: two listener-kernel
+calls (the model's rows and the other mode's, for ``mode_divergence``), one
+distribution check of the kernel's rows, one ranking of the model and human
+rows in argmax rounds, whose keys give the boundary ties too, and one pass per
+metric.  The groups are the rows of a (G, B) membership matrix: its product
+with the items' 0/1 flags gives their counts, and masked sums along the items
+their means and sds.  The ``ItemEval`` records are built column by column.
 
 The grid ablation scores its grid as the fit scores its scan: one
 listener-kernel call per chunk of grid points, not one call per point.
@@ -23,14 +24,10 @@ import numpy as np
 from . import learn
 # interpret is not called here; bench/spans.py wraps evaluation.interpret
 from .engine import RsaConfig, _check_lams, _interpret_batch, interpret  # noqa: F401
-from .lexicon import (
-    INHERENT,
-    NON_INHERENT,
-    HumanResponseTable,
-    MetaphorItem,
-    TypicalityTable,
-)
-from .metrics import _check_base, jsd_rows, pearson_rows, top_k_overlap, top_k_rows
+from .lexicon import (INHERENT, NON_INHERENT, HumanResponseTable, MetaphorItem,
+                      TypicalityTable)
+from .metrics import (_check_base, _check_distribution, _jsd, _top_k, pearson_rows,
+                      top_k_overlap)
 # the scalar metrics are not called here; bench/spans.py wraps them by these names
 from .metrics import jsd, k_agreement, pearson, top_k_indices  # noqa: F401
 
@@ -92,10 +89,6 @@ class EvalReport:
     tag: str = ""
 
 
-def _sd(values: np.ndarray) -> float:
-    return float(np.std(values, ddof=1)) if len(values) > 1 else math.nan
-
-
 def _checked_ks(ks, n: int, jsd_base: float) -> tuple[int, ...]:
     """``ks`` sorted and distinct; raise unless each k is in [1, n] and the log base is valid."""
     ks = tuple(sorted(set(ks)))
@@ -126,98 +119,74 @@ def evaluate(
     if not items:
         raise ValueError("no items to evaluate")
     ks = _checked_ks(ks, table.n, jsd_base)
-    if split is not None:
-        ids = {item.id for item in items}
-        for name in (*split.train, *split.test):
-            if name not in ids:
-                raise ValueError(f"split names metaphor {name!r}, which is not among the items")
+    ids, topics, vehicles, classes = zip(*map(attrgetter("id", "topic", "vehicle", "inherence"),
+                                              items))
+    known = set(ids)
+    stray = [] if split is None else [i for i in (*split.train, *split.test) if i not in known]
+    if stray:
+        raise ValueError(f"split names metaphor {stray[0]!r}, which is not among the items")
     k_max = ks[-1]
-    features = table.vocab.features
-    other_mode = "fast" if config.mode == "full" else "full"
-    humans = human.rows([item.id for item in items], table.vocab)
+    other = replace(config, mode="fast" if config.mode == "full" else "full")
+    humans = human.rows(ids, table.vocab)
     models = np.exp(_interpret_batch(items, config, table)[0])
-    others = np.exp(_interpret_batch(items, replace(config, mode=other_mode), table)[0])
-    # one block of the three, so that the pairs the JSDs compare, (others, models) and
-    # (models, humans), are its first and its last two rows
-    block = np.stack((others, models, humans))
-    others, models, humans = block
+    # one block of the other mode's rows, the model's and the human's, so that the pairs
+    # the JSDs compare, (others, models) and (models, humans), are its first and last two rows
+    block = np.stack((np.exp(_interpret_batch(items, other, table)[0]), models, humans))
+    _check_distribution(block[:2], "p")  # the human rows were checked when their table was built
+    both = block[1:]
+    models, humans = both
 
     # one ranking per row, one rank past k_max: a boundary tie is between the values
     # ranked k_max and k_max + 1, and there is none when k_max is the whole vocabulary
-    both = block[1:]
-    ranked = top_k_rows(both, min(k_max + 1, table.n))
+    ranked, keys = _top_k(both, min(k_max + 1, table.n))
     model_top, human_top = ranked[..., :k_max]
-    edge = np.take_along_axis(both, ranked[..., k_max - 1:], axis=-1)
+    edge = keys[..., k_max - 1:]
     ties = (edge[..., 0] == edge[..., -1]) & (k_max < table.n)
     r = pearson_rows(models, humans)
     # JSD is symmetric bit for bit: (others, models) gives the models-to-others value
-    divergence, js = jsd_rows(block[:2], both, base=jsd_base)
-    agreement = np.stack([top_k_overlap(model_top[:, :k], human_top[:, :k]) for k in ks],
-                         axis=-1)
+    divergence, js = _jsd(block[:2], both, jsd_base)
+    agreement = np.stack([top_k_overlap(model_top[:, :k], human_top[:, :k]) for k in ks], -1)
     top1 = model_top[:, 0] == human_top[:, 0]
     in_top = np.any(human_top == model_top[:, :1], axis=-1)
 
-    # the entries hold Python floats, ints and bools, not numpy scalars
-    rs, jss, divergences = r.tolist(), js.tolist(), divergence.tolist()
-    agreements, in_tops = agreement.tolist(), in_top.tolist()
-    model_ties, human_ties = ties.tolist()
-    model_labels = [tuple(features[j] for j in row) for row in model_top.tolist()]
-    human_labels = [tuple(features[j] for j in row) for row in human_top.tolist()]
-    entries = tuple(
-        ItemEval(
-            item_id=item.id,
-            topic=item.topic,
-            vehicle=item.vehicle,
-            inherence=item.inherence,
-            model=models[i],
-            human=human.distribution(item.id),  # the table's own read-only row
-            pearson_r=rs[i],
-            jsd=jss[i],
-            agreement=dict(zip(ks, agreements[i])),
-            model_top=model_labels[i],
-            human_top=human_labels[i],
-            argmax_in_human_top=in_tops[i],
-            model_boundary_tie=model_ties[i],
-            human_boundary_tie=human_ties[i],
-            mode_divergence=divergences[i],
-        )
-        for i, item in enumerate(items)
-    )
+    # the fields in ItemEval's order, as Python floats, ints and bools, not numpy scalars
+    labels = np.array(table.vocab.features, dtype=object)[ranked[..., :k_max]].tolist()
+    entries = tuple(map(
+        ItemEval, ids, topics, vehicles, classes, models,
+        map(human.distribution, ids),  # the table's own read-only rows
+        r.tolist(), js.tolist(), [dict(zip(ks, row)) for row in agreement.tolist()],
+        *(map(tuple, side) for side in labels), in_top.tolist(), *ties.tolist(),
+        divergence.tolist()))
 
     # one membership row per group: all, each class, then train and test with a split
-    names = ["all", INHERENT, NON_INHERENT, *(() if split is None else ("train", "test"))]
-    sets = [] if split is None else [set(split.train), set(split.test)]
-    masks = np.array([[True, item.inherence == INHERENT, item.inherence == NON_INHERENT,
-                       *(item.id in ids for ids in sets)] for item in items]).T
+    kinds, id_column = np.array(classes, dtype=object), np.array(ids, dtype=object)[:, None]
+    rows = {"all": np.ones(len(items), dtype=bool), INHERENT: kinds == INHERENT,
+            NON_INHERENT: kinds == NON_INHERENT}
+    if split is not None:
+        for name, part in (("train", split.train), ("test", split.test)):
+            rows[name] = np.any(id_column == np.array(part, dtype=object), axis=-1)
+    masks = np.array(list(rows.values()))
     # per item: 1 (for the group's size), a top-1 match, the argmax in the human top, a
     # top overlap, the model's and the human's boundary tie, then the agreement at each k
     flags = np.column_stack((np.ones(len(items), dtype=int), top1, in_top, agreement[:, -1] > 0,
                              ties.T, agreement))
-    groups = {}
-    for name, mask, (n, matches, in_human_top, overlaps, model_tied, human_tied, *sums) in zip(
-            names, masks, (masks @ flags).tolist()):
-        if n:  # the means and sds reduce 1-D arrays, with the bits of a mean over a list
-            groups[name] = GroupStats(
-                n_items=n,
-                mean_pearson=float(np.mean(r[mask])),
-                sd_pearson=_sd(r[mask]),
-                mean_jsd=float(np.mean(js[mask])),
-                sd_jsd=_sd(js[mask]),
-                top1_match_count=matches,
-                mean_agreement={k: total / n for k, total in zip(ks, sums)},
-                argmax_in_human_top_rate=in_human_top / n,
-                top_overlap_rate=overlaps / n,
-                model_boundary_ties=model_tied,
-                human_boundary_ties=human_tied,
-            )
+    counts = masks @ flags
+    # each group's mean and sd (ddof=1) of r and of the JSD, from masked sums along the
+    # items in a fixed order (a float matmul's order depends on the BLAS build); a
+    # one-item group's sd is 0 / 0, NaN, and an empty group is left out
+    inside = masks[:, None]
+    values = np.where(inside, np.stack((r, js)), 0.0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        means = values.sum(axis=-1) / counts[:, :1]
+        spread = np.where(inside, values - means[..., None], 0.0)
+        sds = np.sqrt((spread * spread).sum(axis=-1) / (counts[:, :1] - 1))
+    moments = np.stack((means, sds), axis=-1).reshape(len(rows), 4)  # mean, sd of r; of JSD
+    groups = {name: GroupStats(n, *stats, matches, {k: total / n for k, total in zip(ks, sums)},
+                               in_human_top / n, overlaps / n, model_tied, human_tied)
+              for name, (n, matches, in_human_top, overlaps, model_tied, human_tied, *sums), stats
+              in zip(rows, counts.tolist(), moments.tolist()) if n}
 
-    return EvalReport(
-        items=entries,
-        groups=groups,
-        ks=ks,
-        jsd_base=jsd_base,
-        config=config,
-    )
+    return EvalReport(entries, groups, ks, jsd_base, config)
 
 
 def ablate_relevance(

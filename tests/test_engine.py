@@ -2,6 +2,7 @@
 
 import math
 import re
+import warnings
 from dataclasses import replace
 from unittest import mock
 
@@ -186,6 +187,18 @@ class TestPragmaticSpeaker:
         d = pragmatic_speaker(0, 0, cfg, table, item)
         assert d.labels == ("alpha", "beta")
         assert d.p.sum() == pytest.approx(1.0, abs=1e-12)
+
+    def test_lambda_whose_utilities_overflow_is_refused_before_scaling(self):
+        # lam * log T[0, 0] overflows on the seed-12 table: the kernel's error, with no
+        # numpy overflow warning and no ZeroMassError after it
+        table, _, _ = make_synthetic_dataset(seed=12)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            with pytest.raises(Error) as refused:
+                pragmatic_speaker(0, 0, RsaConfig(lam=1e308), table)
+        assert refused.type is Error and caught == []
+        assert str(refused.value) == ("lam=1e+308 is too large for this table: lam times a log "
+                                      "typicality overflows the float range")
 
     def test_argument_contract(self, two_by_two):
         table, _ = two_by_two

@@ -274,6 +274,22 @@ class TestBatchedEvaluate:
                 else:
                     assert got[field] == value, (name, field)
 
+    @settings(max_examples=150, deadline=None)
+    @given(eval_cases())
+    def test_tops_and_ties_are_the_stable_sort(self, case):
+        table, items, human, config, ks, split, base = case
+        try:
+            report = evaluate(items, human, config, table, ks=ks, split=split, jsd_base=base)
+        except ZeroVarianceError:
+            return
+        features, k_max, n = table.vocab.features, max(ks), table.n
+        for entry in report.items:
+            for row, top, tie in ((entry.model, entry.model_top, entry.model_boundary_tie),
+                                  (entry.human, entry.human_top, entry.human_boundary_tie)):
+                order = np.argsort(-row, kind="stable")
+                assert top == tuple(features[j] for j in order[:k_max])
+                assert tie == (k_max < n and row[order[k_max - 1]] == row[order[k_max]])
+
     def test_constant_model_row_raises_like_pearson(self):
         # a uniform typicality row gives a uniform model row at lam 0 in fast mode
         table = table_from_rows([[0.25] * 4, [0.1, 0.2, 0.3, 0.4]])

@@ -691,6 +691,22 @@ class TestFitEnds:
         assert max(lams) - min(lams) <= 1e-9 * fit.lambda_hat
         assert all(start.stop_reason == "lambda_tolerance" for start in fit.starts)
 
+    def test_each_converged_start_ends_where_g_changes_sign(self):
+        # Illinois regula falsi narrows this bracket slowly (21 rounds); with a lambda
+        # tolerance of 1e-6 instead of 1e-10 every start stops 18 rounds in, further than a
+        # relative 1e-9 from the sign change of g
+        rows = np.array([[1.0, 5.0, 1.0], [6.0, 4.0, 8.0], [7.0, 7.0, 1.0]])
+        table = table_from_rows(rows / rows.sum(axis=1, keepdims=True))
+        items = (MetaphorItem("m0", "c0", "c1"),)
+        human = HumanResponseTable(table.vocab, {"m0": np.array([3.0, 4.0, 5.0]) / 12.0})
+        config = RsaConfig(utterances="pair")
+        fit = learn_lambda_multistart(items, human, config, table)
+        assert [start.stop_reason for start in fit.starts] == ["lambda_tolerance"] * 5
+        for start in fit.starts:
+            below, above = (learn.gradient(start.lambda_hat * (1.0 + side * 1e-9), items, human,
+                                           config, table) for side in (-1.0, 1.0))
+            assert below > 0.0 >= above, (start.lambda_hat, below, above)
+
     def test_still_rising_at_the_scan_top(self):
         # the objective rises up to lambda 1e5
         table, human, train = seed_split0_train(15)

@@ -237,6 +237,39 @@ class TestRowWiseForms:
             jsd_rows(1.0, 1.0)
 
 
+# entries that tie, signed zeros, infinities and subnormals, mixed with any finite float
+_RANK_ENTRIES = st.one_of(
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 2.2250738585072014e-308, 1e-310, 0.5, -0.5,
+                     1.0, math.inf, -math.inf, 1.7976931348623157e308]),
+    st.floats(allow_nan=False),
+)
+
+
+class TestTopKRounds:
+    """top_k_rows ranks in argmax rounds; it must equal the stable sort's order exactly."""
+
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 4), st.integers(1, 9).flatmap(
+        lambda n: st.lists(_RANK_ENTRIES, min_size=n, max_size=n)), st.data())
+    def test_equals_the_stable_sort(self, n_rows, row, data):
+        rows = np.array([row] + [data.draw(st.permutations(row)) for _ in range(n_rows - 1)])
+        for k in range(1, rows.shape[-1] + 1):
+            want = np.argsort(-rows, axis=-1, kind="stable")[..., :k]
+            assert top_k_rows(rows, k).tolist() == want.tolist()
+            assert top_k_indices(rows[0], k).tolist() == want[0].tolist()
+
+    def test_signed_zeros_tie_and_infinities_rank_last(self):
+        rows = np.array([[-0.0, 0.0, -math.inf, 5e-324], [-math.inf, -math.inf, -0.0, 0.0]])
+        assert top_k_rows(rows, 4).tolist() == [[3, 0, 1, 2], [2, 3, 0, 1]]
+
+    @pytest.mark.parametrize("row", [[0.5, np.nan, 0.5], [np.nan, np.nan]])
+    def test_nan_entry_raises(self, row):
+        with pytest.raises(ValueError, match="^cannot rank a NaN entry$"):
+            top_k_rows(np.array([[0.5] * len(row), row]), 1)
+        with pytest.raises(ValueError, match="^cannot rank a NaN entry$"):
+            top_k_indices(row, len(row))
+
+
 class TestPearsonCore:
     """``_pearson``: the one Pearson, with the derivative the fit ascends."""
 
