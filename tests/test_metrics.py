@@ -200,6 +200,9 @@ class TestRowWiseForms:
     def test_top_k_is_a_stable_descending_order(self):
         rows = np.array([[0.2, 0.4, 0.4, 0.0], [0.25, 0.25, 0.25, 0.25]])
         assert top_k_rows(rows, 4).tolist() == [[1, 2, 0, 3], [0, 1, 2, 3]]
+        # signed zeros tie, and -inf entries rank after every other entry
+        signed = np.array([[-0.0, 0.0, -math.inf, 5e-324], [-math.inf, -math.inf, -0.0, 0.0]])
+        assert top_k_rows(signed, 4).tolist() == [[3, 0, 1, 2], [2, 3, 0, 1]]
         assert top_k_overlap(top_k_rows(rows, 2), top_k_rows(rows[::-1], 2)).tolist() == [1, 1]
 
     def test_constant_row_raises_like_the_scalar_call(self):
@@ -257,10 +260,6 @@ class TestTopKRounds:
             want = np.argsort(-rows, axis=-1, kind="stable")[..., :k]
             assert top_k_rows(rows, k).tolist() == want.tolist()
             assert top_k_indices(rows[0], k).tolist() == want[0].tolist()
-
-    def test_signed_zeros_tie_and_infinities_rank_last(self):
-        rows = np.array([[-0.0, 0.0, -math.inf, 5e-324], [-math.inf, -math.inf, -0.0, 0.0]])
-        assert top_k_rows(rows, 4).tolist() == [[3, 0, 1, 2], [2, 3, 0, 1]]
 
     @pytest.mark.parametrize("row", [[0.5, np.nan, 0.5], [np.nan, np.nan]])
     def test_nan_entry_raises(self, row):
