@@ -6,7 +6,7 @@ import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -442,6 +442,10 @@ def objective_problems(draw):
     return lam, items, human, config, table, kind
 
 
+TWO_BY_THREE = table_from_rows(np.array([[8.0, 7.0, 8.0], [2.0, 1.0, 4.0]])
+                               / np.array([[23.0], [7.0]]))
+
+
 class TestAgainstTheOracle:
     """The objective and its gradient against tests/oracle.py, not against the package."""
 
@@ -453,10 +457,21 @@ class TestAgainstTheOracle:
 
     @settings(max_examples=60, deadline=None)
     @given(objective_problems())
+    @example(problem=(  # r = -1 + 11.5 lam^2 - 170 lam^3 near 0: a 2-point difference is 2e-8 off
+        0.0,
+        (MetaphorItem("m0", "c0", "c1"),),
+        HumanResponseTable(TWO_BY_THREE.vocab, {"m0": np.array([0.0, 1.0, 0.0])}),
+        RsaConfig(mode="fast"),
+        TWO_BY_THREE,
+        "mean",
+    ))
     def test_gradient_matches_central_differences_of_the_oracle(self, problem):
         lam, *rest = problem
         h = 1e-5 * max(1.0, lam)
-        numeric = (oracle_objective(lam + h, *rest) - oracle_objective(lam - h, *rest)) / (2.0 * h)
+        # the 4-point central difference, so the h^2 f''' error of the 2-point one is gone
+        near, far = ((oracle_objective(lam + k * h, *rest) - oracle_objective(lam - k * h, *rest))
+                     for k in (1.0, 2.0))
+        numeric = (8.0 * near - far) / (12.0 * h)
         assert abs(learn.gradient(*problem) - numeric) <= 1e-5 * max(abs(numeric), 1e-3)
 
     @settings(max_examples=25, deadline=None)
