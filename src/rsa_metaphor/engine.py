@@ -31,14 +31,11 @@ and each lam's slice has the bits of a call with that lam alone.
 ``pragmatic_listener`` are batches of one item at one lam; ``evaluate``
 and the feature correlations pass whole item sets at one lam; the fit and
 the grid ablation pass theirs with their lams in chunks of about 16 on a
-48 x 59 table (``learn._GRID_CHUNK_CELLS``), and every chunk of one such
-call writes its large intermediates into the same workspace blocks
-(:func:`_block`): freed after each chunk, blocks of this size would go back
-to the operating system and be faulted in again by the next.  Late
-intermediates go into (L, B, n) blocks the kernel has finished with, so a
-call without a workspace makes fewer arrays too.  However many lams are
-scored, the workspace holds only the blocks live at one time (README gives
-their sizes; ``TestChunkedPoints::test_workspace_holds_the_live_blocks_only``).
+48 x 59 table (``learn._GRID_CHUNK_CELLS``), which bounds a call's memory
+however many lams it scores.  Late results go into (L, B, n) blocks the
+kernel has finished with, and a caller releases one chunk's results before
+its next kernel call, so the peak does not grow with the chunk count
+(``TestChunkedPoints``; README gives the sizes).
 
 * The table's ``log T``, ``log(1 - T)`` and its 0/1 row scan are cached on
   the immutable :class:`TypicalityTable`, so a call indexes them.  These are
@@ -71,8 +68,7 @@ their sizes; ``TestChunkedPoints::test_workspace_holds_the_live_blocks_only``).
   it over the categories by Bayes' rule.
 
 Every operation here is a pure function of immutable inputs; concurrent
-calls (one metaphor per worker) are safe.  A workspace is scratch memory
-owned by the one call that made it (``learn._points``), never shared.
+calls (one metaphor per worker) are safe.
 """
 
 from __future__ import annotations
@@ -200,21 +196,6 @@ def _check_lams(lams) -> np.ndarray:
     return lams
 
 
-def _block(workspace: dict | None, key: str, shape: tuple) -> np.ndarray:
-    """An uninitialised float block of ``shape``: fresh, or the workspace's block for ``key``.
-
-    A workspace is a dict that one caller keeps for its chunks of lams.  It holds each
-    key's block from the first, largest chunk, and a shorter chunk writes a leading-axis
-    slice of it, so the memory is faulted in once per caller rather than once per chunk.
-    """
-    if workspace is None:
-        return np.empty(shape)
-    block = workspace.get(key)
-    if block is None or block.shape[1:] != shape[1:] or len(block) < shape[0]:
-        block = workspace[key] = np.empty(shape)
-    return block[:shape[0]]
-
-
 def _logaddexp(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
     """``log(exp(x) + exp(y))`` into ``out``, which is not ``x`` or ``y``; ``y`` is overwritten.
 
@@ -320,7 +301,7 @@ def _reject_rows(bad_rows: np.ndarray, table: TypicalityTable, index, problem: s
         raise DegenerateTypicalityError(f"typicality row(s) for {listed} {problem}")
 
 
-def _exclusive_sums(x: np.ndarray, d: np.ndarray | None = None, workspace: dict | None = None):
+def _exclusive_sums(x: np.ndarray, d: np.ndarray | None = None):
     """Sums over every j != i along the last axis, in O(n): ``(peak, second, top, sums, weighted)``.
 
     ``top`` holds the flat index of each row's peak entry in ``x.reshape(-1)``; ``peak``
@@ -329,9 +310,8 @@ def _exclusive_sums(x: np.ndarray, d: np.ndarray | None = None, workspace: dict 
     ``sum_{j != i} exp(x_j) = exp(shift_i) sums_i`` and, given ``d``,
     ``sum_{j != i} exp(x_j) d_j = exp(shift_i) weighted_i``; every row needs a finite
     entry.  How the terms are shifted and joined, and why nothing cancels, is set out in
-    the module docstring.  The sums are blocks of ``workspace``; ``x`` and ``d`` are
-    overwritten, and must be C-contiguous (as workspace and fresh blocks are) for the
-    peak entries to be written by flat index.
+    the module docstring.  ``x`` and ``d`` are overwritten, and must be C-contiguous for
+    the peak entries to be written by flat index.
     """
     assert x.flags.c_contiguous and (d is None or d.flags.c_contiguous)
     n = x.shape[-1]
@@ -341,7 +321,7 @@ def _exclusive_sums(x: np.ndarray, d: np.ndarray | None = None, workspace: dict 
     peak = flat[top][..., None]
     flat[top] = -np.inf  # x is not read again once its peak is taken
     second = np.max(x, axis=-1, keepdims=True)
-    rest = np.subtract(x, peak, out=_block(workspace, "rest", x.shape))
+    rest = x - peak
     np.exp(rest, out=rest)  # every term but the peak's own 1
     runner_up = np.subtract(x, np.where(np.isfinite(second), second, peak), out=x)
     np.exp(runner_up, out=runner_up)  # none: all 0
@@ -357,46 +337,37 @@ def _exclusive_sums(x: np.ndarray, d: np.ndarray | None = None, workspace: dict 
     weighted = None
     if d is not None:  # before rest becomes the plain sums
         own = d.reshape(-1)[top][..., None]  # before d takes the runner-up's terms
-        weighted = exclusive(np.multiply(rest, d, out=_block(workspace, "weighted", x.shape)),
-                             np.multiply(runner_up, d, out=d), own)
+        weighted = exclusive(rest * d, np.multiply(runner_up, d, out=d), own)
     return peak, second, top, exclusive(rest, runner_up, 1.0), weighted
 
 
-def _speaker(lam: np.ndarray, log_u: np.ndarray, log_v: np.ndarray, gradient: bool,
-             workspace: dict | None = None, key: str = "match"):
+def _speaker(lam: np.ndarray, log_u: np.ndarray, log_v: np.ndarray, gradient: bool):
     """log S1(vehicle | goal j) for every lam and goal j, and its derivative in lam.
 
     ``lam`` is (L, 1, 1).  ``log_u`` holds the utterance alternatives' log
     utilities along axis -2: one (1, K, n) block shared by the batch, or
     (B, 2, n) for the pair set.  ``log_v`` (B, n) holds the vehicle's.
-    Both results are (L, B, n), the workspace's blocks ``key`` and ``"d " + key``.
+    Both results are (L, B, n).
     The derivative is the vehicle's utility less the softmax-expected one, the
     normalizer block's weighted mean of ``log_u``.
     """
-    scores = _block(workspace, "scores", (len(lam), *log_u.shape))
-    norm, expected = _logsumexp(log_u, -2, lam[..., None], gradient, scores)
-    shape = (len(lam), *log_v.shape)
-    log_s = np.multiply(lam, log_v, out=_block(workspace, key, shape))
+    norm, expected = _logsumexp(log_u, -2, lam[..., None], gradient)
+    log_s = lam * log_v
     log_s -= norm[..., 0, :]
     if expected is None:
         return log_s, None
-    return log_s, np.subtract(log_v, expected[..., 0, :], out=_block(workspace, "d " + key, shape))
+    return log_s, log_v - expected[..., 0, :]
 
 
-def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, gradient: bool,
-                    workspace: dict | None = None):
+def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, gradient: bool):
     """The listener kernel: every item of a batch at every lam, in one numpy pass.
 
     ``lams`` is a 1-D array of L rationality values, each finite and >= 0;
     ``config.lam`` is not read.  Returns the interpretation ``log p`` and its exact
     derivative in lam (None unless ``gradient``), each (L, B, n).  Every operation is
     elementwise or reduces along a trailing axis, so each lam's slice has the bits
-    it would have in a call of its own.
-
-    The large intermediates are written into blocks of ``workspace``, a dict that a
-    caller scoring lams in chunks keeps across its calls (see :func:`_block`); without
-    one every block is fresh.  With a workspace the results are its blocks too, so the
-    caller uses them before its next call.
+    it would have in a call of its own.  The late results (the final normalizer, ``p``
+    and ``p * d log``) are written into (L, B, n) blocks the kernel has finished with.
     """
     if not items:
         raise ValueError("empty batch of metaphor items")
@@ -409,21 +380,23 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
     dlog = None  # d log of the one factor lam enters: the goal mixture, or the stretch
 
     if config.mode == "fast":
+        alpha, beta = table.values[topic], table.values[vehicle]
+        _reject_rows(~((alpha >= 0.0) & (alpha < math.inf)).all(axis=-1), table, topic,
+                     "contain a value below 0, infinite or NaN")
         log_alpha = log_values[topic]
         shape = (lams.size, *log_alpha.shape)
-        logp = _block(workspace, "log p", shape)
-        scores = _block(workspace, "scores", shape)
+        logp = np.empty(shape)
+        scores = np.empty(shape)
         if gradient or np.any(lams != 0.0):
-            _reject_rows((table.values[vehicle] <= 0.0).any(axis=-1), table, vehicle,
-                         "contain a value at or below 0; "
+            _reject_rows(~((beta > 0.0) & (beta < math.inf)).all(axis=-1), table, vehicle,
+                         "contain a value at or below 0, infinite or NaN; "
                          "the vehicle stretch is undefined for lam != 0")
             log_beta = log_values[vehicle]
             norm, expected = _logsumexp(log_beta, -1, lam, gradient, scores)
             np.multiply(lam, log_beta, out=logp)
             logp -= norm
             np.add(log_alpha, logp, out=logp)
-            dlog = None if expected is None else np.subtract(
-                log_beta, expected, out=_block(workspace, "d log", shape))
+            dlog = None if expected is None else log_beta - expected
         else:
             # every stretch is uniform: the vehicle is never read
             np.copyto(logp, log_alpha)
@@ -434,18 +407,18 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
         # the alternatives: the whole table as one (1, K) block shared by the batch, or (B, 2)
         rows = np.s_[None, :] if config.utterances == "all" else np.stack([topic, vehicle], 1)
         _reject_rows(table.degenerate_rows[rows], table, rows,
-                     "contain a value at or below 0, or at or above 1")
+                     "contain a value at or below 0, at or above 1, or NaN")
         log_u, not_u = log_values[rows], table.log1m_values[rows]
         log_t, log_v, not_v = log_values[topic], log_values[vehicle], table.log1m_values[vehicle]
         # the state carries goal j's feature (match) or another one (no match)
-        log_on, d_match = _speaker(lam, log_u, log_v, gradient, workspace, "match")
-        log_off, d_nomatch = _speaker(lam, not_u, not_v, gradient, workspace, "no match")
+        log_on, d_match = _speaker(lam, log_u, log_v, gradient)
+        log_off, d_nomatch = _speaker(lam, not_u, not_v, gradient)
 
         # W_i = sum_j R(g_j) S1(v | g_j, e_i): goal i matches, every other goal does not
         log_goal = _goal_log_weights(config, log_t)
         np.add(log_goal, log_on, out=log_on)
         np.add(log_goal, log_off, out=log_off)
-        peak, second, top, rest, d_rest = _exclusive_sums(log_off, d_nomatch, workspace)
+        peak, second, top, rest, d_rest = _exclusive_sums(log_off, d_nomatch)
         # W relative to its largest term, so that the priors added later are not lost
         shift = np.maximum(peak, log_on.max(axis=-1, keepdims=True))
         log_on -= shift
@@ -480,11 +453,7 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
         # and d match after on *= d_match
         finished = {"normalizer": rest, "p": d_nomatch, "p d log": d_match}
 
-    def late(key):
-        """The block for a late result: one the kernel has finished with, else the key's own."""
-        return finished[key] if key in finished else _block(workspace, key, logp.shape)
-
-    total = _logsumexp(logp, -1, out=late("normalizer"))[0]
+    total = _logsumexp(logp, -1, out=finished.get("normalizer"))[0]
     if np.any(total == -np.inf):
         raise ZeroMassError("interpretation has zero total mass")
     logp -= total
@@ -493,8 +462,8 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
         logp[lams == 0.0] = log_alpha
     if not gradient:
         return logp, None
-    p = np.exp(logp, out=late("p"))
-    mean = np.sum(np.multiply(p, dlog, out=late("p d log")), axis=-1, keepdims=True)
+    p = np.exp(logp, out=finished.get("p"))
+    mean = np.sum(np.multiply(p, dlog, out=finished.get("p d log")), axis=-1, keepdims=True)
     dlog -= mean
     return logp, np.multiply(p, dlog, out=dlog)
 

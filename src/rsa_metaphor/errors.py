@@ -22,12 +22,13 @@ class UnknownCategoryError(Error):
 
 
 class DegenerateTypicalityError(Error):
-    """A typicality at or below 0, or at or above 1, would send a logarithm to -inf or NaN.
+    """A typicality at or below 0, at or above 1, or NaN would send a logarithm to -inf or NaN.
 
     The speaker utility takes log of the listener mass on (or off) a
     feature; a typicality of 0 or 1 makes that mass vanish, and one outside
-    [0, 1] makes it negative, so the model is undefined.  Degenerate tables
-    are rejected rather than clamped.
+    [0, 1] makes it negative, so the model is undefined.  Fast mode needs
+    only finite rows, >= 0 for the topic and > 0 for the vehicle.  Degenerate
+    tables are rejected rather than clamped.
     """
 
 

@@ -47,10 +47,10 @@ _SCAN = np.concatenate(([0.0], np.geomspace(1e-2, 1e5, 47)))
 _TOL = 1e-10
 _MAX_ROUNDS = 200
 
-# Lambdas scored per kernel call: 16 on a 48 x 59 table.  The kernel's workspace holds only
-# the blocks live at one time (TestChunkedPoints::test_workspace_holds_the_live_blocks_only
-# pins them; README gives their sizes).  The chunks reuse the workspace: blocks freed after
-# each chunk would go back to the system and be faulted in again.
+# Lambdas scored per kernel call: 16 on a 48 x 59 table, which bounds a call's memory.  The
+# kernel writes its late results into blocks it has finished with, and each chunk's results
+# are released before the next kernel call, so the peak is flat in the chunk count
+# (TestChunkedPoints pins both; README gives the sizes).
 _GRID_CHUNK_CELLS = 16 * 48 * 59
 
 
@@ -157,11 +157,10 @@ def _points(lams, train, human, config, table, kind, gradient=True):
     target = human.rows([item.id for item in train], table.vocab)
     target = target.reshape(1, -1) if kind == "pooled" else target  # pooled: all cells in one row
     chunk = max(1, _GRID_CHUNK_CELLS // table.values.size)
-    workspace = {}  # the kernel's blocks, reused by every chunk of this call
     points = []
     for part in np.split(lams, range(chunk, lams.size, chunk)):  # bounded temporaries
-        logp, dp = _interpret_lams(train, config, table, part, gradient, workspace=workspace)
-        p = np.exp(logp, out=logp)  # in place: logp and dp are workspace blocks
+        logp, dp = _interpret_lams(train, config, table, part, gradient)
+        p = np.exp(logp, out=logp)
         rows = (-1, *target.shape)
         r, dr, undefined = _pearson(p.reshape(rows), target, dp if dp is None else dp.reshape(rows))
         values = np.mean(r, axis=-1).tolist()
@@ -169,6 +168,7 @@ def _points(lams, train, human, config, table, kind, gradient=True):
         if gradient:
             dr[undefined] = 0.0  # an undefined row's derivative may be inf or NaN; unused
             grads = np.mean(dr, axis=-1).tolist()
+        del logp, dp, p  # so the next kernel call does not hold this chunk's blocks
         for lam, value, g, constant in zip(part.tolist(), values, grads, np.any(undefined, -1)):
             points.append(
                 ZeroVarianceError(f"constant vector in the training objective at lam={lam!r}")

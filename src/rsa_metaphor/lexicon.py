@@ -142,8 +142,8 @@ class TypicalityTable:
 
     @cached_property
     def degenerate_rows(self) -> np.ndarray:
-        """Per category: does its row hold a value at or below 0, or at or above 1?"""
-        return _read_only(((self.values <= 0.0) | (self.values >= 1.0)).any(axis=1))
+        """Per category: does its row hold a value at or below 0, at or above 1, or NaN?"""
+        return _read_only(~((self.values > 0.0) & (self.values < 1.0)).all(axis=1))
 
     @property
     def n(self) -> int:

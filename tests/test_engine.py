@@ -380,7 +380,7 @@ class TestInterpretFast:
     def test_zero_vehicle_entry_rejected_for_nonzero_lambda(self, value):
         table = table_from_rows([[0.5, 0.5, value], [0.2, 0.3, 0.5]], ("t", "v"))
         item = MetaphorItem("m", "v", "t")  # vehicle row has the value
-        message = ("typicality row(s) for 't' contain a value at or below 0; "
+        message = ("typicality row(s) for 't' contain a value at or below 0, infinite or NaN; "
                    "the vehicle stretch is undefined for lam != 0")
         with pytest.raises(DegenerateTypicalityError, match=f"^{re.escape(message)}$"):
             interpret_fast(item, 2.0, table)
@@ -582,7 +582,7 @@ class TestBatchedKernel:
         item = MetaphorItem("m", "c0", "c1")
         with pytest.raises(DegenerateTypicalityError,
                            match=r"row\(s\) for 'c2', 'c4' contain a value at or below 0, "
-                                 r"or at or above 1$"):
+                                 r"at or above 1, or NaN$"):
             interpret(item, RsaConfig(lam=2.0), table)
         # the pair set never reads the bystanders
         assert np.isfinite(interpret(item, RsaConfig(lam=2.0, utterances="pair"), table).logp).all()
@@ -593,8 +593,47 @@ class TestBatchedKernel:
         table = table_from_rows(rows)
         with pytest.raises(DegenerateTypicalityError,
                            match=r"^typicality row\(s\) for 'c2' contain a value at or below 0, "
-                                 r"or at or above 1$"):
+                                 r"at or above 1, or NaN$"):
             interpret(MetaphorItem("m", "c0", "c1"), RsaConfig(lam=2.0), table)
+
+    @pytest.mark.parametrize("mode", ["full", "fast"])
+    @pytest.mark.parametrize("value", [math.nan, math.inf, -0.01], ids=["nan", "inf", "negative"])
+    @pytest.mark.parametrize("role", ["topic", "vehicle"])
+    def test_non_finite_or_negative_cell_is_named_before_any_arithmetic(self, role, value, mode):
+        # a NaN once passed every row check, as did fast mode's topic rows and an infinite
+        # vehicle cell; the kernel then warned, or Distribution raised a bare ValueError
+        table, items, _ = make_synthetic_dataset(seed=12)
+        category = getattr(items[0], role)
+        values = table.values.copy()
+        values[table.category_index(category), 7] = value
+        broken = table_from_rows(values, table.categories, table.vocab.features)
+        found = {
+            "full": "contain a value at or below 0, at or above 1, or NaN",
+            "topic": "contain a value below 0, infinite or NaN",
+            "vehicle": "contain a value at or below 0, infinite or NaN; "
+                       "the vehicle stretch is undefined for lam != 0",
+        }["full" if mode == "full" else role]
+        message = f"typicality row(s) for {category!r} {found}"
+        with pytest.raises(DegenerateTypicalityError, match=f"^{re.escape(message)}$"):
+            interpret(items[0], RsaConfig(lam=2.0, mode=mode), broken)
+
+    @pytest.mark.parametrize("call", [
+        lambda items, human, table: evaluation.evaluate(items, human, RsaConfig(lam=2.0), table),
+        lambda items, human, table: learn.learn_lambda_multistart(items, human, RsaConfig(),
+                                                                  table),
+        lambda items, human, table: evaluation.feature_correlation_matrix(
+            items, "model", RsaConfig(lam=2.0), table),
+    ], ids=["evaluate", "fit", "correlations"])
+    def test_nan_cell_is_named_on_every_scoring_path(self, call):
+        # evaluate raised "p is not a distribution", the fit "objective is not finite" and
+        # the model correlations came back all NaN
+        table, items, human = make_synthetic_dataset(seed=12)
+        values = table.values.copy()
+        values[table.category_index(items[0].topic), 7] = math.nan
+        broken = table_from_rows(values, table.categories, table.vocab.features)
+        with pytest.raises(DegenerateTypicalityError, match=f"^typicality row\\(s\\) for "
+                                                            f"{re.escape(repr(items[0].topic))} "):
+            call(items, human, broken)
 
     @pytest.mark.parametrize("overrides", CONFIGS)
     def test_empty_batch_rejected(self, two_by_two, overrides):
@@ -698,16 +737,23 @@ class TestLambdaAxis:
         ([0.0, 0.0, 0.0, 2.0], "Error", "2.0"),
         ([0.0, 1.5, 3.0], "Error", "1.5"),
     ])
-    def test_undefined_objective_names_the_first_point(self, grid, error, lam):
-        # fast mode: at lam 0 the output is the topic row (uniform, so constant),
-        # elsewhere the vehicle row (a NaN in it makes the objective NaN)
+    def test_undefined_objective_names_the_first_point(self, monkeypatch, grid, error, lam):
+        # fast mode: at lam 0 the output is the topic row (uniform, so constant); for
+        # "Error" the topic rows vary, and a NaN in the output off lam 0 makes the objective
+        # NaN there (a NaN typicality is refused before scoring)
         table = table_from_rows([[0.25] * 4, [0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1],
                                  [0.1, 0.6, 0.2, 0.1]])
-        nan_table = table_from_rows([[0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1],
-                                     [0.25, 0.25, math.nan, 0.5], [0.1, 0.6, 0.2, 0.1]])
         items = (MetaphorItem("m0", "c0", "c1"), MetaphorItem("m1", "c0", "c3"))
         if error == "Error":
-            table, items = nan_table, (MetaphorItem("m0", "c0", "c2"), MetaphorItem("m1", "c1", "c2"))
+            items = (MetaphorItem("m0", "c1", "c3"), MetaphorItem("m1", "c2", "c3"))
+            kernel = learn._interpret_lams
+
+            def nan_off_zero(batch, config, table, lams, *args, **kwargs):
+                logp, dp = kernel(batch, config, table, lams, *args, **kwargs)
+                logp[np.asarray(lams) != 0.0] = np.nan
+                return logp, dp
+
+            monkeypatch.setattr(learn, "_interpret_lams", nan_off_zero)
         human = HumanResponseTable(table.vocab, {
             "m0": np.array([0.1, 0.2, 0.3, 0.4]), "m1": np.array([0.5, 0.1, 0.1, 0.3]),
         })
