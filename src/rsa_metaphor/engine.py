@@ -16,6 +16,12 @@ Feature vectors range over the one-hot basis ``e_1..e_n``: the entity "has"
 exactly one salient feature, and ``P(e_i | c)`` is the typicality of feature
 i for category c; ``lam`` is finite and >= 0, and refused where ``lam * log T``
 overflows.  All probability arithmetic runs in log space with max-subtraction.
+Scores far below their max still underflow, and numpy's ``exp`` leaves its
+SIMD loop for such results (README gives the cost).  So once
+``lam * max|log T|`` passes 700, the exps that are summed beside a term of
+about 1 flush results below ``exp(-700)`` to 0 (:func:`_exp`).  Log p keeps
+every bit; a derivative entry may move only where it is built of such terms
+alone, and is then below 1e-280 (``TestUnderflowFlush``).
 
 ``interpret_fast`` is the reduced two-step pipeline: sharpen the vehicle's
 typicality row with ``lam`` (a softmax stretch) and reweight it by the
@@ -88,6 +94,10 @@ _UTTERANCE_SETS = ("all", "pair")
 _CATEGORY_PRIORS = ("topic", "uniform")
 _GOAL_PRIORS = ("relevance", "uniform")
 _MODES = ("full", "fast")
+
+# exp's results below exp(_FLUSH_FLOOR) are flushed to 0 where they join a term of about 1
+_FLUSH_FLOOR = -700.0
+_FLUSH_TINY = math.exp(_FLUSH_FLOOR)
 
 
 @dataclass(frozen=True)
@@ -196,34 +206,53 @@ def _check_lams(lams) -> np.ndarray:
     return lams
 
 
-def _logaddexp(x: np.ndarray, y: np.ndarray, out: np.ndarray) -> np.ndarray:
+def _exp(x: np.ndarray, flush: bool) -> np.ndarray:
+    """``exp(x)`` in place; with ``flush``, results below ``exp(-700)`` are 0.
+
+    The arguments are clamped at -700 and ``exp(-700)`` is taken off the results, so -inf
+    still gives 0 and NaN and +inf are kept, with no mask.  The subtraction moves only
+    results below ``2**54 * exp(-700)``, and a sum that holds a term of about 1 beside them
+    keeps its bits.
+    """
+    if flush:
+        np.maximum(x, _FLUSH_FLOOR, out=x)
+    np.exp(x, out=x)
+    if flush:
+        x -= _FLUSH_TINY
+        np.maximum(x, 0.0, out=x)
+    return x
+
+
+def _logaddexp(x: np.ndarray, y: np.ndarray, out: np.ndarray, flush: bool = False) -> np.ndarray:
     """``log(exp(x) + exp(y))`` into ``out``, which is not ``x`` or ``y``; ``y`` is overwritten.
 
     ``max + log1p(exp(min - max))`` in vectorized passes, where ``np.logaddexp`` loops over
     scalar ``exp`` and ``log1p``.  Where both arguments are the same infinity ``min - max`` is
     NaN; it is taken as 0, so ±inf, NaN and equal arguments give ``np.logaddexp``'s result
     exactly.  Other results differ from it by rounding only: at most 2 ulp of
-    ``max(|x|, |y|, ln 2)`` over 3.6M random pairs at scales 1e-6 to 1e300.
+    ``max(|x|, |y|, ln 2)`` over 3.6M random pairs at scales 1e-6 to 1e300.  ``flush``
+    goes to :func:`_exp`.
     """
     lo = np.minimum(x, y, out=out)
     hi = np.maximum(x, y, out=y)
     with np.errstate(invalid="ignore"):
         lo -= hi
     np.fmin(lo, 0.0, out=lo)  # fmin takes 0 over NaN
-    np.exp(lo, out=lo)
+    _exp(lo, flush)
     np.log1p(lo, out=lo)
     lo += hi
     return lo
 
 
 def _logsumexp(a: np.ndarray, axis: int, lam: np.ndarray | None = None, gradient: bool = False,
-               out: np.ndarray | None = None):
+               out: np.ndarray | None = None, flush: bool = False):
     """``logsumexp(lam * a)`` along ``axis`` (kept), and its lam-derivative if ``gradient``.
 
     ``lam >= 0`` has length 1 along ``axis``, and None leaves ``a`` unscaled; the shift is
     ``lam * max(a)`` (module docstring).  The derivative is the mean of ``a`` weighted by
     the summed block ``exp(lam * a - shift)``, which is written into ``out`` when given.
     With ``lam``, ``a`` is finite and <= 0, and a lam for which ``lam * a`` overflows raises.
+    ``flush`` goes to :func:`_exp`.
     """
     m = a.max(axis=axis, keepdims=True)
     if lam is not None:
@@ -238,7 +267,7 @@ def _logsumexp(a: np.ndarray, axis: int, lam: np.ndarray | None = None, gradient
     else:
         block = np.multiply(lam, a, out=out)
         block -= shift
-    np.exp(block, out=block)
+    _exp(block, flush)
     total = block.sum(axis=axis, keepdims=True)
     with np.errstate(divide="ignore"):
         norm = np.log(total) + shift
@@ -301,7 +330,7 @@ def _reject_rows(bad_rows: np.ndarray, table: TypicalityTable, index, problem: s
         raise DegenerateTypicalityError(f"typicality row(s) for {listed} {problem}")
 
 
-def _exclusive_sums(x: np.ndarray, d: np.ndarray | None = None):
+def _exclusive_sums(x: np.ndarray, d: np.ndarray | None = None, flush: bool = False):
     """Sums over every j != i along the last axis, in O(n): ``(peak, second, top, sums, weighted)``.
 
     ``top`` holds the flat index of each row's peak entry in ``x.reshape(-1)``; ``peak``
@@ -311,7 +340,7 @@ def _exclusive_sums(x: np.ndarray, d: np.ndarray | None = None):
     ``sum_{j != i} exp(x_j) d_j = exp(shift_i) weighted_i``; every row needs a finite
     entry.  How the terms are shifted and joined, and why nothing cancels, is set out in
     the module docstring.  ``x`` and ``d`` are overwritten, and must be C-contiguous for
-    the peak entries to be written by flat index.
+    the peak entries to be written by flat index.  ``flush`` goes to :func:`_exp`.
     """
     assert x.flags.c_contiguous and (d is None or d.flags.c_contiguous)
     n = x.shape[-1]
@@ -322,9 +351,9 @@ def _exclusive_sums(x: np.ndarray, d: np.ndarray | None = None):
     flat[top] = -np.inf  # x is not read again once its peak is taken
     second = np.max(x, axis=-1, keepdims=True)
     rest = x - peak
-    np.exp(rest, out=rest)  # every term but the peak's own 1
+    _exp(rest, flush)  # every term but the peak's own 1
     runner_up = np.subtract(x, np.where(np.isfinite(second), second, peak), out=x)
-    np.exp(runner_up, out=runner_up)  # none: all 0
+    _exp(runner_up, flush)  # none: all 0
 
     def exclusive(t, direct, own):
         """``t``, in place: the sum of ``direct`` at the peak, else ``own`` + the others' ``t``."""
@@ -341,7 +370,8 @@ def _exclusive_sums(x: np.ndarray, d: np.ndarray | None = None):
     return peak, second, top, exclusive(rest, runner_up, 1.0), weighted
 
 
-def _speaker(lam: np.ndarray, log_u: np.ndarray, log_v: np.ndarray, gradient: bool):
+def _speaker(lam: np.ndarray, log_u: np.ndarray, log_v: np.ndarray, gradient: bool,
+             flush: bool = False):
     """log S1(vehicle | goal j) for every lam and goal j, and its derivative in lam.
 
     ``lam`` is (L, 1, 1).  ``log_u`` holds the utterance alternatives' log
@@ -349,9 +379,9 @@ def _speaker(lam: np.ndarray, log_u: np.ndarray, log_v: np.ndarray, gradient: bo
     (B, 2, n) for the pair set.  ``log_v`` (B, n) holds the vehicle's.
     Both results are (L, B, n).
     The derivative is the vehicle's utility less the softmax-expected one, the
-    normalizer block's weighted mean of ``log_u``.
+    normalizer block's weighted mean of ``log_u``.  ``flush`` goes to :func:`_exp`.
     """
-    norm, expected = _logsumexp(log_u, -2, lam[..., None], gradient)
+    norm, expected = _logsumexp(log_u, -2, lam[..., None], gradient, flush=flush)
     log_s = lam * log_v
     log_s -= norm[..., 0, :]
     if expected is None:
@@ -368,6 +398,9 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
     elementwise or reduces along a trailing axis, so each lam's slice has the bits
     it would have in a call of its own.  The late results (the final normalizer, ``p``
     and ``p * d log``) are written into (L, B, n) blocks the kernel has finished with.
+    The exps summed beside a term of about 1 flush (:func:`_exp`) where the largest lam
+    times the table's largest ``|log T|`` or ``|log(1 - T)|`` exceeds 700, the first lam at
+    which a speaker score can fall below ``exp(-700)``; the final normalizer never does.
     """
     if not items:
         raise ValueError("empty batch of metaphor items")
@@ -377,6 +410,7 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
     ).T
     lam = lams[:, None, None]
     log_values = table.log_values
+    flush = max(lams.tolist(), default=0.0) * table._log_extent > -_FLUSH_FLOOR
     dlog = None  # d log of the one factor lam enters: the goal mixture, or the stretch
 
     if config.mode == "fast":
@@ -392,7 +426,7 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
                          "contain a value at or below 0, infinite or NaN; "
                          "the vehicle stretch is undefined for lam != 0")
             log_beta = log_values[vehicle]
-            norm, expected = _logsumexp(log_beta, -1, lam, gradient, scores)
+            norm, expected = _logsumexp(log_beta, -1, lam, gradient, scores, flush)
             np.multiply(lam, log_beta, out=logp)
             logp -= norm
             np.add(log_alpha, logp, out=logp)
@@ -411,14 +445,14 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
         log_u, not_u = log_values[rows], table.log1m_values[rows]
         log_t, log_v, not_v = log_values[topic], log_values[vehicle], table.log1m_values[vehicle]
         # the state carries goal j's feature (match) or another one (no match)
-        log_on, d_match = _speaker(lam, log_u, log_v, gradient)
-        log_off, d_nomatch = _speaker(lam, not_u, not_v, gradient)
+        log_on, d_match = _speaker(lam, log_u, log_v, gradient, flush)
+        log_off, d_nomatch = _speaker(lam, not_u, not_v, gradient, flush)
 
         # W_i = sum_j R(g_j) S1(v | g_j, e_i): goal i matches, every other goal does not
         log_goal = _goal_log_weights(config, log_t)
         np.add(log_goal, log_on, out=log_on)
         np.add(log_goal, log_off, out=log_off)
-        peak, second, top, rest, d_rest = _exclusive_sums(log_off, d_nomatch)
+        peak, second, top, rest, d_rest = _exclusive_sums(log_off, d_nomatch, flush)
         # W relative to its largest term, so that the priors added later are not lost
         shift = np.maximum(peak, log_on.max(axis=-1, keepdims=True))
         log_on -= shift
@@ -430,15 +464,14 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
         log_rest += peak
         log_rest.reshape(-1)[top] = at_peak
         # log_off is dead once _exclusive_sums has read it, and log_rest once joined
-        log_w = _logaddexp(log_on, log_rest, out=log_off)
+        log_w = _logaddexp(log_on, log_rest, out=log_off, flush=flush)
         if gradient:
             # d log W_i: the match and the no-match shares of W_i times their own d log S1
-            on = np.subtract(log_on, log_w, out=log_on)
-            np.exp(on, out=on)
+            on = _exp(np.subtract(log_on, log_w, out=log_on), flush)
             on *= d_match
             off = np.subtract(peak, log_w, out=rest)
             off.reshape(-1)[top] = second[..., 0] - log_w.reshape(-1)[top]
-            np.exp(off, out=off)
+            _exp(off, flush)
             off *= d_rest
             dlog = np.add(on, off, out=on)
 

@@ -8,7 +8,8 @@ scores lambda 0, 47 log-spaced points up to 1e5 (:data:`_SCAN`) and the
 inits.  From each init a walk follows the sign of g over the scan points to
 a bracket g(lo) > 0 >= g(hi), to lambda 0 or to the scan top.  Illinois
 regula falsi on g then narrows every distinct bracket, all of them in
-lockstep, until it is narrower than ``_TOL * hi``.  All scoring, the grid
+lockstep, until it is narrower than ``_TOL * hi`` or g across it moves the
+objective by no more than the objective's rounding.  All scoring, the grid
 ablation's too, goes through :func:`_points`: one kernel call per chunk of
 lams, with the same bits per lam as a call of its own.  A lam is undefined
 where a row is constant or the objective is not finite: the scan passes over
@@ -41,11 +42,14 @@ DEFAULT_MULTISTART_INITS = (0.5, 1.0, 5.0, 20.0, 50.0)
 # The fit's scan: lambda 0 and 47 log-spaced points up to 1e5.
 _SCAN = np.concatenate(([0.0], np.geomspace(1e-2, 1e5, 47)))
 
-# A bracket is narrowed until it is narrower than _TOL * hi.  No fit of 120 (seeds 12-15 x
-# splits 0-2 x five configs x two kinds) took over 19 calls, but a bracket on a plateau where
-# g is rounding noise never gets that narrow and spends all _MAX_ROUNDS (ROADMAP item 2).
+# A bracket is narrowed until it is narrower than _TOL * hi, or until |g| * (hi - lo) at the
+# new point is at most 4 * _EPS * |objective|: g is rounding noise there, and on a plateau
+# the bracket would never get narrower than _TOL * hi.  No fit of 120 (seeds 12-15 x splits
+# 0-2 x five configs x two kinds) took over 12 rounds; _MAX_ROUNDS is a guard.
 _TOL = 1e-10
+_EPS = float(np.finfo(float).eps)
 _MAX_ROUNDS = 200
+_CONVERGED = ("lambda_tolerance", "objective_tolerance", "gradient_tolerance")
 
 # Lambdas scored per kernel call: 16 on a 48 x 59 table, which bounds a call's memory.  The
 # kernel writes its late results into blocks it has finished with, and each chunk's results
@@ -71,11 +75,12 @@ class FitResult:
     (round, lam, objective) for the init and each later point that beat the
     best so far (round 0 is the scan, round k the k-th refinement round).
     ``iterations`` counts refinement rounds.  ``stop_reason`` is
-    ``lambda_tolerance``, ``gradient_tolerance`` (g is exactly 0, or lambda
-    is 0 with g <= 0), ``scan_top``, ``max_iterations`` (``_MAX_ROUNDS``
-    ran out) or ``undefined_point`` (at a refinement point, or below the
-    lowest point a walk down reached above 0); ``converged``
-    is True for the first two.  ``gradient_norm_at_convergence`` is |g| at
+    ``lambda_tolerance``, ``objective_tolerance`` (g across the bracket moves
+    the objective by at most 4 eps of it), ``gradient_tolerance`` (g is
+    exactly 0, or lambda is 0 with g <= 0), ``scan_top``, ``max_iterations``
+    (``_MAX_ROUNDS`` ran out) or ``undefined_point`` (at a refinement point,
+    or below the lowest point a walk down reached above 0); ``converged``
+    is True for the first three.  ``gradient_norm_at_convergence`` is |g| at
     ``lambda_hat`` (at 0 only an ascent counts).  ``starts`` holds every
     start's own fit for a multistart fit, and is empty otherwise.
     """
@@ -235,12 +240,15 @@ class _Bracket:
     def __init__(self, lo, hi):
         self.ends = [[lo[0], lo[2]], [hi[0], hi[2]]]  # [lam, g] at lo and at hi
         self.last, self.rounds, self.points = None, 0, []
-        self.stop_reason = self._stop(hi[2])
+        self.stop_reason = self._stop(hi[1], hi[2])
 
-    def _stop(self, g):
+    def _stop(self, value, g):
+        """Why the bracket stops after a point with objective ``value`` and gradient ``g``."""
         (lo, _), (hi, _) = self.ends
         return ("gradient_tolerance" if g == 0.0 else
-                "lambda_tolerance" if hi - lo < _TOL * hi else None)
+                "lambda_tolerance" if hi - lo < _TOL * hi else
+                # g across the bracket moves the objective by less than its rounding
+                "objective_tolerance" if abs(g) * (hi - lo) <= 4.0 * _EPS * abs(value) else None)
 
     def next_point(self) -> float:
         (lo, g_lo), (hi, g_hi) = self.ends
@@ -254,13 +262,13 @@ class _Bracket:
         if isinstance(reply, Error):
             self.stop_reason = "undefined_point"
             return
-        lam, _, g = reply
+        lam, value, g = reply
         self.points.append((round_, *reply))
         side = 0 if g > 0.0 else 1  # the point replaces lo where g > 0, else hi
         if side == self.last:  # Illinois: the same end moved twice running
             self.ends[1 - side][1] *= 0.5
         self.ends[side], self.last = [lam, g], side
-        self.stop_reason = self._stop(g)
+        self.stop_reason = self._stop(value, g)
 
 
 def _fit(train, human, config, table, inits, kind) -> list[FitResult]:
@@ -295,7 +303,7 @@ def _fit(train, human, config, table, inits, kind) -> list[FitResult]:
             objective_value=value,
             iterations=bracket.rounds if bracket else 0,
             gradient_norm_at_convergence=max(g, 0.0) if lam == 0.0 else abs(g),
-            converged=stop_reason in ("lambda_tolerance", "gradient_tolerance"),
+            converged=stop_reason in _CONVERGED,
             stop_reason=stop_reason,
             trace=tuple(point[:3] for point in trace),
         ))
@@ -310,7 +318,12 @@ def learn_lambda(
     init: float = 1.0,
     kind: str = "mean",
 ) -> FitResult:
-    """Fit the rationality parameter from ``init >= 0``, to a relative lambda tolerance ``_TOL``."""
+    """Fit the rationality parameter from ``init >= 0``.
+
+    The bracket is narrowed to a relative lambda tolerance ``_TOL``, or until g across it is
+    rounding noise in the objective (``objective_tolerance``); :class:`FitResult` lists every
+    stop reason.
+    """
     return _fit(train, human, config, table, (init,), kind)[0]
 
 

@@ -141,6 +141,11 @@ class TypicalityTable:
             return _read_only(np.log1p(-self.values))
 
     @cached_property
+    def _log_extent(self) -> float:
+        """The largest ``|log T|`` or ``|log(1 - T)|``: inf with a 0 or a 1, NaN outside [0, 1]."""
+        return float(np.maximum(-self.log_values.min(), -self.log1m_values.min()))
+
+    @cached_property
     def degenerate_rows(self) -> np.ndarray:
         """Per category: does its row hold a value at or below 0, at or above 1, or NaN?"""
         return _read_only(~((self.values > 0.0) & (self.values < 1.0)).all(axis=1))

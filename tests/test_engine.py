@@ -20,12 +20,14 @@ from rsa_metaphor import (
     RsaConfig,
     interpret,
     interpret_fast,
+    make_split,
     pragmatic_listener,
     pragmatic_speaker,
 )
-from rsa_metaphor import evaluation, learn
+from rsa_metaphor import engine, evaluation, learn
 from rsa_metaphor.engine import (
     _exclusive_sums,
+    _exp,
     _goal_log_weights,
     _interpret_batch,
     _interpret_lams,
@@ -978,3 +980,132 @@ class TestGoalMixtureAccuracy:
                                 category_prior=config.category_prior)
         got = interpret(MetaphorItem("m", "c0", "c1"), config, table).p
         np.testing.assert_allclose(got, want, rtol=1e-9, atol=0)
+
+
+def forced_flush(on):
+    """Every exp the kernel may flush flushes (``on``) or none does, whatever its gate says."""
+    return mock.patch.object(engine, "_exp", lambda x, flush: _exp(x, on))
+
+
+def bits(arrays):
+    return [None if a is None else (a.shape, a.tobytes()) for a in arrays]
+
+
+# The flush moves a term only below 2**54 * exp(-700) = 1.8e-288; a result made of such terms
+# alone (a derivative whose terms of about 1 carry an exact 0) stays far below this.
+UNDERFLOW = 1e-280
+
+
+def assert_same_above_underflow(got, want):
+    """``got`` has ``want``'s bits wherever either is at least :data:`UNDERFLOW` in size."""
+    assert got.shape == want.shape
+    moved = got.view(np.int64) != want.view(np.int64)
+    assert np.all(np.maximum(np.abs(got), np.abs(want))[moved] < UNDERFLOW)
+
+
+FLUSH_LAMS = (0.5, 5.0, 44.43, 1e3, 1e4, 1e5)
+
+
+@st.composite
+def flush_problems(draw):
+    """A 2-5 x 2-5 table with entries spanning 1e-6 to 1, a batch, a config and 1-4 lams <= 1e5."""
+    n_cat = draw(st.integers(2, 5))
+    n_feat = draw(st.integers(2, 5))
+    weights = np.array(draw(st.lists(
+        st.lists(st.floats(1e-6, 1.0), min_size=n_feat, max_size=n_feat),
+        min_size=n_cat, max_size=n_cat,
+    )))
+    table = table_from_rows(weights / weights.sum(axis=1, keepdims=True))
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n_cat - 1), st.integers(0, n_cat - 1)).filter(
+            lambda pair: pair[0] != pair[1]
+        ),
+        min_size=1, max_size=4,
+    ))
+    items = tuple(MetaphorItem(f"m{k}", f"c{t}", f"c{v}") for k, (t, v) in enumerate(pairs))
+    lams = draw(st.lists(st.one_of(st.sampled_from(FLUSH_LAMS), st.floats(0.0, 1e5)),
+                         min_size=1, max_size=4))
+    config = replace(RsaConfig(), **draw(st.sampled_from(CONFIGS)))
+    return table, items, config, np.array(lams)
+
+
+@pytest.fixture(scope="module")
+def seed12_train():
+    table, items, human = make_synthetic_dataset(seed=12)
+    by_id = {item.id: item for item in items}
+    return table, human, tuple(by_id[i] for i in make_split(items, 0).train)
+
+
+class TestUnderflowFlush:
+    """Flushing exps below exp(-700) to 0 keeps the bits the kernel and the fit return.
+
+    Exactly so for log p everywhere and for the full-scale data; a derivative entry built
+    only of terms the flush may move can differ, and is then below :data:`UNDERFLOW`.
+    """
+
+    def test_special_values(self):
+        # exp(-650) is above 2**54 * exp(-700), so the subtraction leaves it as it is
+        x = np.array([-np.inf, -800.0, -745.0, -700.5, -650.0, -1.0, 0.0, 2.0, np.inf, np.nan])
+        got = _exp(x.copy(), True)
+        np.testing.assert_array_equal(got[:4], 0.0)
+        assert not np.signbit(got[:4]).any()
+        np.testing.assert_array_equal(got[4:9], np.exp(x[4:9]))
+        assert np.isnan(got[9])
+        np.testing.assert_array_equal(_exp(x.copy(), False), np.exp(x))
+
+    @pytest.mark.parametrize("overrides", CONFIGS)
+    @pytest.mark.parametrize("gradient", [True, False], ids=["gradient", "forward"])
+    def test_full_scale_bits(self, seed12_train, overrides, gradient):
+        table, human, train = seed12_train
+        config = replace(RsaConfig(), **overrides)
+
+        def run(on):
+            with forced_flush(on):
+                together = _interpret_lams(train, config, table, FLUSH_LAMS, gradient)
+                alone = [_interpret_lams(train, config, table, [lam], gradient)
+                         for lam in FLUSH_LAMS]
+                points = learn._points(FLUSH_LAMS, train, human, config, table, "mean", gradient)
+            return bits(together) + [bits(pair) for pair in alone], repr(points)
+
+        assert run(True) == run(False)
+
+    @settings(max_examples=150, deadline=None)
+    @given(flush_problems())
+    def test_small_table_bits(self, problem):
+        table, items, config, lams = problem
+
+        def run(on):
+            with forced_flush(on):
+                try:
+                    return _interpret_lams(items, config, table, lams, gradient=True)
+                except Error as exc:
+                    return repr(exc)
+
+        got, want = run(True), run(False)
+        if isinstance(want, str):
+            assert got == want
+            return
+        logp, dp = got
+        assert logp.tobytes() == want[0].tobytes()
+        assert_same_above_underflow(dp, want[1])
+
+    @settings(max_examples=300, deadline=None)
+    @given(exclusive_rows())
+    def test_exclusive_sums_bits(self, row):
+        x, d = row
+        got, want = (_exclusive_sums(x.copy(), d.copy(), flush) for flush in (True, False))
+        assert bits(got[:4]) == bits(want[:4])
+        assert_same_above_underflow(got[4], want[4])  # a weighted sum may have 0 beside its 1
+
+    def test_gate(self, monkeypatch, seed12_train):
+        # the seed-12 table's largest |log T| or |log(1 - T)| is 6.38, so a call flushes once
+        # its largest lam passes about 110: never in the grid ablation (lam <= 100), and in
+        # the scan's top chunk at every exp but the final normalizer's
+        table, _, train = seed12_train
+        flags = []
+        monkeypatch.setattr(engine, "_exp", lambda x, flush: flags.append(flush) or _exp(x, flush))
+        _interpret_lams(train, RsaConfig(), table, evaluation.lambda_grid(0.5, 100.0, 16), True)
+        assert flags == [False] * 8
+        flags.clear()
+        _interpret_lams(train, RsaConfig(), table, learn._SCAN[-16:], True)
+        assert flags == [True] * 7 + [False]

@@ -220,13 +220,17 @@ class TestLearnLambda:
 
     def test_convergence_flag_consistency(self, monkeypatch):
         table, items, human = recovery_problem(lam_star=20.0, seed=6)
-        for max_rounds, want in ((0, "max_iterations"), (3, "max_iterations"),
-                                 (200, "lambda_tolerance")):
+        # with eps 0 the rounding-level stop never fires, so the lambda tolerance ends the fit
+        for max_rounds, eps, want in ((0, learn._EPS, "max_iterations"),
+                                      (3, learn._EPS, "max_iterations"),
+                                      (200, learn._EPS, "objective_tolerance"),
+                                      (200, 0.0, "lambda_tolerance")):
             monkeypatch.setattr(learn, "_MAX_ROUNDS", max_rounds)
+            monkeypatch.setattr(learn, "_EPS", eps)
             fit = learn_lambda(items, human, RsaConfig(), table, init=1.0)
             assert fit.stop_reason == want
             assert fit.iterations <= max_rounds
-            assert fit.converged == (want == "lambda_tolerance")
+            assert fit.converged == (want != "max_iterations")
 
     def test_multistart_picks_best(self):
         table, items, human = recovery_problem(lam_star=44.43, seed=7)
@@ -704,23 +708,39 @@ class TestFitEnds:
         fit = learn_lambda_multistart(train, human, RsaConfig(), table)
         lams = [start.lambda_hat for start in fit.starts]
         assert max(lams) - min(lams) <= 1e-9 * fit.lambda_hat
-        assert all(start.stop_reason == "lambda_tolerance" for start in fit.starts)
+        assert all(start.stop_reason == "objective_tolerance" for start in fit.starts)
 
     def test_each_converged_start_ends_where_g_changes_sign(self):
-        # Illinois regula falsi narrows this bracket slowly (21 rounds); with a lambda
-        # tolerance of 1e-6 instead of 1e-10 every start stops 18 rounds in, further than a
-        # relative 1e-9 from the sign change of g
+        # Illinois regula falsi narrows this bracket slowly (19 rounds, to where g is rounding
+        # noise); with a lambda tolerance of 1e-6 instead of 1e-10 every start stops 18 rounds
+        # in, further than a relative 1e-9 from the sign change of g
         rows = np.array([[1.0, 5.0, 1.0], [6.0, 4.0, 8.0], [7.0, 7.0, 1.0]])
         table = table_from_rows(rows / rows.sum(axis=1, keepdims=True))
         items = (MetaphorItem("m0", "c0", "c1"),)
         human = HumanResponseTable(table.vocab, {"m0": np.array([3.0, 4.0, 5.0]) / 12.0})
         config = RsaConfig(utterances="pair")
         fit = learn_lambda_multistart(items, human, config, table)
-        assert [start.stop_reason for start in fit.starts] == ["lambda_tolerance"] * 5
+        assert [start.stop_reason for start in fit.starts] == ["objective_tolerance"] * 5
         for start in fit.starts:
             below, above = (learn.gradient(start.lambda_hat * (1.0 + side * 1e-9), items, human,
                                            config, table) for side in (-1.0, 1.0))
             assert below > 0.0 >= above, (start.lambda_hat, below, above)
+
+    def test_a_plateau_of_rounding_noise_ends_its_bracket(self, monkeypatch):
+        # beyond lambda 300 the objective is 0.5 to the last bit and |g| < 1e-16, so the
+        # bracket from the start at 50 never got under the lambda tolerance and regula falsi
+        # spent all 200 rounds there: 201 kernel calls in all, where the other starts need 6
+        table = table_from_rows([[0.18181818, 0.09090909, 0.72727273],
+                                 [0.07692308, 0.30769231, 0.61538462], [1 / 3, 1 / 3, 1 / 3]])
+        items = (MetaphorItem("m", "c0", "c1"),)
+        human = HumanResponseTable(table.vocab, {"m": np.array([0.0, 0.0, 1.0])})
+        calls = spy_kernel(monkeypatch)
+        fit = learn_lambda_multistart(items, human, RsaConfig(utterances="pair"), table)
+        assert len(calls) <= 10
+        assert fit.lambda_hat == pytest.approx(0.826, abs=5e-4) and fit.converged
+        plateau = fit.starts[-1]
+        assert plateau.stop_reason == "objective_tolerance" and plateau.converged
+        assert plateau.lambda_hat > 300.0 and plateau.objective_value == 0.5
 
     def test_still_rising_at_the_scan_top(self):
         # the objective rises up to lambda 1e5
@@ -741,7 +761,7 @@ class TestFitEnds:
         for start in fit.starts[:2]:
             assert (start.lambda_hat, start.stop_reason) == (0.01, "undefined_point")
             assert not start.converged and start.gradient_norm_at_convergence > 9e-4
-        assert fit.stop_reason == "lambda_tolerance" and 18.0 < fit.lambda_hat < 18.5
+        assert fit.stop_reason == "objective_tolerance" and 18.0 < fit.lambda_hat < 18.5
 
     def test_maximum_at_lambda_zero(self):
         # the starts from 20 and 50 walk down into a lower maximum near 15.3 and stay there
@@ -752,7 +772,7 @@ class TestFitEnds:
         low, high = fit.starts[:3], fit.starts[3:]
         assert all((start.lambda_hat, start.stop_reason) == (0.0, "gradient_tolerance")
                    for start in low)
-        assert [start.stop_reason for start in high] == ["lambda_tolerance"] * 2
+        assert [start.stop_reason for start in high] == ["objective_tolerance"] * 2
         assert high[0].lambda_hat == pytest.approx(high[1].lambda_hat, rel=1e-9)
         assert 15.0 < high[0].lambda_hat < 16.0
         assert high[0].objective_value < fit.objective_value
