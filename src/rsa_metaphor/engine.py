@@ -23,11 +23,12 @@ about 1 flush results below ``exp(-700)`` to 0 (:func:`_exp`).  Log p keeps
 every bit; a derivative entry may move only where it is built of such terms
 alone, and is then below 1e-280 (``TestUnderflowFlush``).
 
-``interpret_fast`` is the reduced two-step pipeline: sharpen the vehicle's
-typicality row with ``lam`` (a softmax stretch) and reweight it by the
-topic's row.  It approximates the full recursion but is not identical to it;
-no equivalence is asserted.  At lam = 0 every path returns the topic row as
-stored, with or without the gradient.
+``interpret_fast`` is the reduced pipeline ``a_i * b_i ** lam`` over the topic's
+row a and the vehicle's row b, normalized once.  It approximates the full
+recursion but is not identical to it; no equivalence is asserted.  Its log is
+shifted by ``lam * max(log b)``, as the speaker scores are, and its derivative
+taken as ``log b - max(log b)``, 0 where ``b ** lam`` piles p up.  At lam = 0
+every path returns the topic row as stored, with or without the gradient.
 
 One kernel, :func:`_interpret_lams`, computes every interpretation: a batch
 of items at a vector of ``lam`` values in a single numpy pass, with the
@@ -38,9 +39,9 @@ and each lam's slice has the bits of a call with that lam alone.
 and the feature correlations pass whole item sets at one lam; the fit and
 the grid ablation pass theirs with their lams in chunks of about 16 on a
 48 x 59 table (``learn._GRID_CHUNK_CELLS``), which bounds a call's memory
-however many lams it scores.  Late results go into (L, B, n) blocks the
-kernel has finished with, and a caller releases one chunk's results before
-its next kernel call, so the peak does not grow with the chunk count
+however many lams it scores.  In full mode late results go into (L, B, n)
+blocks the kernel has finished with, and a caller releases one chunk's results
+before its next kernel call, so the peak does not grow with the chunk count
 (``TestChunkedPoints``; README gives the sizes).
 
 * The table's ``log T``, ``log(1 - T)`` and its 0/1 row scan are cached on
@@ -55,7 +56,7 @@ its next kernel call, so the peak does not grow with the chunk count
   max of the lam-free utilities: rounding is monotone, so for ``lam >= 0``
   that is exactly the scores' max, found without a pass over the scores,
   which are exponentiated once, in one buffer, summed for the normalizer and
-  averaged over the utilities for its lam-derivative (fast mode's too).
+  averaged over the utilities for its lam-derivative.
 * The goal mixture ``W_i = sum_j R(g_j) S1(v | g_j, e_i)`` takes the match
   term for goal i and the no-match term for every other goal.  "Every goal
   but i" sums ``t_j = exp(x_j - peak)``: off the peak, the peak's 1 plus
@@ -244,6 +245,18 @@ def _logaddexp(x: np.ndarray, y: np.ndarray, out: np.ndarray, flush: bool = Fals
     return lo
 
 
+def _scaled_max(lam: np.ndarray, a: np.ndarray, axis: int) -> np.ndarray:
+    """``lam * max(a)`` along ``axis`` (kept), exactly the max of ``lam * a`` as ``lam >= 0``.
+
+    A lam for which ``lam * a`` overflows raises, in floats, before numpy can warn.
+    """
+    top = float(lam.max(initial=0.0))
+    if top * float(a.min()) == -math.inf:
+        raise Error(f"lam={top!r} is too large for this table: lam times a log typicality "
+                    "overflows the float range")
+    return lam * a.max(axis=axis, keepdims=True)
+
+
 def _logsumexp(a: np.ndarray, axis: int, lam: np.ndarray | None = None, gradient: bool = False,
                out: np.ndarray | None = None, flush: bool = False):
     """``logsumexp(lam * a)`` along ``axis`` (kept), and its lam-derivative if ``gradient``.
@@ -254,13 +267,7 @@ def _logsumexp(a: np.ndarray, axis: int, lam: np.ndarray | None = None, gradient
     With ``lam``, ``a`` is finite and <= 0, and a lam for which ``lam * a`` overflows raises.
     ``flush`` goes to :func:`_exp`.
     """
-    m = a.max(axis=axis, keepdims=True)
-    if lam is not None:
-        top = float(lam.max(initial=0.0))
-        if top * float(a.min()) == -math.inf:  # in floats, before numpy can warn
-            raise Error(f"lam={top!r} is too large for this table: lam times a log typicality "
-                        "overflows the float range")
-        m = lam * m
+    m = a.max(axis=axis, keepdims=True) if lam is None else _scaled_max(lam, a, axis)
     shift = np.where(np.isfinite(m), m, 0.0)  # all -inf: exp sums to 0, log gives -inf
     if lam is None:
         block = np.subtract(a, shift, out=out)
@@ -310,13 +317,6 @@ def pragmatic_speaker(
     _reject_rows(~np.isfinite(utility), table, rows, f"give goal {goal} a utility of log 0")
     norm, _ = _logsumexp(utility, -1, np.array([config.lam]))  # refuses a lam that overflows
     return Distribution(utts, config.lam * utility - norm)
-
-
-def _goal_log_weights(config: RsaConfig, log_topic: np.ndarray) -> np.ndarray:
-    """Log goal prior: the topic's log typicality rows, or uniform (the ablation)."""
-    if config.goal_prior == "uniform":
-        return np.full(log_topic.shape, -math.log(log_topic.shape[-1]))
-    return log_topic
 
 
 def _reject_rows(bad_rows: np.ndarray, table: TypicalityTable, index, problem: str) -> None:
@@ -396,9 +396,9 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
     ``config.lam`` is not read.  Returns the interpretation ``log p`` and its exact
     derivative in lam (None unless ``gradient``), each (L, B, n).  Every operation is
     elementwise or reduces along a trailing axis, so each lam's slice has the bits
-    it would have in a call of its own.  The late results (the final normalizer, ``p``
-    and ``p * d log``) are written into (L, B, n) blocks the kernel has finished with.
-    The exps summed beside a term of about 1 flush (:func:`_exp`) where the largest lam
+    it would have in a call of its own.  Full mode writes the late results (the final
+    normalizer, ``p`` and ``p * d log``) into (L, B, n) blocks it has finished with, and
+    flushes the exps summed beside a term of about 1 (:func:`_exp`) where the largest lam
     times the table's largest ``|log T|`` or ``|log(1 - T)|`` exceeds 700, the first lam at
     which a speaker score can fall below ``exp(-700)``; the final normalizer never does.
     """
@@ -410,34 +410,31 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
     ).T
     lam = lams[:, None, None]
     log_values = table.log_values
-    flush = max(lams.tolist(), default=0.0) * table._log_extent > -_FLUSH_FLOOR
-    dlog = None  # d log of the one factor lam enters: the goal mixture, or the stretch
+    dlog = None  # d log of the one factor lam enters: the goal mixture, or b ** lam
+    finished = {}  # blocks the kernel has finished with, which take the late results
 
     if config.mode == "fast":
         alpha, beta = table.values[topic], table.values[vehicle]
         _reject_rows(~((alpha >= 0.0) & (alpha < math.inf)).all(axis=-1), table, topic,
                      "contain a value below 0, infinite or NaN")
         log_alpha = log_values[topic]
-        shape = (lams.size, *log_alpha.shape)
-        logp = np.empty(shape)
-        scores = np.empty(shape)
         if gradient or np.any(lams != 0.0):
             _reject_rows(~((beta > 0.0) & (beta < math.inf)).all(axis=-1), table, vehicle,
                          "contain a value at or below 0, infinite or NaN; "
                          "the vehicle stretch is undefined for lam != 0")
             log_beta = log_values[vehicle]
-            norm, expected = _logsumexp(log_beta, -1, lam, gradient, scores, flush)
-            np.multiply(lam, log_beta, out=logp)
-            logp -= norm
-            np.add(log_alpha, logp, out=logp)
-            dlog = None if expected is None else log_beta - expected
+            # log a + lam log b, shifted by lam max(log b) as the speaker's scores are
+            shift = _scaled_max(lam, log_beta, -1)
+            logp = np.multiply(lam, log_beta)
+            logp -= shift
+            logp += log_alpha
+            if gradient:
+                dlog = log_beta - log_beta.max(axis=-1, keepdims=True)
         else:
-            # every stretch is uniform: the vehicle is never read
-            np.copyto(logp, log_alpha)
-        # the score block is dead once the stretch's normalizer is taken, and the final
-        # normalizer once its total is; p d log takes a block of its own
-        finished = {"normalizer": scores, "p": scores}
+            # b ** 0 is 1: the vehicle is never read
+            logp = np.repeat(log_alpha[None], lams.size, axis=0)
     else:
+        flush = max(lams.tolist(), default=0.0) * table._log_extent > -_FLUSH_FLOOR
         # the alternatives: the whole table as one (1, K) block shared by the batch, or (B, 2)
         rows = np.s_[None, :] if config.utterances == "all" else np.stack([topic, vehicle], 1)
         _reject_rows(table.degenerate_rows[rows], table, rows,
@@ -448,10 +445,11 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
         log_on, d_match = _speaker(lam, log_u, log_v, gradient, flush)
         log_off, d_nomatch = _speaker(lam, not_u, not_v, gradient, flush)
 
-        # W_i = sum_j R(g_j) S1(v | g_j, e_i): goal i matches, every other goal does not
-        log_goal = _goal_log_weights(config, log_t)
-        np.add(log_goal, log_on, out=log_on)
-        np.add(log_goal, log_off, out=log_off)
+        # W_i = sum_j R(g_j) S1(v | g_j, e_i): goal i matches, every other goal does not;
+        # a uniform R is a constant, which the final normalizer cancels
+        if config.goal_prior == "relevance":
+            np.add(log_t, log_on, out=log_on)
+            np.add(log_t, log_off, out=log_off)
         peak, second, top, rest, d_rest = _exclusive_sums(log_off, d_nomatch, flush)
         # W relative to its largest term, so that the priors added later are not lost
         shift = np.maximum(peak, log_on.max(axis=-1, keepdims=True))
@@ -475,10 +473,10 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
             off *= d_rest
             dlog = np.add(on, off, out=on)
 
-        # the category prior's feature marginal sum_c P(c) T[c, i], times W_i
-        if config.category_prior == "uniform":  # log_v is not read again
+        # the category prior's feature marginal sum_c P(c) T[c, i], times W_i; a uniform
+        # P(c) is 1/2, which the final normalizer cancels (log_v is not read again)
+        if config.category_prior == "uniform":
             prior = _logaddexp(log_t, log_v, out=np.empty_like(log_t))
-            prior -= math.log(2.0)
         else:
             prior = log_t
         logp = np.add(prior, log_w, out=log_w)
@@ -496,9 +494,9 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
     if not gradient:
         return logp, None
     p = np.exp(logp, out=finished.get("p"))
-    mean = np.sum(np.multiply(p, dlog, out=finished.get("p d log")), axis=-1, keepdims=True)
-    dlog -= mean
-    return logp, np.multiply(p, dlog, out=dlog)
+    p_dlog = np.multiply(p, dlog, out=finished.get("p d log"))
+    dp = np.subtract(dlog, np.sum(p_dlog, axis=-1, keepdims=True), out=p_dlog)
+    return logp, np.multiply(p, dp, out=dp)
 
 
 def _interpret_batch(items, config: RsaConfig, table: TypicalityTable, gradient: bool = False):
@@ -536,11 +534,10 @@ def interpret(
 def interpret_fast(
     item: MetaphorItem, lam: float, table: TypicalityTable
 ) -> Distribution:
-    """Reduced pipeline: stretch the vehicle row by lam, reweight by the topic row.
+    """Reduced pipeline: the topic row times the vehicle row to the power lam.
 
-    With topic row a and vehicle row b, the output is proportional to
-    ``a_i * softmax(lam * log b)_i``.  At lam = 0 it returns the topic row
-    exactly.
+    With topic row a and vehicle row b, the output is ``a_i * b_i ** lam``,
+    normalized.  At lam = 0 it returns the topic row exactly.
     """
     return interpret(item, RsaConfig(lam=lam, mode="fast"), table)
 

@@ -4,12 +4,15 @@ Direct enumeration with plain Python loops, dicts, and math.log/exp.  This
 file deliberately shares no code with the package: it is the oracle the
 engine is checked against, so it must stay a separate derivation.  The
 per-item metric references take the numpy rows that ``evaluate`` reports.
+``interpret_fast_decimal`` works in 60-digit ``decimal`` instead, so that it
+is a reference for the kernel's rounding error and not only for its formula.
 
 Tables are plain dicts mapping category name -> list of feature
 probabilities.  Feature vectors are the one-hot basis, identified by index.
 """
 
 import math
+from decimal import Decimal, localcontext
 
 import numpy as np
 
@@ -100,6 +103,26 @@ def interpret_fast(topic_row, vehicle_row, lam):
     weights = [math.exp(v - top) for v in logs]
     total = sum(weights)
     return [w / total for w in weights]
+
+
+def interpret_fast_decimal(topic_row, vehicle_row, lam):
+    """p and dp/dlam of the fast pipeline, ``a_i * b_i ** lam`` normalized, to 60 digits.
+
+    Every float converts to ``Decimal`` exactly and every result is rounded to a float
+    once, at the end.  The derivative is taken as ``dp_i = p_i * sum_j p_j (log b_i -
+    log b_j)``, the pairwise form of ``p_i * (log b_i - sum_j p_j log b_j)``: where p is
+    nearly one-hot, the mean form cancels below even 60 digits.
+    """
+    with localcontext() as ctx:
+        ctx.prec = 60
+        lam = Decimal(lam)
+        logs = [Decimal(b).ln() for b in vehicle_row]
+        weights = [Decimal(a) * (lam * log_b).exp() for a, log_b in zip(topic_row, logs)]
+        total = sum(weights)
+        p = [w / total for w in weights]
+        dp = [p_i * sum(p_j * (log_i - log_j) for p_j, log_j in zip(p, logs))
+              for p_i, log_i in zip(p, logs)]
+        return [float(v) for v in p], [float(v) for v in dp]
 
 
 def correlation(xs, ys):

@@ -581,8 +581,9 @@ class TestChunkedPoints:
     @pytest.mark.parametrize("mode, limit", [("full", 7.5), ("fast", 4.7)])
     def test_late_results_reuse_finished_blocks(self, seed12_split0, mode, limit):
         # one gradient call over 16 lams and 18 items peaks at 6.82 (L, B, n) blocks in full
-        # mode, where the speaker's (L, 1, 48, n) score block counts 48 / 18, and at 4.22 in
-        # fast mode; a fresh block for each late result made it 8.34 and 5.22
+        # mode, where the speaker's (L, 1, 48, n) score block counts 48 / 18; a fresh block for
+        # each late result made it 8.34.  Fast mode, which has no finished block to reuse,
+        # peaks at 4.26
         table, _, train = seed12_split0
         lams = np.linspace(0.0, 30.0, 16)
         block = 8 * lams.size * len(train) * table.n
