@@ -28,7 +28,12 @@ row a and the vehicle's row b, normalized once.  It approximates the full
 recursion but is not identical to it; no equivalence is asserted.  Its log is
 shifted by ``lam * max(log b)``, as the speaker scores are, and its derivative
 taken as ``log b - max(log b)``, 0 where ``b ** lam`` piles p up.  At lam = 0
-every path returns the topic row as stored, with or without the gradient.
+it returns the topic row as stored, with or without the gradient.
+
+Before any arithmetic, every scoring path refuses the rows it reads that fail the one
+row rule, :attr:`TypicalityTable.degenerate_rows`: the whole table in full mode with
+``"all"``, else each item's topic and vehicle rows, at every lam.  So every log read
+is finite, and no normalizer meets zero mass.
 
 One kernel, :func:`_interpret_lams`, computes every interpretation: a batch
 of items at a vector of ``lam`` values in a single numpy pass, with the
@@ -44,7 +49,7 @@ blocks the kernel has finished with, and a caller releases one chunk's results
 before its next kernel call, so the peak does not grow with the chunk count
 (``TestChunkedPoints``; README gives the sizes).
 
-* The table's ``log T``, ``log(1 - T)`` and its 0/1 row scan are cached on
+* The table's ``log T``, ``log(1 - T)`` and its row rule scan are cached on
   the immutable :class:`TypicalityTable`, so a call indexes them.  These are
   the speaker utilities; :func:`pragmatic_speaker`, the one speaker
   distribution exposed on its own, reads them from the same cache.
@@ -312,22 +317,21 @@ def pragmatic_speaker(
     else:
         utts = (item.topic, item.vehicle)
     rows = np.array([table.category_index(u) for u in utts])
-    logs = table.log_values if feature == goal else table.log1m_values
-    utility = logs[rows, goal]
-    _reject_rows(~np.isfinite(utility), table, rows, f"give goal {goal} a utility of log 0")
+    _reject_rows(table, rows)
+    utility = (table.log_values if feature == goal else table.log1m_values)[rows, goal]
     norm, _ = _logsumexp(utility, -1, np.array([config.lam]))  # refuses a lam that overflows
     return Distribution(utts, config.lam * utility - norm)
 
 
-def _reject_rows(bad_rows: np.ndarray, table: TypicalityTable, index, problem: str) -> None:
-    """Raise DegenerateTypicalityError naming the flagged categories.
-
-    ``bad_rows`` flags the rows ``table.values[index]``.
-    """
+def _reject_rows(table: TypicalityTable, index) -> None:
+    """Raise DegenerateTypicalityError naming the categories ``table.degenerate_rows`` flags
+    among the rows ``table.values[index]``, in index order."""
+    bad_rows = table.degenerate_rows[index]
     if np.any(bad_rows):
         which = dict.fromkeys(np.asarray(table.categories)[index][bad_rows].tolist())
         listed = ", ".join(repr(c) for c in list(which)[:5])
-        raise DegenerateTypicalityError(f"typicality row(s) for {listed} {problem}")
+        raise DegenerateTypicalityError(f"typicality row(s) for {listed} hold a value outside "
+                                        "(0, 1) or NaN, or do not sum to 1")
 
 
 def _exclusive_sums(x: np.ndarray, d: np.ndarray | None = None, flush: bool = False):
@@ -412,33 +416,23 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
     log_values = table.log_values
     dlog = None  # d log of the one factor lam enters: the goal mixture, or b ** lam
     finished = {}  # blocks the kernel has finished with, which take the late results
+    # the rows read: the whole table as one (1, K) block shared by the batch, or (B, 2)
+    whole = (config.mode, config.utterances) == ("full", "all")
+    rows = np.s_[None, :] if whole else np.stack([topic, vehicle], 1)
+    _reject_rows(table, rows)  # before any arithmetic: every log read below is finite
 
     if config.mode == "fast":
-        alpha, beta = table.values[topic], table.values[vehicle]
-        _reject_rows(~((alpha >= 0.0) & (alpha < math.inf)).all(axis=-1), table, topic,
-                     "contain a value below 0, infinite or NaN")
-        log_alpha = log_values[topic]
-        if gradient or np.any(lams != 0.0):
-            _reject_rows(~((beta > 0.0) & (beta < math.inf)).all(axis=-1), table, vehicle,
-                         "contain a value at or below 0, infinite or NaN; "
-                         "the vehicle stretch is undefined for lam != 0")
-            log_beta = log_values[vehicle]
-            # log a + lam log b, shifted by lam max(log b) as the speaker's scores are
-            shift = _scaled_max(lam, log_beta, -1)
-            logp = np.multiply(lam, log_beta)
-            logp -= shift
-            logp += log_alpha
-            if gradient:
-                dlog = log_beta - log_beta.max(axis=-1, keepdims=True)
-        else:
-            # b ** 0 is 1: the vehicle is never read
-            logp = np.repeat(log_alpha[None], lams.size, axis=0)
+        log_alpha, log_beta = log_values[topic], log_values[vehicle]
+        # log a + lam log b, shifted by lam max(log b) as the speaker's scores are
+        shift = _scaled_max(lam, log_beta, -1)
+        logp = np.multiply(lam, log_beta)
+        logp -= shift
+        logp += log_alpha
+        if gradient:
+            dlog = log_beta - log_beta.max(axis=-1, keepdims=True)
     else:
         flush = max(lams.tolist(), default=0.0) * table._log_extent > -_FLUSH_FLOOR
-        # the alternatives: the whole table as one (1, K) block shared by the batch, or (B, 2)
-        rows = np.s_[None, :] if config.utterances == "all" else np.stack([topic, vehicle], 1)
-        _reject_rows(table.degenerate_rows[rows], table, rows,
-                     "contain a value at or below 0, at or above 1, or NaN")
+        # the utterance alternatives are the rows read
         log_u, not_u = log_values[rows], table.log1m_values[rows]
         log_t, log_v, not_v = log_values[topic], log_values[vehicle], table.log1m_values[vehicle]
         # the state carries goal j's feature (match) or another one (no match)
@@ -484,10 +478,7 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
         # and d match after on *= d_match
         finished = {"normalizer": rest, "p": d_nomatch, "p d log": d_match}
 
-    total = _logsumexp(logp, -1, out=finished.get("normalizer"))[0]
-    if np.any(total == -np.inf):
-        raise ZeroMassError("interpretation has zero total mass")
-    logp -= total
+    logp -= _logsumexp(logp, -1, out=finished.get("normalizer"))[0]
     if config.mode == "fast":
         # a uniform stretch leaves the topic row itself, exactly
         logp[lams == 0.0] = log_alpha

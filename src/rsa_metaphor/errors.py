@@ -22,13 +22,14 @@ class UnknownCategoryError(Error):
 
 
 class DegenerateTypicalityError(Error):
-    """A typicality at or below 0, at or above 1, or NaN would send a logarithm to -inf or NaN.
+    """A typicality row read for scoring is not a distribution strictly inside (0, 1).
 
     The speaker utility takes log of the listener mass on (or off) a
     feature; a typicality of 0 or 1 makes that mass vanish, and one outside
-    [0, 1] makes it negative, so the model is undefined.  Fast mode needs
-    only finite rows, >= 0 for the topic and > 0 for the vehicle.  Degenerate
-    tables are rejected rather than clamped.
+    [0, 1] makes it negative, so the model is undefined; a row that does not
+    sum to 1 is not a typicality row.  Every scoring path, full and fast,
+    applies this one rule (``TypicalityTable.degenerate_rows``) before any
+    arithmetic.  Degenerate tables are rejected rather than clamped.
     """
 
 

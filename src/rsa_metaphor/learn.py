@@ -12,16 +12,16 @@ lockstep, until it is narrower than ``_TOL * hi`` or g across it moves the
 objective by no more than the objective's rounding.  All scoring, the grid
 ablation's too, goes through :func:`_points`: one kernel call per chunk of
 lams, with the same bits per lam as a call of its own.  A lam is undefined
-where a row is constant or the objective is not finite: the scan passes over
-it, it ends its bracket, and a walk down with nothing defined below ends
-there.  Any other error fails the fit at once.
+where a model or human row is constant: the scan passes over it, it ends its
+bracket, and a walk down with nothing defined below ends there.  Any other
+error fails the fit at once.  The kernel scores only tables that pass the
+row rule, on which the objective is finite (``TestRowRule``).
 
 Everything here is deterministic: the only randomness is the split seed.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -146,13 +146,13 @@ def gradient(
 def _points(lams, train, human, config, table, kind, gradient=True):
     """(lam, objective, g) per lam of the 1-D ``lams``; g is None without ``gradient``.
 
-    Where the objective is undefined at a lam (a constant model or human row,
-    or a non-finite objective), the entry is the :class:`ZeroVarianceError` or
-    :class:`Error` that says so.  Any other error does not depend on lam and
-    raises.  One kernel call and one :func:`.metrics._pearson` pass (the r that
-    ``evaluate`` reports) cover a chunk of ``_GRID_CHUNK_CELLS // table.values.size``
-    lams over the whole train set.  ``mean`` correlates each item's row with its
-    human row; ``pooled`` correlates the flattened rows.
+    Where the objective is undefined at a lam (a constant model or human row),
+    the entry is the :class:`ZeroVarianceError` that says so.  Any other error
+    does not depend on lam and raises.  One kernel call and one
+    :func:`.metrics._pearson` pass (the r that ``evaluate`` reports) cover a chunk
+    of ``_GRID_CHUNK_CELLS // table.values.size`` lams over the whole train set.
+    ``mean`` correlates each item's row with its human row; ``pooled`` correlates
+    the flattened rows.
     """
     if kind not in _OBJECTIVE_KINDS:
         raise ValueError(f"objective kind must be one of {_OBJECTIVE_KINDS}, got {kind!r}")
@@ -177,8 +177,7 @@ def _points(lams, train, human, config, table, kind, gradient=True):
         for lam, value, g, constant in zip(part.tolist(), values, grads, np.any(undefined, -1)):
             points.append(
                 ZeroVarianceError(f"constant vector in the training objective at lam={lam!r}")
-                if constant else (lam, value, g) if math.isfinite(value)
-                else Error(f"objective is not finite at lam={lam!r}"))
+                if constant else (lam, value, g))
     return points
 
 

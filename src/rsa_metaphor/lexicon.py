@@ -4,7 +4,7 @@ A dataset lives in one directory holding three UTF-8 CSV files, named with
 their exact headers in :data:`DATASET_FILES`:
 
 * ``typicality.csv`` — one row per (category, feature) cell.  ``value`` is a
-  normalized typicality in [0, 1], or a mean Likert rating in [1, 7] when
+  normalized typicality in (0, 1), or a mean Likert rating in [1, 7] when
   loading with ``raw_ratings=True``.
   The grid must be dense: every category needs a value for every feature.
   The feature vocabulary is the set of features in this file, in order of
@@ -105,9 +105,10 @@ class FeatureVocab:
 class TypicalityTable:
     """Normalized typicality of each feature for each category noun.
 
-    ``values[c, i]`` is the typicality of feature i for category c; valid
-    rows are non-negative and sum to 1 (checked by :func:`validate`, not by
-    the constructor, so that a report can be produced for dirty data).
+    ``values[c, i]`` is the typicality of feature i for category c; valid rows lie
+    strictly inside (0, 1) and sum to 1 (:attr:`degenerate_rows`).  :func:`validate`
+    reports the rows that do not, and the constructor lets them in, so that a report
+    can be produced for dirty data.
     """
 
     categories: tuple[str, ...]
@@ -147,8 +148,11 @@ class TypicalityTable:
 
     @cached_property
     def degenerate_rows(self) -> np.ndarray:
-        """Per category: does its row hold a value at or below 0, at or above 1, or NaN?"""
-        return _read_only(~((self.values > 0.0) & (self.values < 1.0)).all(axis=1))
+        """Per category: does its row break the rule every scoring path reads rows by, that
+        every value lies strictly inside (0, 1) and the row sums to 1 within :data:`ROW_SUM_TOL`?"""
+        inside = (self.values > 0.0) & (self.values < 1.0)  # False for NaN
+        sums = np.where(inside, self.values, 0.0).sum(axis=1)  # cells outside left out: no overflow
+        return _read_only(~(inside.all(axis=1) & (np.abs(sums - 1.0) <= ROW_SUM_TOL)))
 
     @property
     def n(self) -> int:
@@ -423,16 +427,17 @@ def validate(
     built, so here only missing rows, unknown ids and the human vocabulary are."""
     violations: list[str] = []
 
+    names, negative = table.categories, (table.values < 0).any(axis=1)
     if not np.all(np.isfinite(table.values)):
         violations.append("typicality: non-finite values")
-    if np.any(table.values < 0):
-        for c in np.flatnonzero((table.values < 0).any(axis=1)):
-            violations.append(f"typicality: negative value(s) in category {table.categories[c]!r}")
+    for c in np.flatnonzero(negative):
+        violations.append(f"typicality: negative value(s) in category {names[c]!r}")
     sums = table.values.sum(axis=1)
     for c in np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL):
-        violations.append(
-            f"typicality: row for {table.categories[c]!r} sums to {sums[c]:.12g}, not 1"
-        )
+        violations.append(f"typicality: row for {names[c]!r} sums to {sums[c]:.12g}, not 1")
+    # a row the scoring paths refuse that no line above names: a 0, or a 1 beside zeros
+    for c in np.flatnonzero(table.degenerate_rows & ~negative & (np.abs(sums - 1) <= ROW_SUM_TOL)):
+        violations.append(f"typicality: row for {names[c]!r} holds a value outside (0, 1)")
 
     for item in items:
         for noun, role in ((item.topic, "topic"), (item.vehicle, "vehicle")):

@@ -48,6 +48,18 @@ class TestValidate:
         assert result.exit_code == 1
         assert "sums to" in result.stderr
 
+    def test_zero_cell_exits_one(self, runner, dataset_dir):
+        # workers' row 0.6, 0.3, 0.1 becomes 0.7, 0.3, 0: it sums to 1, and every command
+        # that scores it would refuse it
+        path = dataset_dir / "typicality.csv"
+        text = path.read_text(encoding="utf-8")
+        text = text.replace("workers,diligence,0.6", "workers,diligence,0.7", 1)
+        path.write_text(text.replace("workers,wisdom,0.1", "workers,wisdom,0.0", 1),
+                        encoding="utf-8")
+        result = runner.invoke(main, ["validate", "--data-dir", str(dataset_dir)])
+        assert result.exit_code == 1
+        assert result.stderr == "typicality: row for 'workers' holds a value outside (0, 1)\n"
+
     def test_missing_file_exits_two(self, runner, tmp_path):
         result = runner.invoke(main, ["validate", "--data-dir", str(tmp_path)])
         assert result.exit_code == 2

@@ -8,7 +8,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import example, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 import oracle
@@ -39,7 +39,7 @@ from rsa_metaphor.errors import (
     DegenerateTypicalityError,
     Error,
     UnknownCategoryError,
-    ZeroMassError,
+    ZeroVarianceError,
 )
 
 # the five configurations every evaluation path is checked in
@@ -50,6 +50,33 @@ CONFIGS = (
     {"category_prior": "uniform"},
     {"goal_prior": "uniform"},
 )
+
+
+# every public scoring path, called on a dataset at a config
+SCORING_PATHS = {
+    "interpret": lambda items, human, table, config: interpret(items[0], config, table),
+    "interpret_with_gradient": lambda items, human, table, config: interpret_with_gradient(
+        items[0], config, table),
+    "pragmatic_speaker": lambda items, human, table, config: pragmatic_speaker(
+        0, 0, config, table),
+    "pragmatic_listener": lambda items, human, table, config: pragmatic_listener(
+        items[0], config, table),
+    "evaluate": lambda items, human, table, config: evaluation.evaluate(
+        items, human, config, table),
+    "fit": lambda items, human, table, config: learn.learn_lambda_multistart(
+        items, human, config, table),
+    "grid": lambda items, human, table, config: evaluation.ablate_lambda_interpolation(
+        items, human, config, table),
+    "correlations": lambda items, human, table, config: evaluation.feature_correlation_matrix(
+        items, "model", config, table),
+}
+
+
+def degenerate(*categories):
+    """The anchored pattern of the DegenerateTypicalityError naming ``categories``."""
+    listed = ", ".join(repr(c) for c in categories)
+    return "^" + re.escape(f"typicality row(s) for {listed} hold a value outside (0, 1) or NaN, "
+                           "or do not sum to 1") + "$"
 
 
 class TestDistribution:
@@ -139,9 +166,10 @@ class TestSpeakerUtility:
     def test_zero_log_argument_raises(self):
         table = table_from_rows([[1.0, 0.0], [0.5, 0.5]])
         cfg = RsaConfig(lam=1.0)
-        with pytest.raises(DegenerateTypicalityError, match="'c0' give goal 1"):
+        # one rule for the row, whichever of its logs the goal reads
+        with pytest.raises(DegenerateTypicalityError, match=degenerate("c0")):
             pragmatic_speaker(1, 1, cfg, table)  # mass is T=0
-        with pytest.raises(DegenerateTypicalityError, match="'c0' give goal 0"):
+        with pytest.raises(DegenerateTypicalityError, match=degenerate("c0")):
             pragmatic_speaker(0, 1, cfg, table)  # mass is 1-T=0
 
 
@@ -385,8 +413,9 @@ class TestInterpret:
 class TestInterpretFast:
     @pytest.mark.parametrize("lam", [0.0, 2.0])
     def test_topic_row_of_zeros_has_zero_mass(self, lam):
+        # refused by the row rule before the normalizer could find zero mass
         table = table_from_rows([[0.0, 0.0], [0.25, 0.75]])
-        with pytest.raises(ZeroMassError, match="^interpretation has zero total mass$"):
+        with pytest.raises(DegenerateTypicalityError, match=degenerate("c0")):
             interpret_fast(MetaphorItem("m", "c0", "c1"), lam, table)
 
     def test_hand_example(self):
@@ -407,12 +436,11 @@ class TestInterpretFast:
     def test_zero_vehicle_entry_rejected_for_nonzero_lambda(self, value):
         table = table_from_rows([[0.5, 0.5, value], [0.2, 0.3, 0.5]], ("t", "v"))
         item = MetaphorItem("m", "v", "t")  # vehicle row has the value
-        message = ("typicality row(s) for 't' contain a value at or below 0, infinite or NaN; "
-                   "the vehicle stretch is undefined for lam != 0")
-        with pytest.raises(DegenerateTypicalityError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(DegenerateTypicalityError, match=degenerate("t")):
             interpret_fast(item, 2.0, table)
-        # lam = 0 never touches the vehicle row
-        np.testing.assert_allclose(interpret_fast(item, 0.0, table).p, table.row("v"))
+        # lam = 0 reads the vehicle row too: every scoring path applies the one row rule
+        with pytest.raises(DegenerateTypicalityError, match=degenerate("t")):
+            interpret_fast(item, 0.0, table)
 
     def test_stretch_sharpens_toward_vehicle_argmax(self):
         rng = np.random.default_rng(9)
@@ -651,9 +679,7 @@ class TestBatchedKernel:
         rows = [[0.6, 0.4], [0.3, 0.7], [1.0, 0.0], [0.5, 0.5], [0.0, 1.0]]
         table = table_from_rows(rows)
         item = MetaphorItem("m", "c0", "c1")
-        with pytest.raises(DegenerateTypicalityError,
-                           match=r"row\(s\) for 'c2', 'c4' contain a value at or below 0, "
-                                 r"at or above 1, or NaN$"):
+        with pytest.raises(DegenerateTypicalityError, match=degenerate("c2", "c4")):
             interpret(item, RsaConfig(lam=2.0), table)
         # the pair set never reads the bystanders
         assert np.isfinite(interpret(item, RsaConfig(lam=2.0, utterances="pair"), table).logp).all()
@@ -662,9 +688,7 @@ class TestBatchedKernel:
     def test_values_outside_0_1_are_named_as_found(self, value):
         rows = [[0.6, 0.4], [0.3, 0.7], [value, 0.5]]
         table = table_from_rows(rows)
-        with pytest.raises(DegenerateTypicalityError,
-                           match=r"^typicality row\(s\) for 'c2' contain a value at or below 0, "
-                                 r"at or above 1, or NaN$"):
+        with pytest.raises(DegenerateTypicalityError, match=degenerate("c2")):
             interpret(MetaphorItem("m", "c0", "c1"), RsaConfig(lam=2.0), table)
 
     @pytest.mark.parametrize("mode", ["full", "fast"])
@@ -678,33 +702,36 @@ class TestBatchedKernel:
         values = table.values.copy()
         values[table.category_index(category), 7] = value
         broken = table_from_rows(values, table.categories, table.vocab.features)
-        found = {
-            "full": "contain a value at or below 0, at or above 1, or NaN",
-            "topic": "contain a value below 0, infinite or NaN",
-            "vehicle": "contain a value at or below 0, infinite or NaN; "
-                       "the vehicle stretch is undefined for lam != 0",
-        }["full" if mode == "full" else role]
-        message = f"typicality row(s) for {category!r} {found}"
-        with pytest.raises(DegenerateTypicalityError, match=f"^{re.escape(message)}$"):
+        with pytest.raises(DegenerateTypicalityError, match=degenerate(category)):
             interpret(items[0], RsaConfig(lam=2.0, mode=mode), broken)
 
-    @pytest.mark.parametrize("call", [
-        lambda items, human, table: evaluation.evaluate(items, human, RsaConfig(lam=2.0), table),
-        lambda items, human, table: learn.learn_lambda_multistart(items, human, RsaConfig(),
-                                                                  table),
-        lambda items, human, table: evaluation.feature_correlation_matrix(
-            items, "model", RsaConfig(lam=2.0), table),
-    ], ids=["evaluate", "fit", "correlations"])
-    def test_nan_cell_is_named_on_every_scoring_path(self, call):
-        # evaluate raised "p is not a distribution", the fit "objective is not finite" and
-        # the model correlations came back all NaN
+    @pytest.mark.parametrize("broken", ["nan-cell", "half", "double", "zero-cell"])
+    @pytest.mark.parametrize("path, mode", [
+        (path, mode) for mode in ("full", "fast") for path in SCORING_PATHS
+        if (path, mode) != ("pragmatic_listener", "fast")  # full mode only
+    ])
+    def test_nan_cell_is_named_on_every_scoring_path(self, monkeypatch, path, mode, broken):
+        # a NaN cell made evaluate raise "p is not a distribution", the fit "objective is not
+        # finite" and the model correlations come back all NaN; a row scaled by 0.5 or by 2,
+        # and fast mode's rows with a 0, were scored without a word
         table, items, human = make_synthetic_dataset(seed=12)
         values = table.values.copy()
-        values[table.category_index(items[0].topic), 7] = math.nan
-        broken = table_from_rows(values, table.categories, table.vocab.features)
-        with pytest.raises(DegenerateTypicalityError, match=f"^typicality row\\(s\\) for "
-                                                            f"{re.escape(repr(items[0].topic))} "):
-            call(items, human, broken)
+        topic = table.category_index(items[0].topic)
+        row = values[topic].copy()
+        zero_cell = np.where(np.arange(row.size) == 7, 0.0, row)
+        values[topic] = {
+            "nan-cell": np.where(np.arange(row.size) == 7, math.nan, row),
+            "half": row * 0.5,
+            "double": row * 2.0,
+            "zero-cell": zero_cell / zero_cell.sum(),
+        }[broken]
+        broken_table = table_from_rows(values, table.categories, table.vocab.features)
+        calls, logsumexp = [], engine._logsumexp
+        monkeypatch.setattr(engine, "_logsumexp",
+                            lambda *args, **kwargs: calls.append(1) or logsumexp(*args, **kwargs))
+        with pytest.raises(DegenerateTypicalityError, match=degenerate(items[0].topic)):
+            SCORING_PATHS[path](items, human, broken_table, RsaConfig(lam=2.0, mode=mode))
+        assert calls == []  # refused before any kernel arithmetic
 
     @pytest.mark.parametrize("overrides", CONFIGS)
     def test_empty_batch_rejected(self, two_by_two, overrides):
@@ -805,26 +832,12 @@ class TestLambdaAxis:
     @pytest.mark.parametrize("grid, error, lam", [
         ([1.0, 2.0, 3.0, 0.0, 5.0], "ZeroVarianceError", "0.0"),  # in the second chunk
         ([1.0, 0.0, 0.0, 4.0], "ZeroVarianceError", "0.0"),
-        ([0.0, 0.0, 0.0, 2.0], "Error", "2.0"),
-        ([0.0, 1.5, 3.0], "Error", "1.5"),
     ])
-    def test_undefined_objective_names_the_first_point(self, monkeypatch, grid, error, lam):
-        # fast mode: at lam 0 the output is the topic row (uniform, so constant); for
-        # "Error" the topic rows vary, and a NaN in the output off lam 0 makes the objective
-        # NaN there (a NaN typicality is refused before scoring)
+    def test_undefined_objective_names_the_first_point(self, grid, error, lam):
+        # fast mode: at lam 0 the output is the topic row (uniform, so constant)
         table = table_from_rows([[0.25] * 4, [0.1, 0.2, 0.3, 0.4], [0.4, 0.3, 0.2, 0.1],
                                  [0.1, 0.6, 0.2, 0.1]])
         items = (MetaphorItem("m0", "c0", "c1"), MetaphorItem("m1", "c0", "c3"))
-        if error == "Error":
-            items = (MetaphorItem("m0", "c1", "c3"), MetaphorItem("m1", "c2", "c3"))
-            kernel = learn._interpret_lams
-
-            def nan_off_zero(batch, config, table, lams, *args, **kwargs):
-                logp, dp = kernel(batch, config, table, lams, *args, **kwargs)
-                logp[np.asarray(lams) != 0.0] = np.nan
-                return logp, dp
-
-            monkeypatch.setattr(learn, "_interpret_lams", nan_off_zero)
         human = HumanResponseTable(table.vocab, {
             "m0": np.array([0.1, 0.2, 0.3, 0.4]), "m1": np.array([0.5, 0.1, 0.1, 0.3]),
         })
@@ -1178,3 +1191,53 @@ class TestUnderflowFlush:
         flags.clear()
         _interpret_lams(train, RsaConfig(), table, learn._SCAN[-16:], True)
         assert flags == [True] * 7 + [False]
+
+
+@st.composite
+def rule_problems(draw):
+    """A 2-5 x 2-5 table that passes the row rule, with cells from about 1e-300 to 1, a batch,
+    a config, 1-4 lams from :data:`FLUSH_LAMS` and [0, 1e5], human rows and an objective kind.
+
+    Two weights of each row lie within 1e-15 of its largest, so no cell rounds to 1.
+    """
+    n_cat = draw(st.integers(2, 5))
+    n_feat = draw(st.integers(2, 5))
+    weights = np.array([draw(st.permutations(
+        draw(st.lists(st.floats(-15.0, 0.0), min_size=2, max_size=2))
+        + draw(st.lists(st.floats(-300.0, 0.0), min_size=n_feat - 2, max_size=n_feat - 2))
+    )) for _ in range(n_cat)])
+    weights = 10.0 ** weights
+    table = table_from_rows(weights / weights.sum(axis=1, keepdims=True))
+    assume(not table.degenerate_rows.any())  # a cell can round to 0 or to 1
+    pairs = draw(st.lists(
+        st.tuples(st.integers(0, n_cat - 1), st.integers(0, n_cat - 1)).filter(
+            lambda pair: pair[0] != pair[1]
+        ),
+        min_size=1, max_size=4,
+    ))
+    items = tuple(MetaphorItem(f"m{k}", f"c{t}", f"c{v}") for k, (t, v) in enumerate(pairs))
+    lams = draw(st.lists(st.one_of(st.sampled_from((0.0, *FLUSH_LAMS)), st.floats(0.0, 1e5)),
+                         min_size=1, max_size=4))
+    config = replace(RsaConfig(), **draw(st.sampled_from(CONFIGS)))
+    rows = draw(st.lists(st.lists(st.floats(0.0, 1.0), min_size=n_feat, max_size=n_feat).filter(
+        lambda row: sum(row) > 0.1), min_size=len(items), max_size=len(items)))
+    human = HumanResponseTable(
+        table.vocab, {item.id: np.array(row) / sum(row) for item, row in zip(items, rows)})
+    return table, items, config, np.array(lams), human, draw(st.sampled_from(("mean", "pooled")))
+
+
+class TestRowRule:
+    """``TypicalityTable.degenerate_rows`` is the one row rule of every scoring path."""
+
+    @settings(max_examples=120, deadline=None)
+    @given(rule_problems())
+    def test_a_table_that_passes_the_rule_scores_finite_everywhere(self, problem):
+        # why the kernel needs no zero-mass check and the fit no non-finite objective branch
+        table, items, config, lams, human, kind = problem
+        for gradient in (False, True):
+            logp, dp = _interpret_lams(items, config, table, lams, gradient)
+            assert np.all(np.isfinite(logp)) and np.all(logp <= 0.0)
+            np.testing.assert_allclose(np.exp(logp).sum(axis=-1), 1.0, rtol=0, atol=1e-12)
+            assert dp is None or np.all(np.isfinite(dp))
+            for point in learn._points(lams, items, human, config, table, kind, gradient):
+                assert isinstance(point, ZeroVarianceError) or math.isfinite(point[1])

@@ -247,11 +247,13 @@ class TestValidateViolations:
     @pytest.mark.parametrize("bad, violation", [
         (np.nan, "typicality: non-finite values"),
         (-0.1, "typicality: negative value(s) in category 'workers'"),
+        # a 0 in a row that still sums to 1: the scoring paths refuse it, so validate names it
+        ((0.9, 0.0), "typicality: row for 'workers' holds a value outside (0, 1)"),
     ])
     def test_typicality_value(self, clean, bad, violation):
         table, items, human = clean
         values = table.values.copy()
-        values[0, 1] = bad
+        values[0, :len(np.atleast_1d(bad))] = bad
         report = validate(TypicalityTable(table.categories, table.vocab, values), items, human)
         assert violation in report.violations
 
