@@ -20,6 +20,13 @@ Floats are written as ``repr(float(value))``, the shortest decimal that
 reads back as the same double, so saving a valid dataset and loading it
 back gives the same arrays, bit for bit.
 
+Reading and writing work in column passes.  Each file is parsed once; a
+column is checked and converted whole, and a grid is filled through one flat
+index array.  Each identifier is quoted once on writing.  An error names the
+first failing row in file order and, within a row, the first check it fails.
+Its physical line, where a quoted field may hold newlines, is found by
+reading the file again, on the error path only.
+
 All loaded types are frozen and their arrays read-only, so a dataset can be
 shared freely across parallel workers; loading itself is single-threaded.
 """
@@ -28,11 +35,13 @@ from __future__ import annotations
 
 import csv
 import io
+import itertools
 import math
+import operator
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, partial
 from pathlib import Path
-from typing import Iterator, Mapping
+from typing import Callable, Iterator, Mapping, NoReturn
 
 import numpy as np
 
@@ -275,24 +284,13 @@ def normalize_ratings(ratings: TypicalityTable) -> TypicalityTable:
     return TypicalityTable(ratings.categories, ratings.vocab, values / values.sum(axis=1)[:, None])
 
 
-def _dense_table(cells: dict[tuple[str, str], float]) -> TypicalityTable:
-    """The dense category x feature grid of ``cells``, both axes in first-seen order."""
-    categories = tuple(dict.fromkeys(c for c, _ in cells))
-    features = tuple(dict.fromkeys(f for _, f in cells))
-    vocab = FeatureVocab(features)
-    missing = [(c, f) for c in categories for f in features if (c, f) not in cells]
-    if missing:  # not imputed as 0: a zero typicality leaves the speaker's utility undefined
-        shown = ", ".join(f"({c!r}, {f!r})" for c, f in missing[:5])
-        raise DatasetError(f"typicality.csv: {len(missing)} missing cell(s): {shown}")
-    matrix = np.array([[cells[(c, f)] for f in features] for c in categories], dtype=float)
-    return TypicalityTable(categories, vocab, matrix)
+def _read_rows(data_dir: Path, name: str) -> tuple[list[list[str]], Callable[[int], str]]:
+    """The data rows of dataset file ``name``, blank rows dropped, and ``where``, which
+    names the line a data row starts on as ``"<name> line <N>"``.
 
-
-def _read_rows(data_dir: Path, name: str) -> list[tuple[str, list[str]]]:
-    """Read the rows of dataset file ``name`` as (``"<name> line <N>"``, fields).
-
-    The header must be exactly the file's :data:`DATASET_FILES` entry.  Bytes
-    that are not UTF-8 and rows the CSV reader rejects raise DatasetError.
+    The header must be exactly the file's :data:`DATASET_FILES` entry and every row
+    must have its width.  Bytes that are not UTF-8 and rows the CSV reader rejects
+    raise DatasetError; of these faults the first in the file is named.
     """
     expected_header = DATASET_FILES[name]
     data = (data_dir / name).read_bytes()
@@ -301,36 +299,181 @@ def _read_rows(data_dir: Path, name: str) -> list[tuple[str, list[str]]]:
     except UnicodeDecodeError as exc:
         lineno = data.count(b"\n", 0, exc.start) + 1
         raise DatasetError(f"{name} line {lineno}: not UTF-8 text") from None
-    reader = csv.reader(io.StringIO(text, newline=""))
+    reader, records, failure = csv.reader(io.StringIO(text, newline="")), [], None
     try:
-        header = next(reader, None)
-        if header is None:
-            raise DatasetError(f"{name}: empty file")
-        if tuple(header) != expected_header:
-            raise DatasetError(
-                f"{name} line 1: expected header {','.join(expected_header)!r}, "
-                f"got {','.join(header)!r}"
-            )
-        rows, end = [], reader.line_num  # physical lines: a quoted field may hold newlines
-        for fields in reader:
-            where, end = f"{name} line {end + 1}", reader.line_num
-            if not fields:
-                continue
-            if len(fields) != len(expected_header):
-                raise DatasetError(
-                    f"{where}: expected {len(expected_header)} fields, got {len(fields)}"
-                )
-            rows.append((where, fields))
+        records.extend(reader)  # on a csv.Error the records before it stay
     except csv.Error as exc:
-        raise DatasetError(f"{name} line {reader.line_num}: {exc}") from None
-    return rows
+        failure = f"{name} line {reader.line_num}: {exc}"
+    if not records:
+        raise DatasetError(failure or f"{name}: empty file")
+    if tuple(records[0]) != expected_header:
+        raise DatasetError(
+            f"{name} line 1: expected header {','.join(expected_header)!r}, "
+            f"got {','.join(records[0])!r}"
+        )
+    rows, where = list(filter(None, records[1:])), partial(_where, name, text)
+    width = len(expected_header)
+    if set(map(len, rows)) - {width}:
+        k = next(k for k, fields in enumerate(rows) if len(fields) != width)
+        raise DatasetError(f"{where(k)}: expected {width} fields, got {len(rows[k])}")
+    if failure:
+        raise DatasetError(failure)
+    return rows, where
 
 
-def _parse_float(text: str, where: str) -> float:
+def _where(name: str, text: str, row: int) -> str:
+    """``"<name> line <N>"``, N the physical line data row ``row`` of ``text`` starts on:
+    blank rows and newlines inside quoted fields count.  Read again on error only."""
+    reader, end = csv.reader(io.StringIO(text, newline="")), 0
+    for fields in reader:
+        if fields:  # the header, then the data rows
+            if row < 0:
+                return f"{name} line {end + 1}"
+            row -= 1
+        end = reader.line_num
+    raise AssertionError(f"{name} has no data row {row}")
+
+
+def _codes(names: tuple[str, ...], index: Mapping[str, int]) -> np.ndarray:
+    """The position in ``index`` of each name; -1 for a name not in it."""
+    return np.fromiter(map(index.get, names, itertools.repeat(-1)), np.intp, len(names))
+
+
+def _floats(texts: tuple[str, ...]) -> tuple[np.ndarray, int]:
+    """The values of ``texts`` by the rules of ``float()``, up to the first that is not a
+    number, and that one's index (``len(texts)`` when every one is)."""
+    values: list[float] = []
     try:
-        return float(text)
+        values.extend(map(float, texts))  # on a ValueError the values before it stay
     except ValueError:
-        raise DatasetError(f"{where}: not a number: {text!r}") from None
+        pass
+    return np.array(values, dtype=float), len(values)
+
+
+def _first(mask: np.ndarray) -> int:
+    """The index of the first True in ``mask``; ``len(mask)`` when there is none."""
+    return int(np.argmax(mask)) if mask.any() else len(mask)
+
+
+def _first_repeat(keys: np.ndarray) -> int:
+    """The index of the first key equal to an earlier one; ``len(keys)`` when none is."""
+    first = np.zeros(len(keys), dtype=bool)
+    first[np.unique(keys, return_index=True)[1]] = True
+    return _first(~first)
+
+
+def _raise_first(where: Callable[[int], str], faults) -> NoReturn:
+    """Raise for the fault on the earliest row; ``faults`` holds (row, message of row)
+    pairs in the order a row is checked, so a tie goes to the check made first."""
+    row, message = min(faults, key=lambda fault: fault[0])
+    raise DatasetError(f"{where(row)}: {message(row)}")
+
+
+def _read_typicality(data_dir: Path, raw_ratings: bool) -> TypicalityTable:
+    """The dense category x feature grid of ``typicality.csv``, both axes in first-seen order."""
+    rows, where = _read_rows(data_dir, "typicality.csv")
+    category_col, feature_col, value_col = zip(*rows) if rows else ((), (), ())
+    n = len(rows)
+    categories = {name: i for i, name in enumerate(dict.fromkeys(category_col))}
+    features = {name: i for i, name in enumerate(dict.fromkeys(feature_col))}
+    cell = _codes(category_col, categories) * len(features) + _codes(feature_col, features)
+    seen = np.zeros(len(categories) * len(features), dtype=bool)
+    seen[cell] = True
+    values, parsed = _floats(value_col)
+    if "" in categories or "" in features or np.count_nonzero(seen) < n or parsed < n:
+        _raise_first(where, (
+            (min((col.index("") for col in (category_col, feature_col) if "" in col), default=n),
+             lambda k: "empty category or feature identifier"),
+            (_first_repeat(cell),
+             lambda k: f"duplicate cell ({category_col[k]!r}, {feature_col[k]!r})"),
+            (parsed, lambda k: f"not a number: {value_col[k]!r}"),
+        ))
+
+    if raw_ratings:  # before the grid is built, so a range error is reported first
+        outside = ~((values >= 1.0) & (values <= 7.0))  # NaN is outside
+        if outside.any():
+            k = _first(outside)
+            raise DatasetError(
+                f"typicality.csv: rating for ({category_col[k]!r}, {feature_col[k]!r}) is "
+                f"{float(values[k])!r}, outside the Likert range [1, 7]"
+            )
+    vocab = FeatureVocab(tuple(features))
+    missing = np.flatnonzero(~seen)
+    if missing.size:  # not imputed as 0: a zero typicality leaves the speaker's utility undefined
+        names, n_features = tuple(categories), len(features)
+        shown = ", ".join(f"({names[m // n_features]!r}, {vocab.features[m % n_features]!r})"
+                          for m in missing[:5].tolist())
+        raise DatasetError(f"typicality.csv: {missing.size} missing cell(s): {shown}")
+    grid = np.empty(seen.shape)
+    grid[cell] = values
+    table = TypicalityTable(tuple(categories), vocab, grid.reshape(len(categories), -1))
+    return normalize_ratings(table) if raw_ratings else table
+
+
+def _read_metaphors(data_dir: Path, table: TypicalityTable) -> tuple[MetaphorItem, ...]:
+    rows, where = _read_rows(data_dir, "metaphors.csv")
+    items: dict[str, MetaphorItem] = {}
+    for k, (item_id, topic, vehicle, klass, familiarity) in enumerate(rows):
+        if not item_id:
+            raise DatasetError(f"{where(k)}: empty metaphor id")
+        if item_id in items:
+            raise DatasetError(f"{where(k)}: duplicate metaphor id {item_id!r}")
+        if klass not in _CLASSES:
+            raise DatasetError(f"{where(k)}: class must be one of {_CLASSES}, got {klass!r}")
+        for noun, role in ((topic, "topic"), (vehicle, "vehicle")):
+            if noun not in table:
+                raise DatasetError(f"{where(k)}: {role} {noun!r} not in typicality.csv")
+        if topic == vehicle:
+            raise DatasetError(f"{where(k)}: topic and vehicle are both {topic!r}")
+        try:
+            fam = None if familiarity == "" else float(familiarity)
+        except ValueError:
+            raise DatasetError(f"{where(k)}: not a number: {familiarity!r}") from None
+        items[item_id] = MetaphorItem(item_id, topic, vehicle, klass, fam)
+    return tuple(items.values())
+
+
+def _read_human(data_dir: Path, table: TypicalityTable,
+                items: tuple[MetaphorItem, ...]) -> HumanResponseTable:
+    """The rows of ``human.csv``, one per metaphor in first-seen order, each normalized."""
+    rows, where = _read_rows(data_dir, "human.csv")
+    metaphor_col, feature_col, count_col = zip(*rows) if rows else ((), (), ())
+    n = len(rows)
+    item_index = {item.id: i for i, item in enumerate(items)}
+    item_code = _codes(metaphor_col, item_index)
+    feature_code = _codes(feature_col, table.vocab._index)
+    cell = item_code * table.n + feature_code
+    counts, parsed = _floats(count_col)
+    known = (item_code >= 0) & (feature_code >= 0)
+    seen = np.zeros(len(items) * table.n, dtype=bool)
+    seen[cell[known]] = True
+    if (not known.all() or np.count_nonzero(seen) < n or parsed < n
+            or not np.isfinite(counts).all() or (counts < 0).any()):
+        _raise_first(where, (
+            (_first(item_code < 0), lambda k: f"unknown metaphor id {metaphor_col[k]!r}"),
+            (_first(feature_code < 0), lambda k: f"unknown feature {feature_col[k]!r}"),
+            (_first_repeat(cell),
+             lambda k: f"duplicate ({metaphor_col[k]!r}, {feature_col[k]!r})"),
+            (parsed, lambda k: f"not a number: {count_col[k]!r}"),
+            (_first(~np.isfinite(counts)), lambda k: f"count {float(counts[k])!r} is not finite"),
+            (_first(counts < 0), lambda k: f"negative count {float(counts[k])!r}"),
+        ))
+
+    grid = np.zeros((len(items), table.n))
+    grid.reshape(-1)[cell] = counts
+    responses: dict[str, np.ndarray] = {}
+    with np.errstate(over="ignore"):  # a row whose sum overflows is scaled by its max first
+        for metaphor_id in dict.fromkeys(metaphor_col):
+            vec = grid[item_index[metaphor_id]]
+            total = vec.sum()
+            if math.isinf(total):
+                vec = vec / vec.max()
+                total = vec.sum()
+            if total <= 0:
+                raise DatasetError(f"human.csv: responses for {metaphor_id!r} sum to zero")
+            # pre-normalized weights pass through untouched so save/load round-trips exactly
+            responses[metaphor_id] = vec if abs(total - 1.0) <= ROW_SUM_TOL else vec / total
+    return HumanResponseTable(table.vocab, responses)
 
 
 def read_dataset(
@@ -343,79 +486,9 @@ def read_dataset(
     are left to :func:`validate` so that dirty data can still be reported on.
     """
     data_dir = Path(data_dir)
-    cells: dict[tuple[str, str], float] = {}
-    for where, (category, feature, value) in _read_rows(data_dir, "typicality.csv"):
-        if not category or not feature:
-            raise DatasetError(f"{where}: empty category or feature identifier")
-        key = (category, feature)
-        if key in cells:
-            raise DatasetError(f"{where}: duplicate cell ({category!r}, {feature!r})")
-        cells[key] = _parse_float(value, where)
-
-    if raw_ratings:  # before the grid is built, so a range error is reported first
-        for (category, feature), value in cells.items():
-            if not 1.0 <= value <= 7.0:
-                raise DatasetError(
-                    f"typicality.csv: rating for ({category!r}, {feature!r}) is "
-                    f"{value!r}, outside the Likert range [1, 7]"
-                )
-    table = _dense_table(cells)
-    if raw_ratings:
-        table = normalize_ratings(table)
-
-    met_rows = _read_rows(data_dir, "metaphors.csv")
-    items: list[MetaphorItem] = []
-    item_ids: set[str] = set()
-    for where, (item_id, topic, vehicle, klass, familiarity) in met_rows:
-        if not item_id:
-            raise DatasetError(f"{where}: empty metaphor id")
-        if item_id in item_ids:
-            raise DatasetError(f"{where}: duplicate metaphor id {item_id!r}")
-        item_ids.add(item_id)
-        if klass not in _CLASSES:
-            raise DatasetError(f"{where}: class must be one of {_CLASSES}, got {klass!r}")
-        for noun, role in ((topic, "topic"), (vehicle, "vehicle")):
-            if noun not in table:
-                raise DatasetError(f"{where}: {role} {noun!r} not in typicality.csv")
-        if topic == vehicle:
-            raise DatasetError(f"{where}: topic and vehicle are both {topic!r}")
-        fam = None if familiarity == "" else _parse_float(familiarity, where)
-        items.append(MetaphorItem(item_id, topic, vehicle, klass, fam))
-
-    counts: dict[str, np.ndarray] = {}
-    seen_pairs: set[tuple[str, str]] = set()
-    for where, (metaphor_id, feature, count) in _read_rows(data_dir, "human.csv"):
-        if metaphor_id not in item_ids:
-            raise DatasetError(f"{where}: unknown metaphor id {metaphor_id!r}")
-        if feature not in table.vocab:
-            raise DatasetError(f"{where}: unknown feature {feature!r}")
-        pair = (metaphor_id, feature)
-        if pair in seen_pairs:
-            raise DatasetError(f"{where}: duplicate ({metaphor_id!r}, {feature!r})")
-        seen_pairs.add(pair)
-        weight = _parse_float(count, where)
-        if not math.isfinite(weight):
-            raise DatasetError(f"{where}: count {weight!r} is not finite")
-        if weight < 0:
-            raise DatasetError(f"{where}: negative count {weight!r}")
-        row = counts.get(metaphor_id)
-        if row is None:  # a zero row per metaphor, not per human.csv row
-            row = counts[metaphor_id] = np.zeros(table.n)
-        row[table.vocab.index(feature)] = weight
-
-    responses: dict[str, np.ndarray] = {}
-    for metaphor_id, vec in counts.items():
-        with np.errstate(over="ignore"):  # a row whose sum overflows is scaled by its max first
-            total = vec.sum()
-        if math.isinf(total):
-            vec = vec / vec.max()
-            total = vec.sum()
-        if total <= 0:
-            raise DatasetError(f"human.csv: responses for {metaphor_id!r} sum to zero")
-        # pre-normalized weights pass through untouched so save/load round-trips exactly
-        responses[metaphor_id] = vec if abs(total - 1.0) <= ROW_SUM_TOL else vec / total
-
-    return table, tuple(items), HumanResponseTable(table.vocab, responses)
+    table = _read_typicality(data_dir, raw_ratings)
+    items = _read_metaphors(data_dir, table)
+    return table, items, _read_human(data_dir, table, items)
 
 
 def validate(
@@ -432,7 +505,8 @@ def validate(
         violations.append("typicality: non-finite values")
     for c in np.flatnonzero(negative):
         violations.append(f"typicality: negative value(s) in category {names[c]!r}")
-    sums = table.values.sum(axis=1)
+    with np.errstate(invalid="ignore"):  # inf + -inf is NaN: the non-finite line names it
+        sums = table.values.sum(axis=1)
     for c in np.flatnonzero(np.abs(sums - 1.0) > ROW_SUM_TOL):
         violations.append(f"typicality: row for {names[c]!r} sums to {sums[c]:.12g}, not 1")
     # a row the scoring paths refuse that no line above names: a 0, or a 1 beside zeros
@@ -469,12 +543,23 @@ def load_dataset(
     return table, items, human
 
 
-def _write_rows(data_dir: Path, name: str, rows) -> None:
-    """Write dataset file ``name``: its :data:`DATASET_FILES` header, then ``rows``."""
+def _write_lines(data_dir: Path, name: str, lines) -> None:
+    """Write dataset file ``name``: its :data:`DATASET_FILES` header, then ``lines``."""
     with open(data_dir / name, "w", newline="", encoding="utf-8") as fh:
-        writer = csv.writer(fh, lineterminator="\n")
-        writer.writerow(DATASET_FILES[name])
-        writer.writerows(rows)
+        fh.write("\n".join((",".join(DATASET_FILES[name]), *lines, "")))
+
+
+def _quoted(fields) -> list[str]:
+    """Each field as ``csv.writer`` writes it within a row: quoted where it must be."""
+    buffer = io.StringIO()
+    writer = csv.writer(buffer, lineterminator="\n")
+    out = []
+    for field in fields:
+        writer.writerow((field, ""))  # not alone: a lone empty field is written as ""
+        out.append(buffer.getvalue()[:-2])
+        buffer.seek(0)
+        buffer.truncate()
+    return out
 
 
 def save_dataset(
@@ -486,20 +571,20 @@ def save_dataset(
     """Write the dataset back out in the documented CSV formats."""
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
+    features = _quoted(table.vocab)
     # tolist gives Python floats, whose repr (unlike numpy's) is the bare decimal
-    _write_rows(data_dir, "typicality.csv", (
-        [category, feature, repr(v)]
-        for category, row in zip(table.categories, table.values.tolist())
-        for feature, v in zip(table.vocab, row)
-    ))
-    _write_rows(data_dir, "metaphors.csv", (
-        [item.id, item.topic, item.vehicle, item.inherence,
-         "" if item.familiarity is None else repr(float(item.familiarity))]
-        for item in items
-    ))
-    _write_rows(data_dir, "human.csv", (
-        [metaphor_id, feature, repr(p)]
-        for metaphor_id in human.ids
-        for feature, p in zip(table.vocab, human.responses[metaphor_id].tolist())
-        if p > 0
-    ))
+    cells = [f"{category},{feature}," for category in _quoted(table.categories)
+             for feature in features]
+    _write_lines(data_dir, "typicality.csv",
+                 map(operator.add, cells, map(repr, table.values.ravel().tolist())))
+    _write_lines(data_dir, "metaphors.csv", (",".join(_quoted((
+        item.id, item.topic, item.vehicle, item.inherence,
+        "" if item.familiarity is None else repr(float(item.familiarity)),
+    ))) for item in items))
+    lines: list[str] = []
+    for metaphor_id, quoted in zip(human.ids, _quoted(human.ids)):
+        row = human.responses[metaphor_id][:table.n]  # a feature past the table's has no name
+        kept = np.flatnonzero(row > 0)
+        lines += (f"{quoted},{features[i]},{p!r}"
+                  for i, p in zip(kept.tolist(), row[kept].tolist()))
+    _write_lines(data_dir, "human.csv", lines)

@@ -1,5 +1,7 @@
 """Ingestion, normalization, validation, and round-trip tests for the data model."""
 
+import csv
+import io
 import tempfile
 from pathlib import Path
 
@@ -249,6 +251,7 @@ class TestValidateViolations:
         (-0.1, "typicality: negative value(s) in category 'workers'"),
         # a 0 in a row that still sums to 1: the scoring paths refuse it, so validate names it
         ((0.9, 0.0), "typicality: row for 'workers' holds a value outside (0, 1)"),
+        ((np.inf, -np.inf), "typicality: non-finite values"),
     ])
     def test_typicality_value(self, clean, bad, violation):
         table, items, human = clean
@@ -353,6 +356,45 @@ class TestReadDataset:
             encoding="utf-8",
         )
         with pytest.raises(DatasetError, match="^metaphors.csv line 6: class must be"):
+            read_dataset(dataset_dir)
+
+    @pytest.mark.parametrize("name, body, message", [
+        ("typicality.csv", '"wor\nkers",diligence,0.6\n\nworkers,numerosity,x\n',
+         "not a number: 'x'"),
+        ("human.csv", '"m\n1",diligence,1\n\nm2,wisdom,-1\n', "negative count -1.0"),
+    ])
+    def test_line_numbers_count_newlines_inside_quoted_identifiers(self, dataset_dir, name,
+                                                                   body, message):
+        (dataset_dir / "metaphors.csv").write_text(
+            'id,topic,vehicle,class,familiarity\n"m\n1",workers,ants,inherent,\n'
+            "m2,workers,owls,inherent,\n",
+            encoding="utf-8",
+        )
+        header = ",".join(DATASET_FILES[name])
+        (dataset_dir / name).write_text(f"{header}\n{body}", encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"^{name} line 5: {message}$"):
+            read_dataset(dataset_dir)
+
+    @pytest.mark.parametrize("name, edits, message", [
+        ("typicality.csv", {3: "workers,numerosity,x", 5: "workers,diligence,0.2"},
+         "not a number: 'x'"),
+        ("typicality.csv", {3: "workers,diligence,0.3", 5: "ants,diligence,x"},
+         r"duplicate cell \('workers', 'diligence'\)"),
+        ("typicality.csv", {3: ",numerosity,x"}, "empty category or feature identifier"),
+        ("typicality.csv", {3: "workers,numerosity", 5: "ants,diligence," + "x" * 200_000},
+         "expected 3 fields, got 2"),
+        ("human.csv", {3: "m9,numerosity,0.4", 5: "m2,diligence,-1"},
+         "unknown metaphor id 'm9'"),
+        ("human.csv", {3: "m1,numerosity,-1", 5: "m9,diligence,0.2"}, "negative count -1.0"),
+    ], ids=["number-before-duplicate", "duplicate-before-number", "empty-and-number",
+            "fields-before-csv-limit", "unknown-id-before-negative", "negative-before-unknown-id"])
+    def test_first_failing_row_in_file_order_is_named(self, dataset_dir, name, edits, message):
+        path = dataset_dir / name
+        lines = path.read_text(encoding="utf-8").splitlines()
+        for line, text in edits.items():
+            lines[line - 1] = text
+        path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+        with pytest.raises(DatasetError, match=f"^{name} line 3: {message}$"):
             read_dataset(dataset_dir)
 
     def test_unknown_reference_in_metaphors(self, dataset_dir):
@@ -557,3 +599,45 @@ class TestRoundTrip:
         )
         table, _, _ = load_dataset(data)
         assert table.vocab.features == ("zeta", "alpha")
+
+    def test_names_that_need_quoting_round_trip(self, tmp_path):
+        categories = ("a,b", 'say "hi"', "two\nlines", " padded ", "caf\u00e9")
+        features = ("x,y", 'q"', "new\nline", " lead", "trail ", "na\u00efve")
+        rng = np.random.default_rng(8)
+        values = rng.dirichlet(np.ones(len(features)), size=len(categories)) * 0.9 + 0.1 / 6
+        table = TypicalityTable(categories, FeatureVocab(features), values)
+        items = (MetaphorItem("m,1", categories[0], categories[1], "inherent", 2.5),
+                 MetaphorItem('m"2', categories[2], categories[3], "non_inherent", None),
+                 MetaphorItem("m\n3 ", categories[4], categories[0], "inherent", 1 / 3))
+        human = HumanResponseTable(table.vocab, {
+            "m,1": [0.5, 0.0, 0.25, 0.0, 0.0, 0.25],
+            'm"2': [0.0, 1.0, 0.0, 0.0, 0.0, 0.0],
+            "m\n3 ": [0.1, 0.2, 0.3, 0.0, 0.15, 0.25],
+        })
+        save_dataset(table, items, human, tmp_path)
+
+        # the reference: every row through csv.writer
+        rows = {
+            "typicality.csv": [[c, f, repr(v)] for c, row in zip(categories, values.tolist())
+                               for f, v in zip(features, row)],
+            "metaphors.csv": [[m.id, m.topic, m.vehicle, m.inherence,
+                               "" if m.familiarity is None else repr(m.familiarity)]
+                              for m in items],
+            "human.csv": [[m, f, repr(p)] for m in human.ids
+                          for f, p in zip(features, human.responses[m].tolist()) if p > 0],
+        }
+        for name, body in rows.items():
+            buffer = io.StringIO()
+            writer = csv.writer(buffer, lineterminator="\n")
+            writer.writerow(DATASET_FILES[name])
+            writer.writerows(body)
+            assert (tmp_path / name).read_bytes() == buffer.getvalue().encode("utf-8")
+
+        loaded_table, loaded_items, loaded_human = load_dataset(tmp_path)
+        assert loaded_table.categories == categories
+        assert loaded_table.vocab.features == features
+        assert np.array_equal(loaded_table.values, table.values)
+        assert loaded_items == items
+        assert loaded_human.ids == human.ids
+        for key in human.ids:
+            assert np.array_equal(loaded_human.responses[key], human.responses[key])
