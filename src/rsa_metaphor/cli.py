@@ -388,6 +388,9 @@ def ablate(config: RunConfig, table, items, human, kind):
             grid = evaluation.lambda_grid(*config.grid)
         except ValueError as exc:
             raise Error(f"invalid --grid value; {exc}: a point is not finite") from None
+        except MemoryError:
+            raise Error(f"invalid --grid value; {config.grid[2]} points do not fit in "
+                        "memory") from None
     with ArtifactWriter(config) as writer:
         if kind == "no-relevance":
             report = evaluation.ablate_relevance(

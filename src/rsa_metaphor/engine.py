@@ -14,14 +14,15 @@ speaker meant to convey:
 
 Feature vectors range over the one-hot basis ``e_1..e_n``: the entity "has"
 exactly one salient feature, and ``P(e_i | c)`` is the typicality of feature
-i for category c; ``lam`` is finite and >= 0, and refused where ``lam * log T``
-overflows.  All probability arithmetic runs in log space with max-subtraction.
-Scores far below their max still underflow, and numpy's ``exp`` leaves its
-SIMD loop for such results (README gives the cost).  So once
-``lam * max|log T|`` passes 700, the exps that are summed beside a term of
-about 1 flush results below ``exp(-700)`` to 0 (:func:`_exp`).  Log p keeps
-every bit; a derivative entry may move only where it is built of such terms
-alone, and is then below 1e-280 (``TestUnderflowFlush``).
+i for category c; ``lam`` is finite and >= 0.  One number per scoring call,
+:func:`_reach`, is the largest lam times the most negative log utility of the rows the
+call reads: a lam for which it overflows is refused, and it gates the flush.  All
+probability arithmetic runs in log space with max-subtraction.  Scores far below their
+max still underflow, and numpy's ``exp`` leaves its SIMD loop for such results (README
+gives the cost).  So once the reach falls below -700, the exps that are summed beside a
+term of about 1 flush results below ``exp(-700)`` to 0 (:func:`_exp`).  Log p keeps every
+bit; a derivative entry may move only where it is built of such terms alone, and is then
+below 1e-280 (``TestUnderflowFlush``).
 
 ``interpret_fast`` is the reduced pipeline ``a_i * b_i ** lam`` over the topic's
 row a and the vehicle's row b, normalized once.  It approximates the full
@@ -33,7 +34,7 @@ it returns the topic row as stored, with or without the gradient.
 Before any arithmetic, every scoring path refuses the rows it reads that fail the one
 row rule, :attr:`TypicalityTable.degenerate_rows`: the whole table in full mode with
 ``"all"``, else each item's topic and vehicle rows, at every lam.  So every log read
-is finite, and no normalizer meets zero mass.
+is finite, and no normalizer meets zero mass: the helpers below take finite arguments.
 
 One kernel, :func:`_interpret_lams`, computes every interpretation: a batch
 of items at a vector of ``lam`` values in a single numpy pass, with the
@@ -173,12 +174,13 @@ class Distribution:
 
     @classmethod
     def from_log_scores(cls, labels, scores) -> "Distribution":
-        """Normalize unnormalized log-scores (softmax with max-subtraction)."""
+        """Normalize log-scores, in [-inf, inf) and not all -inf (softmax with max-subtraction)."""
         scores = np.asarray(scores, dtype=float)
-        total = _logsumexp(scores, axis=-1)[0]
-        if total == -np.inf:
+        if not np.all(scores < math.inf):  # NaN fails the comparison too
+            raise ValueError("log-scores must be in [-inf, inf)")
+        if scores.max() == -math.inf:
             raise ZeroMassError("all scores have zero mass")
-        return cls(tuple(labels), scores - total)
+        return cls(tuple(labels), scores - _logsumexp(scores, axis=-1)[0])
 
     @cached_property
     def _index(self) -> dict:
@@ -215,10 +217,10 @@ def _check_lams(lams) -> np.ndarray:
 def _exp(x: np.ndarray, flush: bool) -> np.ndarray:
     """``exp(x)`` in place; with ``flush``, results below ``exp(-700)`` are 0.
 
-    The arguments are clamped at -700 and ``exp(-700)`` is taken off the results, so -inf
-    still gives 0 and NaN and +inf are kept, with no mask.  The subtraction moves only
-    results below ``2**54 * exp(-700)``, and a sum that holds a term of about 1 beside them
-    keeps its bits.
+    The arguments are finite, or -inf where :func:`_exclusive_sums` has written a peak
+    out, which gives 0.  They are clamped at -700 and ``exp(-700)`` is taken off the
+    results, with no mask.  The subtraction moves only results below
+    ``2**54 * exp(-700)``, and a sum that holds a term of about 1 beside them keeps its bits.
     """
     if flush:
         np.maximum(x, _FLUSH_FLOOR, out=x)
@@ -233,33 +235,29 @@ def _logaddexp(x: np.ndarray, y: np.ndarray, out: np.ndarray, flush: bool = Fals
     """``log(exp(x) + exp(y))`` into ``out``, which is not ``x`` or ``y``; ``y`` is overwritten.
 
     ``max + log1p(exp(min - max))`` in vectorized passes, where ``np.logaddexp`` loops over
-    scalar ``exp`` and ``log1p``.  Where both arguments are the same infinity ``min - max`` is
-    NaN; it is taken as 0, so ±inf, NaN and equal arguments give ``np.logaddexp``'s result
-    exactly.  Other results differ from it by rounding only: at most 2 ulp of
-    ``max(|x|, |y|, ln 2)`` over 3.6M random pairs at scales 1e-6 to 1e300.  ``flush``
+    scalar ``exp`` and ``log1p``.  The arguments are finite.  Equal arguments give
+    ``np.logaddexp``'s result exactly; others differ from it by rounding only: at most 2 ulp
+    of ``max(|x|, |y|, ln 2)`` over 3.6M random pairs at scales 1e-6 to 1e300.  ``flush``
     goes to :func:`_exp`.
     """
     lo = np.minimum(x, y, out=out)
     hi = np.maximum(x, y, out=y)
-    with np.errstate(invalid="ignore"):
-        lo -= hi
-    np.fmin(lo, 0.0, out=lo)  # fmin takes 0 over NaN
+    lo -= hi
     _exp(lo, flush)
     np.log1p(lo, out=lo)
     lo += hi
     return lo
 
 
-def _scaled_max(lam: np.ndarray, a: np.ndarray, axis: int) -> np.ndarray:
-    """``lam * max(a)`` along ``axis`` (kept), exactly the max of ``lam * a`` as ``lam >= 0``.
-
-    A lam for which ``lam * a`` overflows raises, in floats, before numpy can warn.
-    """
-    top = float(lam.max(initial=0.0))
-    if top * float(a.min()) == -math.inf:
+def _reach(lams: np.ndarray, *logs: np.ndarray) -> float:
+    """The largest of ``lams`` times the most negative entry of ``logs``, the finite log
+    utilities a call reads; raise, in floats before numpy can warn, where it overflows."""
+    top = float(max(lams.tolist(), default=0.0))
+    reach = top * min(float(a.min()) for a in logs)
+    if reach == -math.inf:
         raise Error(f"lam={top!r} is too large for this table: lam times a log typicality "
                     "overflows the float range")
-    return lam * a.max(axis=axis, keepdims=True)
+    return reach
 
 
 def _logsumexp(a: np.ndarray, axis: int, lam: np.ndarray | None = None, gradient: bool = False,
@@ -269,20 +267,19 @@ def _logsumexp(a: np.ndarray, axis: int, lam: np.ndarray | None = None, gradient
     ``lam >= 0`` has length 1 along ``axis``, and None leaves ``a`` unscaled; the shift is
     ``lam * max(a)`` (module docstring).  The derivative is the mean of ``a`` weighted by
     the summed block ``exp(lam * a - shift)``, which is written into ``out`` when given.
-    With ``lam``, ``a`` is finite and <= 0, and a lam for which ``lam * a`` overflows raises.
-    ``flush`` goes to :func:`_exp`.
+    ``a`` is finite (without ``lam``, an entry may be -inf beside a finite max), and
+    ``lam * a`` does not overflow (:func:`_reach`).  ``flush`` goes to :func:`_exp`.
     """
-    m = a.max(axis=axis, keepdims=True) if lam is None else _scaled_max(lam, a, axis)
-    shift = np.where(np.isfinite(m), m, 0.0)  # all -inf: exp sums to 0, log gives -inf
+    shift = a.max(axis=axis, keepdims=True)
     if lam is None:
         block = np.subtract(a, shift, out=out)
     else:
+        shift = lam * shift
         block = np.multiply(lam, a, out=out)
         block -= shift
     _exp(block, flush)
     total = block.sum(axis=axis, keepdims=True)
-    with np.errstate(divide="ignore"):
-        norm = np.log(total) + shift
+    norm = np.log(total) + shift
     if not gradient:
         return norm, None
     block /= total
@@ -319,7 +316,9 @@ def pragmatic_speaker(
     rows = np.array([table.category_index(u) for u in utts])
     _reject_rows(table, rows)
     utility = (table.log_values if feature == goal else table.log1m_values)[rows, goal]
-    norm, _ = _logsumexp(utility, -1, np.array([config.lam]))  # refuses a lam that overflows
+    lam = np.array([config.lam])
+    _reach(lam, utility)
+    norm, _ = _logsumexp(utility, -1, lam)
     return Distribution(utts, config.lam * utility - norm)
 
 
@@ -341,10 +340,10 @@ def _exclusive_sums(x: np.ndarray, d: np.ndarray | None = None, flush: bool = Fa
     and ``second`` are each row's largest entry and the largest of the others, with the
     last axis kept.  With ``shift_i`` the peak, or ``second`` at the peak itself,
     ``sum_{j != i} exp(x_j) = exp(shift_i) sums_i`` and, given ``d``,
-    ``sum_{j != i} exp(x_j) d_j = exp(shift_i) weighted_i``; every row needs a finite
-    entry.  How the terms are shifted and joined, and why nothing cancels, is set out in
-    the module docstring.  ``x`` and ``d`` are overwritten, and must be C-contiguous for
-    the peak entries to be written by flat index.  ``flush`` goes to :func:`_exp`.
+    ``sum_{j != i} exp(x_j) d_j = exp(shift_i) weighted_i``.  How the terms are shifted and
+    joined, and why nothing cancels, is set out in the module docstring.  ``x`` and ``d``
+    are finite, with rows of 2 or more entries; they are overwritten, and must be C-contiguous
+    for the peak entries to be written by flat index.  ``flush`` goes to :func:`_exp`.
     """
     assert x.flags.c_contiguous and (d is None or d.flags.c_contiguous)
     n = x.shape[-1]
@@ -356,8 +355,8 @@ def _exclusive_sums(x: np.ndarray, d: np.ndarray | None = None, flush: bool = Fa
     second = np.max(x, axis=-1, keepdims=True)
     rest = x - peak
     _exp(rest, flush)  # every term but the peak's own 1
-    runner_up = np.subtract(x, np.where(np.isfinite(second), second, peak), out=x)
-    _exp(runner_up, flush)  # none: all 0
+    runner_up = np.subtract(x, second, out=x)
+    _exp(runner_up, flush)
 
     def exclusive(t, direct, own):
         """``t``, in place: the sum of ``direct`` at the peak, else ``own`` + the others' ``t``."""
@@ -402,9 +401,9 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
     elementwise or reduces along a trailing axis, so each lam's slice has the bits
     it would have in a call of its own.  Full mode writes the late results (the final
     normalizer, ``p`` and ``p * d log``) into (L, B, n) blocks it has finished with, and
-    flushes the exps summed beside a term of about 1 (:func:`_exp`) where the largest lam
-    times the table's largest ``|log T|`` or ``|log(1 - T)|`` exceeds 700, the first lam at
-    which a speaker score can fall below ``exp(-700)``; the final normalizer never does.
+    flushes the exps summed beside a term of about 1 (:func:`_exp`) where the reach of the
+    utilities it reads (:func:`_reach`) is below -700, the first lam at which a speaker
+    score can fall below ``exp(-700)``; the final normalizer never does.
     """
     if not items:
         raise ValueError("empty batch of metaphor items")
@@ -423,17 +422,17 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
 
     if config.mode == "fast":
         log_alpha, log_beta = log_values[topic], log_values[vehicle]
+        _reach(lams, log_beta)
         # log a + lam log b, shifted by lam max(log b) as the speaker's scores are
-        shift = _scaled_max(lam, log_beta, -1)
         logp = np.multiply(lam, log_beta)
-        logp -= shift
+        logp -= lam * log_beta.max(axis=-1, keepdims=True)
         logp += log_alpha
         if gradient:
             dlog = log_beta - log_beta.max(axis=-1, keepdims=True)
     else:
-        flush = max(lams.tolist(), default=0.0) * table._log_extent > -_FLUSH_FLOOR
         # the utterance alternatives are the rows read
         log_u, not_u = log_values[rows], table.log1m_values[rows]
+        flush = _reach(lams, log_u, not_u) < _FLUSH_FLOOR
         log_t, log_v, not_v = log_values[topic], log_values[vehicle], table.log1m_values[vehicle]
         # the state carries goal j's feature (match) or another one (no match)
         log_on, d_match = _speaker(lam, log_u, log_v, gradient, flush)

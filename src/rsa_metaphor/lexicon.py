@@ -151,11 +151,6 @@ class TypicalityTable:
             return _read_only(np.log1p(-self.values))
 
     @cached_property
-    def _log_extent(self) -> float:
-        """The largest ``|log T|`` or ``|log(1 - T)|``: inf with a 0 or a 1, NaN outside [0, 1]."""
-        return float(np.maximum(-self.log_values.min(), -self.log1m_values.min()))
-
-    @cached_property
     def degenerate_rows(self) -> np.ndarray:
         """Per category: does its row break the rule every scoring path reads rows by, that
         every value lies strictly inside (0, 1) and the row sums to 1 within :data:`ROW_SUM_TOL`?"""
@@ -569,6 +564,8 @@ def save_dataset(
     data_dir,
 ) -> None:
     """Write the dataset back out in the documented CSV formats."""
+    if human.vocab != table.vocab:
+        raise DatasetError(_VOCAB_DIFFERS)
     data_dir = Path(data_dir)
     data_dir.mkdir(parents=True, exist_ok=True)
     features = _quoted(table.vocab)
@@ -583,7 +580,7 @@ def save_dataset(
     ))) for item in items))
     lines: list[str] = []
     for metaphor_id, quoted in zip(human.ids, _quoted(human.ids)):
-        row = human.responses[metaphor_id][:table.n]  # a feature past the table's has no name
+        row = human.responses[metaphor_id]
         kept = np.flatnonzero(row > 0)
         lines += (f"{quoted},{features[i]},{p!r}"
                   for i, p in zip(kept.tolist(), row[kept].tolist()))

@@ -448,6 +448,18 @@ class TestAblate:
         done = run("eval", "--lambda", "5")
         assert done.returncode == 0 and done.stderr == ""
 
+    def test_grid_too_large_to_allocate_is_domain_error(self, runner, full_scale_dir, tmp_path):
+        # 10**16 points ask for 71 PiB, which no host gives, so the allocation fails at once
+        out = tmp_path / "x"
+        result = runner.invoke(main, [
+            "ablate", "--data-dir", str(full_scale_dir), "--output-dir", str(out),
+            "--kind", "grid-lambda", "--grid", "1:2:10000000000000000",
+        ])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.stderr == ("error: invalid --grid value; 10000000000000000 points do not "
+                                 "fit in memory\n")
+        assert not out.exists()
+
     @pytest.mark.parametrize("grid", ["1:inf:5", "nan:5:5", "0.5:nan:3", "inf:inf:2"])
     def test_non_finite_grid_bound_is_domain_error(self, runner, full_scale_dir, tmp_path, grid):
         out = tmp_path / "x"

@@ -102,6 +102,13 @@ class TestDistribution:
         with pytest.raises(ZeroMassError):
             Distribution.from_log_scores(("a", "b"), [-np.inf, -np.inf])
 
+    @pytest.mark.parametrize("scores", [[math.inf, 0.0], [math.nan, 0.0], [math.nan, math.nan]])
+    def test_scores_of_inf_or_nan_rejected_before_any_arithmetic(self, scores):
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(ValueError, match=r"^log-scores must be in \[-inf, inf\)$"):
+                Distribution.from_log_scores(("a", "b"), scores)
+
     @pytest.mark.parametrize("logp", [[0.5, 0.5], [1e-300, -np.inf], [math.nan, 0.0],
                                       [math.inf, -np.inf]])
     def test_entries_outside_minus_inf_to_zero_rejected(self, logp):
@@ -949,13 +956,11 @@ class TestSpeakerNormalizer:
 
 @st.composite
 def exclusive_rows(draw):
-    """A row of log terms spread over up to 1,500 nats, with ties and -inf, and weights."""
-    n = draw(st.integers(1, 12))
+    """A row of 2-12 finite log terms spread over up to 1,500 nats, with ties, and weights."""
+    n = draw(st.integers(2, 12))
     spread = draw(st.sampled_from((1.0, 40.0, 800.0, 1500.0)))
-    entry = st.one_of(st.floats(-spread, 0.0), st.just(0.0), st.just(-math.inf))
-    x = draw(st.lists(entry, min_size=n, max_size=n).filter(
-        lambda row: any(math.isfinite(v) for v in row)
-    ))
+    entry = st.one_of(st.floats(-spread, 0.0), st.just(0.0))
+    x = draw(st.lists(entry, min_size=n, max_size=n))
     offset = draw(st.floats(-700.0, 700.0))
     d = draw(st.lists(st.floats(-10.0, 10.0), min_size=n, max_size=n))
     return np.array(x) + offset, np.array(d)
@@ -963,13 +968,12 @@ def exclusive_rows(draw):
 
 class TestLogaddexp:
     def test_special_values_match_numpy_exactly(self):
-        # equal infinities make min - max NaN; the helper takes it as 0, with no warning
-        values = np.array([math.inf, -math.inf, math.nan, 0.0, -1.0, 5.0])
+        # equal arguments included, with no warning
+        values = np.array([0.0, -1.0, 5.0])
         x, y = np.meshgrid(values, values)
         with np.errstate(all="raise"):
             got = _logaddexp(x, y.copy(), out=np.empty_like(x))
-        with np.errstate(invalid="ignore"):  # numpy's own flags its NaN arguments
-            want = np.logaddexp(x, y)
+        want = np.logaddexp(x, y)
         np.testing.assert_array_equal(got, want)
 
     def test_within_two_ulp_of_numpy(self):
@@ -1005,10 +1009,7 @@ class TestExclusiveSums:
         # recursive summation of n positive terms: at most n - 2 roundings of half an ulp
         rtol = n * np.finfo(float).eps / 2
         for i in range(n):
-            others = [j for j in range(n) if j != i and math.isfinite(x[j])]
-            if not others:
-                assert sums[0, i] == 0.0 and weighted[0, i] == 0.0
-                continue
+            others = [j for j in range(n) if j != i]
             peak = max(x[j] for j in others)
             terms = [math.exp(x[j] - peak) for j in others]
             assert shift[0, i] == peak
@@ -1019,18 +1020,19 @@ class TestExclusiveSums:
 
     def test_peaks_are_found_and_written_by_flat_index(self):
         # rows along both leading axes, a tied peak (the first is the peak), a row whose
-        # other entries are all -inf, and a row whose peak is its last entry
-        inf = math.inf
-        x = np.array([[[0.0, 0.0, -1.0, -inf], [-inf, -inf, 3.0, -inf], [-1.0, 5.0, 5.0, 5.0]],
-                      [[2.0, -inf, 1.0, 0.0], [-3.0, -2.0, -1.0, 0.0], [7.0, 7.0, 7.0, 7.0]]])
+        # other entries are all far below it, and a row whose peak is its last entry; exp of
+        # low less any peak here is 0 in floats
+        low = -800.0
+        x = np.array([[[0.0, 0.0, -1.0, low], [low, low, 3.0, low], [-1.0, 5.0, 5.0, 5.0]],
+                      [[2.0, low, 1.0, 0.0], [-3.0, -2.0, -1.0, 0.0], [7.0, 7.0, 7.0, 7.0]]])
         d = np.arange(24.0).reshape(x.shape) / 7.0 - 1.0
         peak, second, top, sums, weighted = _exclusive_sums(x.copy(), d.copy())
         assert top.tolist() == [[0, 6, 9], [12, 19, 20]]
         assert peak[..., 0].tolist() == [[0.0, 3.0, 5.0], [2.0, 0.0, 7.0]]
-        assert second[..., 0].tolist() == [[0.0, -inf, 5.0], [1.0, -1.0, 7.0]]
+        assert second[..., 0].tolist() == [[0.0, low, 5.0], [1.0, -1.0, 7.0]]
         e = math.exp(-1.0)
         assert sums[0, 0].tolist() == [1.0 + e, 1.0 + e, 2.0, 2.0 + e]
-        assert sums[0, 1].tolist() == [1.0, 1.0, 0.0, 1.0]
+        assert sums[0, 1].tolist() == [1.0, 1.0, 3.0, 1.0]
         # each row as it comes out of a call on that row alone
         for row in np.ndindex(x.shape[:-1]):
             alone = _exclusive_sums(x[row][None].copy(), d[row][None].copy())
@@ -1192,6 +1194,19 @@ class TestUnderflowFlush:
         _interpret_lams(train, RsaConfig(), table, learn._SCAN[-16:], True)
         assert flags == [True] * 7 + [False]
 
+    @pytest.mark.parametrize("rows, lam", [
+        ([[0.6, 0.4], [0.3, 0.7], [1.0, 0.0]], 1.0),
+        ([[0.6, 0.3, 0.1], [0.2, 0.3, 0.5], [1e-200, 0.5, 0.5]], 100.0),
+    ])
+    def test_pair_gate_reads_only_the_pair(self, monkeypatch, rows, lam):
+        # a bystander row, which the pair set never reads, does not move the gate
+        table = table_from_rows(rows)
+        flags = []
+        monkeypatch.setattr(engine, "_exp", lambda x, flush: flags.append(flush) or _exp(x, flush))
+        interpret_with_gradient(MetaphorItem("m", "c0", "c1"),
+                                RsaConfig(lam=lam, utterances="pair"), table)
+        assert flags == [False] * 8
+
 
 @st.composite
 def rule_problems(draw):
@@ -1226,18 +1241,32 @@ def rule_problems(draw):
     return table, items, config, np.array(lams), human, draw(st.sampled_from(("mean", "pooled")))
 
 
+def finite_arguments(helper):
+    """``helper``, asserting that every array it reads (each but ``out``) is finite."""
+    def spy(*args, **kwargs):
+        read = [*args, *(value for key, value in kwargs.items() if key != "out")]
+        assert all(np.isfinite(a).all() for a in read if isinstance(a, np.ndarray))
+        return helper(*args, **kwargs)
+    return spy
+
+
 class TestRowRule:
     """``TypicalityTable.degenerate_rows`` is the one row rule of every scoring path."""
 
     @settings(max_examples=120, deadline=None)
     @given(rule_problems())
     def test_a_table_that_passes_the_rule_scores_finite_everywhere(self, problem):
-        # why the kernel needs no zero-mass check and the fit no non-finite objective branch
+        # why the kernel needs no zero-mass check, the fit no non-finite objective branch and
+        # the helpers no guard for an infinity or a NaN: every array they read is finite
         table, items, config, lams, human, kind = problem
+        spies = {helper.__name__: finite_arguments(helper)
+                 for helper in (_logsumexp, _exclusive_sums, _logaddexp)}
         for gradient in (False, True):
-            logp, dp = _interpret_lams(items, config, table, lams, gradient)
+            with mock.patch.multiple(engine, **spies):
+                logp, dp = _interpret_lams(items, config, table, lams, gradient)
+                points = learn._points(lams, items, human, config, table, kind, gradient)
             assert np.all(np.isfinite(logp)) and np.all(logp <= 0.0)
             np.testing.assert_allclose(np.exp(logp).sum(axis=-1), 1.0, rtol=0, atol=1e-12)
             assert dp is None or np.all(np.isfinite(dp))
-            for point in learn._points(lams, items, human, config, table, kind, gradient):
+            for point in points:
                 assert isinstance(point, ZeroVarianceError) or math.isfinite(point[1])

@@ -581,6 +581,17 @@ class TestRoundTrip:
         for key in h1.ids:
             assert np.array_equal(h1.responses[key], h2.responses[key])
 
+    def test_human_rows_over_another_vocabulary_are_refused_before_writing(self, tmp_path):
+        # m2's only weight is on z, which the table has no feature for
+        table = TypicalityTable(("a", "b"), FeatureVocab(("x", "y")), [[0.5, 0.5], [0.25, 0.75]])
+        items = (MetaphorItem("m1", "a", "b", "inherent"), MetaphorItem("m2", "b", "a", "inherent"))
+        human = HumanResponseTable(FeatureVocab(("x", "y", "z")),
+                                   {"m1": [0.5, 0.5, 0.0], "m2": [0.0, 0.0, 1.0]})
+        with pytest.raises(DatasetError, match="^human responses: feature vocabulary differs "
+                                               "from the typicality table's$"):
+            save_dataset(table, items, human, tmp_path / "d")
+        assert not (tmp_path / "d").exists()
+
     def test_feature_order_follows_file_order(self, tmp_path):
         data = tmp_path / "ordered"
         data.mkdir()
