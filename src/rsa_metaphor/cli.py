@@ -23,7 +23,7 @@ import click
 
 from . import engine, evaluation, learn, lexicon
 from .engine import RsaConfig, interpret
-from .errors import Error, UnknownCategoryError
+from .errors import Error
 from .lexicon import MetaphorItem
 from .metrics import top_k_indices
 
@@ -137,13 +137,9 @@ def _load_dataset(data_dir, raw_ratings: bool, ks: tuple[int, ...]):
     return table, items, human
 
 
-def _require_category(noun: str, table: lexicon.TypicalityTable) -> None:
-    if noun in table:
-        return
-    import difflib  # only the error path pays for the import
-
-    near = difflib.get_close_matches(noun, table.categories, n=5)
-    raise UnknownCategoryError(noun, suggestions=near)
+def _train_items(items, split: learn.TrainTestSplit) -> tuple[MetaphorItem, ...]:
+    by_id = {item.id: item for item in items}
+    return tuple(by_id[i] for i in split.train)
 
 
 class ArtifactWriter:
@@ -307,8 +303,8 @@ def cmd_interpret(data_dir, raw_ratings, lam_text, topic, vehicle, k_text, outpu
     """Print the ranked feature distribution for one topic-vehicle pair."""
     ks = _parse_ks(k_text)
     table, _, _ = _load_dataset(data_dir, raw_ratings, ks)
-    _require_category(topic, table)
-    _require_category(vehicle, table)
+    table.category_index(topic)  # the nouns are checked before the flags
+    table.category_index(vehicle)
     lam, _ = _resolve_lambda(lam_text, output_dir)
     config = RsaConfig(lam=lam, **engine)
     item = MetaphorItem(id=f"{topic}-{vehicle}", topic=topic, vehicle=vehicle)
@@ -329,9 +325,7 @@ def cmd_interpret(data_dir, raw_ratings, lam_text, topic, vehicle, k_text, outpu
 def train(config: RunConfig, table, items, human):
     """Fit the rationality parameter on the train split; write params.json."""
     split = learn.make_split(items, config.split_seed)
-    by_id = {item.id: item for item in items}
-    train_items = tuple(by_id[i] for i in split.train)
-    fit = learn.learn_lambda_multistart(train_items, human, config.model, table,
+    fit = learn.learn_lambda_multistart(_train_items(items, split), human, config.model, table,
                                         kind=config.objective)
     with ArtifactWriter(config) as writer:
         path = writer.write_json("params.json", {
@@ -391,25 +385,21 @@ def ablate(config: RunConfig, table, items, human, kind):
         except MemoryError:
             raise Error(f"invalid --grid value; {config.grid[2]} points do not fit in "
                         "memory") from None
+        split = learn.make_split(items, config.split_seed)
+        best, report = evaluation.ablate_lambda_interpolation(
+            items, human, config.model, table,
+            grid=grid, train=_train_items(items, split), objective_kind=config.objective,
+            ks=config.ks, jsd_base=config.jsd_base,
+        )
+        payload = {"best_lambda": best}
+    else:
+        report = evaluation.ablate_relevance(
+            items, human, config.model, table, ks=config.ks, jsd_base=config.jsd_base,
+        )
+        payload = {}
+    payload["report"] = evaluation.report_to_dict(report)
     with ArtifactWriter(config) as writer:
-        if kind == "no-relevance":
-            report = evaluation.ablate_relevance(
-                items, human, config.model, table,
-                ks=config.ks, jsd_base=config.jsd_base,
-            )
-            payload = {"report": evaluation.report_to_dict(report)}
-            path = writer.write_json("ablation_no_relevance.json", payload)
-        else:
-            split = learn.make_split(items, config.split_seed)
-            by_id = {item.id: item for item in items}
-            train_items = tuple(by_id[i] for i in split.train)
-            best, report = evaluation.ablate_lambda_interpolation(
-                items, human, config.model, table,
-                grid=grid, train=train_items, objective_kind=config.objective,
-                ks=config.ks, jsd_base=config.jsd_base,
-            )
-            payload = {"best_lambda": best, "report": evaluation.report_to_dict(report)}
-            path = writer.write_json("ablation_grid_lambda.json", payload)
+        path = writer.write_json(f"ablation_{kind.replace('-', '_')}.json", payload)
     stats = report.groups["all"]
     click.echo(f"ablation {kind}: mean r={stats.mean_pearson:.4f} -> {path}")
 

@@ -206,7 +206,10 @@ def lambda_grid(start: float, stop: float, count: int) -> np.ndarray:
     """Log-spaced candidate grid for the interpolation ablation (see :data:`DEFAULT_GRID`)."""
     if count >= 1 and 0 < start <= stop < math.inf:  # False for a NaN bound
         with np.errstate(over="ignore"):  # near the float maximum a point can round to inf
-            grid = np.geomspace(start, stop, count)
+            try:
+                grid = np.geomspace(start, stop, count)
+            except (ValueError, IndexError):  # numpy refused the count: an allocation failure
+                raise MemoryError(f"{count} grid points do not fit an array") from None
         if np.isfinite(grid).all():
             return grid
     raise ValueError(f"bad grid spec ({start}, {stop}, {count})")

@@ -164,10 +164,14 @@ class TypicalityTable:
         return len(self.vocab)
 
     def category_index(self, category: str) -> int:
+        """Row of ``category``; an unknown one raises with up to five near matches."""
         try:
             return self._index[category]
         except KeyError:
-            raise UnknownCategoryError(category) from None
+            import difflib  # only the error path pays for the import
+
+            near = difflib.get_close_matches(str(category), self.categories, n=5)
+            raise UnknownCategoryError(category, suggestions=near) from None
 
     def __contains__(self, category: str) -> bool:
         return category in self._index

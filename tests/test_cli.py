@@ -173,6 +173,19 @@ class TestInterpret:
         ])
         assert result.exit_code == 1
 
+    @pytest.mark.parametrize("topic, vehicle, flags", [
+        ("workerz", "ants", ["--lambda", "-1"]),
+        ("workerz", "workerz", []),
+    ], ids=["before-lambda", "before-same-noun"])
+    def test_nouns_are_checked_before_the_flags(self, runner, dataset_dir, topic, vehicle,
+                                                flags):
+        result = runner.invoke(main, [
+            "interpret", "--data-dir", str(dataset_dir),
+            "--topic", topic, "--vehicle", vehicle, *flags,
+        ])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.stderr == "error: unknown category 'workerz'; did you mean: workers\n"
+
 
 class TestTrain:
     def test_params_schema_and_determinism(self, runner, full_scale_dir, tmp_path):
@@ -448,16 +461,33 @@ class TestAblate:
         done = run("eval", "--lambda", "5")
         assert done.returncode == 0 and done.stderr == ""
 
-    def test_grid_too_large_to_allocate_is_domain_error(self, runner, full_scale_dir, tmp_path):
-        # 10**16 points ask for 71 PiB, which no host gives, so the allocation fails at once
+    # 10**16 points ask for 71 PiB, which no host gives, so the allocation fails at once;
+    # numpy refuses the three larger counts before it allocates anything
+    @pytest.mark.parametrize("count", [10**16, 2**63 - 1, 2**60, 10**20])
+    def test_grid_too_large_to_allocate_is_domain_error(
+            self, runner, full_scale_dir, tmp_path, count):
         out = tmp_path / "x"
         result = runner.invoke(main, [
             "ablate", "--data-dir", str(full_scale_dir), "--output-dir", str(out),
-            "--kind", "grid-lambda", "--grid", "1:2:10000000000000000",
+            "--kind", "grid-lambda", "--grid", f"1:2:{count}",
         ])
         assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
-        assert result.stderr == ("error: invalid --grid value; 10000000000000000 points do not "
+        assert result.stderr == (f"error: invalid --grid value; {count} points do not "
                                  "fit in memory\n")
+        assert not out.exists()
+
+    @pytest.mark.parametrize("kind", ["no-relevance", "grid-lambda"])
+    def test_failing_ablation_makes_no_output_directory(
+            self, runner, full_scale_dir, tmp_path, kind):
+        # the report is computed before the writer opens, as in train, eval and corr
+        out = tmp_path / "x"
+        result = runner.invoke(main, [
+            "ablate", "--data-dir", str(full_scale_dir), "--output-dir", str(out),
+            "--kind", kind, "--lambda", "1e308", "--grid", "1e300:1e308:3",
+        ])
+        assert result.exit_code == 1 and isinstance(result.exception, SystemExit)
+        assert result.stderr == ("error: lam=1e+308 is too large for this table: lam times a "
+                                 "log typicality overflows the float range\n")
         assert not out.exists()
 
     @pytest.mark.parametrize("grid", ["1:inf:5", "nan:5:5", "0.5:nan:3", "inf:inf:2"])

@@ -668,6 +668,17 @@ class TestBatchedKernel:
             _interpret_batch((item, stray, item), config, table)
         assert batched.value.category == single.value.category == "gamma"
 
+    def test_unknown_noun_one_letter_off_names_the_near_match(self, two_by_two):
+        # the hint belongs to the table, so a library call gets it as the CLI does
+        table, _ = two_by_two
+        with pytest.raises(UnknownCategoryError) as raised:
+            interpret(MetaphorItem("m2", "alpha", "betx"), RsaConfig(), table)
+        assert raised.value.suggestions == ("beta",)
+        assert str(raised.value) == "unknown category 'betx'; did you mean: beta"
+        with pytest.raises(UnknownCategoryError) as raised:  # a noun that is not a string
+            interpret(MetaphorItem("m2", "alpha", 5), RsaConfig(), table)
+        assert raised.value.category == 5 and raised.value.suggestions == ()
+
     def test_degenerate_pair_row_raises_as_in_a_single_call(self):
         table = table_from_rows([[0.6, 0.4], [0.3, 0.7], [1.0, 0.0]])
         config = RsaConfig(lam=2.0, utterances="pair")
