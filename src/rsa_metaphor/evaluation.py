@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields, replace
-from operator import attrgetter, itemgetter
+from operator import attrgetter
 from typing import Mapping, Sequence
 
 import numpy as np
@@ -238,9 +238,9 @@ def ablate_lambda_interpolation(
     if candidates.size == 0:
         raise ValueError("empty grid")
     selection = tuple(train) if train is not None else tuple(items)
-    points = learn._points(candidates, selection, human, config, table, objective_kind,
-                           gradient=False)
-    best, _, _ = max(learn._defined(points), key=itemgetter(1))  # the earlier on a tie
+    values = learn._defined(learn._points(candidates, selection, human, config, table,
+                                          objective_kind, gradient=False))[1]
+    best = float(candidates[np.argmax(values)])  # the earlier on a tie
     report = evaluate(items, human, replace(config, lam=best), table, ks=ks, jsd_base=jsd_base)
     return best, replace(report, tag="ablation: grid-lambda")
 

@@ -6,16 +6,21 @@ pooled correlation over all metaphor x feature pairs with ``kind="pooled"``).
 A fit maximizes it on ``lambda >= 0`` with its derivative g.  One scan
 scores lambda 0, 47 log-spaced points up to 1e5 (:data:`_SCAN`) and the
 inits.  From each init a walk follows the sign of g over the scan points to
-a bracket g(lo) > 0 >= g(hi), to lambda 0 or to the scan top.  Illinois
-regula falsi on g then narrows every distinct bracket, all of them in
-lockstep, until it is narrower than ``_TOL * hi`` or g across it moves the
-objective by no more than the objective's rounding.  All scoring, the grid
-ablation's too, goes through :func:`_points`: one kernel call per chunk of
-lams, with the same bits per lam as a call of its own.  A lam is undefined
-where a model or human row is constant: the scan passes over it, it ends its
-bracket, and a walk down with nothing defined below ends there.  Any other
-error fails the fit at once.  The kernel scores only tables that pass the
-row rule, on which the objective is finite (``TestRowRule``).
+a bracket g(lo) > 0 >= g(hi), to a gap, to lambda 0 or to the scan top.  A
+gap is two adjacent points with a maximum between them and no sign change:
+g(lo) > 0 and the objective lower at hi by more than its rounding, or the
+mirror case.  Each round bisects a gap, keeping a half that holds a maximum,
+until g changes sign across it.  Illinois regula falsi on g then narrows
+every distinct bracket, all of them in lockstep, until it is narrower than
+``_TOL * hi`` or g across it moves the objective by no more than the
+objective's rounding.  All scoring, the grid ablation's too, goes through
+:func:`_points`, which returns the curve as arrays (lams, objective, g): one
+kernel call per chunk of lams, with the same bits per lam as a call of its
+own.  A lam is undefined, with a NaN objective and g, where a model or human
+row is constant: the scan passes over it, it ends its bracket, and a walk
+down with nothing defined below ends there.  Any other error fails the fit
+at once.  The kernel scores only tables that pass the row rule, on which the
+objective is finite (``TestRowRule``).
 
 Everything here is deterministic: the only randomness is the split seed.
 """
@@ -28,7 +33,7 @@ import numpy as np
 
 # interpret_with_gradient is not called here; bench/spans.py wraps learn.interpret_with_gradient
 from .engine import RsaConfig, _check_lams, _interpret_lams, interpret_with_gradient  # noqa: F401
-from .errors import DatasetError, Error, ZeroVarianceError
+from .errors import DatasetError, ZeroVarianceError
 from .lexicon import INHERENT, NON_INHERENT, HumanResponseTable, MetaphorItem, TypicalityTable
 from .metrics import _pearson
 
@@ -76,7 +81,9 @@ class FitResult:
     best so far (round 0 is the scan, round k the k-th refinement round).
     ``iterations`` counts refinement rounds.  ``stop_reason`` is
     ``lambda_tolerance``, ``objective_tolerance`` (g across the bracket moves
-    the objective by at most 4 eps of it), ``gradient_tolerance`` (g is
+    the objective by at most 4 eps of it; never while the bracket is a gap, a
+    maximum the walk stepped over with g of one sign at both ends, which is
+    bisected until g changes sign), ``gradient_tolerance`` (g is
     exactly 0, or lambda is 0 with g <= 0), ``scan_top``, ``max_iterations``
     (``_MAX_ROUNDS`` ran out) or ``undefined_point`` (at a refinement point,
     or below the lowest point a walk down reached above 0); ``converged``
@@ -128,7 +135,7 @@ def objective(
     kind: str = "mean",
 ) -> float:
     """Correlation between model and human interpretations on the train set."""
-    return _defined(_points((lam,), train, human, config, table, kind, gradient=False))[0][1]
+    return float(_defined(_points((lam,), train, human, config, table, kind, gradient=False))[1][0])
 
 
 def gradient(
@@ -140,15 +147,15 @@ def gradient(
     kind: str = "mean",
 ) -> float:
     """Analytic d(objective)/d(lam), chained through softmax and normalizations."""
-    return _defined(_points((lam,), train, human, config, table, kind))[0][2]
+    return float(_defined(_points((lam,), train, human, config, table, kind))[2][0])
 
 
 def _points(lams, train, human, config, table, kind, gradient=True):
-    """(lam, objective, g) per lam of the 1-D ``lams``; g is None without ``gradient``.
+    """The curve at the 1-D ``lams``: arrays (lams, objective, g); g is None without ``gradient``.
 
-    Where the objective is undefined at a lam (a constant model or human row),
-    the entry is the :class:`ZeroVarianceError` that says so.  Any other error
-    does not depend on lam and raises.  One kernel call and one
+    The objective and g are NaN where the objective is undefined (a constant model
+    or human row), and only there: a defined objective is finite (``TestRowRule``).
+    Any other error does not depend on lam and raises.  One kernel call and one
     :func:`.metrics._pearson` pass (the r that ``evaluate`` reports) cover a chunk
     of ``_GRID_CHUNK_CELLS // table.values.size`` lams over the whole train set.
     ``mean`` correlates each item's row with its human row; ``pooled`` correlates
@@ -159,34 +166,34 @@ def _points(lams, train, human, config, table, kind, gradient=True):
     if not train:
         raise ValueError("empty training set")
     lams = _check_lams(lams)
+    if lams.ndim != 1:
+        raise ValueError(f"expected a 1-D array of lams, got shape {lams.shape}")
     target = human.rows([item.id for item in train], table.vocab)
     target = target.reshape(1, -1) if kind == "pooled" else target  # pooled: all cells in one row
     chunk = max(1, _GRID_CHUNK_CELLS // table.values.size)
-    points = []
-    for part in np.split(lams, range(chunk, lams.size, chunk)):  # bounded temporaries
-        logp, dp = _interpret_lams(train, config, table, part, gradient)
+    values, grads = np.empty((2, lams.size))
+    for start in range(0, lams.size, chunk):  # bounded temporaries
+        part = slice(start, start + chunk)
+        logp, dp = _interpret_lams(train, config, table, lams[part], gradient)
         p = np.exp(logp, out=logp)
         rows = (-1, *target.shape)
         r, dr, undefined = _pearson(p.reshape(rows), target, dp if dp is None else dp.reshape(rows))
-        values = np.mean(r, axis=-1).tolist()
-        grads = [None] * part.size
+        r[undefined] = np.nan  # so the mean over the rows is NaN where one is undefined
+        values[part] = np.mean(r, axis=-1)
         if gradient:
-            dr[undefined] = 0.0  # an undefined row's derivative may be inf or NaN; unused
-            grads = np.mean(dr, axis=-1).tolist()
+            dr[undefined] = np.nan
+            grads[part] = np.mean(dr, axis=-1)
         del logp, dp, p  # so the next kernel call does not hold this chunk's blocks
-        for lam, value, g, constant in zip(part.tolist(), values, grads, np.any(undefined, -1)):
-            points.append(
-                ZeroVarianceError(f"constant vector in the training objective at lam={lam!r}")
-                if constant else (lam, value, g))
-    return points
+    return lams, values, grads if gradient else None
 
 
-def _defined(points):
-    """``points`` from :func:`_points`, if every one is defined; else raise the first error."""
-    for point in points:
-        if isinstance(point, Error):
-            raise point
-    return points
+def _defined(curve):
+    """``curve`` from :func:`_points`; raise for the first lam where its objective is NaN."""
+    undefined = curve[0][np.isnan(curve[1])].tolist()
+    if undefined:
+        lam = undefined[0]
+        raise ZeroVarianceError(f"constant vector in the training objective at lam={lam!r}")
+    return curve
 
 
 def finite_difference_gradient(
@@ -200,29 +207,36 @@ def finite_difference_gradient(
 ) -> float:
     """Central-difference cross-check for :func:`gradient`; its stencil needs ``lam >= step``."""
     h = step if step is not None else 1e-4 * max(1.0, lam)
-    (_, hi, _), (_, lo, _) = _defined(
-        _points((lam + h, lam - h), train, human, config, table, kind, gradient=False))
+    hi, lo = _defined(
+        _points((lam + h, lam - h), train, human, config, table, kind, gradient=False))[1].tolist()
     return (hi - lo) / (2.0 * h)
+
+
+def _falls(high, low) -> bool:
+    """Is the objective at point ``low`` below the one at ``high`` by more than its rounding?"""
+    return low[1] < high[1] - 4.0 * _EPS * abs(high[1])
 
 
 def _walk(init, scan):
     """From ``init``, follow the sign of g over the ascending ``scan`` of (lam, objective, g).
 
-    Returns the points visited, ``init`` first, and the end: a bracket (lo,
-    hi) with g(lo) > 0 >= g(hi), ``"scan_top"``, ``"gradient_tolerance"``, or
-    ``"undefined_point"`` where a walk down finds no defined point below.
+    Returns the points visited, ``init`` first, and the end: a bracket (lo, hi)
+    that holds a maximum, ``"scan_top"``, ``"gradient_tolerance"``, or
+    ``"undefined_point"`` where a walk down finds no defined point below.  A
+    bracket has g(lo) > 0 >= g(hi), or is a gap: g(lo) > 0 with the objective
+    lower at hi, or g(hi) < 0 with it lower at lo, so a maximum lies inside.
     """
     (lam, _, g), path = init, [init]
     if g > 0.0:
         for point in (p for p in scan if p[0] > lam):
             path.append(point)
-            if point[2] <= 0.0:
+            if point[2] <= 0.0 or _falls(path[-2], point):
                 return path, (path[-2], point)
         return path, "scan_top"
     if g < 0.0:
         for point in (p for p in reversed(scan) if p[0] < lam):
             path.append(point)
-            if point[2] > 0.0:
+            if point[2] > 0.0 or (path[-2][2] < 0.0 and _falls(path[-2], point)):
                 return path, (point, path[-2])
         if path[-1][0] > 0.0:  # every scan point below is undefined, lambda 0 too
             return path, "undefined_point"
@@ -230,62 +244,85 @@ def _walk(init, scan):
 
 
 class _Bracket:
-    """Illinois regula falsi on g over a bracket (lo, hi) with g(lo) > 0 >= g(hi).
+    """Narrows a bracket (lo, hi) of :func:`_walk` onto the maximum inside it.
 
-    ``points`` holds (round, lam, objective, g) per point scored; ``stop_reason`` is None
-    while the bracket still narrows.
+    While (lo, hi) is a gap, each round scores its midpoint m and keeps a half
+    that still holds a maximum: the half where g changes sign; else (m, hi) if
+    g(m) > 0 and the objective falls from m to hi (mirrored: (lo, m) if g(m) < 0
+    and it falls from m to lo); else the other half, across which the objective
+    falls as it did across the gap.  Once g(lo) > 0 >= g(hi), Illinois regula
+    falsi on g narrows it.
+    ``points`` holds (round, lam, objective, g) per point scored; ``stop_reason``
+    is None while the bracket still narrows.
     """
 
     def __init__(self, lo, hi):
-        self.ends = [[lo[0], lo[2]], [hi[0], hi[2]]]  # [lam, g] at lo and at hi
+        self.ends = [list(lo), list(hi)]  # [lam, objective, g] at lo and at hi
+        self.gap = not lo[2] > 0.0 >= hi[2]
         self.last, self.rounds, self.points = None, 0, []
         self.stop_reason = self._stop(hi[1], hi[2])
 
     def _stop(self, value, g):
         """Why the bracket stops after a point with objective ``value`` and gradient ``g``."""
-        (lo, _), (hi, _) = self.ends
+        (lo, *_), (hi, *_) = self.ends
+        # g across the bracket moves the objective by less than its rounding; across a gap,
+        # whose ends differ by more than that, it cannot
+        flat = not self.gap and abs(g) * (hi - lo) <= 4.0 * _EPS * abs(value)
         return ("gradient_tolerance" if g == 0.0 else
                 "lambda_tolerance" if hi - lo < _TOL * hi else
-                # g across the bracket moves the objective by less than its rounding
-                "objective_tolerance" if abs(g) * (hi - lo) <= 4.0 * _EPS * abs(value) else None)
+                "objective_tolerance" if flat else None)
 
     def next_point(self) -> float:
-        (lo, g_lo), (hi, g_hi) = self.ends
-        lam = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
-        # rounding can put the secant point on an end; bisect then
-        return lam if lo < lam < hi else lo + 0.5 * (hi - lo)
+        (lo, _, g_lo), (hi, _, g_hi) = self.ends
+        if not self.gap:  # a gap is bisected
+            lam = lo + (hi - lo) * (g_lo / (g_lo - g_hi))
+            if lo < lam < hi:  # rounding can put the secant point on an end; bisect then
+                return lam
+        return lo + 0.5 * (hi - lo)
 
-    def update(self, round_, reply) -> None:
-        """Take the round's (lam, objective, g), or the :class:`Error` of an undefined point."""
+    def update(self, round_, lam, value, g) -> None:
+        """Take the round's point; a NaN ``value`` is an undefined point, which stops it."""
         self.rounds = round_
-        if isinstance(reply, Error):
+        if np.isnan(value):
             self.stop_reason = "undefined_point"
             return
-        lam, value, g = reply
-        self.points.append((round_, *reply))
-        side = 0 if g > 0.0 else 1  # the point replaces lo where g > 0, else hi
-        if side == self.last:  # Illinois: the same end moved twice running
-            self.ends[1 - side][1] *= 0.5
-        self.ends[side], self.last = [lam, g], side
+        self.points.append((round_, lam, value, g))
+        point = [lam, value, g]
+        if self.gap:  # the point replaces lo or hi so that a maximum stays inside
+            lo, hi = self.ends
+            if lo[2] > 0.0:  # the objective falls from lo to hi
+                side = 0 if g > 0.0 and _falls(point, hi) else 1
+            else:  # it falls from hi to lo
+                side = 1 if g <= 0.0 and _falls(point, lo) else 0
+            self.ends[side] = point
+            self.gap = not self.ends[0][2] > 0.0 >= self.ends[1][2]
+        else:
+            side = 0 if g > 0.0 else 1  # the point replaces lo where g > 0, else hi
+            if side == self.last:  # Illinois: the same end moved twice running
+                self.ends[1 - side][2] *= 0.5
+            self.ends[side], self.last = point, side
         self.stop_reason = self._stop(value, g)
 
 
 def _fit(train, human, config, table, inits, kind) -> list[FitResult]:
     """One fit per init; every argument is checked before any scoring."""
-    if not inits:
-        raise ValueError("need at least one initial point")
+    inits = _check_lams(inits)
+    if inits.ndim != 1 or not inits.size:
+        raise ValueError(f"need at least one initial point in a 1-D array, got shape {inits.shape}")
     args = (train, human, config, table, kind)
-    points = _points(np.concatenate((_SCAN, inits)), *args)
-    starts = _defined(points[_SCAN.size:])  # an undefined init fails the fit
-    scan = [point for point in points[:_SCAN.size] if not isinstance(point, Error)]
-    walks = [_walk(start, scan) for start in starts]
+    curve = _points(np.concatenate((_SCAN, inits)), *args)
+    _defined([column[_SCAN.size:] for column in curve])  # an undefined init fails the fit
+    points = list(zip(*(column.tolist() for column in curve)))
+    scan = [point for point in points[:_SCAN.size] if not np.isnan(point[1])]
+    walks = [_walk(start, scan) for start in points[_SCAN.size:]]
     brackets = {ends: _Bracket(*ends) for _, ends in walks if not isinstance(ends, str)}
     for round_ in range(1, _MAX_ROUNDS + 1):
         active = [bracket for bracket in brackets.values() if bracket.stop_reason is None]
         if not active:
             break
-        for bracket, reply in zip(active, _points([b.next_point() for b in active], *args)):
-            bracket.update(round_, reply)
+        curve = _points([bracket.next_point() for bracket in active], *args)
+        for bracket, *point in zip(active, *(column.tolist() for column in curve)):
+            bracket.update(round_, *point)
 
     fits = []
     for path, ends in walks:

@@ -35,12 +35,8 @@ from rsa_metaphor.engine import (
     _speaker,
     interpret_with_gradient,
 )
-from rsa_metaphor.errors import (
-    DegenerateTypicalityError,
-    Error,
-    UnknownCategoryError,
-    ZeroVarianceError,
-)
+from rsa_metaphor.errors import DegenerateTypicalityError, Error, UnknownCategoryError
+from rsa_metaphor.metrics import _pearson
 
 # the five configurations every evaluation path is checked in
 CONFIGS = (
@@ -1160,7 +1156,7 @@ class TestUnderflowFlush:
                 alone = [_interpret_lams(train, config, table, [lam], gradient)
                          for lam in FLUSH_LAMS]
                 points = learn._points(FLUSH_LAMS, train, human, config, table, "mean", gradient)
-            return bits(together) + [bits(pair) for pair in alone], repr(points)
+            return bits(together) + [bits(pair) for pair in alone], bits(points)
 
         assert run(True) == run(False)
 
@@ -1275,9 +1271,13 @@ class TestRowRule:
         for gradient in (False, True):
             with mock.patch.multiple(engine, **spies):
                 logp, dp = _interpret_lams(items, config, table, lams, gradient)
-                points = learn._points(lams, items, human, config, table, kind, gradient)
+                _, values, _ = learn._points(lams, items, human, config, table, kind, gradient)
             assert np.all(np.isfinite(logp)) and np.all(logp <= 0.0)
             np.testing.assert_allclose(np.exp(logp).sum(axis=-1), 1.0, rtol=0, atol=1e-12)
             assert dp is None or np.all(np.isfinite(dp))
-            for point in points:
-                assert isinstance(point, ZeroVarianceError) or math.isfinite(point[1])
+            # each objective is finite, or NaN exactly where _pearson flags a constant row
+            target = human.rows([item.id for item in items], table.vocab)
+            target = target.reshape(1, -1) if kind == "pooled" else target
+            _, _, undefined = _pearson(np.exp(logp).reshape(-1, *target.shape), target)
+            np.testing.assert_array_equal(np.isnan(values), undefined.any(axis=-1))
+            assert np.all(np.isfinite(values) | np.isnan(values))

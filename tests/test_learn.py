@@ -350,6 +350,35 @@ class TestLambdaDomain:
             call((items, human, RsaConfig(), table))
         assert calls == []
 
+    @pytest.mark.parametrize("call, message", [
+        (lambda p: learn_lambda_multistart(*p, inits=5.0),
+         "need at least one initial point in a 1-D array, got shape ()"),
+        (lambda p: learn_lambda_multistart(*p, inits=[[1.0], [5.0]]),
+         "need at least one initial point in a 1-D array, got shape (2, 1)"),
+        (lambda p: learn_lambda_multistart(*p, inits=np.array([])),
+         "need at least one initial point in a 1-D array, got shape (0,)"),
+        (lambda p: ablate_lambda_interpolation(p[0], p[1], p[2], p[3], grid=5.0),
+         "expected a 1-D array of lams, got shape ()"),
+        (lambda p: ablate_lambda_interpolation(p[0], p[1], p[2], p[3],
+                                               grid=[[1.0, 2.0], [3.0, 4.0]]),
+         "expected a 1-D array of lams, got shape (2, 2)"),
+        (lambda p: learn.objective(np.array([1.0, 2.0]), *p),
+         "expected a 1-D array of lams, got shape (1, 2)"),
+    ], ids=["multistart-scalar", "multistart-column", "multistart-empty-array", "grid-scalar",
+            "grid-matrix", "objective-array"])
+    def test_not_one_dimensional_rejected_before_scoring(self, monkeypatch, call, message):
+        table, items, human = recovery_problem(lam_star=3.0)
+        calls = spy_both_kernels(monkeypatch)
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            call((items, human, RsaConfig(), table))
+        assert calls == []
+
+    def test_an_array_of_inits_fits_as_the_tuple(self):
+        table, items, human = recovery_problem(lam_star=3.0)
+        args = (items, human, RsaConfig(), table)
+        inits = np.array(learn.DEFAULT_MULTISTART_INITS)
+        assert learn_lambda_multistart(*args, inits=inits) == learn_lambda_multistart(*args)
+
     def test_negative_zero_accepted(self):
         table, items, _ = recovery_problem(lam_star=3.0)
         config = RsaConfig(lam=-0.0)
@@ -440,6 +469,20 @@ def objective_problems(draw):
     return lam, items, human, config, table, kind
 
 
+# g > 0 at the scan points 3.863 and 5.484, yet the objective falls from 0.619 to 0.533
+# between them: a maximum near 4.43 (0.65516) and a minimum near 5.2 lie inside
+OVER_A_MAXIMUM = table_from_rows([[2 / 11, 1 / 11, 8 / 11], [9 / 33, 11 / 33, 13 / 33],
+                                  [22 / 63, 28 / 63, 13 / 63]])
+STEPS_OVER_A_MAXIMUM = (
+    0.0,
+    tuple(MetaphorItem(f"m{k}", topic, "c1") for k, topic in enumerate(("c0", "c0", "c2"))),
+    HumanResponseTable(OVER_A_MAXIMUM.vocab, {f"m{k}": np.array([1.0, 0.0, 0.0])
+                                              for k in range(3)}),
+    RsaConfig(utterances="pair"),
+    OVER_A_MAXIMUM,
+    "mean",
+)
+
 TWO_BY_THREE = table_from_rows(np.array([[8.0, 7.0, 8.0], [2.0, 1.0, 4.0]])
                                / np.array([[23.0], [7.0]]))
 
@@ -474,6 +517,7 @@ class TestAgainstTheOracle:
 
     @settings(max_examples=25, deadline=None)
     @given(objective_problems())
+    @example(problem=STEPS_OVER_A_MAXIMUM)
     def test_every_start_ends_where_the_oracle_says_it_may(self, problem):
         _, *args = problem
         items, human, config, table, kind = args
@@ -555,10 +599,10 @@ class TestChunkedPoints:
         lams = [0.0, 0.3, 1.0, 2.5, 7.0, 30.0, 100.0]  # chunks of 3, 3 and a shorter 1
         monkeypatch.setattr(learn, "_GRID_CHUNK_CELLS", 3 * table.values.size)
         calls = spy_kernel(monkeypatch)
-        points = learn._points(lams, train, human, config, table, kind, gradient=True)
+        curve = learn._points(lams, train, human, config, table, kind, gradient=True)
         assert [len(call) for call in calls] == [3, 3, 1]
         args = (train, human, config, table, kind)
-        for lam, point in zip(lams, points):
+        for lam, point in zip(lams, zip(*(column.tolist() for column in curve))):
             alone = (lam, learn.objective(lam, *args), learn.gradient(lam, *args))
             assert repr(point) == repr(alone)
 
@@ -741,6 +785,27 @@ class TestFitEnds:
         plateau = fit.starts[-1]
         assert plateau.stop_reason == "objective_tolerance" and plateau.converged
         assert plateau.lambda_hat > 300.0 and plateau.objective_value == 0.5
+
+    def test_a_walk_that_steps_over_a_maximum_ends_at_it(self):
+        # the starts from 0.5 and 1 walked over the maximum near 4.43 to the bracket
+        # (5.484, 7.786), and reported the scan point 3.863, where g is +0.13, as converged
+        _, items, human, config, table, kind = STEPS_OVER_A_MAXIMUM
+        fit = learn_lambda_multistart(items, human, config, table, kind=kind)
+        assert [start.stop_reason for start in fit.starts] == ["objective_tolerance"] * 5
+        for start, (lam, value) in zip(fit.starts, [(4.431626, 0.6551615182523559)] * 3
+                                       + [(6.660459, 0.5944012889890659)] * 2):
+            assert start.lambda_hat == pytest.approx(lam, rel=1e-6)
+            assert start.objective_value == pytest.approx(value, rel=0, abs=1e-12)
+            assert abs(learn.gradient(start.lambda_hat, items, human, config, table)) < 1e-6
+        assert fit.lambda_hat == pytest.approx(4.431626, rel=1e-6)
+
+    def test_a_gap_does_not_stop_where_g_is_rounding_noise(self):
+        # g at hi moves the objective by less than its rounding across (1, 2), yet the
+        # objective falls by 0.1 from lo to hi: a maximum lies inside, so the gap is bisected
+        gap = learn._Bracket((1.0, 0.5, 0.1), (2.0, 0.4, 1e-18))
+        assert gap.stop_reason is None and gap.next_point() == 1.5
+        bracket = learn._Bracket((1.0, 0.5, 0.1), (2.0, 0.5, -1e-18))
+        assert bracket.stop_reason == "objective_tolerance"
 
     def test_still_rising_at_the_scan_top(self):
         # the objective rises up to lambda 1e5
