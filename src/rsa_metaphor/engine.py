@@ -282,9 +282,8 @@ def _logsumexp(a: np.ndarray, axis: int, lam: np.ndarray | None = None, gradient
     norm = np.log(total) + shift
     if not gradient:
         return norm, None
-    block /= total
     block *= a
-    return norm, block.sum(axis=axis, keepdims=True)
+    return norm, block.sum(axis=axis, keepdims=True) / total
 
 
 def pragmatic_speaker(

@@ -954,8 +954,8 @@ class TestSpeakerNormalizer:
         # the derivative: the utilities' mean under the softmax weights, one exp pass
         scores = lam[..., None] * log_u
         weights = np.exp(scores - np.max(scores, axis=-2, keepdims=True))
-        weights = weights / np.sum(weights, axis=-2, keepdims=True)
-        np.testing.assert_array_equal(dlog, log_v - np.sum(weights * log_u, axis=-2))
+        expected = np.sum(weights * log_u, axis=-2) / np.sum(weights, axis=-2)
+        np.testing.assert_array_equal(dlog, log_v - expected)
         np.testing.assert_array_equal(_speaker(lam, log_u, log_v, gradient=False)[0], log_s)
         # pragmatic_speaker normalizes lam * log T along a 1-D row of utilities the same way
         np.testing.assert_array_equal(_logsumexp(log_v, -1, lam)[0], five_pass_norm(lam, log_v, -1))
