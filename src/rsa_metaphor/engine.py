@@ -58,8 +58,14 @@ before its next kernel call, so the peak does not grow with the chunk count
   ``logsumexp_u lam * log T[u, j]`` and ``logsumexp_u lam * log(1 - T[u, j])``
   and their softmax expectations do not depend on the item, so they are
   computed once per lam, as an (L, 1, n) block; with ``"pair"`` each item's
-  two rows are stacked as (B, 2, n).  The shift is ``lam`` times a column
-  max of the lam-free utilities: rounding is monotone, so for ``lam >= 0``
+  two rows are stacked as (B, 2, n).  In full mode with ``"all"`` the table keeps
+  them in one slot, ``TypicalityTable._speaker_memo``, with the flush flag and
+  ``lams.tobytes()`` (so 0.0 and -0.0 differ), stored once the row check and the
+  reach have passed.  The next call at the same lam vector skips all four, with
+  the same bits, and an entry with the gradient serves a forward call: single-item
+  calls, ``evaluate`` and the correlations at one lam hit, and each chunk of the fit
+  or the grid ablation misses.  The shift is ``lam``
+  times a column max of the lam-free utilities: rounding is monotone, so for ``lam >= 0``
   that is exactly the scores' max, found without a pass over the scores,
   which are exponentiated once, in one buffer, summed for the normalizer and
   averaged over the utilities for its lam-derivative.
@@ -80,8 +86,9 @@ before its next kernel call, so the peak does not grow with the chunk count
   normalized once over the features, and :func:`pragmatic_listener` splits
   it over the categories by Bayes' rule.
 
-Every operation here is a pure function of immutable inputs; concurrent
-calls (one metaphor per worker) are safe.
+Every operation here is a pure function of immutable inputs but for the table's speaker
+slot, which holds read-only values they determine and is replaced whole, in one assignment:
+concurrent calls (one metaphor per worker) are safe and have the bits of serial ones.
 """
 
 from __future__ import annotations
@@ -372,18 +379,16 @@ def _exclusive_sums(x: np.ndarray, d: np.ndarray | None = None, flush: bool = Fa
     return peak, second, top, exclusive(rest, runner_up, 1.0), weighted
 
 
-def _speaker(lam: np.ndarray, log_u: np.ndarray, log_v: np.ndarray, gradient: bool,
-             flush: bool = False):
+def _speaker(lam: np.ndarray, log_v: np.ndarray, norm: np.ndarray, expected: np.ndarray | None):
     """log S1(vehicle | goal j) for every lam and goal j, and its derivative in lam.
 
-    ``lam`` is (L, 1, 1).  ``log_u`` holds the utterance alternatives' log
-    utilities along axis -2: one (1, K, n) block shared by the batch, or
-    (B, 2, n) for the pair set.  ``log_v`` (B, n) holds the vehicle's.
-    Both results are (L, B, n).
-    The derivative is the vehicle's utility less the softmax-expected one, the
-    normalizer block's weighted mean of ``log_u``.  ``flush`` goes to :func:`_exp`.
+    ``lam`` is (L, 1, 1) and ``log_v`` (B, n) holds the vehicle's log utilities.
+    ``norm, expected`` is :func:`_logsumexp` of the utterance alternatives' log utilities
+    along axis -2, scaled by ``lam[..., None]``: (L, 1, 1, n) for one (1, K, n) block shared
+    by the batch, or (L, B, 1, n) for the pair set's (B, 2, n); ``expected`` is None for no
+    derivative.  Both results are (L, B, n).  The derivative is the vehicle's utility less
+    the softmax-expected one.
     """
-    norm, expected = _logsumexp(log_u, -2, lam[..., None], gradient, flush=flush)
     log_s = lam * log_v
     log_s -= norm[..., 0, :]
     if expected is None:
@@ -417,7 +422,12 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
     # the rows read: the whole table as one (1, K) block shared by the batch, or (B, 2)
     whole = (config.mode, config.utterances) == ("full", "all")
     rows = np.s_[None, :] if whole else np.stack([topic, vehicle], 1)
-    _reject_rows(table, rows)  # before any arithmetic: every log read below is finite
+    # read whole, the speaker state depends on the table and the lams alone (module docstring)
+    key = lams.tobytes()
+    entry = table._speaker_memo[0] if whole else None
+    hit = entry is not None and entry[0] == key and (entry[1] or not gradient)
+    if not hit:
+        _reject_rows(table, rows)  # before any arithmetic: every log read below is finite
 
     if config.mode == "fast":
         log_alpha, log_beta = log_values[topic], log_values[vehicle]
@@ -429,13 +439,24 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
         if gradient:
             dlog = log_beta - log_beta.max(axis=-1, keepdims=True)
     else:
-        # the utterance alternatives are the rows read
-        log_u, not_u = log_values[rows], table.log1m_values[rows]
-        flush = _reach(lams, log_u, not_u) < _FLUSH_FLOOR
+        if hit:
+            flush, norms = entry[2:]
+        else:
+            # the utterance alternatives are the rows read
+            log_u, not_u = log_values[rows], table.log1m_values[rows]
+            flush = _reach(lams, log_u, not_u) < _FLUSH_FLOOR
+            norms = tuple(_logsumexp(u, -2, lam[..., None], gradient, flush=flush)
+                          for u in (log_u, not_u))
+            if whole:  # read-only, and set in one assignment: a concurrent call reads either
+                for a in [x for pair in norms for x in pair if x is not None]:
+                    a.setflags(write=False)
+                table._speaker_memo[0] = (key, gradient, flush, norms)
+        if not gradient:
+            norms = [(norm, None) for norm, _ in norms]
         log_t, log_v, not_v = log_values[topic], log_values[vehicle], table.log1m_values[vehicle]
         # the state carries goal j's feature (match) or another one (no match)
-        log_on, d_match = _speaker(lam, log_u, log_v, gradient, flush)
-        log_off, d_nomatch = _speaker(lam, not_u, not_v, gradient, flush)
+        log_on, d_match = _speaker(lam, log_v, *norms[0])
+        log_off, d_nomatch = _speaker(lam, not_v, *norms[1])
 
         # W_i = sum_j R(g_j) S1(v | g_j, e_i): goal i matches, every other goal does not;
         # a uniform R is a constant, which the final normalizer cancels

@@ -158,6 +158,11 @@ class TypicalityTable:
         sums = np.where(inside, self.values, 0.0).sum(axis=1)  # cells outside left out: no overflow
         return _read_only(~(inside.all(axis=1) & (np.abs(sums - 1.0) <= ROW_SUM_TOL)))
 
+    @cached_property
+    def _speaker_memo(self) -> list:
+        """One slot for the speaker state of the last lams scored over every category."""
+        return [None]
+
     @property
     def n(self) -> int:
         """Feature count."""

@@ -2,7 +2,9 @@
 
 import math
 import re
+import threading
 import warnings
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import replace
 from unittest import mock
 
@@ -949,14 +951,14 @@ class TestSpeakerNormalizer:
         want = five_pass_norm(lam[..., None], log_u, -2)
         norm, _ = _logsumexp(log_u, -2, lam[..., None])
         np.testing.assert_array_equal(norm, want)
-        log_s, dlog = _speaker(lam, log_u, log_v, gradient=True)
+        log_s, dlog = _speaker(lam, log_v, *_logsumexp(log_u, -2, lam[..., None], gradient=True))
         np.testing.assert_array_equal(log_s, lam * log_v - want[..., 0, :])
         # the derivative: the utilities' mean under the softmax weights, one exp pass
         scores = lam[..., None] * log_u
         weights = np.exp(scores - np.max(scores, axis=-2, keepdims=True))
         expected = np.sum(weights * log_u, axis=-2) / np.sum(weights, axis=-2)
         np.testing.assert_array_equal(dlog, log_v - expected)
-        np.testing.assert_array_equal(_speaker(lam, log_u, log_v, gradient=False)[0], log_s)
+        np.testing.assert_array_equal(_speaker(lam, log_v, norm, None)[0], log_s)
         # pragmatic_speaker normalizes lam * log T along a 1-D row of utilities the same way
         np.testing.assert_array_equal(_logsumexp(log_v, -1, lam)[0], five_pass_norm(lam, log_v, -1))
 
@@ -1082,6 +1084,11 @@ def bits(arrays):
     return [None if a is None else (a.shape, a.tobytes()) for a in arrays]
 
 
+def fresh(table):
+    """A table with ``table``'s values that no call has scored, so its speaker memo is empty."""
+    return table_from_rows(table.values, table.categories, table.vocab.features)
+
+
 # The flush moves a term only below 2**54 * exp(-700) = 1.8e-288; a result made of such terms
 # alone (a derivative whose terms of about 1 carry an exact 0) stays far below this.
 UNDERFLOW = 1e-280
@@ -1151,11 +1158,12 @@ class TestUnderflowFlush:
         config = replace(RsaConfig(), **overrides)
 
         def run(on):
+            scored = fresh(table)  # no normalizer the other run computed is read from its memo
             with forced_flush(on):
-                together = _interpret_lams(train, config, table, FLUSH_LAMS, gradient)
-                alone = [_interpret_lams(train, config, table, [lam], gradient)
+                together = _interpret_lams(train, config, scored, FLUSH_LAMS, gradient)
+                alone = [_interpret_lams(train, config, scored, [lam], gradient)
                          for lam in FLUSH_LAMS]
-                points = learn._points(FLUSH_LAMS, train, human, config, table, "mean", gradient)
+                points = learn._points(FLUSH_LAMS, train, human, config, scored, "mean", gradient)
             return bits(together) + [bits(pair) for pair in alone], bits(points)
 
         assert run(True) == run(False)
@@ -1168,7 +1176,7 @@ class TestUnderflowFlush:
         def run(on):
             with forced_flush(on):
                 try:
-                    return _interpret_lams(items, config, table, lams, gradient=True)
+                    return _interpret_lams(items, config, fresh(table), lams, gradient=True)
                 except Error as exc:
                     return repr(exc)
 
@@ -1191,15 +1199,18 @@ class TestUnderflowFlush:
     def test_gate(self, monkeypatch, seed12_train):
         # the seed-12 table's largest |log T| or |log(1 - T)| is 6.38, so a call flushes once
         # its largest lam passes about 110: never in the grid ablation (lam <= 100), and in
-        # the scan's top chunk at every exp but the final normalizer's
+        # the scan's top chunk at every exp but the final normalizer's.  A repeated call
+        # reads the two speaker normalizers from the table's memo and skips their exps
         table, _, train = seed12_train
+        table = fresh(table)
         flags = []
         monkeypatch.setattr(engine, "_exp", lambda x, flush: flags.append(flush) or _exp(x, flush))
-        _interpret_lams(train, RsaConfig(), table, evaluation.lambda_grid(0.5, 100.0, 16), True)
-        assert flags == [False] * 8
-        flags.clear()
-        _interpret_lams(train, RsaConfig(), table, learn._SCAN[-16:], True)
-        assert flags == [True] * 7 + [False]
+        for lams, miss, hit in ((evaluation.lambda_grid(0.5, 100.0, 16), [False] * 8, [False] * 6),
+                                (learn._SCAN[-16:], [True] * 7 + [False], [True] * 5 + [False])):
+            for want in (miss, hit):
+                flags.clear()
+                _interpret_lams(train, RsaConfig(), table, lams, True)
+                assert flags == want
 
     @pytest.mark.parametrize("rows, lam", [
         ([[0.6, 0.4], [0.3, 0.7], [1.0, 0.0]], 1.0),
@@ -1210,9 +1221,164 @@ class TestUnderflowFlush:
         table = table_from_rows(rows)
         flags = []
         monkeypatch.setattr(engine, "_exp", lambda x, flush: flags.append(flush) or _exp(x, flush))
-        interpret_with_gradient(MetaphorItem("m", "c0", "c1"),
-                                RsaConfig(lam=lam, utterances="pair"), table)
-        assert flags == [False] * 8
+        for _ in range(2):  # the pair set reads no speaker memo: a repeated call is a miss too
+            flags.clear()
+            interpret_with_gradient(MetaphorItem("m", "c0", "c1"),
+                                    RsaConfig(lam=lam, utterances="pair"), table)
+            assert flags == [False] * 8
+
+
+def spy(monkeypatch, name):
+    """The calls to ``engine.<name>`` from now on, one entry each."""
+    calls, helper = [], getattr(engine, name)
+    monkeypatch.setattr(engine, name,
+                        lambda *args, **kwargs: calls.append(1) or helper(*args, **kwargs))
+    return calls
+
+
+# one lam, 16 below the flush gate, and the scan's top 16, which flush
+MEMO_LAMS = ((5.0,), tuple(evaluation.lambda_grid(0.5, 100.0, 16)), tuple(learn._SCAN[-16:]))
+
+
+class TestSpeakerMemo:
+    """The table keeps the speaker normalizers of the last lams scored over every category.
+
+    A call at the same lams (full mode, ``"all"``) skips the row checks, the reach and the
+    normalizers, and keeps every bit; pair and fast mode read per-item rows and no memo.
+    """
+
+    @pytest.mark.parametrize("overrides", CONFIGS)
+    @pytest.mark.parametrize("gradient", [True, False], ids=["gradient", "forward"])
+    @pytest.mark.parametrize("lams", MEMO_LAMS, ids=["1", "16", "16-flushed"])
+    def test_repeated_calls_keep_every_bit(self, seed12_train, overrides, gradient, lams):
+        table, _, train = seed12_train
+        config = replace(RsaConfig(), **overrides)
+        table = fresh(table)
+        for batch in (train, train, train[3:7], train):  # a miss, then hits over other items
+            want = _interpret_lams(batch, config, fresh(table), lams, gradient)
+            assert bits(_interpret_lams(batch, config, table, lams, gradient)) == bits(want)
+
+    @pytest.mark.parametrize("overrides", CONFIGS)
+    def test_a_hit_skips_the_checks_and_the_normalizers(self, monkeypatch, seed12_train,
+                                                        overrides):
+        table, _, train = seed12_train
+        config = replace(RsaConfig(), **overrides)
+        table = fresh(table)
+        calls = {name: spy(monkeypatch, name) for name in ("_reject_rows", "_reach", "_logsumexp")}
+        counts = []
+        for _ in range(2):
+            _interpret_lams(train, config, table, [2.0], True)
+            counts.append({name: len(c) for name, c in calls.items()})
+            for c in calls.values():
+                c.clear()
+        whole = (config.mode, config.utterances) == ("full", "all")
+        miss = {"_reject_rows": 1, "_reach": 1, "_logsumexp": 3 if config.mode == "full" else 1}
+        hit = {"_reject_rows": 0, "_reach": 0, "_logsumexp": 1}  # the final normalizer's
+        assert counts == [miss, hit if whole else miss]
+        assert (table._speaker_memo[0] is not None) == whole
+
+    def test_the_slot_holds_one_entry(self, seed12_train):
+        table, human, train = seed12_train
+        table = fresh(table)
+        for lams in ([1.0], [2.0, 3.0], [5.0], [2.0, 3.0]):
+            _interpret_lams(train, RsaConfig(), table, lams, False)
+        assert len(table._speaker_memo) == 1
+        assert table._speaker_memo[0][0] == np.array([2.0, 3.0]).tobytes()
+        learn.learn_lambda_multistart(train, human, RsaConfig(), table)
+        assert len(table._speaker_memo) == 1
+
+    @pytest.mark.parametrize("gradient", [True, False], ids=["gradient", "forward"])
+    def test_a_refused_table_is_refused_every_time(self, seed12_train, gradient):
+        table, _, train = seed12_train
+        values = table.values.copy()
+        values[3] *= 0.5
+        broken = table_from_rows(values, table.categories, table.vocab.features)
+        for _ in range(3):
+            with pytest.raises(DegenerateTypicalityError, match=degenerate(table.categories[3])):
+                _interpret_lams(train, RsaConfig(), broken, [2.0], gradient)
+        assert broken._speaker_memo == [None]
+
+    def test_an_overflowing_lam_is_refused_every_time(self, seed12_train):
+        table, _, train = seed12_train
+        table = fresh(table)
+        with pytest.raises(Error, match="is too large for this table"):
+            _interpret_lams(train, RsaConfig(), table, [1e308], False)
+        assert table._speaker_memo == [None]
+        _interpret_lams(train, RsaConfig(), table, [2.0], False)
+        for _ in range(2):  # refused again, and the last scored lams keep their entry
+            with pytest.raises(Error, match="is too large for this table"):
+                _interpret_lams(train, RsaConfig(), table, [1e308], False)
+            assert table._speaker_memo[0][0] == np.array([2.0]).tobytes()
+
+    def test_the_entry_is_read_only(self, seed12_train):
+        table, _, train = seed12_train
+        table = fresh(table)
+        _interpret_lams(train, RsaConfig(), table, [2.0, 5.0], True)
+        _, _, _, norms = table._speaker_memo[0]
+        arrays = [a for pair in norms for a in pair]
+        assert len(arrays) == 4
+        for a in arrays:
+            assert not a.flags.writeable
+            with pytest.raises(ValueError, match="read-only"):
+                a += 1.0
+
+    def test_a_gradient_entry_serves_a_forward_call(self, monkeypatch, seed12_train):
+        table, _, train = seed12_train
+        table = fresh(table)
+        _interpret_lams(train, RsaConfig(), table, [2.0], True)
+        calls = spy(monkeypatch, "_logsumexp")
+        logp, dp = _interpret_lams(train, RsaConfig(), table, [2.0], False)
+        assert len(calls) == 1 and dp is None  # the final normalizer's alone
+        want, _ = _interpret_lams(train, RsaConfig(), fresh(table), [2.0], False)
+        assert logp.tobytes() == want.tobytes()
+        # a forward entry does not serve a gradient call
+        _interpret_lams(train, RsaConfig(), table, [3.0], False)
+        calls.clear()
+        _interpret_lams(train, RsaConfig(), table, [3.0], True)
+        assert len(calls) == 3
+
+    def test_signed_zeros_do_not_share_an_entry(self, monkeypatch, seed12_train):
+        table, _, train = seed12_train
+        want = [bits(_interpret_lams(train, RsaConfig(), fresh(table), [lam], True))
+                for lam in (0.0, -0.0)]
+        table = fresh(table)
+        calls = spy(monkeypatch, "_logsumexp")
+        counts = []
+        for lam in (0.0, -0.0, -0.0, 0.0):
+            calls.clear()
+            got = _interpret_lams(train, RsaConfig(), table, [lam], True)
+            assert bits(got) == want[math.copysign(1.0, lam) < 0]
+            assert table._speaker_memo[0][0] == np.array([lam]).tobytes()
+            counts.append(len(calls))
+        assert counts == [3, 3, 1, 3]  # only the repeated -0.0 reads the entry
+
+    def test_two_threads_match_the_serial_bits(self, seed12_train):
+        # each thread alternates lams and gradients call by call, so the threads keep
+        # replacing each other's entry on the one table they share
+        table, _, train = seed12_train
+        table = fresh(table)
+        steps = ((1.0, False), (5.0, True), (5.0, False), (1.0, True))
+        serial = {(item.id, lam, gradient): bits(_interpret_lams((item,), RsaConfig(), fresh(table),
+                                                                  [lam], gradient))
+                  for item in train for lam, gradient in steps}
+        start = threading.Barrier(2)
+
+        def score(offset):
+            start.wait()
+            got = {}
+            for k in range(12):
+                for item in train:
+                    lam, gradient = steps[(k + offset) % len(steps)]
+                    got[item.id, lam, gradient, k] = bits(
+                        _interpret_lams((item,), RsaConfig(), table, [lam], gradient))
+            return got
+
+        with ThreadPoolExecutor(max_workers=2) as pool:
+            runs = list(pool.map(score, (0, 1)))
+        for got in runs:
+            assert len(got) == 12 * len(train)
+            for (item_id, lam, gradient, _), result in got.items():
+                assert result == serial[item_id, lam, gradient]
 
 
 @st.composite

@@ -569,12 +569,15 @@ class TestObjectiveIsTheReportedPearson:
             assert repr(pooled) == repr(pearson(model.ravel(), target.ravel()))
 
 
-def traced_peak(call, *args):
+def traced_peak(table, call, *args):
     """The most memory ``call(*args)`` holds at once above what was held before it (tracemalloc).
 
-    A first, untraced call fills the table's caches, which are not the call's own.
+    A first, untraced call fills the ``table``'s caches, which are not the call's own.  Its
+    speaker memo is emptied again, so that the traced call computes the speaker normalizers,
+    as each chunk of a fit does, and holds the entry it leaves.
     """
     call(*args)
+    table._speaker_memo[0] = None
     tracing = tracemalloc.is_tracing()
     if not tracing:
         tracemalloc.start()
@@ -619,18 +622,19 @@ class TestChunkedPoints:
             learn._points(np.linspace(0.0, 30.0, count), train, human, RsaConfig(mode=mode),
                           table, "mean", gradient)
 
-        assert abs(traced_peak(score, 3 * chunk + 3) - traced_peak(score, chunk)) < block
+        peaks = [traced_peak(table, score, count) for count in (3 * chunk + 3, chunk)]
+        assert abs(peaks[0] - peaks[1]) < block
 
     @pytest.mark.parametrize("mode, limit", [("full", 7.5), ("fast", 4.7)])
     def test_late_results_reuse_finished_blocks(self, seed12_split0, mode, limit):
-        # one gradient call over 16 lams and 18 items peaks at 6.82 (L, B, n) blocks in full
-        # mode, where the speaker's (L, 1, 48, n) score block counts 48 / 18; a fresh block for
-        # each late result made it 8.34.  Fast mode, which has no finished block to reuse,
-        # peaks at 4.26
+        # one gradient call over 16 lams and 18 items peaks at 7.03 (L, B, n) blocks in full
+        # mode, where the speaker's (L, 1, 48, n) score block counts 48 / 18 and the speaker
+        # memo's entry 4 / 18; a fresh block for each late result made it 9.03.  Fast mode,
+        # which has no finished block to reuse, peaks at 4.10
         table, _, train = seed12_split0
         lams = np.linspace(0.0, 30.0, 16)
         block = 8 * lams.size * len(train) * table.n
-        peak = traced_peak(_interpret_lams, train, RsaConfig(mode=mode), table, lams, True)
+        peak = traced_peak(table, _interpret_lams, train, RsaConfig(mode=mode), table, lams, True)
         assert peak < limit * block
 
 
