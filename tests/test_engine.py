@@ -70,6 +70,14 @@ SCORING_PATHS = {
 }
 
 
+def spy(monkeypatch, name):
+    """The calls to ``engine.<name>`` from now on, one entry each."""
+    calls, helper = [], getattr(engine, name)
+    monkeypatch.setattr(engine, name,
+                        lambda *args, **kwargs: calls.append(1) or helper(*args, **kwargs))
+    return calls
+
+
 def degenerate(*categories):
     """The anchored pattern of the DegenerateTypicalityError naming ``categories``."""
     listed = ", ".join(repr(c) for c in categories)
@@ -742,9 +750,7 @@ class TestBatchedKernel:
             "zero-cell": zero_cell / zero_cell.sum(),
         }[broken]
         broken_table = table_from_rows(values, table.categories, table.vocab.features)
-        calls, logsumexp = [], engine._logsumexp
-        monkeypatch.setattr(engine, "_logsumexp",
-                            lambda *args, **kwargs: calls.append(1) or logsumexp(*args, **kwargs))
+        calls = spy(monkeypatch, "_logsumexp")
         with pytest.raises(DegenerateTypicalityError, match=degenerate(items[0].topic)):
             SCORING_PATHS[path](items, human, broken_table, RsaConfig(lam=2.0, mode=mode))
         assert calls == []  # refused before any kernel arithmetic
@@ -1226,14 +1232,6 @@ class TestUnderflowFlush:
             interpret_with_gradient(MetaphorItem("m", "c0", "c1"),
                                     RsaConfig(lam=lam, utterances="pair"), table)
             assert flags == [False] * 8
-
-
-def spy(monkeypatch, name):
-    """The calls to ``engine.<name>`` from now on, one entry each."""
-    calls, helper = [], getattr(engine, name)
-    monkeypatch.setattr(engine, name,
-                        lambda *args, **kwargs: calls.append(1) or helper(*args, **kwargs))
-    return calls
 
 
 # one lam, 16 below the flush gate, and the scan's top 16, which flush
