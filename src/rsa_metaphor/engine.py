@@ -59,12 +59,11 @@ before its next kernel call, so the peak does not grow with the chunk count
   and their softmax expectations do not depend on the item, so they are
   computed once per lam, as an (L, 1, n) block; with ``"pair"`` each item's
   two rows are stacked as (B, 2, n).  In full mode with ``"all"`` the table keeps
-  them in one slot, ``TypicalityTable._speaker_memo``, with the flush flag and
-  ``lams.tobytes()`` (so 0.0 and -0.0 differ), stored once the row check and the
-  reach have passed.  The next call at the same lam vector skips all four, with
-  the same bits, and an entry with the gradient serves a forward call: single-item
-  calls, ``evaluate`` and the correlations at one lam hit, and each chunk of the fit
-  or the grid ablation misses.  The shift is ``lam``
+  them in one slot, ``TypicalityTable._speaker_memo``, with the flush flag and the
+  key ``(lams.tobytes(), gradient)`` (so 0.0 and -0.0 differ), stored once the row
+  check and the reach have passed.  The next call with the same key skips all four,
+  with the same bits: single-item calls, ``evaluate`` and the correlations at one lam
+  hit, and each chunk of the fit or the grid ablation misses.  The shift is ``lam``
   times a column max of the lam-free utilities: rounding is monotone, so for ``lam >= 0``
   that is exactly the scores' max, found without a pass over the scores,
   which are exponentiated once, in one buffer, summed for the normalizer and
@@ -157,7 +156,7 @@ class RsaConfig:
                 raise ValueError(f"{name} must be one of {allowed}, got {value!r}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class Distribution:
     """Probability distribution over a fixed, ordered label set.
 
@@ -423,9 +422,9 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
     whole = (config.mode, config.utterances) == ("full", "all")
     rows = np.s_[None, :] if whole else np.stack([topic, vehicle], 1)
     # read whole, the speaker state depends on the table and the lams alone (module docstring)
-    key = lams.tobytes()
+    key = (lams.tobytes(), gradient)
     entry = table._speaker_memo[0] if whole else None
-    hit = entry is not None and entry[0] == key and (entry[1] or not gradient)
+    hit = entry is not None and entry[0] == key
     if not hit:
         _reject_rows(table, rows)  # before any arithmetic: every log read below is finite
 
@@ -440,7 +439,7 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
             dlog = log_beta - log_beta.max(axis=-1, keepdims=True)
     else:
         if hit:
-            flush, norms = entry[2:]
+            _, flush, norms = entry
         else:
             # the utterance alternatives are the rows read
             log_u, not_u = log_values[rows], table.log1m_values[rows]
@@ -450,9 +449,7 @@ def _interpret_lams(items, config: RsaConfig, table: TypicalityTable, lams, grad
             if whole:  # read-only, and set in one assignment: a concurrent call reads either
                 for a in [x for pair in norms for x in pair if x is not None]:
                     a.setflags(write=False)
-                table._speaker_memo[0] = (key, gradient, flush, norms)
-        if not gradient:
-            norms = [(norm, None) for norm, _ in norms]
+                table._speaker_memo[0] = (key, flush, norms)
         log_t, log_v, not_v = log_values[topic], log_values[vehicle], table.log1m_values[vehicle]
         # the state carries goal j's feature (match) or another one (no match)
         log_on, d_match = _speaker(lam, log_v, *norms[0])

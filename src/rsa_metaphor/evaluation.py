@@ -26,7 +26,7 @@ from . import learn
 from .engine import RsaConfig, _check_lams, _interpret_batch, interpret  # noqa: F401
 from .lexicon import (INHERENT, NON_INHERENT, HumanResponseTable, MetaphorItem,
                       TypicalityTable)
-from .metrics import (_check_base, _check_distribution, _jsd, _top_k, pearson_rows,
+from .metrics import (_centred, _check_base, _check_distribution, _jsd, _top_k, pearson_rows,
                       top_k_overlap)
 # the scalar metrics are not called here; bench/spans.py wraps them by these names
 from .metrics import jsd, k_agreement, pearson, top_k_indices  # noqa: F401
@@ -35,7 +35,7 @@ DEFAULT_KS = (1, 3)
 DEFAULT_GRID = (0.5, 100.0, 200)
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class ItemEval:
     """Metrics for one metaphor.
 
@@ -79,7 +79,7 @@ class GroupStats:
     human_boundary_ties: int
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class EvalReport:
     items: tuple[ItemEval, ...]
     groups: Mapping[str, GroupStats]
@@ -270,16 +270,12 @@ def feature_correlation_matrix(
     else:
         rows = np.exp(_interpret_batch(items, config, table)[0])
 
-    # a feature is undefined, as in metrics._pearson, when it is constant across
-    # items (range 0: centring can leave rounding residue) or its spread underflows
-    centered = rows - rows.mean(axis=0)
-    norms = np.sqrt((centered**2).sum(axis=0))
-    defined = (np.ptp(rows, axis=0) > 0.0) & (norms > 0.0)
-    safe = np.where(defined, norms, 1.0)
-    corr = (centered.T @ centered) / np.outer(safe, safe)
-    corr[~defined, :] = math.nan
-    corr[:, ~defined] = math.nan
-    idx = np.flatnonzero(defined)
+    centred, squares, undefined = _centred(rows, axis=0)  # each feature along the items
+    safe = np.sqrt(np.where(undefined, 1.0, squares))
+    corr = (centred.T @ centred) / np.outer(safe, safe)
+    corr[undefined, :] = math.nan
+    corr[:, undefined] = math.nan
+    idx = np.flatnonzero(~undefined)
     corr[idx, idx] = 1.0
     return corr
 

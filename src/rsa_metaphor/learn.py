@@ -90,6 +90,13 @@ class FitResult:
     is True for the first three.  ``gradient_norm_at_convergence`` is |g| at
     ``lambda_hat`` (at 0 only an ascent counts).  ``starts`` holds every
     start's own fit for a multistart fit, and is empty otherwise.
+
+    A ``gradient_tolerance`` stop above lambda 0 lies on a plateau where g has
+    underflowed to exactly 0 and the objective is flat to the last bit, and
+    ``lambda_hat`` is whichever plateau point rounding makes best: the start from
+    50 of seed 12, split 1, fast mode, ``mean`` stops at 2118.8, and one-ulp
+    perturbations moved it anywhere from 1492.5 to 4270.1.  Such a fit pins its
+    objective, not its ``lambda_hat``.
     """
 
     lambda_hat: float

@@ -36,12 +36,11 @@ from __future__ import annotations
 import csv
 import io
 import itertools
-import math
 import operator
 from dataclasses import dataclass
 from functools import cached_property, partial
 from pathlib import Path
-from typing import Callable, Iterator, Mapping, NoReturn
+from typing import Callable, Iterator, Mapping
 
 import numpy as np
 
@@ -106,11 +105,8 @@ class FeatureVocab:
     def __iter__(self) -> Iterator[str]:
         return iter(self.features)
 
-    def __contains__(self, feature: str) -> bool:
-        return feature in self._index
 
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class TypicalityTable:
     """Normalized typicality of each feature for each category noun.
 
@@ -210,7 +206,7 @@ class MetaphorItem:
             )
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class HumanResponseTable:
     """Normalized human interpretation distribution per metaphor id.
 
@@ -282,10 +278,17 @@ def normalize_ratings(ratings: TypicalityTable) -> TypicalityTable:
             f"rating for ({ratings.categories[c]!r}, {ratings.vocab.features[i]!r}) is "
             f"{float(values[c, i])!r}, not a positive number"
         )
-    with np.errstate(over="ignore"):  # a row whose sum overflows is scaled by its max first
-        overflows = np.isinf(values.sum(axis=1, keepdims=True))
-    values = np.where(overflows, values / values.max(axis=1, keepdims=True), values)
-    return TypicalityTable(ratings.categories, ratings.vocab, values / values.sum(axis=1)[:, None])
+    values, sums = _scaled_rows(values)
+    return TypicalityTable(ratings.categories, ratings.vocab, values / sums[:, None])
+
+
+def _scaled_rows(rows: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A copy of C-order ``rows`` (finite, >= 0), each row whose sum overflows divided by
+    its max first, and the copy's row sums, which have the bits of each row's 1-D sum."""
+    with np.errstate(over="ignore"):
+        overflows = np.isinf(rows.sum(axis=-1, keepdims=True))
+    rows = np.divide(rows, rows.max(axis=-1, keepdims=True), out=rows.copy(), where=overflows)
+    return rows, rows.sum(axis=-1)
 
 
 def _read_rows(data_dir: Path, name: str) -> tuple[list[list[str]], Callable[[int], str]]:
@@ -366,11 +369,13 @@ def _first_repeat(keys: np.ndarray) -> int:
     return _first(~first)
 
 
-def _raise_first(where: Callable[[int], str], faults) -> NoReturn:
-    """Raise for the fault on the earliest row; ``faults`` holds (row, message of row)
-    pairs in the order a row is checked, so a tie goes to the check made first."""
+def _raise_first(where: Callable[[int], str], n: int, faults) -> None:
+    """Raise for the fault on the earliest of ``n`` rows, if any; ``faults`` holds (row,
+    message of row) pairs in the order a row is checked, row ``n`` for a check no row
+    fails, so a tie goes to the check made first."""
     row, message = min(faults, key=lambda fault: fault[0])
-    raise DatasetError(f"{where(row)}: {message(row)}")
+    if row < n:
+        raise DatasetError(f"{where(row)}: {message(row)}")
 
 
 def _read_typicality(data_dir: Path, raw_ratings: bool) -> TypicalityTable:
@@ -384,14 +389,13 @@ def _read_typicality(data_dir: Path, raw_ratings: bool) -> TypicalityTable:
     seen = np.zeros(len(categories) * len(features), dtype=bool)
     seen[cell] = True
     values, parsed = _floats(value_col)
-    if "" in categories or "" in features or np.count_nonzero(seen) < n or parsed < n:
-        _raise_first(where, (
-            (min((col.index("") for col in (category_col, feature_col) if "" in col), default=n),
-             lambda k: "empty category or feature identifier"),
-            (_first_repeat(cell),
-             lambda k: f"duplicate cell ({category_col[k]!r}, {feature_col[k]!r})"),
-            (parsed, lambda k: f"not a number: {value_col[k]!r}"),
-        ))
+    _raise_first(where, n, (
+        (min((col.index("") for col in (category_col, feature_col) if "" in col), default=n),
+         lambda k: "empty category or feature identifier"),
+        (_first_repeat(cell),
+         lambda k: f"duplicate cell ({category_col[k]!r}, {feature_col[k]!r})"),
+        (parsed, lambda k: f"not a number: {value_col[k]!r}"),
+    ))
 
     if raw_ratings:  # before the grid is built, so a range error is reported first
         outside = ~((values >= 1.0) & (values <= 7.0))  # NaN is outside
@@ -448,36 +452,25 @@ def _read_human(data_dir: Path, table: TypicalityTable,
     feature_code = _codes(feature_col, table.vocab._index)
     cell = item_code * table.n + feature_code
     counts, parsed = _floats(count_col)
-    known = (item_code >= 0) & (feature_code >= 0)
-    seen = np.zeros(len(items) * table.n, dtype=bool)
-    seen[cell[known]] = True
-    if (not known.all() or np.count_nonzero(seen) < n or parsed < n
-            or not np.isfinite(counts).all() or (counts < 0).any()):
-        _raise_first(where, (
-            (_first(item_code < 0), lambda k: f"unknown metaphor id {metaphor_col[k]!r}"),
-            (_first(feature_code < 0), lambda k: f"unknown feature {feature_col[k]!r}"),
-            (_first_repeat(cell),
-             lambda k: f"duplicate ({metaphor_col[k]!r}, {feature_col[k]!r})"),
-            (parsed, lambda k: f"not a number: {count_col[k]!r}"),
-            (_first(~np.isfinite(counts)), lambda k: f"count {float(counts[k])!r} is not finite"),
-            (_first(counts < 0), lambda k: f"negative count {float(counts[k])!r}"),
-        ))
+    _raise_first(where, n, (
+        (_first(item_code < 0), lambda k: f"unknown metaphor id {metaphor_col[k]!r}"),
+        (_first(feature_code < 0), lambda k: f"unknown feature {feature_col[k]!r}"),
+        (_first_repeat(cell), lambda k: f"duplicate ({metaphor_col[k]!r}, {feature_col[k]!r})"),
+        (parsed, lambda k: f"not a number: {count_col[k]!r}"),
+        (_first(~np.isfinite(counts)), lambda k: f"count {float(counts[k])!r} is not finite"),
+        (_first(counts < 0), lambda k: f"negative count {float(counts[k])!r}"),
+    ))
 
     grid = np.zeros((len(items), table.n))
     grid.reshape(-1)[cell] = counts
-    responses: dict[str, np.ndarray] = {}
-    with np.errstate(over="ignore"):  # a row whose sum overflows is scaled by its max first
-        for metaphor_id in dict.fromkeys(metaphor_col):
-            vec = grid[item_index[metaphor_id]]
-            total = vec.sum()
-            if math.isinf(total):
-                vec = vec / vec.max()
-                total = vec.sum()
-            if total <= 0:
-                raise DatasetError(f"human.csv: responses for {metaphor_id!r} sum to zero")
-            # pre-normalized weights pass through untouched so save/load round-trips exactly
-            responses[metaphor_id] = vec if abs(total - 1.0) <= ROW_SUM_TOL else vec / total
-    return HumanResponseTable(table.vocab, responses)
+    ids = tuple(dict.fromkeys(metaphor_col))
+    rows, sums = _scaled_rows(grid[[item_index[metaphor_id] for metaphor_id in ids]])
+    zero = _first(sums <= 0)
+    if zero < len(ids):
+        raise DatasetError(f"human.csv: responses for {ids[zero]!r} sum to zero")
+    # pre-normalized weights pass through untouched so save/load round-trips exactly
+    rows = np.where(np.abs(sums - 1.0)[:, None] <= ROW_SUM_TOL, rows, rows / sums[:, None])
+    return HumanResponseTable(table.vocab, dict(zip(ids, rows)))
 
 
 def read_dataset(

@@ -7,7 +7,9 @@ of indices that two top-k index arrays share).  The scalar functions
 :func:`pearson`, :func:`jsd`, :func:`top_k_indices` and :func:`k_agreement`
 are their one-row case: they pass a 1-D vector, which the row-wise forms
 treat as a single row.  Pearson r has one computation,
-:func:`_pearson`, which also scores the fit's objective and its derivative.
+:func:`_pearson`, which also scores the fit's objective and its derivative;
+its centring and undefined rule, :func:`_centred`, serve the feature
+correlation matrix too.
 JSD has one, :func:`_jsd`, unchecked: ``evaluate`` checks its rows once for
 both its JSDs.  Ranking takes k rounds of ``argmax`` over int64 keys in the
 floats' order, each marking the entries it picked below every key (:func:`_top_k`).
@@ -51,21 +53,26 @@ def _check_distribution(arr: np.ndarray, name: str) -> None:
         raise ValueError(f"{name} is not a distribution: sums to {sums[off][0]:.9g}")
 
 
+def _centred(x: np.ndarray, axis: int = -1):
+    """``x`` centred along ``axis``, its sums of squares there, and where it has no Pearson r:
+    where it is constant (range 0; centring can leave rounding residue) or its sum of
+    squares underflows to 0."""
+    centred = x - x.mean(axis=axis, keepdims=True)
+    squares = np.sum(centred * centred, axis=axis)
+    return centred, squares, (np.ptp(x, axis=axis) == 0.0) | (squares == 0.0)
+
+
 def _pearson(a: np.ndarray, b: np.ndarray, dp: np.ndarray | None = None):
     """Pearson r of each row of ``a`` with the same row of ``b``, which broadcasts.
 
     C-order rows are reduced by ``np.sum`` as contiguous runs.  Returns ``(r, dr,
     undefined)``: r clipped to [-1, 1] (NaN for a NaN entry), its derivative along
     ``dp``, a direction for ``a`` of ``a``'s shape (None without one), and per row
-    whether either row is constant (range 0; centring can leave rounding residue) or
-    its spread underflows.
+    whether either row is undefined by :func:`_centred`'s rule.
     """
-    undefined = (np.ptp(a, axis=-1) == 0.0) | (np.ptp(b, axis=-1) == 0.0)
-    a = a - a.mean(axis=-1, keepdims=True)
-    b = b - b.mean(axis=-1, keepdims=True)
-    saa = np.sum(a * a, axis=-1)
-    sbb = np.sum(b * b, axis=-1)
-    undefined |= (saa == 0.0) | (sbb == 0.0)
+    a, saa, undefined_a = _centred(a)
+    b, sbb, undefined_b = _centred(b)
+    undefined = undefined_a | undefined_b
     with np.errstate(divide="ignore", invalid="ignore"):  # undefined rows are flagged, not used
         product = saa * sbb  # where it underflows, take the product of the roots
         denom = np.where(product < _TINY, np.sqrt(saa) * np.sqrt(sbb), np.sqrt(product))

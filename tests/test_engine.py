@@ -1241,8 +1241,9 @@ MEMO_LAMS = ((5.0,), tuple(evaluation.lambda_grid(0.5, 100.0, 16)), tuple(learn.
 class TestSpeakerMemo:
     """The table keeps the speaker normalizers of the last lams scored over every category.
 
-    A call at the same lams (full mode, ``"all"``) skips the row checks, the reach and the
-    normalizers, and keeps every bit; pair and fast mode read per-item rows and no memo.
+    A call at the same lams that asks for the gradient or not as the last one did (full mode,
+    ``"all"``) skips the row checks, the reach and the normalizers, and keeps every bit; pair
+    and fast mode read per-item rows and no memo.
     """
 
     @pytest.mark.parametrize("overrides", CONFIGS)
@@ -1281,7 +1282,7 @@ class TestSpeakerMemo:
         for lams in ([1.0], [2.0, 3.0], [5.0], [2.0, 3.0]):
             _interpret_lams(train, RsaConfig(), table, lams, False)
         assert len(table._speaker_memo) == 1
-        assert table._speaker_memo[0][0] == np.array([2.0, 3.0]).tobytes()
+        assert table._speaker_memo[0][0] == (np.array([2.0, 3.0]).tobytes(), False)
         learn.learn_lambda_multistart(train, human, RsaConfig(), table)
         assert len(table._speaker_memo) == 1
 
@@ -1306,13 +1307,13 @@ class TestSpeakerMemo:
         for _ in range(2):  # refused again, and the last scored lams keep their entry
             with pytest.raises(Error, match="is too large for this table"):
                 _interpret_lams(train, RsaConfig(), table, [1e308], False)
-            assert table._speaker_memo[0][0] == np.array([2.0]).tobytes()
+            assert table._speaker_memo[0][0] == (np.array([2.0]).tobytes(), False)
 
     def test_the_entry_is_read_only(self, seed12_train):
         table, _, train = seed12_train
         table = fresh(table)
         _interpret_lams(train, RsaConfig(), table, [2.0, 5.0], True)
-        _, _, _, norms = table._speaker_memo[0]
+        _, _, norms = table._speaker_memo[0]
         arrays = [a for pair in norms for a in pair]
         assert len(arrays) == 4
         for a in arrays:
@@ -1320,20 +1321,22 @@ class TestSpeakerMemo:
             with pytest.raises(ValueError, match="read-only"):
                 a += 1.0
 
-    def test_a_gradient_entry_serves_a_forward_call(self, monkeypatch, seed12_train):
+    def test_an_entry_serves_calls_of_its_own_kind(self, monkeypatch, seed12_train):
         table, _, train = seed12_train
         table = fresh(table)
+        want, _ = _interpret_lams(train, RsaConfig(), fresh(table), [2.0], False)
         _interpret_lams(train, RsaConfig(), table, [2.0], True)
         calls = spy(monkeypatch, "_logsumexp")
-        logp, dp = _interpret_lams(train, RsaConfig(), table, [2.0], False)
-        assert len(calls) == 1 and dp is None  # the final normalizer's alone
-        want, _ = _interpret_lams(train, RsaConfig(), fresh(table), [2.0], False)
-        assert logp.tobytes() == want.tobytes()
-        # a forward entry does not serve a gradient call
-        _interpret_lams(train, RsaConfig(), table, [3.0], False)
-        calls.clear()
-        _interpret_lams(train, RsaConfig(), table, [3.0], True)
-        assert len(calls) == 3
+        counts = []
+        for gradient in (False, False, True, True):  # each call finds its predecessor's entry
+            calls.clear()
+            logp, dp = _interpret_lams(train, RsaConfig(), table, [2.0], gradient)
+            assert (dp is None) == (not gradient)
+            if not gradient:
+                assert logp.tobytes() == want.tobytes()
+            counts.append(len(calls))
+        # the kind of the last call decides a hit; a hit computes the final normalizer alone
+        assert counts == [3, 1, 3, 1]
 
     def test_signed_zeros_do_not_share_an_entry(self, monkeypatch, seed12_train):
         table, _, train = seed12_train
@@ -1346,7 +1349,7 @@ class TestSpeakerMemo:
             calls.clear()
             got = _interpret_lams(train, RsaConfig(), table, [lam], True)
             assert bits(got) == want[math.copysign(1.0, lam) < 0]
-            assert table._speaker_memo[0][0] == np.array([lam]).tobytes()
+            assert table._speaker_memo[0][0] == (np.array([lam]).tobytes(), True)
             counts.append(len(calls))
         assert counts == [3, 3, 1, 3]  # only the repeated -0.0 reads the entry
 

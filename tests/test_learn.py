@@ -630,7 +630,7 @@ class TestChunkedPoints:
         # one gradient call over 16 lams and 18 items peaks at 7.03 (L, B, n) blocks in full
         # mode, where the speaker's (L, 1, 48, n) score block counts 48 / 18 and the speaker
         # memo's entry 4 / 18; a fresh block for each late result made it 9.03.  Fast mode,
-        # which has no finished block to reuse, peaks at 4.10
+        # which has no finished block to reuse, peaks at 4.10 (README gives these figures)
         table, _, train = seed12_split0
         lams = np.linspace(0.0, 30.0, 16)
         block = 8 * lams.size * len(train) * table.n

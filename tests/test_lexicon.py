@@ -7,9 +7,10 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import reference_reader
 from conftest import make_synthetic_dataset
 from rsa_metaphor import (
     FeatureVocab,
@@ -548,6 +549,102 @@ class TestLoaderFuzz:
         path.write_text("\n".join(lines), encoding="utf-8")
         with pytest.raises(DatasetError, match="^metaphors.csv line 3: field larger than"):
             read_dataset(dataset_dir)
+
+
+# fields an edit writes: the small dataset's names and unknown ones, and for a row's last
+# field a number, a text that fails one check, or -inf, which fails two; so one row can
+# fail several checks at once
+_NAMES = st.sampled_from(("", "workers", "ants", "owls", "bats", "diligence", "numerosity",
+                          "wisdom", "speed", "m1", "m2", "m9", "inherent", '"'))
+_NUMBERS = st.one_of(
+    st.sampled_from(("0", "0.0", "0.5", "3", "7", "8", "1e308", "1.7e308", " 2")),
+    st.sampled_from(("", "x", "-", "-1", "1e400", "nan")), st.just("-inf"))
+_ROW = st.integers(0, 12)  # taken modulo the file's data line count
+_FIELD_EDITS = st.tuples(st.just("field"), _ROW, st.integers(0, 5), _NAMES, _NUMBERS)
+_COPY_EDITS = st.tuples(st.just("copy"), _ROW, _ROW,
+                        st.lists(st.one_of(st.none(), st.none(), _NAMES), min_size=4, max_size=4),
+                        _NUMBERS)
+_ROW_EDITS = st.one_of(  # field and copy edits twice as often as the others
+    _FIELD_EDITS, _FIELD_EDITS, _COPY_EDITS, _COPY_EDITS, st.tuples(st.just("delete"), _ROW),
+    st.tuples(st.just("char"), st.integers(0, 300), st.integers(0, 1),
+              st.sampled_from((b"", b",", b'"', b"\n", b"\r", b"\xff", b"x", b"1", b"-"))),
+)
+
+
+def _edited(data: bytes, edit) -> bytes:
+    """``data`` with one character edit anywhere, or one row edit below the header: a field
+    replaced, a row deleted, or a copy of a row inserted below it, with another last field
+    and some of its other fields replaced."""
+    kind, *args = edit
+    if kind == "char":
+        at, cut, char = args
+        at %= len(data) + 1
+        return data[:at] + char + data[at + cut:]
+    lines = data.split(b"\n")
+    k = 1 + args[0] % max(1, len(lines) - 1)
+    fields = lines[k].split(b",") if k < len(lines) else [b""]
+    if kind == "field":
+        at = args[1] % len(fields)
+        fields[at] = args[3 if at == len(fields) - 1 else 2].encode()
+    elif kind == "copy":
+        for at, token in enumerate(args[2][:len(fields) - 1]):
+            fields[at] = fields[at] if token is None else token.encode()
+        fields[-1] = args[3].encode()
+        lines.insert(k + 1 + args[1] % max(1, len(lines) - k), b",".join(fields))
+        return b"\n".join(lines)
+    lines[k:k + 1] = [] if kind == "delete" else [b",".join(fields)]
+    return b"\n".join(lines)
+
+
+class TestReferenceReader:
+    """``read_dataset`` against the per-row reader in ``tests/reference_reader.py``."""
+
+    @staticmethod
+    def small_dataset(raw: bool):
+        rows = [[6.0, 3.0, 1.0], [2.0, 5.0, 3.0], [2.5, 2.5, 5.0]]
+        table = TypicalityTable(("workers", "ants", "owls"),
+                                FeatureVocab(("diligence", "numerosity", "wisdom")),
+                                np.array(rows) if raw else np.array(rows) / 10.0)
+        items = (MetaphorItem("m1", "workers", "ants", "non_inherent", 4.5),
+                 MetaphorItem("m2", "workers", "owls", "inherent", None))
+        human = HumanResponseTable(table.vocab, {"m1": [0.5, 0.4, 0.1], "m2": [0.0, 0.25, 0.75]})
+        return table, items, human
+
+    @settings(max_examples=600, deadline=None)
+    @given(raw=st.booleans(), name=st.sampled_from(("typicality.csv", "metaphors.csv",
+                                                    "human.csv", "human.csv")),
+           edits=st.lists(_ROW_EDITS, min_size=1, max_size=3))
+    # rows that fail two adjacent checks: a copy that is not a number, an empty name that
+    # is not a number, an unknown id with an unknown feature, and a count of -inf
+    @example(raw=False, name="typicality.csv", edits=[("copy", 0, 0, [None] * 4, "x")])
+    @example(raw=False, name="typicality.csv",
+             edits=[("field", 0, 0, "", "0"), ("field", 0, 2, "", "x")])
+    @example(raw=False, name="human.csv", edits=[("copy", 0, 0, [None] * 4, "x")])
+    @example(raw=False, name="human.csv",
+             edits=[("field", 0, 0, "m9", "0"), ("field", 0, 1, "speed", "0")])
+    @example(raw=False, name="human.csv", edits=[("field", 0, 2, "", "-inf")])
+    def test_damaged_dataset_reads_as_the_reference_reads_it(self, raw, name, edits):
+        with tempfile.TemporaryDirectory() as tmp:
+            data_dir = Path(tmp)
+            save_dataset(*self.small_dataset(raw), data_dir)
+            path = data_dir / name
+            for edit in edits:
+                path.write_bytes(_edited(path.read_bytes(), edit))
+            try:
+                categories, features, values, items, human = reference_reader.read(data_dir, raw)
+            except reference_reader.Fault as fault:
+                with pytest.raises(DatasetError) as info:
+                    read_dataset(data_dir, raw_ratings=raw)
+                assert str(info.value) == str(fault)
+                return
+            table, got_items, got_human = read_dataset(data_dir, raw_ratings=raw)
+        assert (table.categories, table.vocab.features) == (tuple(categories), tuple(features))
+        assert table.values.tobytes() == values.tobytes()
+        assert repr([(i.id, i.topic, i.vehicle, i.inherence, i.familiarity)
+                     for i in got_items]) == repr(items)
+        assert got_human.ids == tuple(human)
+        assert [row.tobytes() for row in got_human.responses.values()] == [
+            row.tobytes() for row in human.values()]
 
 
 class TestRoundTrip:
