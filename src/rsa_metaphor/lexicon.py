@@ -464,13 +464,13 @@ def _read_human(data_dir: Path, table: TypicalityTable,
     grid = np.zeros((len(items), table.n))
     grid.reshape(-1)[cell] = counts
     ids = tuple(dict.fromkeys(metaphor_col))
-    rows, sums = _scaled_rows(grid[[item_index[metaphor_id] for metaphor_id in ids]])
+    weights, sums = _scaled_rows(grid[[item_index[metaphor_id] for metaphor_id in ids]])
     zero = _first(sums <= 0)
     if zero < len(ids):
         raise DatasetError(f"human.csv: responses for {ids[zero]!r} sum to zero")
     # pre-normalized weights pass through untouched so save/load round-trips exactly
-    rows = np.where(np.abs(sums - 1.0)[:, None] <= ROW_SUM_TOL, rows, rows / sums[:, None])
-    return HumanResponseTable(table.vocab, dict(zip(ids, rows)))
+    weights = np.where(np.abs(sums - 1.0)[:, None] <= ROW_SUM_TOL, weights, weights / sums[:, None])
+    return HumanResponseTable(table.vocab, dict(zip(ids, weights)))
 
 
 def read_dataset(
