@@ -91,12 +91,10 @@ class FitResult:
     ``lambda_hat`` (at 0 only an ascent counts).  ``starts`` holds every
     start's own fit for a multistart fit, and is empty otherwise.
 
-    A ``gradient_tolerance`` stop above lambda 0 lies on a plateau where g has
-    underflowed to exactly 0 and the objective is flat to the last bit, and
-    ``lambda_hat`` is whichever plateau point rounding makes best: the start from
-    50 of seed 12, split 1, fast mode, ``mean`` stops at 2118.8, and one-ulp
-    perturbations moved it anywhere from 1492.5 to 4270.1.  Such a fit pins its
-    objective, not its ``lambda_hat``.
+    A ``gradient_tolerance`` stop above lambda 0 lies on a plateau where g underflowed
+    to exactly 0 and the objective is flat to the last bit: ``lambda_hat`` is whichever
+    plateau point rounding makes best (seed 12, split 1, fast, ``mean``, start 50: 2118.8,
+    and 1492.5 to 4270.1 under one-ulp perturbations).  Such a fit pins its objective only.
     """
 
     lambda_hat: float

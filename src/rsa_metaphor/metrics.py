@@ -6,10 +6,9 @@ of two (R, n) arrays along the last axis: :func:`pearson_rows`,
 of indices that two top-k index arrays share).  The scalar functions
 :func:`pearson`, :func:`jsd`, :func:`top_k_indices` and :func:`k_agreement`
 are their one-row case: they pass a 1-D vector, which the row-wise forms
-treat as a single row.  Pearson r has one computation,
-:func:`_pearson`, which also scores the fit's objective and its derivative;
-its centring and undefined rule, :func:`_centred`, serve the feature
-correlation matrix too.
+treat as a single row.  Pearson r has one computation, :func:`_pearson`, which
+also scores the fit's objective and its derivative; the feature correlation
+matrix shares its centring and undefined rule, :func:`_centred`.
 JSD has one, :func:`_jsd`, unchecked: ``evaluate`` checks its rows once for
 both its JSDs.  Ranking takes k rounds of ``argmax`` over int64 keys in the
 floats' order, each marking the entries it picked below every key (:func:`_top_k`).
@@ -55,8 +54,7 @@ def _check_distribution(arr: np.ndarray, name: str) -> None:
 
 def _centred(x: np.ndarray, axis: int = -1):
     """``x`` centred along ``axis``, its sums of squares there, and where it has no Pearson r:
-    where it is constant (range 0; centring can leave rounding residue) or its sum of
-    squares underflows to 0."""
+    constant (range 0; centring can leave rounding residue) or squares summing to 0."""
     centred = x - x.mean(axis=axis, keepdims=True)
     squares = np.sum(centred * centred, axis=axis)
     return centred, squares, (np.ptp(x, axis=axis) == 0.0) | (squares == 0.0)
